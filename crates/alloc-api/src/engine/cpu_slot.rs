@@ -2,13 +2,14 @@
 
 use std::collections::VecDeque;
 
-use pbs_alloc_api::ObjPtr;
 use pbs_rcu::GpState;
+
+use crate::ObjPtr;
 
 /// One latent-cache entry: the deferred object, the grace-period state at
 /// defer time, and the defer-time wall clock (0 when tracing was disabled
 /// at defer time — the telemetry convention for "untimed").
-pub(crate) type LatentEntry = (ObjPtr, GpState, u64);
+pub type LatentEntry = (ObjPtr, GpState, u64);
 
 /// One CPU slot's caches (paper Figure 4, left side).
 ///
@@ -18,25 +19,26 @@ pub(crate) type LatentEntry = (ObjPtr, GpState, u64);
 ///   period completes, then merged into `obj_cache`.
 ///
 /// Rate counters feed the pre-flush aggressiveness decision (§4.2: be
-/// aggressive when frees outpace allocations, lazy otherwise).
+/// aggressive when frees outpace allocations, lazy otherwise). A policy
+/// without latent caches (SLUB) leaves `latent` empty.
 #[derive(Debug, Default)]
-pub(crate) struct CpuState {
-    pub(crate) obj_cache: Vec<ObjPtr>,
-    pub(crate) latent: VecDeque<LatentEntry>,
-    pub(crate) allocs_since: u64,
-    pub(crate) frees_since: u64,
-    pub(crate) defers_since: u64,
-    pub(crate) preflush_pending: bool,
+pub struct CpuSlot {
+    pub obj_cache: Vec<ObjPtr>,
+    pub latent: VecDeque<LatentEntry>,
+    pub allocs_since: u64,
+    pub frees_since: u64,
+    pub defers_since: u64,
+    pub preflush_pending: bool,
 }
 
-impl CpuState {
+impl CpuSlot {
     /// Moves latent objects whose grace period has completed into the
     /// object cache, up to `capacity` (Algorithm 1, MERGE_CACHES,
     /// lines 60-65). Stamps are non-decreasing front-to-back, so a failed
     /// front check ends the merge. Returns the number merged; `on_merge`
     /// receives each merged object and its defer-time clock so the caller
     /// can record the defer→reusable delay and credit site attribution.
-    pub(crate) fn merge_caches(
+    pub fn merge_caches(
         &mut self,
         epoch: u64,
         capacity: usize,
@@ -59,7 +61,7 @@ impl CpuState {
 
     /// Objects held in both caches together (the pre-flush trigger
     /// compares this against the object-cache size, lines 41-42).
-    pub(crate) fn total_cached(&self) -> usize {
+    pub fn total_cached(&self) -> usize {
         self.obj_cache.len() + self.latent.len()
     }
 }
@@ -88,7 +90,7 @@ mod tests {
 
     #[test]
     fn merge_respects_grace_period() {
-        let mut cpu = CpuState::default();
+        let mut cpu = CpuSlot::default();
         let early = gp(0);
         cpu.latent.push_back((obj(0x1000), early, 0));
         cpu.latent.push_back((obj(0x2000), early, 0));
@@ -105,7 +107,7 @@ mod tests {
 
     #[test]
     fn merge_respects_capacity() {
-        let mut cpu = CpuState::default();
+        let mut cpu = CpuSlot::default();
         let early = gp(0);
         for i in 0..5 {
             cpu.latent.push_back((obj(0x1000 + i * 8), early, 0));
@@ -117,7 +119,7 @@ mod tests {
 
     #[test]
     fn merge_stops_at_incomplete_front() {
-        let mut cpu = CpuState::default();
+        let mut cpu = CpuSlot::default();
         let early = gp(0);
         let later = gp(early.raw_epoch() + 4);
         cpu.latent.push_back((obj(0x1000), later, 0)); // newer stamp in front
@@ -129,7 +131,7 @@ mod tests {
 
     #[test]
     fn merge_reports_defer_stamps() {
-        let mut cpu = CpuState::default();
+        let mut cpu = CpuSlot::default();
         let early = gp(0);
         cpu.latent.push_back((obj(0x1000), early, 7));
         cpu.latent.push_back((obj(0x2000), early, 0)); // untimed entry
@@ -140,7 +142,7 @@ mod tests {
 
     #[test]
     fn total_cached_counts_both() {
-        let mut cpu = CpuState::default();
+        let mut cpu = CpuSlot::default();
         cpu.obj_cache.push(obj(0x10));
         cpu.latent.push_back((obj(0x20), gp(0), 0));
         assert_eq!(cpu.total_cached(), 2);

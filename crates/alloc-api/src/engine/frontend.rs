@@ -1,0 +1,212 @@
+//! The front ends every engine-backed cache type shares: the cache
+//! factory subsystems are built over, and the kmalloc-style size-class
+//! heap.
+
+use std::sync::Arc;
+
+use pbs_mem::PageAllocator;
+use pbs_rcu::reclaim::{EpochDomain, ReclamationDomain};
+use pbs_rcu::Rcu;
+
+use crate::{
+    class_index_for, AllocError, CacheFactory, CacheStatsSnapshot, ObjPtr, ObjectAllocator,
+    SIZE_CLASSES,
+};
+
+/// A public cache type built on a [`SlabEngine`](super::SlabEngine):
+/// what [`SlabFactory`] and [`KmallocHeap`] need to mint one.
+pub trait SlabCache: ObjectAllocator + Sized + 'static {
+    /// The cache's configuration (carries the CPU-slot count).
+    type Config: Clone + std::fmt::Debug + Send + Sync;
+
+    /// Short label for reports ("slub" or "prudence").
+    const LABEL: &'static str;
+
+    /// Creates a cache named `name` for `object_size`-byte objects,
+    /// attached to `domain`.
+    fn create(
+        name: &str,
+        object_size: usize,
+        config: Self::Config,
+        pages: Arc<PageAllocator>,
+        domain: Arc<dyn ReclamationDomain>,
+    ) -> Arc<Self>;
+}
+
+/// Creates `C` caches sharing one page allocator, RCU domain and
+/// configuration.
+pub struct SlabFactory<C: SlabCache> {
+    config: C::Config,
+    pages: Arc<PageAllocator>,
+    rcu: Arc<Rcu>,
+    /// Shared reclamation domain for every minted cache; `None` gives
+    /// each cache its own default epoch backend.
+    domain: Option<Arc<dyn ReclamationDomain>>,
+}
+
+impl<C: SlabCache> std::fmt::Debug for SlabFactory<C> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SlabFactory")
+            .field("label", &C::LABEL)
+            .field("config", &self.config)
+            .field("backend", &self.domain.as_ref().map(|d| d.backend()))
+            .finish()
+    }
+}
+
+impl<C: SlabCache> SlabFactory<C> {
+    /// Creates a factory; every cache it mints shares `pages`, `rcu` and
+    /// `config`.
+    pub fn new(config: impl Into<C::Config>, pages: Arc<PageAllocator>, rcu: Arc<Rcu>) -> Self {
+        Self {
+            config: config.into(),
+            pages,
+            rcu,
+            domain: None,
+        }
+    }
+
+    /// Like [`new`](Self::new), but every minted cache shares `domain`
+    /// (one retire stream / batch stream across the whole subsystem, the
+    /// way all caches already share one `rcu`).
+    pub fn with_domain(
+        config: impl Into<C::Config>,
+        pages: Arc<PageAllocator>,
+        domain: Arc<dyn ReclamationDomain>,
+    ) -> Self {
+        Self {
+            config: config.into(),
+            pages,
+            rcu: Arc::clone(domain.rcu()),
+            domain: Some(domain),
+        }
+    }
+
+    /// The shared page allocator.
+    pub fn pages(&self) -> &Arc<PageAllocator> {
+        &self.pages
+    }
+
+    /// The shared RCU domain.
+    pub fn rcu(&self) -> &Arc<Rcu> {
+        &self.rcu
+    }
+
+    /// The shared configuration.
+    pub fn config(&self) -> &C::Config {
+        &self.config
+    }
+
+    /// Creates one cache with its concrete type.
+    pub fn create(&self, name: &str, object_size: usize) -> Arc<C> {
+        let domain = match &self.domain {
+            Some(domain) => Arc::clone(domain),
+            None => Arc::new(EpochDomain::new(Arc::clone(&self.rcu))),
+        };
+        C::create(
+            name,
+            object_size,
+            self.config.clone(),
+            Arc::clone(&self.pages),
+            domain,
+        )
+    }
+}
+
+impl<C: SlabCache> CacheFactory for SlabFactory<C> {
+    fn create_cache(&self, name: &str, object_size: usize) -> Arc<dyn ObjectAllocator> {
+        self.create(name, object_size)
+    }
+
+    fn label(&self) -> &str {
+        C::LABEL
+    }
+}
+
+/// A general-purpose front end: one `C` cache per kmalloc size class
+/// (`kmalloc-8` … `kmalloc-4096`), as in the Linux kernel. This is the
+/// allocator behind the paper's `kfree_deferred()` evaluation API (§5).
+#[derive(Debug)]
+pub struct KmallocHeap<C> {
+    caches: Vec<Arc<C>>,
+}
+
+impl<C: SlabCache> KmallocHeap<C> {
+    /// Creates the full set of size-class caches sharing one
+    /// configuration.
+    pub fn new(config: impl Into<C::Config>, pages: Arc<PageAllocator>, rcu: Arc<Rcu>) -> Self {
+        let factory = SlabFactory::<C>::new(config, pages, rcu);
+        let caches = SIZE_CLASSES
+            .iter()
+            .map(|&size| factory.create(&format!("kmalloc-{size}"), size))
+            .collect();
+        Self { caches }
+    }
+
+    fn class_for(&self, size: usize) -> Result<&Arc<C>, AllocError> {
+        self.cache_for(size).ok_or(AllocError::OutOfMemory)
+    }
+
+    /// Allocates `size` bytes from the smallest fitting size class.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `size` exceeds the largest class or memory is exhausted
+    /// even after the recovery ladder ran.
+    pub fn kmalloc(&self, size: usize) -> Result<ObjPtr, AllocError> {
+        self.class_for(size)?.allocate()
+    }
+
+    /// Frees an object previously allocated with `kmalloc(size)`.
+    ///
+    /// # Safety
+    ///
+    /// `obj` must come from [`kmalloc`](Self::kmalloc) on this heap with a
+    /// size mapping to the same class, freed exactly once, not used after.
+    pub unsafe fn kfree(&self, obj: ObjPtr, size: usize) {
+        self.class_for(size)
+            .expect("size was allocatable")
+            .free(obj);
+    }
+
+    /// The paper's `kfree_deferred()`: defers the free until after a grace
+    /// period.
+    ///
+    /// # Safety
+    ///
+    /// As [`kfree`](Self::kfree); additionally the object must already be
+    /// unreachable for new readers.
+    pub unsafe fn kfree_deferred(&self, obj: ObjPtr, size: usize) {
+        self.class_for(size)
+            .expect("size was allocatable")
+            .free_deferred(obj);
+    }
+
+    /// The cache serving a given size.
+    pub fn cache_for(&self, size: usize) -> Option<&Arc<C>> {
+        class_index_for(size).map(|i| &self.caches[i])
+    }
+
+    /// All size-class caches.
+    pub fn caches(&self) -> &[Arc<C>] {
+        &self.caches
+    }
+
+    /// Statistics for every size class.
+    pub fn stats(&self) -> Vec<CacheStatsSnapshot> {
+        self.caches.iter().map(|c| c.stats()).collect()
+    }
+
+    /// Telemetry (histograms + trace events) for every size class.
+    pub fn telemetry(&self) -> Vec<pbs_telemetry::ComponentTelemetry> {
+        self.caches.iter().map(|c| c.telemetry()).collect()
+    }
+
+    /// Waits until every deferred object in every class is reusable and
+    /// nothing is parked on any class's fast path.
+    pub fn quiesce(&self) {
+        for c in &self.caches {
+            c.quiesce();
+        }
+    }
+}

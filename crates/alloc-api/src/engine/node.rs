@@ -1,26 +1,30 @@
-//! Node-level state: slabs with latent-slab tracking.
+//! Node-level state: the slab table, the full/partial/free lists and the
+//! per-slab latent-slab tracking, shared by every policy.
 
 use std::collections::VecDeque;
 
-use pbs_alloc_api::{ListKind, ObjPtr, RawSlab, SlabLists};
 use pbs_rcu::GpState;
+
+use crate::{ListKind, RawSlab, SlabLists};
 
 /// A slab plus its latent slab: the deferred objects belonging to it
 /// (paper Figure 4, right side).
 ///
 /// Deferred objects are counted as *allocated* by the underlying
 /// [`RawSlab`] until their grace period completes and
-/// [`reclaim_completed`](PrudentSlab::reclaim_completed) returns them to
-/// the free list.
+/// [`reclaim_completed`](Slab::reclaim_completed) returns them to
+/// the free list. A policy that never parks deferred objects in slabs
+/// (SLUB) leaves `deferred` empty, and [`classify`](Slab::classify)
+/// degenerates to the plain free/partial/full rule.
 #[derive(Debug)]
-pub(crate) struct PrudentSlab {
-    pub(crate) raw: RawSlab,
+pub struct Slab {
+    pub raw: RawSlab,
     /// Deferred objects (slab-local index, stamp), oldest first.
-    pub(crate) deferred: VecDeque<(u16, GpState)>,
+    pub deferred: VecDeque<(u16, GpState)>,
 }
 
-impl PrudentSlab {
-    pub(crate) fn new(raw: RawSlab) -> Self {
+impl Slab {
+    pub fn new(raw: RawSlab) -> Self {
         Self {
             raw,
             deferred: VecDeque::new(),
@@ -29,7 +33,7 @@ impl PrudentSlab {
 
     /// Returns deferred objects whose grace period completed at `epoch` to
     /// the slab free list. Returns how many were reclaimed.
-    pub(crate) fn reclaim_completed(&mut self, epoch: u64) -> usize {
+    pub fn reclaim_completed(&mut self, epoch: u64) -> usize {
         let mut reclaimed = 0;
         while let Some(&(idx, gp)) = self.deferred.front() {
             if !gp.is_completed_at(epoch) {
@@ -45,7 +49,7 @@ impl PrudentSlab {
 
     /// Whether every allocated object in the slab is deferred — the slab
     /// will be entirely free after the grace period (Algorithm line 56).
-    pub(crate) fn all_allocated_deferred(&self) -> bool {
+    pub fn all_allocated_deferred(&self) -> bool {
         self.raw.allocated_count() > 0 && self.raw.allocated_count() == self.deferred.len()
     }
 
@@ -55,7 +59,7 @@ impl PrudentSlab {
     ///   list (objects are about to come back),
     /// * a slab whose allocated objects are all deferred is pre-moved to
     ///   the free list (the whole slab is about to be free).
-    pub(crate) fn classify(&self) -> ListKind {
+    pub fn classify(&self) -> ListKind {
         if self.raw.is_free() || self.all_allocated_deferred() {
             ListKind::Free
         } else if self.raw.is_full() && self.deferred.is_empty() {
@@ -67,45 +71,45 @@ impl PrudentSlab {
 
     /// Whether the slab's pages can be returned to the page allocator
     /// right now.
-    pub(crate) fn releasable(&self) -> bool {
+    pub fn releasable(&self) -> bool {
         self.raw.is_free() && self.deferred.is_empty()
     }
 }
 
 /// Per-node slab table and full/partial/free lists, guarded by one lock.
 #[derive(Debug, Default)]
-pub(crate) struct Node {
-    pub(crate) slabs: Vec<Option<PrudentSlab>>,
-    pub(crate) free_slots: Vec<usize>,
-    pub(crate) lists: SlabLists,
-    pub(crate) next_color: usize,
+pub struct Node {
+    pub slabs: Vec<Option<Slab>>,
+    pub free_slots: Vec<usize>,
+    pub lists: SlabLists,
+    pub next_color: usize,
     /// Slabs with pending latent-slab objects, in the order their oldest
     /// stamp was queued. Lets reclamation merge completed objects back
     /// ("objects in the latent slab are merged with the slab", §4.1)
     /// without scanning every slab. May contain stale entries; consumers
     /// re-validate.
-    pub(crate) pending: std::collections::VecDeque<usize>,
+    pub pending: VecDeque<usize>,
     /// Grace-period stamp taken when the free list was first observed over
     /// the shrink threshold, or `None` while it is within bounds. Shrink
     /// hysteresis: excess free slabs are only released once this stamp's
     /// grace period completes, so slabs emptied by a reclamation burst get
     /// one grace period to be re-demanded before the page allocator sees
     /// them.
-    pub(crate) shrink_excess_since: Option<GpState>,
+    pub shrink_excess_since: Option<GpState>,
 }
 
 impl Node {
-    pub(crate) fn slab_mut(&mut self, index: usize) -> &mut PrudentSlab {
+    pub fn slab_mut(&mut self, index: usize) -> &mut Slab {
         self.slabs[index].as_mut().expect("live slab index")
     }
 
-    pub(crate) fn slab(&self, index: usize) -> &PrudentSlab {
+    pub fn slab(&self, index: usize) -> &Slab {
         self.slabs[index].as_ref().expect("live slab index")
     }
 
-    /// Re-lists a slab according to [`PrudentSlab::classify`]; returns
+    /// Re-lists a slab according to [`Slab::classify`]; returns
     /// `true` if it moved.
-    pub(crate) fn relist(&mut self, index: usize) -> bool {
+    pub fn relist(&mut self, index: usize) -> bool {
         let kind = self.slab(index).classify();
         if self.lists.kind_of(index) == Some(kind) {
             false
@@ -116,7 +120,7 @@ impl Node {
     }
 
     /// Inserts a new slab and returns its index.
-    pub(crate) fn insert_slab(&mut self, slab: PrudentSlab) -> usize {
+    pub fn insert_slab(&mut self, slab: Slab) -> usize {
         let index = self.free_slots.pop().unwrap_or(self.slabs.len());
         if index == self.slabs.len() {
             self.slabs.push(Some(slab));
@@ -129,7 +133,7 @@ impl Node {
     }
 
     /// Removes a slab from the table and lists, returning it.
-    pub(crate) fn remove_slab(&mut self, index: usize) -> PrudentSlab {
+    pub fn remove_slab(&mut self, index: usize) -> Slab {
         self.lists.remove(index);
         let slab = self.slabs[index].take().expect("live slab index");
         self.free_slots.push(index);
@@ -140,7 +144,7 @@ impl Node {
     /// slabs' free lists, draining the pending queue front while stamps
     /// are complete. Returns the number of objects reclaimed and relists
     /// every touched slab.
-    pub(crate) fn reclaim_pending(&mut self, epoch: u64) -> usize {
+    pub fn reclaim_pending(&mut self, epoch: u64) -> usize {
         let mut reclaimed = 0;
         while let Some(&index) = self.pending.front() {
             let Some(slab) = self.slabs.get_mut(index).and_then(|s| s.as_mut()) else {
@@ -157,40 +161,28 @@ impl Node {
                     if !self.slab(index).deferred.is_empty() {
                         // Newer stamps remain; queue again behind peers.
                         self.pending.push_back(index);
-                        self.relist(index);
-                    } else {
-                        self.relist(index);
                     }
+                    self.relist(index);
                 }
                 Some(_) => break, // front stamp still inside its grace period
             }
         }
         reclaimed
     }
-
-    /// Index of an object's slab; see
-    /// [`resolve_slab_index`](pbs_alloc_api::slab_layout::resolve_slab_index).
-    ///
-    /// # Safety
-    ///
-    /// As `resolve_slab_index`; additionally the node lock must be held.
-    pub(crate) unsafe fn resolve(&self, obj: ObjPtr, slab_bytes: usize) -> usize {
-        pbs_alloc_api::slab_layout::resolve_slab_index(obj, slab_bytes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pbs_alloc_api::SizingPolicy;
+    use crate::SizingPolicy;
     use pbs_mem::PageAllocator;
     use pbs_rcu::Rcu;
 
-    fn mk_slab(policy: &SizingPolicy, pages: &PageAllocator, index: usize) -> PrudentSlab {
+    fn mk_slab(policy: &SizingPolicy, pages: &PageAllocator, index: usize) -> Slab {
         let block = pages
             .allocate_aligned(policy.slab_bytes, policy.slab_bytes)
             .unwrap();
-        PrudentSlab::new(RawSlab::new(block, policy, index, 0))
+        Slab::new(RawSlab::new(block, policy, index, 0))
     }
 
     #[test]
@@ -212,7 +204,8 @@ mod tests {
 
         // Defer the rest: everything allocated is deferred → Free.
         for &o in &objs[1..] {
-            slab.deferred.push_back((slab.raw.index_of(o), rcu.gp_state()));
+            slab.deferred
+                .push_back((slab.raw.index_of(o), rcu.gp_state()));
         }
         assert_eq!(slab.classify(), ListKind::Free);
         assert!(!slab.releasable(), "pages must wait for the grace period");

@@ -15,9 +15,13 @@
 //!   existing allocator heuristics),
 //! * kmalloc-style size classes ([`SIZE_CLASSES`], [`class_index_for`]),
 //! * [`CpuRegistry`] — stable per-thread "CPU slot" assignment standing in
-//!   for kernel per-CPU data.
+//!   for kernel per-CPU data,
+//! * [`engine`] — the generic [`SlabEngine`](engine::SlabEngine) both
+//!   allocators are policies over, with the shared kmalloc heap and cache
+//!   factory.
 
 mod cpu;
+pub mod engine;
 mod factory;
 mod size_class;
 mod sizing;
@@ -40,6 +44,6 @@ pub use traits::{AllocError, ObjPtr, ObjectAllocator};
 // Re-exported so allocators and harnesses name the fast-path engine
 // types without a separate dependency edge.
 pub use pbs_percpu::{
-    default_engine as fastpath_default_engine, env_disabled as fastpath_env_disabled,
-    Engine as FastPathEngine, FastPathSnapshot,
+    default_engine as fastpath_default_engine, effective_label as fastpath_effective_label,
+    Engine as FastPathEngine, FastPathOverride, FastPathSnapshot,
 };

@@ -262,11 +262,18 @@ impl CacheStats {
         }
     }
 
-    /// Counts a successful OOM-ladder recovery attributed to `stage`
-    /// (1-based; stages past the ladder clamp to the last rung).
-    pub fn record_oom_recovery(&self, stage: usize) {
-        let idx = stage.saturating_sub(1).min(self.oom_recoveries.len() - 1);
-        self.oom_recoveries[idx].fetch_add(1, Ordering::Relaxed);
+    /// Attributes a successful allocation that needed the OOM ladder to
+    /// the rung that unblocked it (`attempts` = ladder entries so far,
+    /// clamped to the last rung; 0 = no ladder, nothing to record) and
+    /// traces it on `lane`, whose slot lock the caller holds.
+    pub fn record_oom_recovery(&self, lane: usize, attempts: usize) {
+        if attempts == 0 {
+            return;
+        }
+        let stage = attempts.min(self.oom_recoveries.len());
+        self.oom_recoveries[stage - 1].fetch_add(1, Ordering::Relaxed);
+        self.ring
+            .record(lane, EventKind::OomRecovery, self.id, stage as u64, 1);
     }
 
     /// Process-unique id for this cache (stamped into trace events).

@@ -59,6 +59,16 @@ impl ObjPtr {
         Self(ptr)
     }
 
+    /// Rebuilds the pointer from an address that crossed a `usize`
+    /// channel (the fast path, a reclamation domain).
+    ///
+    /// # Safety
+    ///
+    /// `addr` must be the [`addr`](Self::addr) of a live `ObjPtr`.
+    pub unsafe fn from_addr(addr: usize) -> Self {
+        Self(NonNull::new_unchecked(addr as *mut u8))
+    }
+
     /// The pointer as `NonNull`.
     pub fn as_non_null(self) -> NonNull<u8> {
         self.0

@@ -1,0 +1,433 @@
+//! Behaviour every [`SlabEngine`](pbs_alloc_api::engine::SlabEngine)
+//! policy must share, written once and instantiated for both policies
+//! (and, through [`KmallocHeap`], for both heaps). Policy-specific
+//! behaviour is tested beside its policy in `prudence` / `pbs-slub`.
+
+use std::sync::Arc;
+
+use pbs_alloc_api::engine::{EngineConfig, KmallocHeap, SlabCache};
+use pbs_alloc_api::{AllocError, ObjPtr, ObjectAllocator, SizingPolicy, SIZE_CLASSES};
+use pbs_mem::PageAllocator;
+use pbs_rcu::reclaim::{domain_for, EpochDomain, ReclaimBackend, ReclaimConfig, ReclamationDomain};
+use pbs_rcu::{Rcu, RcuConfig};
+use pbs_slub::SlubCache;
+use pbs_telemetry::EventKind;
+use prudence::PrudenceCache;
+
+/// What the shared test bodies need to know about a policy beyond
+/// [`SlabCache`].
+trait Kit: SlabCache<Config: From<EngineConfig>> {
+    /// Trace event marking "object deferred".
+    const DEFERRED: EventKind;
+    /// Trace event marking "deferred object reusable again".
+    const REUSABLE: EventKind;
+    /// Whether the policy itself times defer→reusable (`defer_delay_ns`).
+    const TIMES_DEFER_DELAY: bool;
+    /// The RCU configuration under which a fully-deferred working set can
+    /// only come back through the OOM ladder.
+    fn oom_rcu() -> RcuConfig;
+}
+
+impl Kit for PrudenceCache {
+    const DEFERRED: EventKind = EventKind::LatentStamp;
+    const REUSABLE: EventKind = EventKind::LatentMerge;
+    const TIMES_DEFER_DELAY: bool = true;
+
+    /// The driver is parked out of reach so the background GP cannot race
+    /// the allocation loop and merge early — the only way the deferred
+    /// objects come back is the ladder's expedited grace period.
+    fn oom_rcu() -> RcuConfig {
+        RcuConfig {
+            driver_interval: std::time::Duration::from_secs(3600),
+            ..RcuConfig::eager()
+        }
+    }
+}
+
+impl Kit for SlubCache {
+    const DEFERRED: EventKind = EventKind::DeferredFree;
+    const REUSABLE: EventKind = EventKind::DeferredReusable;
+    const TIMES_DEFER_DELAY: bool = false;
+
+    fn oom_rcu() -> RcuConfig {
+        RcuConfig::eager()
+    }
+}
+
+fn eager_rcu() -> Arc<Rcu> {
+    Arc::new(Rcu::with_config(RcuConfig::eager()))
+}
+
+fn cache_on<C: Kit>(
+    size: usize,
+    engine: EngineConfig,
+    pages: &Arc<PageAllocator>,
+    domain: Arc<dyn ReclamationDomain>,
+) -> Arc<C> {
+    C::create("t", size, engine.into(), Arc::clone(pages), domain)
+}
+
+/// A cache over a fresh epoch domain, like the caches' own `new`.
+fn cache<C: Kit>(size: usize, engine: EngineConfig) -> (Arc<C>, Arc<PageAllocator>, Arc<Rcu>) {
+    let pages = Arc::new(PageAllocator::new());
+    let rcu = eager_rcu();
+    let domain = Arc::new(EpochDomain::new(Arc::clone(&rcu)));
+    (cache_on(size, engine, &pages, domain), pages, rcu)
+}
+
+fn alloc_n(c: &impl ObjectAllocator, n: usize) -> Vec<ObjPtr> {
+    (0..n).map(|_| c.allocate().unwrap()).collect()
+}
+
+fn allocate_free_roundtrip<C: Kit>() {
+    let (c, _p, _r) = cache::<C>(64, EngineConfig::new(2));
+    let a = c.allocate().unwrap();
+    let b = c.allocate().unwrap();
+    assert_ne!(a, b);
+    unsafe {
+        c.free(a);
+        c.free(b);
+    }
+    let s = c.stats();
+    assert_eq!(s.alloc_requests, 2);
+    assert_eq!(s.frees, 2);
+    assert_eq!(s.live_objects, 0);
+}
+
+fn deferred_objects_invisible_until_grace_period<C: Kit>() {
+    let (c, _p, rcu) = cache::<C>(64, EngineConfig::new(1));
+    let batch = SizingPolicy::for_object_size(64).object_cache_size * 2;
+    let reader = rcu.register();
+
+    let a = c.allocate().unwrap();
+    let guard = reader.read_lock();
+    unsafe { c.free_deferred(a) };
+    assert_eq!(c.deferred_outstanding(), 1);
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    // With the reader pinned, `a` must never be handed out again (its
+    // memory could still be read).
+    let objs = alloc_n(&*c, batch);
+    assert!(objs.iter().all(|&o| o != a), "deferred object reused early");
+    drop(guard);
+    c.quiesce();
+    assert_eq!(c.deferred_outstanding(), 0);
+    // Now it is reusable.
+    let more = alloc_n(&*c, batch);
+    assert!(
+        more.contains(&a),
+        "deferred object should be reusable after GP"
+    );
+    for o in objs.into_iter().chain(more) {
+        unsafe { c.free(o) };
+    }
+}
+
+fn concurrent_alloc_free_defer_stress<C: Kit>() {
+    let (c, _p, _r) = cache::<C>(64, EngineConfig::new(2));
+    let threads: Vec<_> = (0..4)
+        .map(|_| {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                let mut held = Vec::new();
+                for i in 0..5_000 {
+                    let o = c.allocate().unwrap();
+                    unsafe { o.as_ptr().write(0xAB) };
+                    held.push(o);
+                    if i % 3 == 0 {
+                        if let Some(o) = held.pop() {
+                            unsafe { c.free(o) };
+                        }
+                    }
+                    if held.len() > 100 {
+                        for (k, o) in held.drain(..).enumerate() {
+                            if k % 2 == 0 {
+                                unsafe { c.free_deferred(o) };
+                            } else {
+                                unsafe { c.free(o) };
+                            }
+                        }
+                    }
+                }
+                for o in held {
+                    unsafe { c.free_deferred(o) };
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    c.quiesce();
+    assert_eq!(c.stats().live_objects, 0);
+    assert_eq!(c.deferred_outstanding(), 0);
+}
+
+fn pressure_gauge_tracks_backlog<C: Kit>() {
+    let (c, _p, rcu) = cache::<C>(64, EngineConfig::new(1).with_watermarks(4, 8));
+    let reader = rcu.register();
+    let objs = alloc_n(&*c, 16);
+    // Pin a reader so nothing can drain while the backlog builds.
+    let guard = reader.read_lock();
+    for &o in &objs {
+        unsafe { c.free_deferred(o) };
+    }
+    let s = c.stats();
+    assert_eq!(s.pressure_level, 2, "hard watermark crossed: {s:?}");
+    assert!(s.pressure_transitions >= 2, "0→1→2 expected: {s:?}");
+    assert!(
+        s.assisted_merges >= 1,
+        "hard-level frees must assist reclaim: {s:?}"
+    );
+    assert!(
+        c.telemetry().count_of(EventKind::PressureChange) >= 2,
+        "transitions should be traced"
+    );
+    drop(guard);
+    c.quiesce();
+    let s = c.stats();
+    assert_eq!(s.pressure_level, 0, "gauge returns to nominal: {s:?}");
+    assert_eq!(c.deferred_outstanding(), 0);
+}
+
+fn oom_ladder_recovers_deferred_backlog<C: Kit>() {
+    // The page budget fits 6 slabs and every round defers 5 slabs' worth:
+    // allocation would OOM unless the ladder drains the domain / waits
+    // for the grace period (line 31) and takes the objects back.
+    let sizing = SizingPolicy::for_object_size(512);
+    let pages = Arc::new(
+        PageAllocator::builder()
+            .limit_bytes(6 * sizing.slab_bytes)
+            .build(),
+    );
+    let rcu = Arc::new(Rcu::with_config(C::oom_rcu()));
+    let domain = Arc::new(EpochDomain::new(rcu));
+    let c = cache_on::<C>(512, EngineConfig::new(1), &pages, domain);
+    for round in 0..4 {
+        let objs: Vec<ObjPtr> = (0..sizing.objects_per_slab * 5)
+            .map(|_| {
+                c.allocate()
+                    .unwrap_or_else(|e| panic!("round {round}: {e}"))
+            })
+            .collect();
+        for o in objs {
+            unsafe { c.free_deferred(o) };
+        }
+    }
+    let s = c.stats();
+    assert!(s.oom_waits > 0, "ladder never entered: {s:?}");
+    assert!(
+        s.oom_recoveries_total() >= 1,
+        "recovered allocations should be attributed to a ladder stage: {s:?}"
+    );
+    assert!(
+        c.telemetry().count_of(EventKind::OomDefer) >= 1,
+        "the blocking rung should be traced"
+    );
+    c.quiesce();
+}
+
+fn immediate_free_oom_propagates<C: Kit>() {
+    let pages = Arc::new(PageAllocator::builder().limit_bytes(8 * 4096).build());
+    let domain = Arc::new(EpochDomain::new(eager_rcu()));
+    let c = cache_on::<C>(2048, EngineConfig::new(1), &pages, domain);
+    let mut objs = Vec::new();
+    let err = loop {
+        match c.allocate() {
+            Ok(o) => objs.push(o),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(err, AllocError::OutOfMemory);
+    for o in objs {
+        unsafe { c.free(o) };
+    }
+}
+
+fn telemetry_traces_deferred_lifecycle<C: Kit>() {
+    let (c, _p, rcu) = cache::<C>(64, EngineConfig::new(2));
+    let a = c.allocate().unwrap();
+    unsafe { c.free_deferred(a) };
+    rcu.synchronize();
+    // Drain the object cache so a policy that merges lazily has to.
+    let held = alloc_n(&*c, 2 * SizingPolicy::for_object_size(64).object_cache_size);
+    c.quiesce();
+    let t = c.telemetry();
+    assert_eq!(t.count_of(C::DEFERRED), 1, "{:?}", t.event_counts);
+    assert!(t.count_of(C::REUSABLE) >= 1, "{:?}", t.event_counts);
+    assert!(t.count_of(EventKind::SlabGrow) >= 1, "{:?}", t.event_counts);
+    assert!(t.histogram("slot_wait_ns").is_some());
+    let timed = t.histogram("defer_delay_ns").is_some_and(|h| h.count >= 1);
+    assert_eq!(timed, C::TIMES_DEFER_DELAY, "defer→reusable delay samples");
+    for o in held {
+        unsafe { c.free(o) };
+    }
+}
+
+fn robust_backends_bound_garbage_under_a_stalled_reader<C: Kit>() {
+    for backend in [ReclaimBackend::Hp, ReclaimBackend::Hyaline] {
+        let pages = Arc::new(PageAllocator::new());
+        let rcu = eager_rcu();
+        let domain = domain_for(Arc::clone(&rcu), backend, ReclaimConfig::aggressive());
+        let c = cache_on::<C>(64, EngineConfig::new(2), &pages, Arc::clone(&domain));
+        let reader = rcu.register();
+        let guard = reader.read_lock();
+        for o in alloc_n(&*c, 512) {
+            unsafe { c.free_deferred(o) };
+        }
+        // Give the hyaline ejector its window (aggressive: 2ms), then
+        // one progress step. The reader is STILL pinned.
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        domain.advance();
+        let outstanding = c.deferred_outstanding();
+        assert!(
+            outstanding <= 128,
+            "{backend}: stalled reader pinned {outstanding} objects"
+        );
+        // Epoch in the same position wedges at 512 (see
+        // `deferred_objects_invisible_until_grace_period` and the chaos
+        // stalled-reader scenario for the gated contrast).
+        c.quiesce();
+        assert_eq!(c.deferred_outstanding(), 0, "{backend}: quiesce under pin");
+        drop(guard);
+        drop(c);
+        assert_eq!(pages.used_bytes(), 0, "{backend}: pages leaked");
+    }
+}
+
+fn drop_returns_all_pages<C: Kit>() {
+    let (c, pages, _r) = cache::<C>(128, EngineConfig::new(2));
+    for (i, o) in alloc_n(&*c, 200).into_iter().enumerate() {
+        if i % 2 == 0 {
+            unsafe { c.free(o) };
+        } else {
+            unsafe { c.free_deferred(o) };
+        }
+    }
+    c.quiesce();
+    drop(c);
+    assert_eq!(pages.used_bytes(), 0, "cache leaked pages on drop");
+}
+
+fn drop_with_defers_in_flight<C: Kit>() {
+    for backend in ReclaimBackend::ALL {
+        let pages = Arc::new(PageAllocator::new());
+        let rcu = eager_rcu();
+        let domain = domain_for(Arc::clone(&rcu), backend, ReclaimConfig::aggressive());
+        let c = cache_on::<C>(64, EngineConfig::new(2), &pages, Arc::clone(&domain));
+        let reader = rcu.register();
+        // A pinned reader keeps the defers in flight across the drop.
+        let guard = reader.read_lock();
+        for o in alloc_n(&*c, 200) {
+            unsafe { c.free_deferred(o) };
+        }
+        assert!(c.deferred_outstanding() > 0, "{backend}: nothing in flight");
+        drop(c);
+        assert_eq!(pages.used_bytes(), 0, "{backend}: drop returns every slab");
+        // Whatever the domain still holds names a dead client: draining it
+        // must neither panic nor deliver.
+        drop(guard);
+        domain.synchronize();
+        assert_eq!(domain.deferred_in_domain(), 0, "{backend}: domain drained");
+        assert_eq!(pages.used_bytes(), 0, "{backend}");
+    }
+}
+
+fn heap<C: Kit>() -> KmallocHeap<C> {
+    KmallocHeap::new(
+        C::Config::from(EngineConfig::new(2)),
+        Arc::new(PageAllocator::new()),
+        eager_rcu(),
+    )
+}
+
+fn heap_routes_to_correct_class<C: Kit>() {
+    let h = heap::<C>();
+    let o = h.kmalloc(100).unwrap();
+    let class = h.cache_for(100).unwrap();
+    assert_eq!(class.object_size(), 128);
+    assert_eq!(class.stats().alloc_requests, 1);
+    unsafe { h.kfree(o, 100) };
+    assert_eq!(class.stats().frees, 1);
+    assert_eq!(
+        h.kmalloc(1 << 20),
+        Err(AllocError::OutOfMemory),
+        "oversized"
+    );
+    assert_eq!(h.stats().len(), SIZE_CLASSES.len());
+    assert_eq!(h.caches().len(), SIZE_CLASSES.len());
+}
+
+fn heap_deferred_free_roundtrip<C: Kit>() {
+    let h = heap::<C>();
+    let o = h.kmalloc(512).unwrap();
+    unsafe { h.kfree_deferred(o, 512) };
+    h.quiesce();
+    let s = h.cache_for(512).unwrap().stats();
+    assert_eq!(s.deferred_frees, 1);
+    assert_eq!(s.live_objects, 0);
+}
+
+/// Regression: the SLUB heap used to quiesce only its first size class
+/// ("one barrier covers the shared RCU domain"), leaving every other
+/// class's fast-parked objects in place across a quiesce.
+fn heap_quiesce_drains_every_class<C: Kit>() {
+    let h = heap::<C>();
+    let sizes = [64, 512];
+    for size in sizes {
+        let objs: Vec<ObjPtr> = (0..40).map(|_| h.kmalloc(size).unwrap()).collect();
+        for (i, o) in objs.into_iter().enumerate() {
+            if i % 2 == 0 {
+                unsafe { h.kfree(o, size) }; // parks on the fast path
+            } else {
+                unsafe { h.kfree_deferred(o, size) };
+            }
+        }
+    }
+    h.quiesce();
+    for size in sizes {
+        let class = h.cache_for(size).unwrap();
+        let sizing = SizingPolicy::for_object_size(size);
+        let s = class.stats();
+        assert_eq!(class.deferred_outstanding(), 0, "kmalloc-{size}");
+        assert_eq!(s.live_objects, 0, "kmalloc-{size}: {s:?}");
+        if class.fastpath_enabled() {
+            assert!(
+                class.telemetry().count_of(EventKind::FastpathDrain) >= 1,
+                "kmalloc-{size}: objects stayed parked on the fast path"
+            );
+        }
+        // Only objects in the slot-locked caches may still pin slabs.
+        let cpu_cached_slabs = (2 * sizing.object_cache_size).div_ceil(sizing.objects_per_slab);
+        assert!(
+            s.slabs_current <= sizing.free_slabs_limit + cpu_cached_slabs,
+            "kmalloc-{size} retained slabs: {s:?}"
+        );
+    }
+}
+
+macro_rules! for_each_policy {
+    ($($test:ident),* $(,)?) => {
+        mod prudence_policy {
+            $(#[test] fn $test() { super::$test::<super::PrudenceCache>() })*
+        }
+        mod slub_policy {
+            $(#[test] fn $test() { super::$test::<super::SlubCache>() })*
+        }
+    };
+}
+
+for_each_policy!(
+    allocate_free_roundtrip,
+    deferred_objects_invisible_until_grace_period,
+    concurrent_alloc_free_defer_stress,
+    pressure_gauge_tracks_backlog,
+    oom_ladder_recovers_deferred_backlog,
+    immediate_free_oom_propagates,
+    telemetry_traces_deferred_lifecycle,
+    robust_backends_bound_garbage_under_a_stalled_reader,
+    drop_returns_all_pages,
+    drop_with_defers_in_flight,
+    heap_routes_to_correct_class,
+    heap_deferred_free_roundtrip,
+    heap_quiesce_drains_every_class,
+);

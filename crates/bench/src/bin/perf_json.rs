@@ -164,16 +164,13 @@ fn run_metadata() -> RunMeta {
         git_rev,
         nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
         kernel,
-        fastpath_engine: if pbs_alloc_api::fastpath_env_disabled() {
-            "off".to_string()
-        } else {
-            pbs_alloc_api::fastpath_default_engine().label().to_string()
-        },
-        fastpath_override: std::env::var("PBS_FASTPATH").ok(),
+        fastpath_engine: pbs_alloc_api::fastpath_effective_label().to_string(),
+        fastpath_override: pbs_alloc_api::FastPathOverride::from_env()
+            .map(|o| o.label().to_string()),
         reclaim_backend: pbs_rcu::reclaim::ReclaimBackend::from_env()
             .label()
             .to_string(),
-        reclaim_override: std::env::var("PBS_RECLAIM").ok(),
+        reclaim_override: pbs_rcu::reclaim::ReclaimBackend::env_override().map(|b| b.label().to_string()),
     }
 }
 

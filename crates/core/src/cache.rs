@@ -1,81 +1,38 @@
-//! The Prudence slab cache: Algorithm 1 of the paper plus the §4.2
-//! optimizations.
+//! The Prudence policy: Algorithm 1 of the paper plus the §4.2
+//! optimizations, expressed as the delta over the shared slab engine.
 
-use std::ptr::NonNull;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Deref;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Sender};
-use crossbeam::utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 
-use pbs_alloc_api::{
-    AllocError, CacheStats, CacheStatsSnapshot, CpuRegistry, ListKind, ObjPtr, ObjectAllocator,
-    RawSlab, SizingPolicy,
+use pbs_alloc_api::engine::{
+    trace_clock, CpuSlot, LatentEntry, Node, SlabCache, SlabEngine, SlabPolicy,
 };
-use pbs_mem::PageAllocator;
-use pbs_percpu::{FastCache, FastPop, FastPush};
-use pbs_rcu::reclaim::{DomainHandle, EpochDomain, ReclaimClient, ReclamationDomain};
+use pbs_alloc_api::{ListKind, ObjPtr};
+use pbs_mem::{OutOfMemory, PageAllocator};
+use pbs_rcu::reclaim::{EpochDomain, ReclaimBackend, ReclamationDomain};
 use pbs_rcu::{GpState, Rcu};
 use pbs_telemetry::EventKind;
 
 use crate::config::PrudenceConfig;
-use crate::cpu_state::{CpuState, LatentEntry};
-use crate::node::{Node, PrudentSlab};
 use crate::preflush::preflush_worker;
+
+pub(crate) type Engine = SlabEngine<PrudencePolicy>;
 
 /// A Prudence slab cache for fixed-size objects.
 ///
 /// See the [crate-level documentation](crate) for the design overview and
-/// an example. The cache owns a background pre-flush worker; dropping the
-/// cache joins the worker and returns every slab to the page allocator
+/// an example. The cache is a handle to a [`SlabEngine`] running the
+/// [`PrudencePolicy`] and owns the background pre-flush worker; dropping
+/// the cache joins the worker and returns every slab to the page allocator
 /// deterministically.
+#[derive(Debug)]
 pub struct PrudenceCache {
-    inner: Arc<Inner>,
+    engine: Arc<Engine>,
     worker: Option<JoinHandle<()>>,
-}
-
-/// Shared state; the pre-flush worker holds a `Weak` to it.
-pub(crate) struct Inner {
-    name: String,
-    policy: SizingPolicy,
-    config: PrudenceConfig,
-    pages: Arc<PageAllocator>,
-    rcu: Arc<Rcu>,
-    cpus: CpuRegistry,
-    /// Per-CPU slot state, cache-padded so neighbouring slots (and their
-    /// lock words) never share a line.
-    cpu_states: Vec<CachePadded<Mutex<CpuState>>>,
-    /// Per-CPU zero-atomic hit path in front of the slot-locked object
-    /// caches. Only immediately-reusable objects park here; the defer
-    /// pipeline never touches it.
-    fast: FastCache,
-    node: Mutex<Node>,
-    stats: CacheStats,
-    /// Deferred objects anywhere in the allocator (latent caches + latent
-    /// slabs) not yet reclaimed. Drives OOM deferral.
-    deferred_outstanding: AtomicUsize,
-    /// Pre-flush request channel; taken (closed) when the cache drops.
-    preflush_tx: Mutex<Option<Sender<usize>>>,
-    /// The attached reclamation domain. Set once right after construction
-    /// (the handle needs a `Weak` to this `Inner`); the epoch backend
-    /// leaves the latent machinery in charge, robust backends divert
-    /// deferred objects into the domain.
-    reclaim: std::sync::OnceLock<DomainHandle>,
-}
-
-impl std::fmt::Debug for PrudenceCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PrudenceCache")
-            .field("name", &self.inner.name)
-            .field("object_size", &self.inner.policy.object_size)
-            .field(
-                "deferred_outstanding",
-                &self.inner.deferred_outstanding.load(Ordering::Relaxed),
-            )
-            .finish()
-    }
 }
 
 impl PrudenceCache {
@@ -95,7 +52,7 @@ impl PrudenceCache {
         pages: Arc<PageAllocator>,
         rcu: Arc<Rcu>,
     ) -> Self {
-        let domain: Arc<dyn ReclamationDomain> = Arc::new(EpochDomain::new(Arc::clone(&rcu)));
+        let domain = Arc::new(EpochDomain::new(rcu));
         Self::with_domain(name, object_size, config, pages, domain)
     }
 
@@ -112,63 +69,53 @@ impl PrudenceCache {
         pages: Arc<PageAllocator>,
         domain: Arc<dyn ReclamationDomain>,
     ) -> Self {
-        let rcu = Arc::clone(domain.rcu());
-        let policy = SizingPolicy::for_object_size(object_size);
+        let latent = domain.backend() == ReclaimBackend::Epoch;
+        // Only the latent machinery ever schedules a pre-flush.
+        let preflush = config.preflush && latent;
         let (tx, rx) = unbounded();
-        let preflush_enabled = config.preflush;
-        let fast_cap = if config.fastpath && !pbs_percpu::env_disabled() {
-            policy.object_cache_size
-        } else {
-            0
-        };
-        let inner = Arc::new(Inner {
-            name: name.to_owned(),
-            policy,
-            cpus: CpuRegistry::new(config.ncpus),
-            cpu_states: (0..config.ncpus)
-                .map(|_| CachePadded::new(Mutex::new(CpuState::default())))
-                .collect(),
-            fast: FastCache::with_slots(fast_cap, config.ncpus),
-            stats: CacheStats::new(config.ncpus),
+        let policy = PrudencePolicy {
+            latent,
+            preflush_tx: Mutex::new(preflush.then_some(tx)),
             config,
-            pages,
-            rcu,
-            node: Mutex::new(Node::default()),
-            deferred_outstanding: AtomicUsize::new(0),
-            preflush_tx: Mutex::new(preflush_enabled.then_some(tx)),
-            reclaim: std::sync::OnceLock::new(),
-        });
-        let weak = Arc::downgrade(&inner) as std::sync::Weak<dyn ReclaimClient>;
-        let _ = inner.reclaim.set(DomainHandle::attach(domain, weak));
-        inner.record_fastpath_engine(fast_cap);
-        let worker = preflush_enabled.then(|| {
-            let weak = Arc::downgrade(&inner);
+        };
+        let engine_config = policy.config.engine.clone();
+        let engine = SlabEngine::new(name, object_size, engine_config, pages, domain, policy);
+        let worker = preflush.then(|| {
+            let weak = Arc::downgrade(&engine);
             std::thread::Builder::new()
                 .name(format!("prudence-preflush-{name}"))
                 .spawn(move || preflush_worker(weak, rx))
                 .expect("spawn preflush worker")
         });
-        Self { inner, worker }
-    }
-
-    /// The sizing policy in effect.
-    pub fn policy(&self) -> &SizingPolicy {
-        &self.inner.policy
-    }
-
-    /// Deferred objects currently waiting anywhere in the allocator.
-    pub fn deferred_outstanding(&self) -> usize {
-        self.inner.deferred_outstanding.load(Ordering::Relaxed)
-    }
-
-    /// The RCU domain this cache is integrated with.
-    pub fn rcu(&self) -> &Arc<Rcu> {
-        &self.inner.rcu
+        Self { engine, worker }
     }
 
     /// The reclamation domain this cache is attached to.
     pub fn reclaim_domain(&self) -> &Arc<dyn ReclamationDomain> {
-        &self.inner.hook().domain
+        self.engine.reclaim_domain()
+    }
+}
+
+impl Deref for PrudenceCache {
+    type Target = Engine;
+
+    fn deref(&self) -> &Engine {
+        &self.engine
+    }
+}
+
+impl SlabCache for PrudenceCache {
+    type Config = PrudenceConfig;
+    const LABEL: &'static str = "prudence";
+
+    fn create(
+        name: &str,
+        object_size: usize,
+        config: PrudenceConfig,
+        pages: Arc<PageAllocator>,
+        domain: Arc<dyn ReclamationDomain>,
+    ) -> Arc<Self> {
+        Arc::new(Self::with_domain(name, object_size, config, pages, domain))
     }
 }
 
@@ -176,282 +123,69 @@ impl Drop for PrudenceCache {
     fn drop(&mut self) {
         // Closing the channel wakes the worker; it holds only a Weak, so it
         // can never be the thread running this Drop.
-        self.inner.preflush_tx.lock().take();
+        self.engine.slab_policy().preflush_tx.lock().take();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
         }
-        // With the worker joined, this is the last Arc: Inner::drop runs
+        // With the worker joined, this is the last Arc: the engine drops
         // here, returning all slabs deterministically.
     }
 }
 
-impl Drop for Inner {
-    fn drop(&mut self) {
-        // Return every slab's pages (no readers can remain at drop time).
-        let mut node = self.node.lock();
-        for slab in node.slabs.drain(..).flatten() {
-            self.pages.free_pages(slab.raw.into_block());
-        }
-    }
+/// The paper's delta over a SLUB-shaped allocator: latent caches and
+/// latent slabs stamped with grace-period state, and the hint-driven
+/// refill/flush/selection/shrink decisions of §4.2.
+///
+/// The latent machinery is in charge when the cache is attached to the
+/// epoch backend; under a robust backend (`hp`/`hyaline`) deferred objects
+/// enter the domain instead and the latent structures simply stay empty.
+pub struct PrudencePolicy {
+    config: PrudenceConfig,
+    /// Whether deferred objects park in latent caches/slabs (epoch
+    /// backend) rather than in the attached domain.
+    latent: bool,
+    /// Pre-flush request channel; taken (closed) when the cache drops.
+    preflush_tx: Mutex<Option<Sender<usize>>>,
 }
 
-/// Spin budget on a busy home slot before trying neighbours: slot
-/// critical sections are a few dozen instructions, so a handful of
-/// `spin_loop` hints usually outlasts the holder without burning a
-/// timeslice.
-const SLOT_SPIN: usize = 24;
-
-impl Inner {
-    /// The domain attachment (set once during construction; the accessor
-    /// keeps the hot-path call sites to one Acquire load + unwrap).
-    fn hook(&self) -> &DomainHandle {
-        self.reclaim.get().expect("domain attached at construction")
-    }
-
-    /// Backend-generic blocking drain: every defer issued before this
-    /// call is reusable when it returns.
-    fn domain_synchronize(&self, expedited: bool) {
-        let hook = self.hook();
-        if expedited {
-            hook.domain.synchronize_expedited();
-        } else {
-            hook.domain.synchronize();
-        }
-    }
-
-    fn lock_node(&self) -> MutexGuard<'_, Node> {
-        if let Some(guard) = self.node.try_lock() {
-            return guard;
-        }
-        // Acquire first, count after: recording between the failed
-        // try_lock and the blocking acquire would let a relock race
-        // double-count one contention event, and the counter bump below is
-        // single-writer precisely because the node lock is already held.
-        let guard = self.node.lock();
-        self.stats.shard(0).node_lock_contended.bump();
-        guard
-    }
-
-    /// Acquires a per-CPU slot for the hot paths. Fast path: an
-    /// uncontended `try_lock` of the home slot. On contention: note the
-    /// miss, spin briefly (the holder's critical section is short), then
-    /// steal any other free slot, and only then block on the home slot.
-    /// Returns the index actually locked so callers attribute stats (and
-    /// pre-flush scheduling) to the right shard.
-    fn lock_cpu(&self) -> (usize, MutexGuard<'_, CpuState>) {
-        let home = self.cpus.current_cpu().0;
-        if let Some(guard) = self.cpu_states[home].try_lock() {
-            return (home, guard);
-        }
-        self.stats.shard(home).cpu_slot_misses.add_contended(1);
-        // Time the slow path only: the fast path above stays clock-free.
-        let t0 = if pbs_telemetry::enabled() {
-            pbs_telemetry::now_nanos()
-        } else {
-            0
-        };
-        let acquired = self.lock_cpu_slow(home);
-        if t0 != 0 {
-            self.stats
-                .slot_wait_ns
-                .record(pbs_telemetry::now_nanos().saturating_sub(t0));
-        }
-        acquired
-    }
-
-    /// Contended continuation of [`lock_cpu`](Self::lock_cpu): spin on the
-    /// home slot, steal any free neighbour, then block on home.
-    fn lock_cpu_slow(&self, home: usize) -> (usize, MutexGuard<'_, CpuState>) {
-        for _ in 0..SLOT_SPIN {
-            std::hint::spin_loop();
-            if let Some(guard) = self.cpu_states[home].try_lock() {
-                return (home, guard);
-            }
-        }
-        let n = self.cpu_states.len();
-        for offset in 1..n {
-            let idx = (home + offset) % n;
-            if let Some(guard) = self.cpu_states[idx].try_lock() {
-                return (idx, guard);
-            }
-        }
-        (home, self.cpu_states[home].lock())
-    }
-
-    fn note_reclaimed(&self, n: usize) {
-        if n > 0 {
-            let prev = self.deferred_outstanding.fetch_sub(n, Ordering::Relaxed);
-            // Downward pressure transitions happen here, as the backlog
-            // drains. Gauge/counter only — no ring event, because reclaim
-            // runs under varying lock contexts and lanes are single-writer.
-            self.update_pressure(prev.saturating_sub(n));
-        }
-    }
-
-    /// Folds the current backlog into the pressure gauge. Returns the
-    /// transition if this caller won it (see `CacheStats::update_pressure`).
-    fn update_pressure(&self, outstanding: usize) -> Option<(usize, usize)> {
-        self.stats.update_pressure(
-            outstanding,
-            self.config.soft_watermark,
-            self.config.hard_watermark,
-        )
-    }
-
-    /// Post-defer governor actions, run with no locks held.
-    ///
-    /// An *upward* transition nudges the grace-period machinery once with
-    /// an expedited drive (soft response: the backlog is usually waiting on
-    /// epoch advances, not on CPU time). While the gauge sits at the hard
-    /// level, every freeing thread additionally helps reclaim — the defer
-    /// producers are throttled to the reclaim rate instead of growing the
-    /// backlog without bound.
-    fn apply_backpressure(&self, transition: Option<(usize, usize)>) {
-        if let Some((from, to)) = transition {
-            if to > from {
-                self.hook().domain.expedite();
-            }
-        }
-        if self.stats.pressure_level.load(Ordering::Relaxed) >= 2 {
-            self.assist_reclaim();
-        }
-    }
-
-    /// Caller-assisted reclaim (hard pressure level): merge this slot's
-    /// grace-period-complete latent objects and sweep the node's pending
-    /// list. Deliberately does *not* block on a grace period — assists must
-    /// stay short since they run on the free path.
-    fn assist_reclaim(&self) {
-        self.stats.assisted_merges.fetch_add(1, Ordering::Relaxed);
-        let hook = self.hook();
-        if hook.robust {
-            // Robust backends hold the backlog themselves: one bounded
-            // progress step (scan / seal + release) is the assist.
-            hook.domain.advance();
-            return;
-        }
-        let (cpu_idx, mut cpu) = self.lock_cpu();
-        self.merge_caches(cpu_idx, &mut cpu, 0);
-        drop(cpu);
-        let epoch = self.rcu.current_epoch();
-        let mut node = self.lock_node();
-        self.note_reclaimed(node.reclaim_pending(epoch));
-    }
-
-    /// Wire code of the fast path's current engine for trace payloads:
-    /// 1 = rseq, 2 = slot-lock emulation.
-    fn fastpath_engine_code(&self) -> u64 {
-        match self.fast.engine() {
-            pbs_percpu::Engine::Rseq => 1,
-            pbs_percpu::Engine::Locks => 2,
-        }
-    }
-
-    /// Traces the engine the fast path selected at construction (`a` =
-    /// engine code, 0 when built without a fast path; `b` = per-CPU slot
-    /// capacity). Runs before the cache is shared, so the node lane has
-    /// no other writer yet.
-    fn record_fastpath_engine(&self, cap: usize) {
-        let code = if cap == 0 {
-            0
-        } else {
-            self.fastpath_engine_code()
-        };
-        self.stats
-            .record_node_event(EventKind::FastpathEngine, code, cap as u64);
-    }
-
-    /// Returns fast-drained object addresses to their slabs under the
-    /// node lock and traces the drain. `disabling` distinguishes a
-    /// toggle-off drain from a quiesce/OOM flush in the event payload.
-    fn give_back_fast(&self, objs: &[usize], disabling: bool) {
-        if objs.is_empty() {
-            return;
-        }
-        let mut node = self.lock_node();
-        for &addr in objs {
-            // SAFETY: only pointers minted by this cache's `allocate` are
-            // pushed onto the fast path, and `addr` was drained exactly
-            // once; the node lock is held.
-            let obj = ObjPtr::new(unsafe { NonNull::new_unchecked(addr as *mut u8) });
-            let index = unsafe { node.resolve(obj, self.policy.slab_bytes) };
-            node.slab_mut(index).raw.give_back(obj);
-            node.relist(index);
-        }
-        self.stats.record_node_event(
-            EventKind::FastpathDrain,
-            objs.len() as u64,
-            disabling as u64,
-        );
-        self.shrink(&mut node);
-    }
-
-    /// Drains fast-parked objects to their slabs (quiesce/OOM paths).
-    /// The fast path stays enabled and refills organically afterwards.
-    fn flush_fastpath(&self) {
-        let drained = self.fast.drain();
-        self.give_back_fast(&drained, false);
-    }
-
-    /// Runtime fast-path toggle: disabling drains parked objects back to
-    /// their slabs so the switchover is leak-free.
-    fn set_fastpath_enabled(&self, enabled: bool) {
-        let drained = self.fast.set_enabled(enabled);
-        self.give_back_fast(&drained, true);
-        let _node = self.lock_node();
-        self.stats.record_node_event(
-            EventKind::FastpathToggle,
-            self.fast.is_enabled() as u64,
-            self.fastpath_engine_code(),
-        );
-    }
-
-    /// Live engine switch; parked objects are preserved by the slot
-    /// mode-word protocol, so nothing drains here.
-    fn set_fastpath_engine(&self, engine: pbs_percpu::Engine) {
-        self.fast.set_engine(engine);
-        let _node = self.lock_node();
-        self.stats.record_node_event(
-            EventKind::FastpathToggle,
-            self.fast.is_enabled() as u64,
-            self.fastpath_engine_code(),
-        );
-    }
-
+impl PrudencePolicy {
     /// MERGE_CACHES wrapper that maintains the outstanding-deferred count,
     /// records the defer→reusable delay of each merged object, and traces
     /// the merge. `cpu_idx` is the slot whose lock the caller holds — it
     /// picks the stats shard's trace lane (single-writer under that lock).
     /// `now_hint` forwards a clock value the caller already read (0 =
     /// none), so tracing costs at most one clock read per operation.
-    fn merge_caches(&self, cpu_idx: usize, cpu: &mut CpuState, now_hint: u64) -> usize {
+    fn merge_caches(
+        &self,
+        eng: &Engine,
+        cpu_idx: usize,
+        cpu: &mut CpuSlot,
+        now_hint: u64,
+    ) -> usize {
         let now = if now_hint != 0 {
             now_hint
-        } else if pbs_telemetry::enabled() {
-            pbs_telemetry::now_nanos()
         } else {
-            0
+            trace_clock()
         };
+        let stats = eng.counters();
         let merged = cpu.merge_caches(
-            self.rcu.current_epoch(),
-            self.policy.object_cache_size,
+            eng.rcu().current_epoch(),
+            eng.policy().object_cache_size,
             |obj, queued_ns| {
                 pbs_telemetry::site::note_reclaimed(obj.addr());
                 if now != 0 && queued_ns != 0 {
-                    self.stats
-                        .defer_delay_ns
-                        .record(now.saturating_sub(queued_ns));
+                    stats.defer_delay_ns.record(now.saturating_sub(queued_ns));
                 }
             },
         );
-        self.note_reclaimed(merged);
+        eng.note_reclaimed(merged);
         if merged > 0 {
             // Reuse the clock read from the delay samples above.
-            self.stats.ring.record_at(
+            stats.ring.record_at(
                 cpu_idx,
                 now,
                 EventKind::LatentMerge,
-                self.stats.id(),
+                stats.id(),
                 merged as u64,
                 cpu.latent.len() as u64,
             );
@@ -459,213 +193,17 @@ impl Inner {
         merged
     }
 
-    /// MALLOC (Algorithm lines 1-12 and 29-33), fronted by the zero-atomic
-    /// per-CPU fast path: an uncontended hit takes no lock and performs no
-    /// atomic RMW (its stats fold into the snapshot from thread-local
-    /// counters).
-    fn allocate(&self) -> Result<ObjPtr, AllocError> {
-        if let FastPop::Hit(addr) = self.fast.pop() {
-            // SAFETY: fast-parked addresses originate from `free` on this
-            // cache, each handed out exactly once by the commit protocol.
-            return Ok(ObjPtr::new(unsafe { NonNull::new_unchecked(addr as *mut u8) }));
-        }
-        let mut attempts = 0;
-        let mut counted_request = false;
-        loop {
-            let (cpu_idx, mut cpu) = self.lock_cpu();
-            // All shard bumps below are single-writer: this thread holds
-            // the slot lock matching the shard.
-            let shard = self.stats.shard(cpu_idx);
-            if !counted_request {
-                shard.alloc_requests.bump();
-                counted_request = true;
-            }
-            cpu.allocs_since += 1;
-            if let Some(obj) = cpu.obj_cache.pop() {
-                shard.cache_hits.bump();
-                shard.live_delta.bump_add();
-                self.record_oom_recovery(cpu_idx, attempts);
-                return Ok(obj);
-            }
-            // Lines 7-11: merge grace-period-complete latent objects and
-            // retry before touching the node lists.
-            if self.merge_caches(cpu_idx, &mut cpu, 0) > 0 {
-                if let Some(obj) = cpu.obj_cache.pop() {
-                    shard.latent_hits.bump();
-                    shard.live_delta.bump_add();
-                    self.record_oom_recovery(cpu_idx, attempts);
-                    return Ok(obj);
-                }
-            }
-            match self.refill(cpu_idx, &mut cpu) {
-                Ok(obj) => {
-                    shard.live_delta.bump_add();
-                    self.record_oom_recovery(cpu_idx, attempts);
-                    return Ok(obj);
-                }
-                Err(e) => {
-                    // Lines 31-33: recover via the ladder instead of
-                    // failing, while deferred objects remain. Release the
-                    // CPU lock first so writers on this slot can progress.
-                    drop(cpu);
-                    if attempts >= self.config.oom_retries
-                        || self.deferred_outstanding.load(Ordering::Relaxed) == 0
-                    {
-                        return Err(e);
-                    }
-                    attempts += 1;
-                    self.run_recovery_stage(attempts);
-                }
-            }
-        }
-    }
-
-    /// Attributes a successful allocation that needed the OOM ladder to the
-    /// rung that unblocked it (`attempts` = ladder entries so far; 0 = the
-    /// fast path, nothing to record). Caller holds the `cpu_idx` slot lock,
-    /// which owns that trace lane.
-    fn record_oom_recovery(&self, cpu_idx: usize, attempts: usize) {
-        if attempts == 0 {
-            return;
-        }
-        let stage = attempts.min(3);
-        self.stats.record_oom_recovery(stage);
-        self.stats.ring.record(
-            cpu_idx,
-            EventKind::OomRecovery,
-            self.stats.id(),
-            stage as u64,
-            1,
-        );
-    }
-
-    /// One rung of the staged OOM recovery ladder (§4.2, *Handling memory
-    /// pressure*, hardened): escalate from cheap-and-local to
-    /// grace-period-blocking to backoff-and-retry. Every entry counts as an
-    /// `oom_wait` — the ladder only runs when allocation actually failed.
-    fn run_recovery_stage(&self, attempt: usize) {
-        self.stats.oom_waits.fetch_add(1, Ordering::Relaxed);
-        match attempt {
-            // Stage 1: flush this thread's slot without waiting for any
-            // grace period. Often enough when the backlog is merely parked
-            // in the latent cache past its grace period.
-            1 => self.oom_flush_local(),
-            // Stage 2: drive the grace period (expedited) and reclaim
-            // everything reclaimable across all slots.
-            2 => self.emergency_reclaim(true),
-            // Stage 3+: the backlog is waiting on something slower (a
-            // pinned reader, a wedged epoch); back off so it can make
-            // progress, then sweep again.
-            n => {
-                let shift = (n - 3).min(4) as u32;
-                std::thread::sleep(std::time::Duration::from_micros(50 << shift));
-                self.emergency_reclaim(false);
-            }
-        }
-    }
-
-    /// Ladder stage 1: merge and flush this thread's slot and sweep the
-    /// node's pending list at the current epoch — no grace-period wait.
-    fn oom_flush_local(&self) {
-        self.flush_fastpath();
-        let (cpu_idx, mut cpu) = self.lock_cpu();
-        self.merge_caches(cpu_idx, &mut cpu, 0);
-        let moved: Vec<LatentEntry> = cpu.latent.drain(..).collect();
-        drop(cpu);
-        self.defer_to_slabs(&moved);
-        let epoch = self.rcu.current_epoch();
-        let mut node = self.lock_node();
-        self.note_reclaimed(node.reclaim_pending(epoch));
-        self.shrink(&mut node);
-    }
-
-    /// REFILL_OBJECT_CACHE (Algorithm lines 13-30): partial refill sized by
-    /// pending deferred objects, deferred-aware slab selection, growing the
-    /// cache as a last resort.
-    ///
-    /// Returns the object the caller asked for; `Ok` *proves* the cache
-    /// produced one rather than leaving the caller to pop-and-hope. Every
-    /// failure — including injected page-allocator faults — comes back as
-    /// `Err`, never an unwind: the locks held here (`parking_lot`) do not
-    /// poison, and nothing on this path panics on OOM.
-    fn refill(&self, cpu_idx: usize, cpu: &mut CpuState) -> Result<ObjPtr, AllocError> {
-        // Fault hook: an injected `fastpath.disable` flips the per-CPU
-        // fast path live (drain-on-disable), so chaos runs exercise the
-        // switchover under load. Consulted before any node lock: the
-        // toggle takes it internally.
-        if let Some(faults) = self.pages.faults() {
-            if faults.should_fail(pbs_fault::site::FASTPATH_DISABLE) {
-                self.set_fastpath_enabled(!self.fast.is_enabled());
-            }
-        }
-        self.stats.shard(cpu_idx).refills.bump();
-        let latent_count = if self.config.partial_refill {
-            cpu.latent.len()
-        } else {
-            0
-        };
-        // Partial refill (line 14): refill o − d objects. Floor the batch
-        // at a quarter cache so a latent cache full of objects still
-        // inside their grace period cannot degrade refills to single
-        // objects; any overflow when those objects later merge is absorbed
-        // by the proportional flush.
-        let want_total = self
-            .policy
-            .object_cache_size
-            .saturating_sub(latent_count)
-            .max(self.policy.object_cache_size / 4)
-            .max(1);
-        if want_total < self.policy.object_cache_size {
-            self.stats.shard(cpu_idx).partial_refills.bump();
-        }
-        let mut node = self.lock_node();
-        let epoch = self.rcu.current_epoch();
-        // Merge grace-period-complete latent-slab objects back into their
-        // slabs first (§4.1), so refill reuses them instead of growing.
-        self.note_reclaimed(node.reclaim_pending(epoch));
-        let mut want = want_total;
-        while want > 0 {
-            let index = match self.select_slab(&mut node, epoch, false) {
-                Some(i) => i,
-                // Growing is for satisfying the demanded object, not for
-                // topping up the batch: once the cache holds anything,
-                // stop rather than grow (otherwise an exactly-full heap
-                // gains a slab on every boundary refill).
-                None if !cpu.obj_cache.is_empty() => break,
-                None => match self.grow(&mut node) {
-                    Ok(i) => i,
-                    Err(e) => {
-                        // Last resort before failing: slabs we skipped
-                        // because most of their objects are deferred
-                        // ("unless it needs to grow the slab cache").
-                        match self.select_slab(&mut node, epoch, true) {
-                            Some(i) => i,
-                            None => return Err(e.into()),
-                        }
-                    }
-                },
-            };
-            let slab = node.slab_mut(index);
-            let taken = slab.raw.take(want, &mut cpu.obj_cache);
-            want -= taken;
-            node.relist(index);
-            if taken == 0 {
-                // Defensive: a selected slab must yield objects; avoid
-                // spinning if it did not.
-                break;
-            }
-        }
-        match cpu.obj_cache.pop() {
-            Some(obj) => Ok(obj),
-            None => Err(AllocError::OutOfMemory),
-        }
-    }
-
     /// Slab selection for refill (Algorithm lines 17-21 plus the Figure 5
     /// fragmentation optimization). Scans at most `slab_scan_window` slabs
     /// of the partial list; lazily reclaims completed deferred objects of
     /// every slab it inspects.
-    fn select_slab(&self, node: &mut Node, epoch: u64, allow_deferred_heavy: bool) -> Option<usize> {
+    fn select(
+        &self,
+        eng: &Engine,
+        node: &mut Node,
+        epoch: u64,
+        allow_deferred_heavy: bool,
+    ) -> Option<usize> {
         let window = self.config.slab_scan_window;
         // Partial list first.
         let partial: Vec<usize> = node
@@ -678,7 +216,7 @@ impl Inner {
         let mut best: Option<(usize, (usize, usize))> = None;
         for index in partial {
             let slab = node.slab_mut(index);
-            self.note_reclaimed(slab.reclaim_completed(epoch));
+            eng.note_reclaimed(slab.reclaim_completed(epoch));
             let free = slab.raw.free_count();
             let allocated = slab.raw.allocated_count();
             let deferred = slab.deferred.len();
@@ -713,7 +251,7 @@ impl Inner {
         let mut fallback = None;
         for index in free_list {
             let slab = node.slab_mut(index);
-            self.note_reclaimed(slab.reclaim_completed(epoch));
+            eng.note_reclaimed(slab.reclaim_completed(epoch));
             if slab.raw.free_count() == 0 {
                 node.relist(index);
                 continue;
@@ -728,69 +266,19 @@ impl Inner {
         fallback
     }
 
-    /// GROW (line 29): allocates one slab from the page allocator.
-    fn grow(&self, node: &mut Node) -> Result<usize, pbs_mem::OutOfMemory> {
-        let block = self.pages.allocate_aligned_at(
-            self.policy.slab_bytes,
-            self.policy.slab_bytes,
-            pbs_fault::site::PRUDENCE_GROW,
-        )?;
-        let color = node.next_color;
-        node.next_color = node.next_color.wrapping_add(1);
-        // The slab table index must be stamped into the header; reserve the
-        // slot first.
-        let index = node.free_slots.last().copied().unwrap_or(node.slabs.len());
-        let slab = PrudentSlab::new(RawSlab::new(block, &self.policy, index, color));
-        let actual = node.insert_slab(slab);
-        debug_assert_eq!(actual, index);
-        self.stats.record_grow();
-        Ok(index)
-    }
-
-    /// Object-cache flush with the proportional-flush optimization (§4.2):
-    /// the more deferred objects pending in the latent cache, the more
-    /// objects are flushed, so the post-grace-period merge will fit.
-    fn flush_obj_cache(&self, cpu_idx: usize, cpu: &mut CpuState) {
-        if cpu.obj_cache.is_empty() {
-            return;
-        }
-        self.stats.shard(cpu_idx).flushes.bump();
-        let base_keep = self.policy.object_cache_size / 2;
-        let keep = if self.config.proportional_flush {
-            base_keep.saturating_sub(cpu.latent.len())
-        } else {
-            base_keep
-        };
-        let n = cpu.obj_cache.len().saturating_sub(keep);
-        let excess: Vec<ObjPtr> = cpu.obj_cache.drain(..n).collect();
-        self.return_objects_to_slabs(&excess);
-    }
-
-    /// Returns freed objects to their slabs and shrinks if warranted.
-    fn return_objects_to_slabs(&self, objs: &[ObjPtr]) {
-        let mut node = self.lock_node();
-        for &obj in objs {
-            // SAFETY: flush only sees pointers previously allocated from
-            // this cache; the node lock is held.
-            let index = unsafe { node.resolve(obj, self.policy.slab_bytes) };
-            node.slab_mut(index).raw.give_back(obj);
-            node.relist(index);
-        }
-        self.shrink(&mut node);
-    }
-
     /// Moves deferred objects into their latent slabs, with slab
     /// pre-movement (Algorithm lines 49-59). Entries' defer-time clocks
     /// are dropped here: latent-slab objects rejoin circulation through
     /// whole-slab reclamation, which has no single defer to attribute.
-    fn defer_to_slabs(&self, objs: &[LatentEntry]) {
+    fn defer_to_slabs(&self, eng: &Engine, objs: &[LatentEntry]) {
         if objs.is_empty() {
             return;
         }
-        let mut node = self.lock_node();
+        let slab_bytes = eng.policy().slab_bytes;
+        let mut node = eng.lock_node();
         for &(obj, gp, _) in objs {
             // SAFETY: deferred objects come from this cache; node lock held.
-            let index = unsafe { node.resolve(obj, self.policy.slab_bytes) };
+            let index = unsafe { pbs_alloc_api::slab_layout::resolve_slab_index(obj, slab_bytes) };
             let slab = node.slab_mut(index);
             let obj_index = slab.raw.index_of(obj);
             let first_pending = slab.deferred.is_empty();
@@ -801,79 +289,33 @@ impl Inner {
             if node.relist(index) {
                 // Single-writer: the node lock is held on every path here
                 // (and it also owns the node trace lane).
-                self.stats.shard(0).pre_movements.bump();
-                self.stats
-                    .record_node_event(EventKind::SlabPremove, index as u64, gp.raw_epoch());
+                eng.counters().shard(0).pre_movements.bump();
+                eng.counters().record_node_event(
+                    EventKind::SlabPremove,
+                    index as u64,
+                    gp.raw_epoch(),
+                );
             }
         }
-        self.shrink(&mut node);
+        eng.shrink(&mut node);
     }
 
-    /// SHRINK (line 59): returns fully-free slabs beyond the threshold to
-    /// the page allocator. Slabs pre-moved to the free list whose deferred
-    /// objects are still inside a grace period are *not* releasable yet.
-    ///
-    /// The threshold "acts with caution by considering the number of
-    /// deferred objects waiting for reclamation" (§3.1): objects that will
-    /// be reusable after the grace period are about to be demanded again,
-    /// so their slabs are kept rather than churned through the page
-    /// allocator. When the deferred backlog drains, the threshold falls
-    /// back to the baseline heuristic and memory is returned.
-    fn shrink(&self, node: &mut Node) {
-        let pending_slabs = self
-            .deferred_outstanding
-            .load(Ordering::Relaxed)
-            .div_ceil(self.policy.objects_per_slab);
-        // Proportional slack (an emptiness threshold in the Hoard spirit):
-        // under a sustained defer/alloc cycle the free list legitimately
-        // oscillates by a grace period's worth of slabs, so keep a
-        // fraction of the cache as slack instead of churning those slabs
-        // through the page allocator. Repeated shrinks still converge to
-        // `free_slabs_limit` once the cache goes idle.
-        let total_slabs = node.slabs.len() - node.free_slots.len();
-        let limit = self
-            .policy
-            .free_slabs_limit
-            .max(total_slabs / 2)
-            + pending_slabs;
-        if node.lists.len(ListKind::Free) <= limit {
-            node.shrink_excess_since = None;
-            return;
-        }
-        // Temporal hysteresis: a reclamation burst can briefly push the
-        // free list over the limit even though the very next grace window
-        // of allocations will re-demand those slabs. Only release slabs
-        // once the excess has persisted for a full grace period — the same
-        // prudence argument (§3.1) applied to pages instead of objects. An
-        // idle cache still converges: quiesce advances epochs until the
-        // stamp completes.
-        match node.shrink_excess_since {
-            None => {
-                node.shrink_excess_since = Some(self.rcu.gp_state());
-                return;
-            }
-            Some(since) if !since.is_completed_at(self.rcu.current_epoch()) => return,
-            Some(_) => node.shrink_excess_since = None,
-        }
-        let epoch = self.rcu.current_epoch();
-        let candidates: Vec<usize> = node.lists.list(ListKind::Free).to_vec();
-        for index in candidates {
-            if node.lists.len(ListKind::Free) <= limit {
-                break;
-            }
-            let slab = node.slab_mut(index);
-            self.note_reclaimed(slab.reclaim_completed(epoch));
-            if slab.releasable() {
-                let slab = node.remove_slab(index);
-                self.pages.free_pages(slab.raw.into_block());
-                self.stats.record_shrink();
-            }
+    /// Merges every slot's grace-period-complete latent objects and moves
+    /// the rest to their latent slabs, so a pending-list sweep can free
+    /// whole slabs.
+    fn drain_latent_caches(&self, eng: &Engine) {
+        for cpu_idx in 0..eng.nslots() {
+            let mut cpu = eng.lock_slot(cpu_idx);
+            self.merge_caches(eng, cpu_idx, &mut cpu, 0);
+            let moved: Vec<LatentEntry> = cpu.latent.drain(..).collect();
+            drop(cpu);
+            self.defer_to_slabs(eng, &moved);
         }
     }
 
     /// Schedules an idle-time pre-flush for a CPU slot (lines 41-43).
-    fn schedule_preflush(&self, cpu_idx: usize, cpu: &mut CpuState) {
-        if !self.config.preflush || cpu.preflush_pending {
+    fn schedule_preflush(&self, cpu_idx: usize, cpu: &mut CpuSlot) {
+        if cpu.preflush_pending {
             return;
         }
         if let Some(tx) = self.preflush_tx.lock().as_ref() {
@@ -889,14 +331,14 @@ impl Inner {
     /// deferred objects to their latent slabs. When the recent allocation
     /// rate exceeds the free/defer rate the pre-flush is lazier (allocation
     /// will drain the object cache anyway).
-    pub(crate) fn preflush(&self, cpu_idx: usize) {
-        let mut cpu = self.cpu_states[cpu_idx].lock();
+    pub(crate) fn preflush(&self, eng: &Engine, cpu_idx: usize) {
+        let mut cpu = eng.lock_slot(cpu_idx);
         cpu.preflush_pending = false;
         // Single-writer: only the pre-flush worker bumps this, and only
         // while holding the matching slot lock.
-        self.stats.shard(cpu_idx).preflushes.bump();
-        self.merge_caches(cpu_idx, &mut cpu, 0);
-        let size = self.policy.object_cache_size;
+        eng.counters().shard(cpu_idx).preflushes.bump();
+        self.merge_caches(eng, cpu_idx, &mut cpu, 0);
+        let size = eng.policy().object_cache_size;
         if cpu.total_cached() <= size {
             return;
         }
@@ -909,140 +351,38 @@ impl Inner {
         cpu.defers_since = 0;
         let n = excess.min(cpu.latent.len());
         let moved: Vec<LatentEntry> = cpu.latent.drain(..n).collect();
-        self.stats.ring.record(
+        eng.counters().ring.record(
             cpu_idx,
             EventKind::LatentPreflush,
-            self.stats.id(),
+            eng.counters().id(),
             moved.len() as u64,
             cpu.latent.len() as u64,
         );
-        self.defer_to_slabs(&moved);
+        self.defer_to_slabs(eng, &moved);
     }
 
-    /// OOM deferral (lines 31-32): flush latent caches toward slabs, wait
-    /// for a grace period (`expedited` drives it eagerly), reclaim
-    /// everything reclaimable.
-    fn emergency_reclaim(&self, expedited: bool) {
-        self.flush_fastpath();
-        self.domain_synchronize(expedited);
-        // Push all per-CPU latent objects to their slabs so the sweep below
-        // can free whole slabs.
-        for (cpu_idx, state) in self.cpu_states.iter().enumerate() {
-            let mut cpu = state.lock();
-            self.merge_caches(cpu_idx, &mut cpu, 0);
-            let moved: Vec<LatentEntry> = cpu.latent.drain(..).collect();
-            drop(cpu);
-            self.defer_to_slabs(&moved);
-        }
-        let epoch = self.rcu.current_epoch();
-        let mut node = self.lock_node();
-        let reclaimed = node.reclaim_pending(epoch);
-        self.note_reclaimed(reclaimed);
-        // Node lock held: the node lane is ours to write.
-        self.stats
-            .record_node_event(EventKind::OomDefer, reclaimed as u64, epoch);
-        self.shrink(&mut node);
-    }
-
-    /// FREE_DEFERRED (Algorithm lines 34-51) plus backlog backpressure.
-    fn free_deferred_inner(&self, obj: ObjPtr) {
-        let hook = self.hook();
-        if hook.robust {
-            return self.free_deferred_robust(hook, obj);
-        }
-        let outstanding = self.deferred_outstanding.fetch_add(1, Ordering::Relaxed) + 1;
-        let transition = self.update_pressure(outstanding);
-        let gp = self.rcu.gp_state(); // line 35
-        // 0 = tracing disabled: merge skips the delay sample (same
-        // convention as the baseline's callback stamp).
-        let queued_ns = if pbs_telemetry::enabled() {
-            pbs_telemetry::now_nanos()
-        } else {
-            0
-        };
-        let (cpu_idx, mut cpu) = self.lock_cpu();
-        let shard = self.stats.shard(cpu_idx);
-        shard.deferred_frees.bump();
-        shard.live_delta.bump_sub();
-        cpu.defers_since += 1;
-        // Slot lock held: lane `cpu_idx` is ours to write. Disabled
-        // tracing turns this into one Relaxed load and a branch. The
-        // record reuses the defer stamp's clock read.
-        self.stats.ring.record_at(
-            cpu_idx,
-            queued_ns,
-            EventKind::LatentStamp,
-            self.stats.id(),
-            gp.raw_epoch(),
-            cpu.latent.len() as u64,
-        );
-        if let Some((_, to)) = transition {
-            self.stats.ring.record(
-                cpu_idx,
-                EventKind::PressureChange,
-                self.stats.id(),
-                to as u64,
-                outstanding as u64,
-            );
-        }
-        self.stamp_latent(cpu_idx, cpu, obj, gp, queued_ns);
-        // Locks dropped: safe to expedite / assist without convoying the
-        // slot behind a grace-period drive.
-        self.apply_backpressure(transition);
-    }
-
-    /// Deferred free under a robust backend: the object skips the latent
-    /// machinery entirely and enters the domain, which returns it through
-    /// [`ReclaimClient::reclaim_addrs`] once no captured reader can hold
-    /// it. Outstanding-count, pressure, and per-shard accounting stay
-    /// identical to the epoch path so the watchdog/OOM governors and the
-    /// comparison harnesses read the same gauges for every backend.
-    fn free_deferred_robust(&self, hook: &DomainHandle, obj: ObjPtr) {
-        let outstanding = self.deferred_outstanding.fetch_add(1, Ordering::Relaxed) + 1;
-        let transition = self.update_pressure(outstanding);
-        let (cpu_idx, mut cpu) = self.lock_cpu();
-        let shard = self.stats.shard(cpu_idx);
-        shard.deferred_frees.bump();
-        shard.live_delta.bump_sub();
-        cpu.defers_since += 1;
-        if let Some((_, to)) = transition {
-            self.stats.ring.record(
-                cpu_idx,
-                EventKind::PressureChange,
-                self.stats.id(),
-                to as u64,
-                outstanding as u64,
-            );
-        }
-        // Drop the slot lock before entering the domain: a defer can
-        // trigger a scan or batch seal whose delivery calls back into
-        // `reclaim_addrs` (node lock) on this thread.
-        drop(cpu);
-        hook.domain.defer(hook.client, obj.addr());
-        self.apply_backpressure(transition);
-    }
-
-    /// The slot-locked tail of [`free_deferred_inner`]: admit `obj` into
-    /// the latent cache or move it (and any overflow) to its latent slab.
-    /// Consumes the guard so every early return drops the slot lock.
+    /// Lines 39-51: admit `obj` into the latent cache or move it (and any
+    /// overflow) to its latent slab. Consumes the guard so every early
+    /// return drops the slot lock.
     fn stamp_latent(
         &self,
+        eng: &Engine,
         cpu_idx: usize,
-        mut cpu: MutexGuard<'_, CpuState>,
+        mut cpu: MutexGuard<'_, CpuSlot>,
         obj: ObjPtr,
         gp: GpState,
         queued_ns: u64,
     ) {
         if !self.config.latent_cache {
             drop(cpu);
-            self.defer_to_slabs(&[(obj, gp, queued_ns)]);
+            self.defer_to_slabs(eng, &[(obj, gp, queued_ns)]);
             return;
         }
-        let threshold = self.policy.object_cache_size;
+        let threshold = eng.policy().object_cache_size;
         if cpu.latent.len() < threshold {
             // Fast path (lines 39-44).
             cpu.latent.push_back((obj, gp, queued_ns));
-            if cpu.total_cached() > self.policy.object_cache_size {
+            if cpu.total_cached() > threshold {
                 self.schedule_preflush(cpu_idx, &mut cpu);
             }
             return;
@@ -1056,10 +396,10 @@ impl Inner {
         let mergeable = cpu
             .latent
             .front()
-            .is_some_and(|&(_, gp, _)| gp.is_completed_at(self.rcu.current_epoch()));
+            .is_some_and(|&(_, gp, _)| gp.is_completed_at(eng.rcu().current_epoch()));
         if mergeable {
-            self.flush_obj_cache(cpu_idx, &mut cpu);
-            self.merge_caches(cpu_idx, &mut cpu, queued_ns);
+            eng.flush_obj_cache(cpu_idx, &mut cpu);
+            self.merge_caches(eng, cpu_idx, &mut cpu, queued_ns);
         }
         if cpu.latent.len() < threshold {
             cpu.latent.push_back((obj, gp, queued_ns));
@@ -1074,164 +414,205 @@ impl Inner {
             // order latent slabs rely on.
             let moved: Vec<LatentEntry> = cpu.latent.drain(..n).collect();
             cpu.latent.push_back((obj, gp, queued_ns));
-            self.stats.ring.record(
+            eng.counters().ring.record(
                 cpu_idx,
                 EventKind::LatentFlush,
-                self.stats.id(),
+                eng.counters().id(),
                 moved.len() as u64,
                 cpu.latent.len() as u64,
             );
             drop(cpu);
-            self.defer_to_slabs(&moved);
+            self.defer_to_slabs(eng, &moved);
+        }
+    }
+}
+
+impl SlabPolicy for PrudencePolicy {
+    const GROW_FAULT_SITE: &'static str = pbs_fault::site::PRUDENCE_GROW;
+
+    /// Lines 7-11: merge grace-period-complete latent objects and retry
+    /// before touching the node lists.
+    fn merge(&self, eng: &Engine, cpu_idx: usize, cpu: &mut CpuSlot) -> usize {
+        self.merge_caches(eng, cpu_idx, cpu, 0)
+    }
+
+    /// Partial refill (line 14): refill o − d objects. Floor the batch at
+    /// a quarter cache so a latent cache full of objects still inside
+    /// their grace period cannot degrade refills to single objects; any
+    /// overflow when those objects later merge is absorbed by the
+    /// proportional flush.
+    fn refill_want(&self, eng: &Engine, cpu_idx: usize, cpu: &CpuSlot) -> usize {
+        let size = eng.policy().object_cache_size;
+        let latent_count = if self.config.partial_refill {
+            cpu.latent.len()
+        } else {
+            0
+        };
+        let want = size.saturating_sub(latent_count).max(size / 4).max(1);
+        if want < size {
+            eng.counters().shard(cpu_idx).partial_refills.bump();
+        }
+        want
+    }
+
+    fn select_slab(
+        &self,
+        eng: &Engine,
+        node: &mut Node,
+        have: bool,
+    ) -> Result<Option<usize>, OutOfMemory> {
+        let epoch = eng.rcu().current_epoch();
+        // Merge grace-period-complete latent-slab objects back into their
+        // slabs first (§4.1), so refill reuses them instead of growing.
+        eng.note_reclaimed(node.reclaim_pending(epoch));
+        if let Some(index) = self.select(eng, node, epoch, false) {
+            return Ok(Some(index));
+        }
+        // Growing is for satisfying the demanded object, not for topping
+        // up the batch: once the cache holds anything, stop rather than
+        // grow (otherwise an exactly-full heap gains a slab on every
+        // boundary refill).
+        if have {
+            return Ok(None);
+        }
+        match eng.grow(node) {
+            Ok(index) => Ok(Some(index)),
+            // Last resort before failing: slabs we skipped because most of
+            // their objects are deferred ("unless it needs to grow the
+            // slab cache").
+            Err(e) => self.select(eng, node, epoch, true).map(Some).ok_or(e),
         }
     }
 
-    fn quiesce(&self) {
-        // Park nothing across a quiesce: fast-cached objects go back to
-        // their slabs so peak/fragmentation measurements stay comparable.
-        self.flush_fastpath();
-        for _ in 0..64 {
-            if self.deferred_outstanding.load(Ordering::Relaxed) == 0 {
-                return;
-            }
-            self.domain_synchronize(false);
-            for (cpu_idx, state) in self.cpu_states.iter().enumerate() {
-                let mut cpu = state.lock();
-                self.merge_caches(cpu_idx, &mut cpu, 0);
-                let moved: Vec<LatentEntry> = cpu.latent.drain(..).collect();
-                drop(cpu);
-                self.defer_to_slabs(&moved);
-            }
-            let epoch = self.rcu.current_epoch();
-            let mut node = self.lock_node();
-            self.note_reclaimed(node.reclaim_pending(epoch));
+    /// Proportional flush (§4.2): the more deferred objects pending in the
+    /// latent cache, the more objects are flushed, so the
+    /// post-grace-period merge will fit.
+    fn flush_keep(&self, eng: &Engine, cpu: &CpuSlot) -> usize {
+        let base_keep = eng.policy().object_cache_size / 2;
+        if self.config.proportional_flush {
+            base_keep.saturating_sub(cpu.latent.len())
+        } else {
+            base_keep
         }
-        debug_assert_eq!(
-            self.deferred_outstanding.load(Ordering::Relaxed),
-            0,
-            "quiesce failed to drain deferred objects"
+    }
+
+    /// The threshold "acts with caution by considering the number of
+    /// deferred objects waiting for reclamation" (§3.1): objects that will
+    /// be reusable after the grace period are about to be demanded again,
+    /// so their slabs are kept rather than churned through the page
+    /// allocator. When the deferred backlog drains, the threshold falls
+    /// back to the baseline heuristic and memory is returned.
+    fn shrink_limit(&self, eng: &Engine, node: &mut Node) -> Option<usize> {
+        let pending_slabs = eng
+            .deferred_outstanding()
+            .div_ceil(eng.policy().objects_per_slab);
+        // Proportional slack (an emptiness threshold in the Hoard spirit):
+        // under a sustained defer/alloc cycle the free list legitimately
+        // oscillates by a grace period's worth of slabs, so keep a
+        // fraction of the cache as slack instead of churning those slabs
+        // through the page allocator. Repeated shrinks still converge to
+        // `free_slabs_limit` once the cache goes idle.
+        let total_slabs = node.slabs.len() - node.free_slots.len();
+        let limit = eng.policy().free_slabs_limit.max(total_slabs / 2) + pending_slabs;
+        if node.lists.len(ListKind::Free) <= limit {
+            node.shrink_excess_since = None;
+            return None;
+        }
+        // Temporal hysteresis: a reclamation burst can briefly push the
+        // free list over the limit even though the very next grace window
+        // of allocations will re-demand those slabs. Only release slabs
+        // once the excess has persisted for a full grace period — the same
+        // prudence argument (§3.1) applied to pages instead of objects. An
+        // idle cache still converges: quiesce advances epochs until the
+        // stamp completes.
+        match node.shrink_excess_since {
+            None => {
+                node.shrink_excess_since = Some(eng.rcu().gp_state());
+                None
+            }
+            Some(since) if !since.is_completed_at(eng.rcu().current_epoch()) => None,
+            Some(_) => {
+                node.shrink_excess_since = None;
+                Some(limit)
+            }
+        }
+    }
+
+    /// The one branch on the backend: latent stamping (lines 35-51) under
+    /// epoch, the domain otherwise.
+    fn defer(&self, eng: &Engine, cpu_idx: usize, cpu: MutexGuard<'_, CpuSlot>, obj: ObjPtr) {
+        if !self.latent {
+            drop(cpu);
+            return eng.defer_to_domain(obj);
+        }
+        let gp = eng.rcu().gp_state(); // line 35
+        let queued_ns = trace_clock();
+        // Slot lock held: lane `cpu_idx` is ours to write. The record
+        // reuses the defer stamp's clock read.
+        eng.counters().ring.record_at(
+            cpu_idx,
+            queued_ns,
+            EventKind::LatentStamp,
+            eng.counters().id(),
+            gp.raw_epoch(),
+            cpu.latent.len() as u64,
         );
+        self.stamp_latent(eng, cpu_idx, cpu, obj, gp, queued_ns);
     }
-}
 
-impl ReclaimClient for Inner {
-    /// Domain delivery: the backend proved no captured reader can still
-    /// hold these objects, so they go straight back to their slabs (the
-    /// same motion as an object-cache flush). Runs with no domain locks
-    /// held and never re-enters the domain.
-    fn reclaim_addrs(&self, addrs: &[usize]) {
-        if addrs.is_empty() {
+    /// The backend proved no captured reader can still hold these objects,
+    /// so they go straight back to their slabs (the same motion as an
+    /// object-cache flush).
+    fn readmit(&self, eng: &Engine, addrs: &[usize]) {
+        // SAFETY: a domain only returns addresses this cache deferred
+        // into it, each exactly once.
+        eng.give_back(addrs.iter().map(|&addr| unsafe { ObjPtr::from_addr(addr) }));
+    }
+
+    /// Merges this slot's grace-period-complete latent objects and sweeps
+    /// the node's pending list — or, when the domain holds the backlog,
+    /// takes one bounded progress step (scan / seal + release).
+    fn assist(&self, eng: &Engine) {
+        if !self.latent {
+            eng.reclaim_domain().advance();
             return;
         }
-        {
-            let mut node = self.lock_node();
-            for &addr in addrs {
-                // SAFETY: the domain only returns addresses this cache
-                // deferred into it, each exactly once; the node lock is
-                // held.
-                let obj = ObjPtr::new(unsafe { NonNull::new_unchecked(addr as *mut u8) });
-                let index = unsafe { node.resolve(obj, self.policy.slab_bytes) };
-                node.slab_mut(index).raw.give_back(obj);
-                node.relist(index);
-            }
-            self.shrink(&mut node);
-        }
-        self.note_reclaimed(addrs.len());
-    }
-}
-
-impl ObjectAllocator for PrudenceCache {
-    fn allocate(&self) -> Result<ObjPtr, AllocError> {
-        self.inner.allocate()
+        let (cpu_idx, mut cpu) = eng.lock_cpu();
+        self.merge_caches(eng, cpu_idx, &mut cpu, 0);
+        drop(cpu);
+        let epoch = eng.rcu().current_epoch();
+        let mut node = eng.lock_node();
+        eng.note_reclaimed(node.reclaim_pending(epoch));
     }
 
-    unsafe fn free(&self, obj: ObjPtr) {
-        let inner = &self.inner;
-        // Zero-atomic fast path: park the object in this CPU's slot. Full
-        // or disabled slots fall through to the slot-locked cache.
-        if let FastPush::Pushed = inner.fast.push(obj.addr()) {
-            return;
-        }
-        let (cpu_idx, mut cpu) = inner.lock_cpu();
-        let shard = inner.stats.shard(cpu_idx);
-        shard.frees.bump();
-        shard.live_delta.bump_sub();
-        cpu.frees_since += 1;
-        cpu.obj_cache.push(obj);
-        if cpu.obj_cache.len() > inner.policy.object_cache_size {
-            inner.flush_obj_cache(cpu_idx, &mut cpu);
-        }
+    /// Merge and flush this thread's slot and sweep the node's pending
+    /// list at the current epoch. Often enough when the backlog is merely
+    /// parked in the latent cache past its grace period.
+    fn reclaim_local(&self, eng: &Engine) {
+        let (cpu_idx, mut cpu) = eng.lock_cpu();
+        self.merge_caches(eng, cpu_idx, &mut cpu, 0);
+        let moved: Vec<LatentEntry> = cpu.latent.drain(..).collect();
+        drop(cpu);
+        self.defer_to_slabs(eng, &moved);
+        let epoch = eng.rcu().current_epoch();
+        let mut node = eng.lock_node();
+        eng.note_reclaimed(node.reclaim_pending(epoch));
+        eng.shrink(&mut node);
     }
 
-    unsafe fn free_deferred(&self, obj: ObjPtr) {
-        if pbs_telemetry::enabled() {
-            // Stamp before entering the allocator: a robust defer can scan
-            // and reclaim on this same stack, and the domain-layer fallback
-            // stamp (`note_deferred_if_untracked`) must lose to this one so
-            // the report names the freeing call site, not the adapter.
-            let hook = self.inner.hook();
-            pbs_telemetry::site::note_deferred(
-                obj.addr(),
-                pbs_telemetry::site::intern(std::panic::Location::caller()),
-                self.inner.policy.object_size,
-                pbs_telemetry::site::backend_index(hook.domain.backend().label()),
-            );
-        }
-        self.inner.free_deferred_inner(obj);
-    }
-
-    fn object_size(&self) -> usize {
-        self.inner.policy.object_size
-    }
-
-    fn name(&self) -> &str {
-        &self.inner.name
-    }
-
-    fn rcu(&self) -> &Arc<Rcu> {
-        &self.inner.rcu
-    }
-
-    fn reclaim_domain(&self) -> Option<&Arc<dyn ReclamationDomain>> {
-        Some(PrudenceCache::reclaim_domain(self))
-    }
-
-    fn stats(&self) -> CacheStatsSnapshot {
-        self.inner.stats.snapshot_with_fastpath(
-            self.inner.policy.object_size,
-            self.inner.policy.slab_bytes,
-            &self.inner.fast.snapshot(),
-        )
-    }
-
-    fn telemetry(&self) -> pbs_telemetry::ComponentTelemetry {
-        self.inner.stats.telemetry()
-    }
-
-    fn quiesce(&self) {
-        self.inner.quiesce();
-    }
-
-    fn deferred_outstanding(&self) -> usize {
-        PrudenceCache::deferred_outstanding(self)
-    }
-
-    fn fastpath_set_enabled(&self, enabled: bool) {
-        self.inner.set_fastpath_enabled(enabled);
-    }
-
-    fn fastpath_enabled(&self) -> bool {
-        self.inner.fast.is_enabled()
-    }
-
-    fn fastpath_set_engine(&self, engine: pbs_percpu::Engine) {
-        self.inner.set_fastpath_engine(engine);
+    fn drain_parked(&self, eng: &Engine) -> usize {
+        self.drain_latent_caches(eng);
+        let epoch = eng.rcu().current_epoch();
+        let reclaimed = eng.lock_node().reclaim_pending(epoch);
+        eng.note_reclaimed(reclaimed);
+        reclaimed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::ObjectAllocator;
     use pbs_rcu::RcuConfig;
 
     fn cache(size: usize) -> (Arc<PrudenceCache>, Arc<PageAllocator>, Arc<Rcu>) {
@@ -1245,56 +626,6 @@ mod tests {
             Arc::clone(&rcu),
         ));
         (c, pages, rcu)
-    }
-
-    #[test]
-    fn allocate_free_roundtrip() {
-        let (c, _p, _r) = cache(64);
-        let a = c.allocate().unwrap();
-        let b = c.allocate().unwrap();
-        assert_ne!(a, b);
-        unsafe {
-            c.free(a);
-            c.free(b);
-        }
-        let s = c.stats();
-        assert_eq!(s.alloc_requests, 2);
-        assert_eq!(s.frees, 2);
-        assert_eq!(s.live_objects, 0);
-    }
-
-    #[test]
-    fn deferred_objects_invisible_until_grace_period() {
-        let pages = Arc::new(PageAllocator::new());
-        let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let c = PrudenceCache::new("t", 64, PrudenceConfig::new(1), pages, Arc::clone(&rcu));
-        let reader = rcu.register();
-
-        let a = c.allocate().unwrap();
-        let guard = reader.read_lock();
-        unsafe { c.free_deferred(a) };
-        assert_eq!(c.deferred_outstanding(), 1);
-        // With the reader pinned, `a` must never be handed out again.
-        let objs: Vec<ObjPtr> = (0..c.policy().object_cache_size * 2)
-            .map(|_| c.allocate().unwrap())
-            .collect();
-        assert!(objs.iter().all(|&o| o != a), "deferred object reused early");
-        drop(guard);
-        rcu.synchronize();
-        // Now it becomes available via merge.
-        let mut found = false;
-        let mut more = Vec::new();
-        for _ in 0..c.policy().object_cache_size * 2 {
-            let o = c.allocate().unwrap();
-            if o == a {
-                found = true;
-            }
-            more.push(o);
-        }
-        assert!(found, "deferred object should be reusable after GP");
-        for o in objs.into_iter().chain(more) {
-            unsafe { c.free(o) };
-        }
     }
 
     #[test]
@@ -1315,7 +646,10 @@ mod tests {
                 break;
             }
         }
-        assert!(found, "deferred object should come back via the latent merge");
+        assert!(
+            found,
+            "deferred object should come back via the latent merge"
+        );
         assert!(c.stats().latent_hits >= 1, "stats: {:?}", c.stats());
         for o in held {
             unsafe { c.free(o) };
@@ -1370,122 +704,6 @@ mod tests {
         }
         drop(c);
         assert_eq!(pages.used_bytes(), 0);
-    }
-
-    #[test]
-    fn oom_deferral_reclaims_deferred_objects() {
-        // Page budget fits ~6 slabs; with everything deferred, allocation
-        // would OOM unless Prudence waits for the grace period (line 31).
-        // The driver is parked out of reach so the background GP cannot
-        // race the allocation loop and reclaim early — the *only* way
-        // the deferred objects come back is the OOM ladder's expedited
-        // grace period, which is exactly what this test pins.
-        let policy = SizingPolicy::for_object_size(512);
-        let pages = Arc::new(
-            PageAllocator::builder()
-                .limit_bytes(6 * policy.slab_bytes)
-                .build(),
-        );
-        let rcu = Arc::new(Rcu::with_config(RcuConfig {
-            driver_interval: std::time::Duration::from_secs(3600),
-            ..RcuConfig::eager()
-        }));
-        let cfg = PrudenceConfig::new(1).with_preflush(false);
-        let c = PrudenceCache::new("t", 512, cfg, pages, rcu);
-        let per_slab = c.policy().objects_per_slab;
-        let total = per_slab * 5;
-        for round in 0..4 {
-            let objs: Vec<ObjPtr> = (0..total)
-                .map(|_| {
-                    c.allocate()
-                        .unwrap_or_else(|e| panic!("round {round}: {e}"))
-                })
-                .collect();
-            for o in objs {
-                unsafe { c.free_deferred(o) };
-            }
-        }
-        let s = c.stats();
-        assert!(s.oom_waits > 0, "expected OOM deferral to trigger: {s:?}");
-        assert!(
-            s.oom_recoveries_total() >= 1,
-            "recovered allocations should be attributed to a ladder stage: {s:?}"
-        );
-        c.quiesce();
-    }
-
-    #[test]
-    fn pressure_governor_tracks_backlog() {
-        let pages = Arc::new(PageAllocator::new());
-        let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let cfg = PrudenceConfig::new(1)
-            .with_preflush(false)
-            .with_watermarks(4, 8);
-        let c = PrudenceCache::new("t", 64, cfg, pages, Arc::clone(&rcu));
-        let reader = rcu.register();
-        let objs: Vec<ObjPtr> = (0..16).map(|_| c.allocate().unwrap()).collect();
-        // Pin a reader so nothing can drain while the backlog builds.
-        let guard = reader.read_lock();
-        for &o in &objs {
-            unsafe { c.free_deferred(o) };
-        }
-        let s = c.stats();
-        assert_eq!(s.pressure_level, 2, "hard watermark crossed: {s:?}");
-        assert!(s.pressure_transitions >= 2, "0→1→2 expected: {s:?}");
-        assert!(
-            s.assisted_merges >= 1,
-            "hard-level frees must assist reclaim: {s:?}"
-        );
-        assert!(
-            c.telemetry().count_of(EventKind::PressureChange) >= 2,
-            "transitions should be traced"
-        );
-        drop(guard);
-        c.quiesce();
-        let s = c.stats();
-        assert_eq!(s.pressure_level, 0, "gauge returns to nominal: {s:?}");
-        assert_eq!(c.deferred_outstanding(), 0);
-    }
-
-    #[test]
-    fn immediate_free_oom_propagates() {
-        let pages = Arc::new(PageAllocator::builder().limit_bytes(4096 * 4).build());
-        let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let c = PrudenceCache::new("t", 2048, PrudenceConfig::new(1), pages, rcu);
-        let mut objs = Vec::new();
-        let err = loop {
-            match c.allocate() {
-                Ok(o) => objs.push(o),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err, AllocError::OutOfMemory);
-        for o in objs {
-            unsafe { c.free(o) };
-        }
-    }
-
-    #[test]
-    fn concurrent_defer_and_alloc_stress() {
-        let (c, _p, _r) = cache(64);
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    for _ in 0..3_000 {
-                        let o = c.allocate().unwrap();
-                        unsafe { o.as_ptr().write(0xAB) };
-                        unsafe { c.free_deferred(o) };
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        c.quiesce();
-        assert_eq!(c.stats().live_objects, 0);
-        assert_eq!(c.deferred_outstanding(), 0);
     }
 
     #[test]
@@ -1545,120 +763,19 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_traces_latent_lifecycle() {
-        let (c, _p, rcu) = cache(64);
-        let a = c.allocate().unwrap();
-        unsafe { c.free_deferred(a) };
-        rcu.synchronize();
-        // Drain until the latent merge returns `a`.
-        let mut held = Vec::new();
-        for _ in 0..2 * c.policy().object_cache_size {
-            held.push(c.allocate().unwrap());
-        }
-        let t = c.telemetry();
-        assert!(
-            t.count_of(pbs_telemetry::EventKind::LatentStamp) >= 1,
-            "missing stamp event: {:?}",
-            t.event_counts
-        );
-        assert!(
-            t.count_of(pbs_telemetry::EventKind::LatentMerge) >= 1,
-            "missing merge event: {:?}",
-            t.event_counts
-        );
-        assert!(
-            t.count_of(pbs_telemetry::EventKind::SlabGrow) >= 1,
-            "missing grow event: {:?}",
-            t.event_counts
-        );
-        let delay = t.histogram("defer_delay_ns").expect("defer_delay_ns");
-        assert!(delay.count >= 1, "defer delay not recorded: {delay:?}");
-        for o in held {
-            unsafe { c.free(o) };
-        }
-        c.quiesce();
-    }
-
-    #[test]
-    fn drop_joins_worker_and_returns_pages() {
-        let pages = Arc::new(PageAllocator::new());
-        let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        {
-            let c = PrudenceCache::new(
-                "t",
-                128,
-                PrudenceConfig::new(2),
-                Arc::clone(&pages),
-                rcu,
-            );
-            let objs: Vec<ObjPtr> = (0..100).map(|_| c.allocate().unwrap()).collect();
-            for o in objs {
-                unsafe { c.free_deferred(o) };
-            }
-            c.quiesce();
-        }
-        assert_eq!(pages.used_bytes(), 0);
-    }
-
-    fn robust_cache(
-        backend: pbs_rcu::reclaim::ReclaimBackend,
-    ) -> (Arc<PrudenceCache>, Arc<PageAllocator>, Arc<Rcu>) {
-        use pbs_rcu::reclaim::{domain_for, ReclaimConfig};
-        let pages = Arc::new(PageAllocator::new());
-        let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let domain = domain_for(Arc::clone(&rcu), backend, ReclaimConfig::aggressive());
-        let c = Arc::new(PrudenceCache::with_domain(
-            "t",
-            64,
-            PrudenceConfig::new(2),
-            Arc::clone(&pages),
-            domain,
-        ));
-        (c, pages, rcu)
-    }
-
-    #[test]
-    fn robust_backends_bound_garbage_under_a_stalled_reader() {
-        use pbs_rcu::reclaim::ReclaimBackend;
-        for backend in [ReclaimBackend::Hp, ReclaimBackend::Hyaline] {
-            let (c, pages, rcu) = robust_cache(backend);
-            let reader = rcu.register();
-            let guard = reader.read_lock();
-            let objs: Vec<ObjPtr> = (0..512).map(|_| c.allocate().unwrap()).collect();
-            for o in objs {
-                unsafe { c.free_deferred(o) };
-            }
-            // Give the hyaline ejector its window (aggressive: 2ms), then
-            // one progress step. The reader is STILL pinned.
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            c.reclaim_domain().advance();
-            let outstanding = c.deferred_outstanding();
-            assert!(
-                outstanding <= 128,
-                "{backend}: stalled reader pinned {outstanding} objects"
-            );
-            // Epoch in the same position wedges at 512 (see
-            // `deferred_objects_invisible_until_grace_period`).
-            c.quiesce();
-            assert_eq!(c.deferred_outstanding(), 0, "{backend}: quiesce under pin");
-            drop(guard);
-            drop(c);
-            assert_eq!(pages.used_bytes(), 0, "{backend}: pages leaked");
-        }
-    }
-
-    #[test]
     fn epoch_domain_cache_matches_plain_construction() {
         // `new` and `with_domain(EpochDomain)` are the same cache: the
         // latent machinery stays in charge and quiesce drains through it.
         let (c, _p, rcu) = cache(64);
-        assert_eq!(
-            c.reclaim_domain().backend(),
-            pbs_rcu::reclaim::ReclaimBackend::Epoch
-        );
+        assert_eq!(c.reclaim_domain().backend(), ReclaimBackend::Epoch);
         let a = c.allocate().unwrap();
         unsafe { c.free_deferred(a) };
         assert_eq!(c.deferred_outstanding(), 1);
+        assert_eq!(
+            c.reclaim_domain().deferred_in_domain(),
+            0,
+            "epoch defers park in the latent cache, not the domain"
+        );
         rcu.synchronize();
         c.quiesce();
         assert_eq!(c.deferred_outstanding(), 0);

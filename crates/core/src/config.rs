@@ -1,5 +1,7 @@
 //! Configuration and ablation switches for the Prudence allocator.
 
+use pbs_alloc_api::engine::EngineConfig;
+
 /// Tuning knobs for a [`PrudenceCache`](crate::PrudenceCache).
 ///
 /// Every §4.2 optimization can be toggled independently so the benchmark
@@ -13,6 +15,7 @@
 ///
 /// let full = PrudenceConfig::new(8);
 /// assert!(full.preflush && full.partial_refill);
+/// assert_eq!(full.engine.ncpus, 8);
 ///
 /// let no_hints = PrudenceConfig::new(8)
 ///     .with_deferred_aware_selection(false)
@@ -21,8 +24,9 @@
 /// ```
 #[derive(Debug, Clone)]
 pub struct PrudenceConfig {
-    /// Number of CPU slots (per-CPU object/latent cache pairs).
-    pub ncpus: usize,
+    /// The settings shared with every engine-backed cache: CPU-slot
+    /// count, pressure watermarks, OOM-ladder depth, fast path.
+    pub engine: EngineConfig,
     /// Keep deferred objects in per-CPU latent caches (§4.1). When
     /// disabled, deferred objects go straight to latent slabs.
     pub latent_cache: bool,
@@ -41,23 +45,6 @@ pub struct PrudenceConfig {
     /// How many partial slabs to scan during selection (the paper uses 10
     /// as a latency/fragmentation trade-off, §5.4).
     pub slab_scan_window: usize,
-    /// How many grace periods to wait for deferred objects before
-    /// reporting out-of-memory (§4.2, *Handling memory pressure*).
-    pub oom_retries: usize,
-    /// Deferred-backlog soft watermark: when `deferred_outstanding`
-    /// crosses it, freeing threads nudge the grace-period machinery with
-    /// an expedited drive.
-    pub soft_watermark: usize,
-    /// Deferred-backlog hard watermark: above it every freeing thread
-    /// also runs a caller-assisted reclaim pass, throttling producers to
-    /// the reclaim rate.
-    pub hard_watermark: usize,
-    /// Route the allocate/free hit paths through the per-CPU fast path
-    /// (`pbs-percpu`): zero atomics and zero locks per uncontended pair.
-    /// When disabled the cache is built without fast-path slots at all
-    /// (ablation; the runtime toggle is
-    /// `ObjectAllocator::fastpath_set_enabled`).
-    pub fastpath: bool,
 }
 
 impl PrudenceConfig {
@@ -67,20 +54,7 @@ impl PrudenceConfig {
     ///
     /// Panics if `ncpus` is zero.
     pub fn new(ncpus: usize) -> Self {
-        assert!(ncpus > 0, "need at least one CPU slot");
-        Self {
-            ncpus,
-            latent_cache: true,
-            partial_refill: true,
-            preflush: true,
-            proportional_flush: true,
-            deferred_aware_selection: true,
-            slab_scan_window: 10,
-            oom_retries: 4,
-            soft_watermark: 4096,
-            hard_watermark: 16384,
-            fastpath: true,
-        }
+        Self::from(EngineConfig::new(ncpus))
     }
 
     /// Toggles the latent cache (ablation).
@@ -122,15 +96,29 @@ impl PrudenceConfig {
     /// Sets the deferred-backlog pressure watermarks. `hard` is clamped to
     /// at least `soft` so the pressure levels stay ordered.
     pub fn with_watermarks(mut self, soft: usize, hard: usize) -> Self {
-        self.soft_watermark = soft.max(1);
-        self.hard_watermark = hard.max(self.soft_watermark);
+        self.engine = self.engine.with_watermarks(soft, hard);
         self
     }
 
     /// Toggles the per-CPU fast path (ablation).
     pub fn with_fastpath(mut self, on: bool) -> Self {
-        self.fastpath = on;
+        self.engine = self.engine.with_fastpath(on);
         self
+    }
+}
+
+impl From<EngineConfig> for PrudenceConfig {
+    /// The full Prudence design over the given engine settings.
+    fn from(engine: EngineConfig) -> Self {
+        Self {
+            engine,
+            latent_cache: true,
+            partial_refill: true,
+            preflush: true,
+            proportional_flush: true,
+            deferred_aware_selection: true,
+            slab_scan_window: 10,
+        }
     }
 }
 
@@ -147,17 +135,17 @@ mod tests {
         assert!(c.proportional_flush);
         assert!(c.deferred_aware_selection);
         assert_eq!(c.slab_scan_window, 10);
-        assert!(c.soft_watermark <= c.hard_watermark);
-        assert!(c.fastpath);
+        assert!(c.engine.soft_watermark <= c.engine.hard_watermark);
+        assert!(c.engine.fastpath);
     }
 
     #[test]
     fn watermarks_stay_ordered() {
         let c = PrudenceConfig::new(2).with_watermarks(100, 10);
-        assert_eq!(c.soft_watermark, 100);
-        assert_eq!(c.hard_watermark, 100, "hard clamped up to soft");
+        assert_eq!(c.engine.soft_watermark, 100);
+        assert_eq!(c.engine.hard_watermark, 100, "hard clamped up to soft");
         let c = PrudenceConfig::new(2).with_watermarks(0, 0);
-        assert_eq!(c.soft_watermark, 1, "soft clamped to at least 1");
+        assert_eq!(c.engine.soft_watermark, 1, "soft clamped to at least 1");
     }
 
     #[test]

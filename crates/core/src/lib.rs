@@ -44,13 +44,53 @@
 
 mod cache;
 mod config;
-mod factory;
-mod cpu_state;
-mod heap;
-mod node;
 mod preflush;
 
-pub use cache::PrudenceCache;
+pub use cache::{PrudenceCache, PrudencePolicy};
 pub use config::PrudenceConfig;
-pub use factory::PrudenceFactory;
-pub use heap::PrudenceHeap;
+
+/// Creates [`PrudenceCache`]s sharing one page allocator, RCU domain and
+/// configuration.
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Arc;
+/// use pbs_alloc_api::CacheFactory;
+/// use pbs_mem::PageAllocator;
+/// use pbs_rcu::Rcu;
+/// use prudence::{PrudenceConfig, PrudenceFactory};
+///
+/// let f = PrudenceFactory::new(
+///     PrudenceConfig::new(4),
+///     Arc::new(PageAllocator::new()),
+///     Arc::new(Rcu::new()),
+/// );
+/// let cache = f.create_cache("dentry", 192);
+/// assert_eq!(cache.object_size(), 192);
+/// assert_eq!(f.label(), "prudence");
+/// ```
+pub type PrudenceFactory = pbs_alloc_api::engine::SlabFactory<PrudenceCache>;
+
+/// A general-purpose Prudence front end: one [`PrudenceCache`] per kmalloc
+/// size class.
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Arc;
+/// use pbs_mem::PageAllocator;
+/// use pbs_rcu::Rcu;
+/// use prudence::{PrudenceConfig, PrudenceHeap};
+///
+/// let heap = PrudenceHeap::new(
+///     PrudenceConfig::new(4),
+///     Arc::new(PageAllocator::new()),
+///     Arc::new(Rcu::new()),
+/// );
+/// let obj = heap.kmalloc(100)?;
+/// unsafe { heap.kfree_deferred(obj, 100) }; // paper Listing 2
+/// heap.quiesce();
+/// # Ok::<(), pbs_alloc_api::AllocError>(())
+/// ```
+pub type PrudenceHeap = pbs_alloc_api::engine::KmallocHeap<PrudenceCache>;

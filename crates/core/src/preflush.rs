@@ -11,15 +11,15 @@ use std::sync::Weak;
 
 use crossbeam::channel::Receiver;
 
-use crate::cache::Inner;
+use crate::cache::Engine;
 
 /// Worker loop: drains CPU indices whose latent caches need pre-flushing.
 /// Exits when the cache is dropped (channel closed or upgrade fails).
-pub(crate) fn preflush_worker(cache: Weak<Inner>, rx: Receiver<usize>) {
+pub(crate) fn preflush_worker(cache: Weak<Engine>, rx: Receiver<usize>) {
     while let Ok(cpu_idx) = rx.recv() {
         let Some(cache) = cache.upgrade() else {
             return;
         };
-        cache.preflush(cpu_idx);
+        cache.slab_policy().preflush(&cache, cpu_idx);
     }
 }

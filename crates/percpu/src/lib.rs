@@ -47,7 +47,7 @@ mod rseq;
 mod tls;
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -99,9 +99,65 @@ const ENGINE_LOCKS: u8 = 2;
 /// decide-once pattern as the RCU membarrier strategy).
 static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(ENGINE_UNDECIDED);
 
-/// The engine new [`FastCache`]s start on: `PBS_FASTPATH` if set
-/// (`rseq`/`locks`), otherwise `rseq` when the kernel supports both
-/// restartable sequences and the rseq membarrier fence, else `locks`.
+/// What the `PBS_FASTPATH` environment variable asks for. Unset and empty
+/// both mean "no override" (`None` from [`parse_env`](Self::parse_env)):
+/// CI's default leg exports `PBS_FASTPATH=''`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FastPathOverride {
+    /// Prefer the rseq engine (still degrades to `locks` where the kernel
+    /// lacks it: the emulation engine is the honest answer, not a panic).
+    Rseq,
+    /// Force the portable slot-lock emulation.
+    Locks,
+    /// Build caches without fast-path slots, so a run measures the regular
+    /// per-CPU paths alone (the pre-fast-path baseline).
+    Off,
+}
+
+impl FastPathOverride {
+    /// Stable label, the value `PBS_FASTPATH` spells it with.
+    pub fn label(self) -> &'static str {
+        match self {
+            FastPathOverride::Rseq => "rseq",
+            FastPathOverride::Locks => "locks",
+            FastPathOverride::Off => "off",
+        }
+    }
+
+    /// Parses a `PBS_FASTPATH` value. A typo is an error rather than the
+    /// default, so a misspelt CI matrix leg cannot silently test the
+    /// default engine and stay green.
+    pub fn parse_env(value: Option<&str>) -> Result<Option<Self>, String> {
+        match value {
+            None | Some("") => Ok(None),
+            Some("rseq") => Ok(Some(FastPathOverride::Rseq)),
+            Some("locks") => Ok(Some(FastPathOverride::Locks)),
+            Some("off") => Ok(Some(FastPathOverride::Off)),
+            Some(other) => Err(format!(
+                "PBS_FASTPATH={other:?} is not one of rseq|locks|off \
+                 (unset or empty selects the default)"
+            )),
+        }
+    }
+
+    /// The process's `PBS_FASTPATH` setting, read and parsed once.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the accepted values, if the variable holds anything
+    /// [`parse_env`](Self::parse_env) rejects.
+    pub fn from_env() -> Option<Self> {
+        static CHOICE: OnceLock<Option<FastPathOverride>> = OnceLock::new();
+        *CHOICE.get_or_init(|| {
+            let raw = std::env::var_os("PBS_FASTPATH").map(|v| v.to_string_lossy().into_owned());
+            Self::parse_env(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+        })
+    }
+}
+
+/// The engine new [`FastCache`]s start on: `locks` if `PBS_FASTPATH`
+/// forces it, otherwise `rseq` when the kernel supports both restartable
+/// sequences and the rseq membarrier fence, else `locks`.
 pub fn default_engine() -> Engine {
     match DEFAULT_ENGINE.load(Ordering::Acquire) {
         ENGINE_RSEQ => Engine::Rseq,
@@ -112,18 +168,11 @@ pub fn default_engine() -> Engine {
 
 #[cold]
 fn decide_default() -> Engine {
-    let want = match std::env::var("PBS_FASTPATH").as_deref() {
-        Ok("locks") => Engine::Locks,
-        // An explicit `rseq` request still degrades gracefully on
-        // platforms without it: the emulation engine is the honest
-        // answer, not a panic.
-        Ok("rseq") | Ok(_) | Err(_) => {
-            if rseq::supported() {
-                Engine::Rseq
-            } else {
-                Engine::Locks
-            }
-        }
+    let want = if FastPathOverride::from_env() != Some(FastPathOverride::Locks) && rseq::supported()
+    {
+        Engine::Rseq
+    } else {
+        Engine::Locks
     };
     let code = match want {
         Engine::Rseq => ENGINE_RSEQ,
@@ -138,6 +187,15 @@ fn decide_default() -> Engine {
         Ok(_) => want,
         Err(prev) if prev == ENGINE_RSEQ => Engine::Rseq,
         Err(_) => Engine::Locks,
+    }
+}
+
+/// What new caches actually run, as one label for run metadata and the
+/// doctor: `off` when `PBS_FASTPATH=off`, else the default engine's label.
+pub fn effective_label() -> &'static str {
+    match FastPathOverride::from_env() {
+        Some(FastPathOverride::Off) => FastPathOverride::Off.label(),
+        _ => default_engine().label(),
     }
 }
 
@@ -160,22 +218,6 @@ pub fn force_locks_engine() -> bool {
 /// plus the `PRIVATE_EXPEDITED_RSEQ` membarrier fence).
 pub fn rseq_available() -> bool {
     rseq::supported()
-}
-
-/// Whether `PBS_FASTPATH=off` disabled the fast path for this process.
-/// Allocators consult this at construction so an `off` run measures the
-/// regular per-CPU paths alone (the pre-fast-path baseline).
-pub fn env_disabled() -> bool {
-    static DISABLED: AtomicU8 = AtomicU8::new(0);
-    match DISABLED.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let off = matches!(std::env::var("PBS_FASTPATH").as_deref(), Ok("off"));
-            DISABLED.store(if off { 2 } else { 1 }, Ordering::Relaxed);
-            off
-        }
-    }
 }
 
 /// Number of per-CPU slots a [`FastCache`] allocates: one per *possible*
@@ -419,8 +461,10 @@ impl FastCache {
 
     /// Pops an object address from the current CPU's slot.
     // Inline into the allocators' hit paths: an outlined call here costs
-    // a measurable share of the emulation engine's per-op budget.
-    #[inline]
+    // a measurable share of the per-op budget (~10 % of a hit), and the
+    // generic slab engine is instantiated in whichever downstream crate
+    // names the cache type, where a plain `#[inline]` hint is not enough.
+    #[inline(always)]
     pub fn pop(&self) -> FastPop {
         if self.off || !self.enabled.load(Ordering::Relaxed) {
             if !self.off {
@@ -438,7 +482,7 @@ impl FastCache {
     ///
     /// `obj` must be a real object address (> 2; the low values are
     /// protocol codes).
-    #[inline]
+    #[inline(always)]
     pub fn push(&self, obj: usize) -> FastPush {
         debug_assert!(obj > 2, "low values are reserved protocol codes");
         if self.off || !self.enabled.load(Ordering::Relaxed) {
@@ -740,6 +784,20 @@ mod tests {
     // values so mistakes are obvious.
     fn addr(i: usize) -> usize {
         0x10_000 + i * 8
+    }
+
+    #[test]
+    fn fastpath_override_parses_strictly() {
+        use FastPathOverride::{Locks, Off, Rseq};
+        assert_eq!(FastPathOverride::parse_env(None), Ok(None));
+        assert_eq!(FastPathOverride::parse_env(Some("")), Ok(None), "CI default leg");
+        for choice in [Rseq, Locks, Off] {
+            assert_eq!(FastPathOverride::parse_env(Some(choice.label())), Ok(Some(choice)));
+        }
+        for typo in ["lock", "LOCKS", " off", "0", "rseq "] {
+            let err = FastPathOverride::parse_env(Some(typo)).unwrap_err();
+            assert!(err.contains("rseq|locks|off"), "accepted values named: {err}");
+        }
     }
 
     #[test]

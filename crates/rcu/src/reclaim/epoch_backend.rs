@@ -16,12 +16,15 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 
 use super::{ClientId, ReclaimBackend, ReclaimClient, ReclaimStats, ReclamationDomain};
-use crate::{GpState, Rcu};
+use crate::Rcu;
 
 /// Epoch-based backend; see the module docs.
 pub struct EpochDomain {
     rcu: Arc<Rcu>,
-    clients: Mutex<Vec<Weak<dyn ReclaimClient>>>,
+    /// Shared with the queued callbacks, which resolve their client at
+    /// delivery time (as the robust backends' deliveries do) — `defer`
+    /// itself never takes this lock.
+    clients: Arc<Mutex<Vec<Weak<dyn ReclaimClient>>>>,
 }
 
 impl EpochDomain {
@@ -33,7 +36,7 @@ impl EpochDomain {
         rcu.attach_backend(ReclaimBackend::Epoch);
         Self {
             rcu,
-            clients: Mutex::new(Vec::new()),
+            clients: Arc::default(),
         }
     }
 }
@@ -63,10 +66,14 @@ impl ReclamationDomain for EpochDomain {
                 pbs_telemetry::site::BACKEND_EPOCH,
             );
         }
-        let client = self.clients.lock()[client].clone();
+        let clients = Arc::clone(&self.clients);
         self.rcu.call_rcu(Box::new(move || {
+            // Attribution is credited here and nowhere downstream: the
+            // grace period elapsed, so the object is reusable now even if
+            // its client is already gone.
             pbs_telemetry::site::note_reclaimed(addr);
-            if let Some(client) = client.upgrade() {
+            let client = clients.lock().get(client).and_then(Weak::upgrade);
+            if let Some(client) = client {
                 client.reclaim_addrs(&[addr]);
             }
         }));
@@ -124,13 +131,6 @@ impl std::fmt::Debug for EpochDomain {
             .field("backlog", &self.rcu.callback_backlog())
             .finish()
     }
-}
-
-/// Convenience: the state a deferred object would be stamped with now.
-/// Used by tests that compare adapter behaviour against the raw API.
-#[allow(dead_code)]
-pub(crate) fn current_state(rcu: &Rcu) -> GpState {
-    rcu.gp_state()
 }
 
 #[cfg(test)]

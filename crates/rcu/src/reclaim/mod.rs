@@ -14,8 +14,8 @@
 //! | `hyaline` | reference-tracked batches + ejection | `batch_size + defer-rate × eject_after` |
 //!
 //! Selection mirrors the `PBS_FASTPATH` pattern: `PBS_RECLAIM=epoch|hp|
-//! hyaline` picks the backend new testbeds construct, decided once per
-//! process ([`ReclaimBackend::from_env`]).
+//! hyaline` picks the backend new testbeds construct, parsed once per
+//! process ([`ReclaimBackend::from_env`]); anything else aborts.
 //!
 //! ## Reader contracts
 //!
@@ -115,20 +115,37 @@ impl ReclaimBackend {
         }
     }
 
-    /// The backend new testbeds select, honoring `PBS_RECLAIM`
-    /// (`epoch` / `hp` / `hyaline`). Decided once per process, mirroring
-    /// `PBS_FASTPATH`: unknown or unset values fall back to [`Epoch`]
-    /// (the paper's scheme stays the default).
+    /// Parses a `PBS_RECLAIM` value (`epoch` / `hp` / `hyaline`). Unset
+    /// and empty both mean "no override"; a typo is an error rather than
+    /// the default, so a misspelt CI matrix leg cannot silently test epoch
+    /// and stay green.
+    pub fn parse_env(value: Option<&str>) -> Result<Option<ReclaimBackend>, String> {
+        match value {
+            None | Some("") => Ok(None),
+            Some(v) => v.parse().map(Some).map_err(|e| format!("PBS_RECLAIM: {e}")),
+        }
+    }
+
+    /// The process's `PBS_RECLAIM` override, read and parsed once.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the accepted values, if the variable holds anything
+    /// [`parse_env`](Self::parse_env) rejects.
+    pub fn env_override() -> Option<ReclaimBackend> {
+        static CHOICE: OnceLock<Option<ReclaimBackend>> = OnceLock::new();
+        *CHOICE.get_or_init(|| {
+            let raw = std::env::var_os("PBS_RECLAIM").map(|v| v.to_string_lossy().into_owned());
+            Self::parse_env(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"))
+        })
+    }
+
+    /// The backend new testbeds select: the `PBS_RECLAIM` override, else
+    /// [`Epoch`] (the paper's scheme stays the default).
     ///
     /// [`Epoch`]: ReclaimBackend::Epoch
     pub fn from_env() -> ReclaimBackend {
-        static CHOICE: OnceLock<ReclaimBackend> = OnceLock::new();
-        *CHOICE.get_or_init(|| {
-            std::env::var("PBS_RECLAIM")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(ReclaimBackend::Epoch)
-        })
+        Self::env_override().unwrap_or(ReclaimBackend::Epoch)
     }
 }
 
@@ -282,33 +299,20 @@ pub trait ReclamationDomain: Send + Sync {
     fn reclaim_stats(&self) -> ReclaimStats;
 }
 
-/// A cache's attachment to its domain: the domain handle, the cache's
-/// client id within it, and whether the backend is *robust* (bounds
-/// garbage under stalled readers — i.e. anything but `epoch`).
-///
-/// The `robust` flag is what the allocator hot paths branch on: the
-/// epoch backend keeps the caches' existing latent/callback machinery
-/// byte-for-byte (the paper's scheme, and the perf baseline), while
-/// robust backends divert deferred objects into the domain.
+/// A cache's attachment to its domain: the domain handle and the cache's
+/// client id within it.
 pub struct DomainHandle {
     /// The attached domain.
     pub domain: Arc<dyn ReclamationDomain>,
     /// This cache's client id within [`domain`](Self::domain).
     pub client: ClientId,
-    /// `backend() != Epoch`: deferred objects route through the domain.
-    pub robust: bool,
 }
 
 impl DomainHandle {
     /// Registers `client` with `domain` and wraps both.
     pub fn attach(domain: Arc<dyn ReclamationDomain>, client: Weak<dyn ReclaimClient>) -> Self {
         let client = domain.register_client(client);
-        let robust = domain.backend() != ReclaimBackend::Epoch;
-        Self {
-            domain,
-            client,
-            robust,
-        }
+        Self { domain, client }
     }
 }
 
@@ -317,7 +321,6 @@ impl fmt::Debug for DomainHandle {
         f.debug_struct("DomainHandle")
             .field("backend", &self.domain.backend())
             .field("client", &self.client)
-            .field("robust", &self.robust)
             .finish()
     }
 }
@@ -372,6 +375,17 @@ mod tests {
         }
         assert!("garbage".parse::<ReclaimBackend>().is_err());
         assert_eq!(" HP ".parse::<ReclaimBackend>(), Ok(ReclaimBackend::Hp));
+    }
+
+    #[test]
+    fn env_values_parse_strictly() {
+        assert_eq!(ReclaimBackend::parse_env(None), Ok(None));
+        assert_eq!(ReclaimBackend::parse_env(Some("")), Ok(None));
+        for backend in ReclaimBackend::ALL {
+            assert_eq!(ReclaimBackend::parse_env(Some(backend.label())), Ok(Some(backend)));
+        }
+        let err = ReclaimBackend::parse_env(Some("hyalin")).unwrap_err();
+        assert!(err.contains("epoch|hp|hyaline"), "accepted values named: {err}");
     }
 
     #[test]

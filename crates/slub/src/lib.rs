@@ -4,10 +4,15 @@
 //! against: per-CPU object caches over per-node full/partial/free slab
 //! lists, refill/flush in halves, grow/shrink against the page allocator.
 //!
+//! The crate is one [`SlabPolicy`](pbs_alloc_api::engine::SlabPolicy) over
+//! the shared [`SlabEngine`](pbs_alloc_api::engine::SlabEngine); every
+//! line that is not a SLUB decision is literally the code Prudence runs.
+//!
 //! **Deferred frees are not visible to this allocator.** `free_deferred`
-//! registers an RCU callback (exactly like kernel code calling
-//! `call_rcu(..., kfree_cb)`), so deferred objects are reclaimed later, in
-//! bursts, by background reclaimer threads throttled per
+//! hands the object to the attached reclamation domain — under the default
+//! epoch backend that registers an RCU callback, exactly like kernel code
+//! deferring a `kfree` through RCU — so deferred objects are reclaimed
+//! later, in bursts, by background reclaimer threads throttled per
 //! [`RcuConfig`](pbs_rcu::RcuConfig). This reproduces the pathologies of
 //! paper §3: bursty freeing, extended object lifetimes, high object-cache
 //! and slab churn, and OOM under sustained deferred-free load.
@@ -33,9 +38,41 @@
 //! ```
 
 mod cache;
-mod factory;
-mod heap;
 
-pub use cache::{SlubCache, SlubTuning};
-pub use factory::SlubFactory;
-pub use heap::SlubHeap;
+pub use cache::{SlubCache, SlubPolicy, SlubTuning};
+
+/// Creates [`SlubCache`]s sharing one page allocator and RCU domain.
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Arc;
+/// use pbs_alloc_api::CacheFactory;
+/// use pbs_mem::PageAllocator;
+/// use pbs_rcu::Rcu;
+/// use pbs_slub::SlubFactory;
+///
+/// let f = SlubFactory::new(4, Arc::new(PageAllocator::new()), Arc::new(Rcu::new()));
+/// let cache = f.create_cache("dentry", 192);
+/// assert_eq!(cache.object_size(), 192);
+/// assert_eq!(f.label(), "slub");
+/// ```
+pub type SlubFactory = pbs_alloc_api::engine::SlabFactory<SlubCache>;
+
+/// A general-purpose allocator front end: one [`SlubCache`] per kmalloc
+/// size class.
+///
+/// # Example
+///
+/// ```
+/// use std::sync::Arc;
+/// use pbs_mem::PageAllocator;
+/// use pbs_rcu::Rcu;
+/// use pbs_slub::SlubHeap;
+///
+/// let heap = SlubHeap::new(4, Arc::new(PageAllocator::new()), Arc::new(Rcu::new()));
+/// let obj = heap.kmalloc(100)?; // served by kmalloc-128
+/// unsafe { heap.kfree(obj, 100) };
+/// # Ok::<(), pbs_alloc_api::AllocError>(())
+/// ```
+pub type SlubHeap = pbs_alloc_api::engine::KmallocHeap<SlubCache>;

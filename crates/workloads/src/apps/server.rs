@@ -58,6 +58,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use pbs_alloc_api::engine::EngineConfig;
 use pbs_alloc_api::{ObjPtr, ObjectAllocator};
 use pbs_fault::{site, FaultInjector, Schedule};
 use pbs_rcu::reclaim::{ReclaimBackend, ReclaimConfig, ReclaimStats};
@@ -588,12 +589,9 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
     let mut slub_tuning = None;
     let mut prudence_config = None;
     if let Some((soft, hard)) = params.pressure_watermarks {
-        slub_tuning = Some(SlubTuning {
-            soft_watermark: soft,
-            hard_watermark: hard,
-            ..SlubTuning::default()
-        });
-        prudence_config = Some(PrudenceConfig::new(params.shards).with_watermarks(soft, hard));
+        let engine = EngineConfig::new(params.shards).with_watermarks(soft, hard);
+        slub_tuning = Some(SlubTuning::from(engine.clone()));
+        prudence_config = Some(PrudenceConfig::from(engine));
     }
 
     let bed = Testbed::new_tuned(

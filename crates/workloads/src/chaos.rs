@@ -33,6 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use pbs_alloc_api::engine::EngineConfig;
 use pbs_alloc_api::{fastpath_default_engine, FastPathEngine, ObjPtr};
 use pbs_fault::{site, FaultInjector, Schedule};
 use pbs_rcu::reclaim::{ReclaimBackend, ReclaimConfig, ReclaimStats};
@@ -468,12 +469,9 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
             // grows to collide with the budget; the ladder's expedited
             // drain then succeeds as soon as a pin releases.
             staller_hold = Duration::from_millis(4);
-            slub_tuning = Some(SlubTuning {
-                soft_watermark: 64,
-                hard_watermark: 256,
-                ..SlubTuning::default()
-            });
-            prudence_config = Some(PrudenceConfig::new(params.threads).with_watermarks(64, 256));
+            let engine = EngineConfig::new(params.threads).with_watermarks(64, 256);
+            slub_tuning = Some(SlubTuning::from(engine.clone()));
+            prudence_config = Some(PrudenceConfig::from(engine));
         }
     }
 

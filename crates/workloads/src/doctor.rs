@@ -29,6 +29,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pbs_alloc_api::TelemetrySnapshot;
+use pbs_rcu::reclaim::ReclaimBackend;
 use serde::{Deserialize, Serialize};
 
 use crate::telemetry_export::to_prometheus;
@@ -162,6 +163,15 @@ pub fn render_doctor(snap: &TelemetrySnapshot) -> String {
         report.outstanding,
         fmt_ns(report.oldest_outstanding_ns),
         report.deferred_in_domain,
+    );
+    let or_unset = |label: Option<&'static str>| label.unwrap_or("unset");
+    let _ = writeln!(
+        out,
+        "fastpath: {} (PBS_FASTPATH={})   reclaim default: {} (PBS_RECLAIM={})",
+        pbs_alloc_api::fastpath_effective_label(),
+        or_unset(pbs_alloc_api::FastPathOverride::from_env().map(|o| o.label())),
+        ReclaimBackend::from_env(),
+        or_unset(ReclaimBackend::env_override().map(|b| b.label())),
     );
     let _ = writeln!(out);
     let _ = writeln!(out, "-- top sites by outstanding bytes --");
@@ -453,6 +463,10 @@ mod tests {
         assert!(!report.backend.is_empty());
         let text = render_doctor(&snap);
         assert!(text.contains("reclamation doctor"));
+        assert!(
+            text.contains("fastpath: ") && text.contains("reclaim default: "),
+            "header names both effective env settings: {text}"
+        );
         assert!(text.contains("top sites"));
         assert!(text.contains("cache pressure"));
     }

@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
+use pbs_alloc_api::engine::EngineConfig;
 use pbs_mem::WatermarkSampler;
 use pbs_rcu::reclaim::{ReclaimBackend, ReclaimConfig};
 use pbs_rcu::RcuConfig;
@@ -133,8 +134,10 @@ pub fn run_endurance(kind: AllocatorKind, params: &EnduranceParams) -> Endurance
         Some(params.memory_limit),
         None,
         Some(pbs_slub::SlubTuning {
-            oom_retries: 0,
-            ..Default::default()
+            engine: EngineConfig {
+                oom_retries: 0,
+                ..Default::default()
+            },
         }),
         None,
         params

@@ -106,7 +106,7 @@ impl Testbed {
     /// and recovery-ladder depth (the endurance experiment pins
     /// `oom_retries: 0` to reproduce the paper's unhardened baseline), and
     /// `prudence_config` overrides the Prudence configuration wholesale
-    /// (its `ncpus` is forced to match). Each override applies only to its
+    /// (either way `engine.ncpus` is forced to match). Each override applies only to its
     /// own allocator kind; `None` keeps the defaults.
     ///
     /// `reclaim` overrides the reclamation backend and its tuning;
@@ -148,15 +148,18 @@ impl Testbed {
             reclaim.unwrap_or_else(|| (ReclaimBackend::from_env(), ReclaimConfig::default()));
         let domain = domain_for(Arc::clone(&rcu), backend, reclaim_config);
         let factory: Box<dyn CacheFactory> = match kind {
-            AllocatorKind::Slub => Box::new(SlubFactory::with_domain(
-                ncpus,
-                slub_tuning.unwrap_or_default(),
-                Arc::clone(&pages),
-                Arc::clone(&domain),
-            )),
+            AllocatorKind::Slub => {
+                let mut tuning = slub_tuning.unwrap_or_default();
+                tuning.engine.ncpus = ncpus;
+                Box::new(SlubFactory::with_domain(
+                    tuning,
+                    Arc::clone(&pages),
+                    Arc::clone(&domain),
+                ))
+            }
             AllocatorKind::Prudence => {
                 let mut config = prudence_config.unwrap_or_else(|| PrudenceConfig::new(ncpus));
-                config.ncpus = ncpus;
+                config.engine.ncpus = ncpus;
                 Box::new(PrudenceFactory::with_domain(
                     config,
                     Arc::clone(&pages),
