@@ -127,20 +127,6 @@ fn alloc_with_reclaim_stall(cache: &dyn ObjectAllocator) -> pbs_alloc_api::ObjPt
     }
 }
 
-/// Runs Figure 6 for both allocators across the paper's size range.
-pub fn figure6(
-    sizes: &[usize],
-    params: &MicrobenchParams,
-) -> Vec<(AllocatorKind, MicrobenchPoint)> {
-    let mut out = Vec::new();
-    for &size in sizes {
-        for kind in AllocatorKind::BOTH {
-            out.push((kind, run_microbench(kind, size, params)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,8 +154,8 @@ mod tests {
 
     #[test]
     fn prudence_improves_allocator_attributes() {
-        // Timing claims are checked by the release-mode benches; in unit
-        // tests we assert the robust allocator-attribute wins the paper
+        // Timing is the ledger's business (`defer_churn`); in unit tests
+        // we assert the robust allocator-attribute wins the paper
         // reports in Figures 9-10: Prudence needs fewer slab grows and a
         // lower peak slab count because deferred objects stay reusable.
         let params = MicrobenchParams {

@@ -472,17 +472,6 @@ pub fn write_snapshot_json(
     Ok(path)
 }
 
-/// Parses the `--telemetry <prefix>` flag shared by the workload bins:
-/// when present, the bin accumulates its runs' snapshots and writes
-/// `<prefix>.prom` + `<prefix>.trace.json` at exit via
-/// [`write_telemetry`].
-pub fn telemetry_arg(args: &[String]) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == "--telemetry")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
-}
-
 /// Folds one run's snapshot into a bin-wide accumulator, prefixing cache
 /// names with a run label (e.g. the allocator kind) so same-named caches
 /// from different runs stay distinguishable after the merge.
