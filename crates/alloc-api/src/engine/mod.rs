@@ -407,8 +407,8 @@ impl<P: SlabPolicy> SlabEngine<P> {
                 self.reclaim.domain.expedite();
             }
         }
-        if self.stats.pressure_level.load(Ordering::Relaxed) >= 2 {
-            self.stats.assisted_merges.fetch_add(1, Ordering::Relaxed);
+        if self.stats.cold.pressure_level.load(Ordering::Relaxed) >= 2 {
+            self.stats.cold.assisted_merges.fetch_add(1, Ordering::Relaxed);
             self.policy.assist(self);
         }
     }
@@ -575,7 +575,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// grace-period-blocking to backoff-and-retry. Every entry counts as an
     /// `oom_wait` — the ladder only runs when allocation actually failed.
     fn run_recovery_stage(&self, attempt: usize) {
-        self.stats.oom_waits.fetch_add(1, Ordering::Relaxed);
+        self.stats.cold.oom_waits.fetch_add(1, Ordering::Relaxed);
         match attempt {
             // Stage 1: consolidate free objects without waiting for any
             // grace period.

@@ -24,6 +24,7 @@
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam::utils::CachePadded;
+use pbs_telemetry::table::Cell;
 use pbs_telemetry::{ComponentTelemetry, EventKind, EventRing, LogHistogram, NamedHistogram};
 use serde::{Deserialize, Serialize};
 
@@ -70,6 +71,16 @@ impl Counter {
     }
 }
 
+impl Cell for Counter {
+    fn get(&self) -> u64 {
+        Counter::get(self)
+    }
+    /// Owner-only, as [`Counter::bump`].
+    fn set(&self, v: u64) {
+        self.0.store(v, Ordering::Relaxed);
+    }
+}
+
 /// A signed per-shard tally (live-object delta: allocations minus frees
 /// attributed to this shard; individual shards can go negative when an
 /// object is allocated on one CPU and freed on another).
@@ -102,45 +113,119 @@ impl SignedCounter {
     }
 }
 
-/// Per-CPU block of hot-path counters. One per CPU slot, cache-padded so
-/// slots never false-share.
-#[derive(Debug, Default)]
-pub struct StatShard {
-    /// Allocation requests served (successfully).
-    pub alloc_requests: Counter,
-    /// Allocations served directly from the per-CPU object cache.
-    pub cache_hits: Counter,
-    /// Allocations served after merging safe deferred objects from the
-    /// latent cache (Prudence only; counted as hits for Figure 7, tracked
-    /// separately for diagnostics).
-    pub latent_hits: Counter,
-    /// Immediate frees.
-    pub frees: Counter,
-    /// Deferred frees (`free_deferred`).
-    pub deferred_frees: Counter,
-    /// Object-cache refill operations (from node slabs).
-    pub refills: Counter,
-    /// Refills that were *partial* because deferred objects were pending in
-    /// the latent cache (Prudence optimization, §4.2).
-    pub partial_refills: Counter,
-    /// Object-cache flush operations (to node slabs).
-    pub flushes: Counter,
-    /// Latent-cache pre-flush operations performed off the hot path.
-    pub preflushes: Counter,
-    /// Slab pre-movements between full/partial/free lists (Prudence, §4.2).
-    pub pre_movements: Counter,
-    /// Times the node-list lock was contended (try_lock failed).
-    /// Single-writer under the *node* lock — bumped (plain [`Counter::bump`])
-    /// only by the thread that just acquired it, and always attributed to
-    /// shard 0. Never bump this without holding the node lock: it would
-    /// race the existing non-atomic bumps.
-    pub node_lock_contended: Counter,
-    /// Times the home CPU slot's try_lock failed and the allocation took
-    /// the slow path (spin, neighbor slot, or blocking acquire). Recorded
-    /// outside slot locks: use [`Counter::add_contended`].
-    pub cpu_slot_misses: Counter,
-    /// Live-object delta attributed to this shard.
-    pub live_delta: SignedCounter,
+pbs_telemetry::counter_table! {
+    /// Immutable snapshot of [`CacheStats`] plus derived metrics.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pbs_alloc_api::CacheStats;
+    ///
+    /// let stats = CacheStats::new(2);
+    /// stats.record_grow();
+    /// let snap = stats.snapshot(64, 4096);
+    /// assert_eq!(snap.slabs_peak, 1);
+    /// assert_eq!(snap.slab_churns(), 0); // a grow without a shrink is not a churn pair
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+    pub struct CacheStatsSnapshot {
+        /// Object size of the cache ([`merge`](Self::merge) keeps `self`'s).
+        pub object_size: usize,
+        /// Bytes per slab ([`merge`](Self::merge) keeps `self`'s).
+        pub slab_bytes: usize,
+    }
+
+    /// Per-CPU block of hot-path counters. One per CPU slot, cache-padded so
+    /// slots never false-share.
+    pub struct StatShard {
+        /// Allocation requests served (successfully).
+        alloc_requests: Counter => u64, counter "pbs_cache_alloc_requests_total", sum;
+        /// Allocations served directly from the per-CPU object cache.
+        cache_hits: Counter => u64, counter "pbs_cache_hits_total", sum;
+        /// Allocations served after merging safe deferred objects from the
+        /// latent cache (Prudence only; counted as hits for Figure 7, tracked
+        /// separately for diagnostics).
+        latent_hits: Counter => u64, counter "pbs_cache_latent_hits_total", sum;
+        /// Immediate frees.
+        frees: Counter => u64, counter "pbs_cache_frees_total", sum;
+        /// Deferred frees (`free_deferred`).
+        deferred_frees: Counter => u64, counter "pbs_cache_deferred_frees_total", sum;
+        /// Object-cache refill operations (from node slabs).
+        refills: Counter => u64, counter "pbs_cache_refills_total", sum;
+        /// Refills that were *partial* because deferred objects were pending in
+        /// the latent cache (Prudence optimization, §4.2).
+        partial_refills: Counter => u64, counter "pbs_cache_partial_refills_total", sum;
+        /// Object-cache flush operations (to node slabs).
+        flushes: Counter => u64, counter "pbs_cache_flushes_total", sum;
+        /// Latent-cache pre-flush operations performed off the hot path.
+        preflushes: Counter => u64, counter "pbs_cache_preflushes_total", sum;
+        /// Slab pre-movements between full/partial/free lists (Prudence, §4.2).
+        pre_movements: Counter => u64, counter "pbs_cache_pre_movements_total", sum;
+        /// Times the node-list lock was contended (try_lock failed).
+        /// Single-writer under the *node* lock — bumped (plain [`Counter::bump`])
+        /// only by the thread that just acquired it, and always attributed to
+        /// shard 0. Never bump this without holding the node lock: it would
+        /// race the existing non-atomic bumps.
+        node_lock_contended: Counter => u64, counter "pbs_cache_node_lock_contended_total", sum;
+        /// Times the home CPU slot's try_lock failed and the allocation took
+        /// the slow path (spin, neighbor slot, or blocking acquire). Recorded
+        /// outside slot locks: use [`Counter::add_contended`].
+        cpu_slot_misses: Counter => u64, counter "pbs_cache_cpu_slot_misses_total", sum;
+    } + {
+        /// Live-object delta attributed to this shard; the shards' sum,
+        /// clamped at zero, is the snapshot's `live_objects`.
+        pub live_delta: SignedCounter,
+    }
+
+    /// The cold, globally-shared counters of a cache: real atomics, bumped
+    /// with RMWs off the hot path.
+    pub struct ColdStats {
+        /// Slab-cache grow operations (slabs allocated from the page
+        /// allocator). Cold: a grow amortizes over a whole slab of objects.
+        grows: AtomicU64 => u64, counter "pbs_cache_grows_total", sum;
+        /// Slab-cache shrink operations (slabs returned to the page allocator).
+        shrinks: AtomicU64 => u64, counter "pbs_cache_shrinks_total", sum;
+        /// Times an allocation had to wait for a grace period under memory
+        /// pressure instead of triggering OOM (Prudence, §4.2).
+        oom_waits: AtomicU64 => u64, counter "pbs_cache_oom_waits_total", sum;
+        /// Slabs currently allocated.
+        slabs_current: AtomicUsize => usize, gauge "pbs_cache_slabs_current", sum;
+        /// Peak of `slabs_current` (Figure 10). Merging sums it: the
+        /// snapshots describe different caches, whose peaks add up to the
+        /// most slabs the set can have held.
+        slabs_peak: AtomicUsize => usize, gauge "pbs_cache_slabs_peak", sum;
+        /// Deferred-backlog pressure level (gauge): 0 = nominal, 1 = soft
+        /// watermark crossed, 2 = hard watermark crossed. Maintained by
+        /// [`CacheStats::update_pressure`]; a merge reports the worst.
+        pressure_level: AtomicUsize => usize, gauge "pbs_cache_pressure_level", max;
+        /// Pressure-level transitions, either direction.
+        pressure_transitions: AtomicU64 => u64, counter "pbs_cache_pressure_transitions_total", sum;
+        /// Caller-assisted reclaim passes run by freeing threads while at the
+        /// hard pressure level.
+        assisted_merges: AtomicU64 => u64, counter "pbs_cache_assisted_merges_total", sum;
+    }
+
+    derived {
+        /// Live (requested) objects at snapshot time.
+        live_objects: u64, gauge "pbs_cache_live_objects", sum;
+        /// OOM recoveries via ladder stage 1 (local latent flush).
+        oom_recoveries_stage1: u64, counter "pbs_cache_oom_recoveries_total{stage=\"1\"}", sum;
+        /// OOM recoveries via ladder stage 2 (expedited GP + full merge).
+        oom_recoveries_stage2: u64, counter "pbs_cache_oom_recoveries_total{stage=\"2\"}", sum;
+        /// OOM recoveries via ladder stage 3 (backoff retry).
+        oom_recoveries_stage3: u64, counter "pbs_cache_oom_recoveries_total{stage=\"3\"}", sum;
+        /// Operations (pops + pushes) served by the per-CPU fast path with
+        /// no lock and no atomic RMW. Counted for both engines; under the
+        /// emulation engine these are slot-mutex hits with the same
+        /// semantics, so trajectories stay comparable across hosts.
+        rseq_hits: u64, counter "pbs_cache_fastpath_hits_total", sum;
+        /// rseq critical sections restarted by preemption/migration (always
+        /// zero under the emulation engine).
+        rseq_restarts: u64, counter "pbs_cache_fastpath_restarts_total", sum;
+        /// Fast-path operations that bounced to the slow path (empty/full
+        /// slot, disabled fast path, engine switch in flight, contention).
+        fastpath_fallbacks: u64, counter "pbs_cache_fastpath_fallbacks_total", sum;
+    }
 }
 
 /// Live statistics maintained by a slab cache: sharded hot counters plus
@@ -169,27 +254,9 @@ pub struct CacheStats {
     /// allocatable again (the Prudence counterpart of the baseline's
     /// callback delay).
     pub defer_delay_ns: LogHistogram,
-    /// Slab-cache grow operations (slabs allocated from the page
-    /// allocator). Cold: a grow amortizes over a whole slab of objects.
-    pub grows: AtomicU64,
-    /// Slab-cache shrink operations (slabs returned to the page allocator).
-    pub shrinks: AtomicU64,
-    /// Times an allocation had to wait for a grace period under memory
-    /// pressure instead of triggering OOM (Prudence, §4.2).
-    pub oom_waits: AtomicU64,
-    /// Slabs currently allocated.
-    pub slabs_current: AtomicUsize,
-    /// Peak of `slabs_current`.
-    pub slabs_peak: AtomicUsize,
-    /// Deferred-backlog pressure level (gauge): 0 = nominal, 1 = soft
-    /// watermark crossed, 2 = hard watermark crossed. Maintained by
-    /// [`update_pressure`](Self::update_pressure).
-    pub pressure_level: AtomicUsize,
-    /// Pressure-level transitions, either direction.
-    pub pressure_transitions: AtomicU64,
-    /// Caller-assisted reclaim passes run by freeing threads while at the
-    /// hard pressure level.
-    pub assisted_merges: AtomicU64,
+    /// The cold counters and gauges (grows, shrinks, slab and pressure
+    /// levels).
+    pub cold: ColdStats,
     /// Successful OOM-ladder recoveries attributed to each rung (index 0 =
     /// stage 1 local flush, 1 = stage 2 expedited GP + merge, 2 = stage 3
     /// backoff retry). Cold: one bump per recovered allocation.
@@ -216,14 +283,7 @@ impl CacheStats {
             ring: EventRing::new(nshards + 1, CACHE_LANE_CAPACITY),
             slot_wait_ns: LogHistogram::default(),
             defer_delay_ns: LogHistogram::default(),
-            grows: AtomicU64::new(0),
-            shrinks: AtomicU64::new(0),
-            oom_waits: AtomicU64::new(0),
-            slabs_current: AtomicUsize::new(0),
-            slabs_peak: AtomicUsize::new(0),
-            pressure_level: AtomicUsize::new(0),
-            pressure_transitions: AtomicU64::new(0),
-            assisted_merges: AtomicU64::new(0),
+            cold: ColdStats::default(),
             oom_recoveries: [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)],
         }
     }
@@ -246,16 +306,17 @@ impl CacheStats {
         } else {
             0
         };
-        let old = self.pressure_level.load(Ordering::Relaxed);
+        let old = self.cold.pressure_level.load(Ordering::Relaxed);
         if new == old {
             return None;
         }
         if self
+            .cold
             .pressure_level
             .compare_exchange(old, new, Ordering::Relaxed, Ordering::Relaxed)
             .is_ok()
         {
-            self.pressure_transitions.fetch_add(1, Ordering::Relaxed);
+            self.cold.pressure_transitions.fetch_add(1, Ordering::Relaxed);
             Some((old, new))
         } else {
             None
@@ -317,16 +378,16 @@ impl CacheStats {
     /// contribution moot, and `fetch_max` stops right there instead of
     /// retrying a CAS it can no longer win.
     pub fn record_grow(&self) {
-        self.grows.fetch_add(1, Ordering::Relaxed);
-        let now = self.slabs_current.fetch_add(1, Ordering::Relaxed) + 1;
-        self.slabs_peak.fetch_max(now, Ordering::Relaxed);
+        self.cold.grows.fetch_add(1, Ordering::Relaxed);
+        let now = self.cold.slabs_current.fetch_add(1, Ordering::Relaxed) + 1;
+        self.cold.slabs_peak.fetch_max(now, Ordering::Relaxed);
         self.record_node_event(EventKind::SlabGrow, now as u64, 0);
     }
 
     /// Records that a slab was returned to the page allocator.
     pub fn record_shrink(&self) {
-        self.shrinks.fetch_add(1, Ordering::Relaxed);
-        let before = self.slabs_current.fetch_sub(1, Ordering::Relaxed);
+        self.cold.shrinks.fetch_add(1, Ordering::Relaxed);
+        let before = self.cold.slabs_current.fetch_sub(1, Ordering::Relaxed);
         self.record_node_event(EventKind::SlabShrink, before.saturating_sub(1) as u64, 0);
     }
 
@@ -371,33 +432,15 @@ impl CacheStats {
         let mut snap = CacheStatsSnapshot {
             object_size,
             slab_bytes,
-            grows: self.grows.load(Ordering::Relaxed),
-            shrinks: self.shrinks.load(Ordering::Relaxed),
-            oom_waits: self.oom_waits.load(Ordering::Relaxed),
-            slabs_current: self.slabs_current.load(Ordering::Relaxed),
-            slabs_peak: self.slabs_peak.load(Ordering::Relaxed),
-            pressure_level: self.pressure_level.load(Ordering::Relaxed),
-            pressure_transitions: self.pressure_transitions.load(Ordering::Relaxed),
-            assisted_merges: self.assisted_merges.load(Ordering::Relaxed),
             oom_recoveries_stage1: self.oom_recoveries[0].load(Ordering::Relaxed),
             oom_recoveries_stage2: self.oom_recoveries[1].load(Ordering::Relaxed),
             oom_recoveries_stage3: self.oom_recoveries[2].load(Ordering::Relaxed),
             ..CacheStatsSnapshot::default()
         };
+        self.cold.add_into(&mut snap);
         let mut live = 0i64;
         for shard in self.shards.iter() {
-            snap.alloc_requests += shard.alloc_requests.get();
-            snap.cache_hits += shard.cache_hits.get();
-            snap.latent_hits += shard.latent_hits.get();
-            snap.frees += shard.frees.get();
-            snap.deferred_frees += shard.deferred_frees.get();
-            snap.refills += shard.refills.get();
-            snap.partial_refills += shard.partial_refills.get();
-            snap.flushes += shard.flushes.get();
-            snap.preflushes += shard.preflushes.get();
-            snap.pre_movements += shard.pre_movements.get();
-            snap.node_lock_contended += shard.node_lock_contended.get();
-            snap.cpu_slot_misses += shard.cpu_slot_misses.get();
+            shard.add_into(&mut snap);
             live += shard.live_delta.get();
         }
         snap.alloc_requests += fast.alloc_hits;
@@ -410,87 +453,6 @@ impl CacheStats {
         snap.live_objects = live.max(0) as u64;
         snap
     }
-}
-
-/// Immutable snapshot of [`CacheStats`] plus derived metrics.
-///
-/// # Example
-///
-/// ```
-/// use pbs_alloc_api::CacheStats;
-///
-/// let stats = CacheStats::new(2);
-/// stats.record_grow();
-/// let snap = stats.snapshot(64, 4096);
-/// assert_eq!(snap.slabs_peak, 1);
-/// assert_eq!(snap.slab_churns(), 0); // a grow without a shrink is not a churn pair
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct CacheStatsSnapshot {
-    /// Object size of the cache.
-    pub object_size: usize,
-    /// Bytes per slab.
-    pub slab_bytes: usize,
-    /// See [`StatShard`]/[`CacheStats`] field docs for each counter.
-    pub alloc_requests: u64,
-    /// Allocations served directly from the object cache.
-    pub cache_hits: u64,
-    /// Allocations served from merged-in safe deferred objects.
-    pub latent_hits: u64,
-    /// Immediate frees.
-    pub frees: u64,
-    /// Deferred frees.
-    pub deferred_frees: u64,
-    /// Object-cache refills.
-    pub refills: u64,
-    /// Partial refills.
-    pub partial_refills: u64,
-    /// Object-cache flushes.
-    pub flushes: u64,
-    /// Latent-cache pre-flushes.
-    pub preflushes: u64,
-    /// Slab grow operations.
-    pub grows: u64,
-    /// Slab shrink operations.
-    pub shrinks: u64,
-    /// Slab pre-movements.
-    pub pre_movements: u64,
-    /// Contended node-lock acquisitions.
-    pub node_lock_contended: u64,
-    /// Home-CPU-slot try_lock misses (allocation took a slow path).
-    pub cpu_slot_misses: u64,
-    /// OOM-deferral waits.
-    pub oom_waits: u64,
-    /// Slabs currently held.
-    pub slabs_current: usize,
-    /// Peak slabs held (Figure 10).
-    pub slabs_peak: usize,
-    /// Live (requested) objects at snapshot time.
-    pub live_objects: u64,
-    /// Deferred-backlog pressure level at snapshot time (0 = nominal,
-    /// 1 = soft, 2 = hard).
-    pub pressure_level: usize,
-    /// Pressure-level transitions, either direction.
-    pub pressure_transitions: u64,
-    /// Caller-assisted reclaim passes at the hard pressure level.
-    pub assisted_merges: u64,
-    /// OOM recoveries via ladder stage 1 (local latent flush).
-    pub oom_recoveries_stage1: u64,
-    /// OOM recoveries via ladder stage 2 (expedited GP + full merge).
-    pub oom_recoveries_stage2: u64,
-    /// OOM recoveries via ladder stage 3 (backoff retry).
-    pub oom_recoveries_stage3: u64,
-    /// Operations (pops + pushes) served by the per-CPU fast path with
-    /// no lock and no atomic RMW. Counted for both engines; under the
-    /// emulation engine these are slot-mutex hits with the same
-    /// semantics, so trajectories stay comparable across hosts.
-    pub rseq_hits: u64,
-    /// rseq critical sections restarted by preemption/migration (always
-    /// zero under the emulation engine).
-    pub rseq_restarts: u64,
-    /// Fast-path operations that bounced to the slow path (empty/full
-    /// slot, disabled fast path, engine switch in flight, contention).
-    pub fastpath_fallbacks: u64,
 }
 
 impl CacheStatsSnapshot {
@@ -536,46 +498,16 @@ impl CacheStatsSnapshot {
 
     /// Total fragmentation `f_t = allocated / requested` (paper §4.2):
     /// slab memory held by the allocator divided by memory the cache user
-    /// actually has live. Returns `None` when no objects are live.
+    /// actually has live. Returns `None` when no objects are live. Only
+    /// meaningful on an unmerged snapshot: [`merge`](Self::merge) sums
+    /// `slabs_current` and `live_objects` across caches but keeps `self`'s
+    /// `object_size` and `slab_bytes`.
     pub fn total_fragmentation(&self) -> Option<f64> {
         let requested = self.live_objects * self.object_size as u64;
         if requested == 0 {
             return None;
         }
         Some((self.slabs_current * self.slab_bytes) as f64 / requested as f64)
-    }
-
-    /// Folds another snapshot into this one (summing counters, taking max
-    /// of peaks). Useful for aggregating per-CPU or per-class stats.
-    pub fn merge(&mut self, other: &CacheStatsSnapshot) {
-        self.alloc_requests += other.alloc_requests;
-        self.cache_hits += other.cache_hits;
-        self.latent_hits += other.latent_hits;
-        self.frees += other.frees;
-        self.deferred_frees += other.deferred_frees;
-        self.refills += other.refills;
-        self.partial_refills += other.partial_refills;
-        self.flushes += other.flushes;
-        self.preflushes += other.preflushes;
-        self.grows += other.grows;
-        self.shrinks += other.shrinks;
-        self.pre_movements += other.pre_movements;
-        self.node_lock_contended += other.node_lock_contended;
-        self.cpu_slot_misses += other.cpu_slot_misses;
-        self.oom_waits += other.oom_waits;
-        self.slabs_current += other.slabs_current;
-        self.slabs_peak += other.slabs_peak;
-        self.live_objects += other.live_objects;
-        // The merged pressure level is the worst of the two gauges.
-        self.pressure_level = self.pressure_level.max(other.pressure_level);
-        self.pressure_transitions += other.pressure_transitions;
-        self.assisted_merges += other.assisted_merges;
-        self.oom_recoveries_stage1 += other.oom_recoveries_stage1;
-        self.oom_recoveries_stage2 += other.oom_recoveries_stage2;
-        self.oom_recoveries_stage3 += other.oom_recoveries_stage3;
-        self.rseq_hits += other.rseq_hits;
-        self.rseq_restarts += other.rseq_restarts;
-        self.fastpath_fallbacks += other.fastpath_fallbacks;
     }
 }
 
@@ -609,8 +541,8 @@ mod tests {
         let snap = snap_with(|s| {
             s.shard(0).refills.bump_by(10);
             s.shard(1).flushes.bump_by(7);
-            s.grows.store(3, Ordering::Relaxed);
-            s.shrinks.store(5, Ordering::Relaxed);
+            s.cold.grows.store(3, Ordering::Relaxed);
+            s.cold.shrinks.store(5, Ordering::Relaxed);
         });
         assert_eq!(snap.object_cache_churns(), 7);
         assert_eq!(snap.slab_churns(), 3);
@@ -628,7 +560,7 @@ mod tests {
     #[test]
     fn fragmentation_formula() {
         let snap = snap_with(|s| {
-            s.slabs_current.store(2, Ordering::Relaxed);
+            s.cold.slabs_current.store(2, Ordering::Relaxed);
             for _ in 0..64 {
                 s.shard(0).live_delta.bump_add();
             }
@@ -682,19 +614,40 @@ mod tests {
         assert_eq!(snap.shrinks, 1);
     }
 
+    /// Every table row, without naming one: `merge`, `delta` and serde
+    /// follow the table, and preloaded blocks snapshot back every row —
+    /// the derived rows through the fast-path fold that defines them.
     #[test]
-    fn merge_sums_counters() {
-        let mut a = snap_with(|s| {
-            s.shard(0).alloc_requests.bump_by(5);
-            s.shard(0).cache_hits.bump_by(5);
-        });
-        let b = snap_with(|s| {
-            s.shard(0).alloc_requests.bump_by(5);
-            s.shard(0).cache_hits.bump_by(1);
-        });
-        a.merge(&b);
-        assert_eq!(a.alloc_requests, 10);
-        assert!((a.hit_percent() - 60.0).abs() < 1e-9);
+    fn every_row_snapshots_merges_and_deltas_by_its_table_rule() {
+        let want = pbs_telemetry::table::check_table(
+            CacheStatsSnapshot::FIELDS,
+            CacheStatsSnapshot::merge,
+            CacheStatsSnapshot::delta,
+        );
+        let s = CacheStats::new(2);
+        s.shard(1).preload(&want);
+        s.cold.preload(&want);
+        s.oom_recoveries[0].store(want.oom_recoveries_stage1, Ordering::Relaxed);
+        s.oom_recoveries[1].store(want.oom_recoveries_stage2, Ordering::Relaxed);
+        s.oom_recoveries[2].store(want.oom_recoveries_stage3, Ordering::Relaxed);
+        for _ in 0..want.live_objects {
+            s.shard(0).live_delta.bump_add();
+        }
+        // Fast-path pops are requests, hits and live objects the shards
+        // never saw; the fast path's own three counters are derived rows.
+        let fast = pbs_percpu::FastPathSnapshot {
+            alloc_hits: want.rseq_hits,
+            free_hits: 0,
+            restarts: want.rseq_restarts,
+            fallbacks: want.fastpath_fallbacks,
+        };
+        let mut expect = want;
+        expect.alloc_requests += fast.alloc_hits;
+        expect.cache_hits += fast.alloc_hits;
+        expect.live_objects += fast.alloc_hits;
+        assert_eq!(s.snapshot_with_fastpath(0, 0, &fast), expect);
+        // The hot block's layout is part of the hit path's cost.
+        assert_eq!(std::mem::size_of::<StatShard>(), 13 * 8);
     }
 
     #[test]
@@ -731,13 +684,5 @@ mod tests {
         assert_eq!(t.histogram("slot_wait_ns").unwrap().count, 1);
         assert_eq!(t.histogram("defer_delay_ns").unwrap().count, 2);
         assert!(t.histogram("no_such_histogram").is_none());
-    }
-
-    #[test]
-    fn snapshot_serializes() {
-        let snap = snap_with(|s| s.shard(0).alloc_requests.bump());
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: CacheStatsSnapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
     }
 }

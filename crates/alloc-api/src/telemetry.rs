@@ -80,39 +80,18 @@ impl TelemetrySnapshot {
         self.caches.push(CacheTelemetry::capture(alloc));
     }
 
-    /// Folds another snapshot into this one. RCU counters add field-wise
-    /// (two captures of the *same* domain should not be merged — that
-    /// would double-count); caches merge by name, unknown names append.
+    /// Folds another snapshot into this one. RCU and reclamation rows fold
+    /// by their table rules ([`RcuStats::merge`], [`ReclaimStats::merge`]:
+    /// counts add, high-water marks take the maximum — so two captures of
+    /// the *same* domain should not be merged, that would double-count);
+    /// caches merge by name, unknown names append.
     pub fn merge(&mut self, other: &TelemetrySnapshot) {
-        self.rcu.gp_advances += other.rcu.gp_advances;
-        self.rcu.synchronize_calls += other.rcu.synchronize_calls;
-        self.rcu.membarrier_advances += other.rcu.membarrier_advances;
-        self.rcu.fallback_fence_advances += other.rcu.fallback_fence_advances;
-        self.rcu.injected_gp_stalls += other.rcu.injected_gp_stalls;
-        self.rcu.stall_warnings += other.rcu.stall_warnings;
-        self.rcu.stall_blames += other.rcu.stall_blames;
-        self.rcu.longest_stall_ns = self.rcu.longest_stall_ns.max(other.rcu.longest_stall_ns);
-        self.rcu.active_stalls += other.rcu.active_stalls;
-        self.rcu.expedited_gps += other.rcu.expedited_gps;
-        self.rcu.callbacks_enqueued += other.rcu.callbacks_enqueued;
-        self.rcu.callbacks_processed += other.rcu.callbacks_processed;
-        self.rcu.callback_backlog += other.rcu.callback_backlog;
-        self.rcu.max_callback_backlog = self
-            .rcu
-            .max_callback_backlog
-            .max(other.rcu.max_callback_backlog);
+        self.rcu.merge(&other.rcu);
         self.rcu_telemetry.merge(&other.rcu_telemetry);
         if self.reclaim.backend.is_empty() {
             self.reclaim.backend = other.reclaim.backend.clone();
         }
-        self.reclaim.deferred_in_domain += other.reclaim.deferred_in_domain;
-        self.reclaim.scans += other.reclaim.scans;
-        self.reclaim.scan_reclaimed += other.reclaim.scan_reclaimed;
-        self.reclaim.scan_protected += other.reclaim.scan_protected;
-        self.reclaim.batches_sealed += other.reclaim.batches_sealed;
-        self.reclaim.batch_refs_captured += other.reclaim.batch_refs_captured;
-        self.reclaim.ejections += other.reclaim.ejections;
-        self.reclaim.injected_stalls += other.reclaim.injected_stalls;
+        self.reclaim.merge(&other.reclaim);
         self.blame.extend(other.blame.iter().cloned());
         self.sites.merge(&other.sites);
         for cache in &other.caches {
@@ -164,25 +143,25 @@ mod tests {
         snap
     }
 
+    /// The domain halves of a merge are the two tables' own merges (the
+    /// per-row rules are covered by `pbs-rcu`'s table tests); this checks
+    /// they are wired in, one sum row, one max row and the label each.
     #[test]
-    fn merge_folds_every_rcu_counter() {
+    fn merge_folds_rcu_and_reclaim_by_their_tables() {
         let mut a = sample();
-        a.rcu.injected_gp_stalls = 1;
-        a.rcu.stall_warnings = 2;
         a.rcu.longest_stall_ns = 500;
-        a.rcu.expedited_gps = 3;
+        a.rcu.injected_gp_stalls = 1;
+        a.reclaim.injected_stalls = 2;
         let mut b = sample();
-        b.rcu.injected_gp_stalls = 4;
-        b.rcu.stall_warnings = 1;
         b.rcu.longest_stall_ns = 900;
-        b.rcu.active_stalls = 1;
-        b.rcu.expedited_gps = 2;
+        b.rcu.injected_gp_stalls = 4;
+        b.reclaim.backend = "hp".to_owned();
+        b.reclaim.injected_stalls = 3;
         a.merge(&b);
-        assert_eq!(a.rcu.injected_gp_stalls, 5);
-        assert_eq!(a.rcu.stall_warnings, 3);
         assert_eq!(a.rcu.longest_stall_ns, 900, "longest stall is a maximum");
-        assert_eq!(a.rcu.active_stalls, 1);
-        assert_eq!(a.rcu.expedited_gps, 5);
+        assert_eq!(a.rcu.injected_gp_stalls, 5);
+        assert_eq!(a.reclaim.injected_stalls, 5);
+        assert_eq!(a.reclaim.backend, "hp", "an unlabelled side adopts the other's backend");
     }
 
     #[test]

@@ -649,8 +649,8 @@ impl Rcu {
     /// Like [`synchronize`](Self::synchronize), must not be called from
     /// inside a read-side critical section.
     pub fn barrier(&self) {
-        let target = self.inner.stats.callbacks_enqueued();
-        while self.inner.stats.callbacks_processed() < target {
+        let target = self.inner.stats.callbacks_enqueued.load(Ordering::Relaxed);
+        while self.inner.stats.callbacks_processed.load(Ordering::Relaxed) < target {
             self.inner.try_advance();
             std::thread::sleep(Duration::from_micros(50));
         }
@@ -658,7 +658,10 @@ impl Rcu {
 
     /// Snapshot of domain statistics.
     pub fn stats(&self) -> RcuStats {
-        self.inner.stats.snapshot(self.callback_backlog())
+        RcuStats {
+            callback_backlog: self.callback_backlog(),
+            ..self.inner.stats.snapshot()
+        }
     }
 
     /// Every stall-blame report the watchdog has captured: cleared

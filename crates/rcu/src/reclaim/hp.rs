@@ -39,7 +39,7 @@
 //! [`RcuThread::protect`]: crate::RcuThread::protect
 
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
@@ -48,6 +48,7 @@ use pbs_telemetry::EventKind;
 use super::{ClientId, ReclaimBackend, ReclaimClient, ReclaimConfig, ReclaimStats, ReclamationDomain};
 use crate::epoch::HP_SLOTS;
 use crate::membarrier;
+use crate::stats::ReclaimCounters;
 use crate::Rcu;
 
 /// One retired object awaiting an unprotected scan.
@@ -65,11 +66,7 @@ pub struct HpDomain {
     clients: Mutex<Vec<Weak<dyn ReclaimClient>>>,
     retired: Mutex<Vec<Retired>>,
     retire_seq: AtomicU64,
-    deferred: AtomicUsize,
-    scans: AtomicU64,
-    scan_reclaimed: AtomicU64,
-    scan_protected: AtomicU64,
-    injected_stalls: AtomicU64,
+    stats: ReclaimCounters,
 }
 
 impl HpDomain {
@@ -85,11 +82,7 @@ impl HpDomain {
             clients: Mutex::new(Vec::new()),
             retired: Mutex::new(Vec::new()),
             retire_seq: AtomicU64::new(0),
-            deferred: AtomicUsize::new(0),
-            scans: AtomicU64::new(0),
-            scan_reclaimed: AtomicU64::new(0),
-            scan_protected: AtomicU64::new(0),
-            injected_stalls: AtomicU64::new(0),
+            stats: ReclaimCounters::default(),
         }
     }
 
@@ -103,7 +96,7 @@ impl HpDomain {
         let inner = self.rcu.inner();
         if let Some(faults) = &inner.config.fault_injector {
             if faults.should_fail(pbs_fault::site::RECLAIM_ADVANCE) {
-                self.injected_stalls.fetch_add(1, Ordering::Relaxed);
+                self.stats.injected_stalls.fetch_add(1, Ordering::Relaxed);
                 return 0;
             }
         }
@@ -133,10 +126,10 @@ impl HpDomain {
                 ready.entry(entry.client).or_default().push(entry.addr);
             }
         }
-        self.scan_protected.fetch_add(kept.len() as u64, Ordering::Relaxed);
+        self.stats.scan_protected.fetch_add(kept.len() as u64, Ordering::Relaxed);
         *retired = kept;
         drop(retired);
-        self.scans.fetch_add(1, Ordering::Relaxed);
+        self.stats.scans.fetch_add(1, Ordering::Relaxed);
         let reclaimed = self.deliver(ready);
         if pbs_telemetry::enabled() {
             inner.ring.record_thread(
@@ -165,8 +158,8 @@ impl HpDomain {
                 client.reclaim_addrs(&addrs);
             }
         }
-        self.scan_reclaimed.fetch_add(total as u64, Ordering::Relaxed);
-        self.deferred.fetch_sub(total, Ordering::Relaxed);
+        self.stats.scan_reclaimed.fetch_add(total as u64, Ordering::Relaxed);
+        self.stats.deferred_in_domain.fetch_sub(total, Ordering::Relaxed);
         total
     }
 
@@ -202,7 +195,7 @@ impl ReclamationDomain for HpDomain {
             );
         }
         let seq = self.retire_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.deferred.fetch_add(1, Ordering::Relaxed);
+        self.stats.deferred_in_domain.fetch_add(1, Ordering::Relaxed);
         let len = {
             let mut retired = self.retired.lock();
             retired.push(Retired { client, addr, seq });
@@ -250,18 +243,13 @@ impl ReclamationDomain for HpDomain {
     }
 
     fn deferred_in_domain(&self) -> usize {
-        self.deferred.load(Ordering::Relaxed)
+        self.stats.deferred_in_domain.load(Ordering::Relaxed)
     }
 
     fn reclaim_stats(&self) -> ReclaimStats {
         ReclaimStats {
             backend: self.backend().label().to_owned(),
-            deferred_in_domain: self.deferred_in_domain(),
-            scans: self.scans.load(Ordering::Relaxed),
-            scan_reclaimed: self.scan_reclaimed.load(Ordering::Relaxed),
-            scan_protected: self.scan_protected.load(Ordering::Relaxed),
-            injected_stalls: self.injected_stalls.load(Ordering::Relaxed),
-            ..ReclaimStats::default()
+            ..self.stats.snapshot()
         }
     }
 }
@@ -270,7 +258,7 @@ impl std::fmt::Debug for HpDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HpDomain")
             .field("deferred", &self.deferred_in_domain())
-            .field("scans", &self.scans.load(Ordering::Relaxed))
+            .field("scans", &self.stats.scans.load(Ordering::Relaxed))
             .finish()
     }
 }

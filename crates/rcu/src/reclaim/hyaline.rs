@@ -49,7 +49,7 @@
 //! [`ReadGuard::validate`]: crate::ReadGuard::validate
 
 use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -58,6 +58,7 @@ use pbs_telemetry::EventKind;
 
 use super::{ClientId, ReclaimBackend, ReclaimClient, ReclaimConfig, ReclaimStats, ReclamationDomain};
 use crate::membarrier;
+use crate::stats::ReclaimCounters;
 use crate::Rcu;
 
 /// A captured reader reference: this batch may not release while record
@@ -87,11 +88,7 @@ pub struct HyalineDomain {
     /// One lock for both so a release pass is atomic w.r.t. sealing.
     sealed: Mutex<SealedState>,
     batch_seq: AtomicU64,
-    deferred: AtomicUsize,
-    batches_sealed: AtomicU64,
-    refs_captured: AtomicU64,
-    ejections: AtomicU64,
-    injected_stalls: AtomicU64,
+    stats: ReclaimCounters,
 }
 
 #[derive(Default)]
@@ -113,11 +110,7 @@ impl HyalineDomain {
             open: Mutex::new(Vec::new()),
             sealed: Mutex::new(SealedState::default()),
             batch_seq: AtomicU64::new(0),
-            deferred: AtomicUsize::new(0),
-            batches_sealed: AtomicU64::new(0),
-            refs_captured: AtomicU64::new(0),
-            ejections: AtomicU64::new(0),
-            injected_stalls: AtomicU64::new(0),
+            stats: ReclaimCounters::default(),
         }
     }
 
@@ -129,7 +122,7 @@ impl HyalineDomain {
         let inner = self.rcu.inner();
         if let Some(faults) = &inner.config.fault_injector {
             if faults.should_fail(pbs_fault::site::RECLAIM_ADVANCE) {
-                self.injected_stalls.fetch_add(1, Ordering::Relaxed);
+                self.stats.injected_stalls.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
         }
@@ -161,8 +154,8 @@ impl HyalineDomain {
                 .collect()
         };
         let seq = self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        self.batches_sealed.fetch_add(1, Ordering::Relaxed);
-        self.refs_captured.fetch_add(refs.len() as u64, Ordering::Relaxed);
+        self.stats.batches_sealed.fetch_add(1, Ordering::Relaxed);
+        self.stats.batch_refs_captured.fetch_add(refs.len() as u64, Ordering::Relaxed);
         if pbs_telemetry::enabled() {
             inner
                 .ring
@@ -235,7 +228,7 @@ impl HyalineDomain {
                         }
                         ejected.insert(*r);
                         still_blocking.remove(r);
-                        self.ejections.fetch_add(1, Ordering::Relaxed);
+                        self.stats.ejections.fetch_add(1, Ordering::Relaxed);
                         if pbs_telemetry::enabled() {
                             inner.ring.record_thread(
                                 EventKind::ReaderEject,
@@ -282,7 +275,7 @@ impl HyalineDomain {
                 client.reclaim_addrs(&addrs);
             }
         }
-        self.deferred.fetch_sub(total, Ordering::Relaxed);
+        self.stats.deferred_in_domain.fetch_sub(total, Ordering::Relaxed);
         total
     }
 
@@ -317,7 +310,7 @@ impl ReclamationDomain for HyalineDomain {
                 pbs_telemetry::site::BACKEND_HYALINE,
             );
         }
-        self.deferred.fetch_add(1, Ordering::Relaxed);
+        self.stats.deferred_in_domain.fetch_add(1, Ordering::Relaxed);
         let len = {
             let mut open = self.open.lock();
             open.push((client, addr));
@@ -373,18 +366,13 @@ impl ReclamationDomain for HyalineDomain {
     }
 
     fn deferred_in_domain(&self) -> usize {
-        self.deferred.load(Ordering::Relaxed)
+        self.stats.deferred_in_domain.load(Ordering::Relaxed)
     }
 
     fn reclaim_stats(&self) -> ReclaimStats {
         ReclaimStats {
             backend: self.backend().label().to_owned(),
-            deferred_in_domain: self.deferred_in_domain(),
-            batches_sealed: self.batches_sealed.load(Ordering::Relaxed),
-            batch_refs_captured: self.refs_captured.load(Ordering::Relaxed),
-            ejections: self.ejections.load(Ordering::Relaxed),
-            injected_stalls: self.injected_stalls.load(Ordering::Relaxed),
-            ..ReclaimStats::default()
+            ..self.stats.snapshot()
         }
     }
 }
@@ -393,8 +381,8 @@ impl std::fmt::Debug for HyalineDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HyalineDomain")
             .field("deferred", &self.deferred_in_domain())
-            .field("batches_sealed", &self.batches_sealed.load(Ordering::Relaxed))
-            .field("ejections", &self.ejections.load(Ordering::Relaxed))
+            .field("batches_sealed", &self.stats.batches_sealed.load(Ordering::Relaxed))
+            .field("ejections", &self.stats.ejections.load(Ordering::Relaxed))
             .finish()
     }
 }

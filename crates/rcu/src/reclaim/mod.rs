@@ -53,8 +53,7 @@ use std::str::FromStr;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
-use serde::{Deserialize, Serialize};
-
+pub use crate::stats::ReclaimStats;
 use crate::Rcu;
 
 mod epoch_backend;
@@ -210,34 +209,6 @@ impl ReclaimConfig {
     }
 }
 
-/// Point-in-time statistics of a [`ReclamationDomain`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ReclaimStats {
-    /// [`ReclaimBackend::label`] of the producing backend.
-    pub backend: String,
-    /// Objects deferred into the domain and not yet returned to their
-    /// clients (for `epoch` this is the callback backlog).
-    pub deferred_in_domain: usize,
-    /// `hp`: retire-list scans that ran (refused ones excluded).
-    pub scans: u64,
-    /// `hp`: objects a scan found unprotected and returned.
-    pub scan_reclaimed: u64,
-    /// `hp`: object observations left on the retire list because a
-    /// hazard protected them (an object kept across `n` scans counts
-    /// `n` times).
-    pub scan_protected: u64,
-    /// `hyaline`: batches sealed with a captured reference set.
-    pub batches_sealed: u64,
-    /// `hyaline`: reader references captured across all seals.
-    pub batch_refs_captured: u64,
-    /// `hyaline`: stalled readers ejected to release blocked batches.
-    pub ejections: u64,
-    /// Reclamation steps refused by the `reclaim.advance` fault site
-    /// (for `epoch`, injected stalls are counted in
-    /// [`RcuStats::injected_gp_stalls`](crate::RcuStats) instead).
-    pub injected_stalls: u64,
-}
-
 /// The reclamation contract both allocators program against: pin/unpin
 /// arrive via the shared [`Rcu`] reader registration, everything else —
 /// deferral, progress, blocking drains, stats — goes through this trait.
@@ -386,20 +357,6 @@ mod tests {
         }
         let err = ReclaimBackend::parse_env(Some("hyalin")).unwrap_err();
         assert!(err.contains("epoch|hp|hyaline"), "accepted values named: {err}");
-    }
-
-    #[test]
-    fn reclaim_stats_serde_round_trip() {
-        let stats = ReclaimStats {
-            backend: "hp".to_owned(),
-            deferred_in_domain: 3,
-            scans: 2,
-            scan_reclaimed: 40,
-            ..Default::default()
-        };
-        let content = serde::Serialize::to_content(&stats);
-        let back: ReclaimStats = serde::Deserialize::from_content(&content).unwrap();
-        assert_eq!(back, stats);
     }
 
     #[test]

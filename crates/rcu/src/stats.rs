@@ -1,49 +1,127 @@
-//! RCU domain statistics.
+//! RCU domain and reclamation-backend statistics: the crate's two counter
+//! tables.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use pbs_telemetry::LogHistogram;
 use serde::{Deserialize, Serialize};
 
-/// Internal atomic counters.
-#[derive(Debug, Default)]
-pub(crate) struct StatsInner {
-    pub(crate) gp_advances: AtomicU64,
-    pub(crate) synchronize_calls: AtomicU64,
-    /// Epoch advances decided under the membarrier-elided read protocol
-    /// (readers skipped their publication fence; the advancer issued the
-    /// process-wide barrier).
-    pub(crate) membarrier_advances: AtomicU64,
-    /// Epoch advances decided on the portable path (readers fence
-    /// themselves; `heavy_barrier` is a no-op).
-    pub(crate) fallback_fence_advances: AtomicU64,
-    /// Advance attempts refused because an injected fault (site
-    /// `rcu.advance`) stalled the grace period.
-    pub(crate) injected_gp_stalls: AtomicU64,
-    /// Stall episodes the watchdog warned about (one per episode, however
-    /// long the reader stays pinned).
-    pub(crate) stall_warnings: AtomicU64,
-    /// Longest reader stall ever observed, in nanoseconds (`fetch_max`;
-    /// grows while a stall is still in progress).
-    pub(crate) longest_stall_ns: AtomicU64,
-    /// Readers currently pinned past the stall threshold (gauge: incremented
-    /// at warn, decremented at clear).
-    pub(crate) active_stalls: AtomicU64,
-    /// Stall episodes attributed to a culprit reader (one blame report per
-    /// episode; see [`crate::BlameReport`]).
-    pub(crate) stall_blames: AtomicU64,
-    /// Expedited grace-period drives (`synchronize_expedited` /
-    /// `expedite`).
-    pub(crate) expedited_gps: AtomicU64,
-    enqueued: AtomicU64,
-    processed: AtomicU64,
-    max_backlog: AtomicUsize,
-    /// Wall-clock duration of blocking `synchronize` calls — the paper's
-    /// grace-period latency distribution.
-    pub(crate) gp_latency: LogHistogram,
-    /// `call_rcu` enqueue → callback execution delay: how long the
-    /// baseline's deferred objects stay dead-but-unreusable (§3.2).
-    pub(crate) callback_delay: LogHistogram,
+pbs_telemetry::counter_table! {
+    /// Point-in-time statistics for an [`Rcu`](crate::Rcu) domain.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use pbs_rcu::Rcu;
+    ///
+    /// let rcu = Rcu::new();
+    /// rcu.synchronize();
+    /// let stats = rcu.stats();
+    /// assert!(stats.gp_advances >= 2);
+    /// assert_eq!(stats.callback_backlog, 0);
+    /// // Every advance went through exactly one of the two barrier paths.
+    /// assert_eq!(
+    ///     stats.gp_advances,
+    ///     stats.membarrier_advances + stats.fallback_fence_advances
+    /// );
+    /// ```
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+    pub struct RcuStats {}
+
+    /// The domain's live counters, plus its two latency histograms.
+    pub struct StatsInner {
+        /// Number of epoch advances (two advances = one grace period).
+        gp_advances: AtomicU64 => u64, counter "pbs_rcu_gp_advances_total", sum;
+        /// Number of blocking `synchronize` calls completed.
+        synchronize_calls: AtomicU64 => u64, counter "pbs_rcu_synchronize_calls_total", sum;
+        /// Advances decided with readers on the fence-elided path (the
+        /// advancer's `membarrier` carried the StoreLoad ordering).
+        membarrier_advances: AtomicU64 => u64, counter "pbs_rcu_membarrier_advances_total", sum;
+        /// Advances decided on the portable fallback path (readers issue their
+        /// own publication fence; `heavy_barrier` is a no-op).
+        fallback_fence_advances: AtomicU64 => u64, counter "pbs_rcu_fallback_fence_advances_total", sum;
+        /// Grace-period advance attempts refused by injected faults (fault
+        /// site `rcu.advance`); stays zero without a
+        /// [`fault_injector`](crate::RcuConfig::fault_injector).
+        injected_gp_stalls: AtomicU64 => u64, counter "pbs_rcu_injected_gp_stalls_total", sum;
+        /// Reader stall episodes the watchdog warned about. Exactly one
+        /// warning per episode: the counter bumps when a pin first exceeds
+        /// [`stall_threshold`](crate::RcuConfig::stall_threshold) and not
+        /// again until that reader unpins and stalls anew.
+        stall_warnings: AtomicU64 => u64, counter "pbs_rcu_stall_warnings_total", sum;
+        /// Longest reader stall observed, in nanoseconds (`fetch_max`; still
+        /// growing while a stall is in progress).
+        longest_stall_ns: AtomicU64 => u64, gauge "pbs_rcu_longest_stall_ns", max;
+        /// Readers currently pinned past the stall threshold (gauge:
+        /// incremented at warn, decremented at clear; returns to zero when
+        /// every warned reader unpins).
+        active_stalls: AtomicU64 => u64, gauge "pbs_rcu_active_stalls", sum;
+        /// Stall episodes attributed to a culprit (equals the number of
+        /// [`BlameReport`](crate::BlameReport)s ever opened; at most one per
+        /// warned episode).
+        stall_blames: AtomicU64 => u64, counter "pbs_rcu_stall_blames_total", sum;
+        /// Expedited grace-period drives
+        /// ([`synchronize_expedited`](crate::Rcu::synchronize_expedited) /
+        /// `expedite`).
+        expedited_gps: AtomicU64 => u64, counter "pbs_rcu_expedited_gps_total", sum;
+        /// Callbacks ever queued with `call_rcu`.
+        callbacks_enqueued: AtomicU64 => u64, counter "pbs_rcu_callbacks_enqueued_total", sum;
+        /// Callbacks that have run.
+        callbacks_processed: AtomicU64 => u64, counter "pbs_rcu_callbacks_processed_total", sum;
+        /// Highest backlog ever observed (the paper's §3.4 DoS metric).
+        max_callback_backlog: AtomicUsize => usize, gauge "pbs_rcu_max_callback_backlog", max;
+    } + {
+        /// Wall-clock duration of blocking `synchronize` calls — the paper's
+        /// grace-period latency distribution.
+        pub gp_latency: LogHistogram,
+        /// `call_rcu` enqueue → callback execution delay: how long the
+        /// baseline's deferred objects stay dead-but-unreusable (§3.2).
+        pub callback_delay: LogHistogram,
+    }
+
+    derived {
+        /// Callbacks currently waiting (the queue's length, read by
+        /// [`Rcu::stats`](crate::Rcu::stats)).
+        callback_backlog: usize, gauge "pbs_rcu_callback_backlog", sum;
+    }
+}
+
+pbs_telemetry::counter_table! {
+    /// Point-in-time statistics of a
+    /// [`ReclamationDomain`](crate::reclaim::ReclamationDomain).
+    #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ReclaimStats {
+        /// [`ReclaimBackend::label`](crate::reclaim::ReclaimBackend::label)
+        /// of the producing backend.
+        pub backend: String,
+    }
+
+    /// The live counters of the `hp` and `hyaline` domains (each bumps the
+    /// rows of its own mechanism; the rest stay zero, which is how every
+    /// backend exports the same series).
+    pub struct ReclaimCounters {
+        /// Objects deferred into the domain and not yet returned to their
+        /// clients (for `epoch` this is the callback backlog).
+        deferred_in_domain: AtomicUsize => usize, gauge "pbs_reclaim_deferred_in_domain", sum;
+        /// `hp`: retire-list scans that ran (refused ones excluded).
+        scans: AtomicU64 => u64, counter "pbs_reclaim_hp_scans_total", sum;
+        /// `hp`: objects a scan found unprotected and returned.
+        scan_reclaimed: AtomicU64 => u64, counter "pbs_reclaim_scan_reclaimed_total", sum;
+        /// `hp`: object observations left on the retire list because a
+        /// hazard protected them (an object kept across `n` scans counts
+        /// `n` times).
+        scan_protected: AtomicU64 => u64, counter "pbs_reclaim_scan_protected_total", sum;
+        /// `hyaline`: batches sealed with a captured reference set.
+        batches_sealed: AtomicU64 => u64, counter "pbs_reclaim_batch_seals_total", sum;
+        /// `hyaline`: reader references captured across all seals.
+        batch_refs_captured: AtomicU64 => u64, counter "pbs_reclaim_batch_refs_captured_total", sum;
+        /// `hyaline`: stalled readers ejected to release blocked batches.
+        ejections: AtomicU64 => u64, counter "pbs_reclaim_reader_ejects_total", sum;
+        /// Reclamation steps refused by the `reclaim.advance` fault site
+        /// (for `epoch`, the domain's
+        /// [`injected_gp_stalls`](RcuStats::injected_gp_stalls), mirrored).
+        injected_stalls: AtomicU64 => u64, counter "pbs_reclaim_injected_stalls_total", sum;
+    }
 }
 
 impl StatsInner {
@@ -55,12 +133,12 @@ impl StatsInner {
     /// hand-rolled CAS loop this replaces kept retrying in that situation
     /// even though it had nothing left to contribute.
     pub(crate) fn record_enqueue(&self, backlog_now: usize) {
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.max_backlog.fetch_max(backlog_now, Ordering::Relaxed);
+        self.callbacks_enqueued.fetch_add(1, Ordering::Relaxed);
+        self.max_callback_backlog.fetch_max(backlog_now, Ordering::Relaxed);
     }
 
     pub(crate) fn record_processed(&self, n: u64) {
-        self.processed.fetch_add(n, Ordering::Relaxed);
+        self.callbacks_processed.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one `call_rcu` enqueue→run delay, given the enqueue
@@ -70,95 +148,6 @@ impl StatsInner {
             self.callback_delay.record(now_ns.saturating_sub(queued_ns));
         }
     }
-
-    pub(crate) fn callbacks_enqueued(&self) -> u64 {
-        self.enqueued.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn callbacks_processed(&self) -> u64 {
-        self.processed.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn snapshot(&self, backlog: usize) -> RcuStats {
-        RcuStats {
-            gp_advances: self.gp_advances.load(Ordering::Relaxed),
-            synchronize_calls: self.synchronize_calls.load(Ordering::Relaxed),
-            membarrier_advances: self.membarrier_advances.load(Ordering::Relaxed),
-            fallback_fence_advances: self.fallback_fence_advances.load(Ordering::Relaxed),
-            injected_gp_stalls: self.injected_gp_stalls.load(Ordering::Relaxed),
-            stall_warnings: self.stall_warnings.load(Ordering::Relaxed),
-            longest_stall_ns: self.longest_stall_ns.load(Ordering::Relaxed),
-            active_stalls: self.active_stalls.load(Ordering::Relaxed),
-            stall_blames: self.stall_blames.load(Ordering::Relaxed),
-            expedited_gps: self.expedited_gps.load(Ordering::Relaxed),
-            callbacks_enqueued: self.enqueued.load(Ordering::Relaxed),
-            callbacks_processed: self.processed.load(Ordering::Relaxed),
-            callback_backlog: backlog,
-            max_callback_backlog: self.max_backlog.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time statistics for an [`Rcu`](crate::Rcu) domain.
-///
-/// # Example
-///
-/// ```
-/// use pbs_rcu::Rcu;
-///
-/// let rcu = Rcu::new();
-/// rcu.synchronize();
-/// let stats = rcu.stats();
-/// assert!(stats.gp_advances >= 2);
-/// assert_eq!(stats.callback_backlog, 0);
-/// // Every advance went through exactly one of the two barrier paths.
-/// assert_eq!(
-///     stats.gp_advances,
-///     stats.membarrier_advances + stats.fallback_fence_advances
-/// );
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct RcuStats {
-    /// Number of epoch advances (two advances = one grace period).
-    pub gp_advances: u64,
-    /// Number of blocking `synchronize` calls completed.
-    pub synchronize_calls: u64,
-    /// Advances decided with readers on the fence-elided path (the
-    /// advancer's `membarrier` carried the StoreLoad ordering).
-    pub membarrier_advances: u64,
-    /// Advances decided on the portable fallback path (readers issue their
-    /// own publication fence).
-    pub fallback_fence_advances: u64,
-    /// Grace-period advance attempts refused by injected faults (fault
-    /// site `rcu.advance`); stays zero without a
-    /// [`fault_injector`](crate::RcuConfig::fault_injector).
-    pub injected_gp_stalls: u64,
-    /// Reader stall episodes the watchdog warned about. Exactly one
-    /// warning per episode: the counter bumps when a pin first exceeds
-    /// [`stall_threshold`](crate::RcuConfig::stall_threshold) and not
-    /// again until that reader unpins and stalls anew.
-    pub stall_warnings: u64,
-    /// Longest reader stall observed, in nanoseconds (still growing while
-    /// a stall is in progress).
-    pub longest_stall_ns: u64,
-    /// Readers currently pinned past the stall threshold (gauge; returns
-    /// to zero when every warned reader unpins).
-    pub active_stalls: u64,
-    /// Stall episodes attributed to a culprit (equals the number of
-    /// [`BlameReport`](crate::BlameReport)s ever opened; at most one per
-    /// warned episode).
-    pub stall_blames: u64,
-    /// Expedited grace-period drives
-    /// ([`synchronize_expedited`](crate::Rcu::synchronize_expedited)).
-    pub expedited_gps: u64,
-    /// Callbacks ever queued with `call_rcu`.
-    pub callbacks_enqueued: u64,
-    /// Callbacks that have run.
-    pub callbacks_processed: u64,
-    /// Callbacks currently waiting.
-    pub callback_backlog: usize,
-    /// Highest backlog ever observed (the paper's §3.4 DoS metric).
-    pub max_callback_backlog: usize,
 }
 
 #[cfg(test)]
@@ -171,10 +160,9 @@ mod tests {
         s.record_enqueue(1);
         s.record_enqueue(2);
         s.record_processed(1);
-        let snap = s.snapshot(1);
+        let snap = s.snapshot();
         assert_eq!(snap.callbacks_enqueued, 2);
         assert_eq!(snap.callbacks_processed, 1);
-        assert_eq!(snap.callback_backlog, 1);
         assert_eq!(snap.max_callback_backlog, 2);
     }
 
@@ -183,7 +171,7 @@ mod tests {
         let s = StatsInner::default();
         s.record_enqueue(10);
         s.record_enqueue(3);
-        assert_eq!(s.snapshot(0).max_callback_backlog, 10);
+        assert_eq!(s.snapshot().max_callback_backlog, 10);
     }
 
     #[test]
@@ -204,8 +192,9 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(s.snapshot(0).max_callback_backlog, 3999);
-        assert_eq!(s.callbacks_enqueued(), 4000);
+        let snap = s.snapshot();
+        assert_eq!(snap.max_callback_backlog, 3999);
+        assert_eq!(snap.callbacks_enqueued, 4000);
     }
 
     #[test]
@@ -219,16 +208,30 @@ mod tests {
         assert_eq!(snap.sum, 60);
     }
 
+    /// Every table row, without naming one (the derived backlog row is
+    /// filled by `Rcu::stats`, so the live block reads back all but it).
     #[test]
-    fn rcu_stats_serde_round_trip() {
-        let stats = RcuStats {
-            gp_advances: 7,
-            membarrier_advances: 7,
-            callback_backlog: 3,
-            ..Default::default()
+    fn every_row_snapshots_merges_and_deltas_by_its_table_rule() {
+        let want =
+            pbs_telemetry::table::check_table(RcuStats::FIELDS, RcuStats::merge, RcuStats::delta);
+        let s = StatsInner::default();
+        s.preload(&want);
+        let got = RcuStats {
+            callback_backlog: want.callback_backlog,
+            ..s.snapshot()
         };
-        let content = serde::Serialize::to_content(&stats);
-        let back: RcuStats = serde::Deserialize::from_content(&content).unwrap();
-        assert_eq!(back, stats);
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn every_reclaim_row_snapshots_merges_and_deltas_by_its_table_rule() {
+        let want = pbs_telemetry::table::check_table(
+            ReclaimStats::FIELDS,
+            ReclaimStats::merge,
+            ReclaimStats::delta,
+        );
+        let live = ReclaimCounters::default();
+        live.preload(&want);
+        assert_eq!(live.snapshot(), want);
     }
 }

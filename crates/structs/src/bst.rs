@@ -19,9 +19,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pbs_alloc_api::{AllocError, ObjPtr, ObjectAllocator};
-use pbs_rcu::reclaim::ReclaimBackend;
+use pbs_alloc_api::{AllocError, ObjectAllocator};
 use pbs_rcu::{ReadGuard, TraversalKind};
+
+use crate::NodeAlloc;
 
 #[repr(C)]
 struct Node<T> {
@@ -60,17 +61,12 @@ struct Node<T> {
 /// ```
 pub struct RcuBst<T> {
     root: AtomicPtr<Node<T>>,
-    alloc: Arc<dyn ObjectAllocator>,
+    nodes: NodeAlloc,
     writer: Mutex<()>,
     len: AtomicUsize,
     /// Deferred node versions across the tree's lifetime (diagnostics for
     /// the multiple-deferrals-per-update claim).
     deferred_versions: AtomicU64,
-    domain_id: u64,
-    /// The reclamation backend node frees defer into; selects the
-    /// per-hop protection of read-side walks (see `check_guard`).
-    backend: ReclaimBackend,
-    kind: TraversalKind,
     _marker: PhantomData<T>,
 }
 
@@ -95,47 +91,14 @@ impl<T: Copy + Send + Sync> RcuBst<T> {
     /// Panics if the allocator's objects are too small or under-aligned
     /// for a node of `T`.
     pub fn new(alloc: Arc<dyn ObjectAllocator>) -> Self {
-        assert!(
-            std::mem::size_of::<Node<T>>() <= alloc.object_size(),
-            "allocator objects too small: need {} bytes, cache serves {}",
-            std::mem::size_of::<Node<T>>(),
-            alloc.object_size()
-        );
-        assert!(
-            std::mem::align_of::<Node<T>>() <= 8,
-            "allocator objects are 8-byte aligned; node needs more"
-        );
-        let domain_id = alloc.rcu().id();
-        let backend = alloc
-            .reclaim_domain()
-            .map(|d| d.backend())
-            .unwrap_or(ReclaimBackend::Epoch);
         Self {
             root: AtomicPtr::new(ptr::null_mut()),
-            alloc,
+            nodes: NodeAlloc::new::<Node<T>>(alloc, "tree"),
             writer: Mutex::new(()),
             len: AtomicUsize::new(0),
             deferred_versions: AtomicU64::new(0),
-            domain_id,
-            backend,
-            kind: TraversalKind::from(backend),
             _marker: PhantomData,
         }
-    }
-
-    fn check_guard(&self, guard: &ReadGuard<'_>) {
-        assert_eq!(
-            guard.domain_id(),
-            self.domain_id,
-            "read guard belongs to a different RCU domain than this tree's allocator"
-        );
-        // See `RcuList::check_guard`: the guard must also participate in
-        // the backend that reclaims the nodes, or it protects nothing.
-        assert!(
-            guard.protects_backend(self.backend),
-            "read guard's RCU domain is not watched by this tree's `{}` reclamation backend",
-            self.backend.label()
-        );
     }
 
     fn alloc_node(
@@ -145,39 +108,23 @@ impl<T: Copy + Send + Sync> RcuBst<T> {
         left: *mut Node<T>,
         right: *mut Node<T>,
     ) -> Result<*mut Node<T>, AllocError> {
-        let obj = self.alloc.allocate()?;
-        let node = obj.as_ptr().cast::<Node<T>>();
-        // SAFETY: exclusive object, large and aligned enough (checked in
-        // `new`).
-        unsafe {
-            node.write(Node {
-                key,
-                value,
-                left: AtomicPtr::new(left),
-                right: AtomicPtr::new(right),
-            });
-        }
-        Ok(node)
+        self.nodes.alloc_node(Node {
+            key,
+            value,
+            left: AtomicPtr::new(left),
+            right: AtomicPtr::new(right),
+        })
     }
 
     fn defer_node(&self, node: *mut Node<T>) {
         self.deferred_versions.fetch_add(1, Ordering::Relaxed);
         // SAFETY: node is unlinked from the tree (only pre-existing
         // readers can still see it) and deferred exactly once. Under a
-        // robust backend both child links are poisoned before the defer:
-        // a traversal parked on the retired node restarts from the root
-        // (see `RcuList::retire`) instead of descending through links
-        // whose targets can be reclaimed without this node changing.
-        // Callers must finish reading the node's children *before*
-        // deferring it — all do, since the copies adopt them.
-        unsafe {
-            if self.backend != ReclaimBackend::Epoch {
-                pbs_rcu::poison_link(&(*node).left);
-                pbs_rcu::poison_link(&(*node).right);
-            }
-            self.alloc
-                .free_deferred(ObjPtr::new(ptr::NonNull::new_unchecked(node.cast())));
-        }
+        // robust backend both child links are poisoned before the defer
+        // (see `NodeAlloc::retire`), so callers must finish reading the
+        // node's children *before* deferring it — all do, since the
+        // copies adopt them.
+        unsafe { self.nodes.retire(node, [&(*node).left, &(*node).right]) };
     }
 
     /// Number of entries.
@@ -208,8 +155,8 @@ impl<T: Copy + Send + Sync> RcuBst<T> {
     /// Panics if `guard` belongs to a different RCU domain or one whose
     /// reclamation backend does not watch this tree's domain.
     pub fn lookup(&self, guard: &ReadGuard<'_>, key: u64) -> Option<T> {
-        self.check_guard(guard);
-        guard.walk(self.kind, |t| {
+        self.nodes.check_guard(guard);
+        guard.walk(self.nodes.kind, |t| {
             let mut cur = t.load(&self.root)?;
             while !cur.is_null() {
                 // SAFETY: `t.load` only returns pointers it protects for
@@ -250,13 +197,13 @@ impl<T: Copy + Send + Sync> RcuBst<T> {
     ///
     /// Panics on a cross-domain or backend-mismatched guard.
     pub fn for_each(&self, guard: &ReadGuard<'_>, mut f: impl FnMut(u64, &T)) {
-        self.check_guard(guard);
-        if self.kind == TraversalKind::Epoch {
+        self.nodes.check_guard(guard);
+        if self.nodes.kind == TraversalKind::Epoch {
             return self.for_each_epoch(f);
         }
         let mut last: Option<u64> = None;
         loop {
-            let next = guard.walk(self.kind, |t| {
+            let next = guard.walk(self.nodes.kind, |t| {
                 let mut cur = t.load(&self.root)?;
                 let mut best: *mut Node<T> = ptr::null_mut();
                 while !cur.is_null() {
@@ -456,8 +403,7 @@ impl<T: Copy + Send + Sync> RcuBst<T> {
                 Err(e) => {
                     // Roll back: free the copies (never published).
                     for c in copies {
-                        self.alloc
-                            .free(ObjPtr::new(ptr::NonNull::new_unchecked(c.cast())));
+                        self.nodes.free(c);
                     }
                     return Err(e);
                 }
@@ -470,8 +416,7 @@ impl<T: Copy + Send + Sync> RcuBst<T> {
             Ok(t) => t,
             Err(e) => {
                 for c in copies {
-                    self.alloc
-                        .free(ObjPtr::new(ptr::NonNull::new_unchecked(c.cast())));
+                    self.nodes.free(c);
                 }
                 return Err(e);
             }
@@ -499,8 +444,7 @@ impl<T> Drop for RcuBst<T> {
             unsafe {
                 stack.push((*node).left.load(Ordering::Acquire));
                 stack.push((*node).right.load(Ordering::Acquire));
-                self.alloc
-                    .free(ObjPtr::new(ptr::NonNull::new_unchecked(node.cast())));
+                self.nodes.free(node);
             }
         }
     }
@@ -510,6 +454,7 @@ impl<T> Drop for RcuBst<T> {
 mod tests {
     use super::*;
     use pbs_mem::PageAllocator;
+    use pbs_rcu::reclaim::ReclaimBackend;
     use pbs_rcu::{Rcu, RcuConfig};
     use prudence::{PrudenceCache, PrudenceConfig};
 

@@ -8,9 +8,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pbs_alloc_api::{AllocError, ObjPtr, ObjectAllocator};
-use pbs_rcu::reclaim::ReclaimBackend;
-use pbs_rcu::{ReadGuard, TraversalKind};
+use pbs_alloc_api::{AllocError, ObjectAllocator};
+use pbs_rcu::ReadGuard;
+
+use crate::NodeAlloc;
 
 #[repr(C)]
 struct Node<K, V> {
@@ -53,13 +54,8 @@ pub struct RcuHashMap<K, V> {
     buckets: Vec<AtomicPtr<Node<K, V>>>,
     locks: Vec<Mutex<()>>,
     mask: usize,
-    alloc: Arc<dyn ObjectAllocator>,
+    nodes: NodeAlloc,
     len: AtomicUsize,
-    domain_id: u64,
-    /// The reclamation backend node frees defer into; selects the
-    /// per-hop protection of read-side walks (see `check_guard`).
-    backend: ReclaimBackend,
-    kind: TraversalKind,
     _marker: PhantomData<(K, V)>,
 }
 
@@ -90,31 +86,13 @@ where
     /// is zero.
     pub fn new(alloc: Arc<dyn ObjectAllocator>, buckets: usize) -> Self {
         assert!(buckets > 0, "need at least one bucket");
-        assert!(
-            std::mem::size_of::<Node<K, V>>() <= alloc.object_size(),
-            "allocator objects too small: need {} bytes, cache serves {}",
-            std::mem::size_of::<Node<K, V>>(),
-            alloc.object_size()
-        );
-        assert!(
-            std::mem::align_of::<Node<K, V>>() <= 8,
-            "allocator objects are 8-byte aligned; node needs more"
-        );
         let n = buckets.next_power_of_two();
-        let domain_id = alloc.rcu().id();
-        let backend = alloc
-            .reclaim_domain()
-            .map(|d| d.backend())
-            .unwrap_or(ReclaimBackend::Epoch);
         Self {
             buckets: (0..n).map(|_| AtomicPtr::new(ptr::null_mut())).collect(),
             locks: (0..n).map(|_| Mutex::new(())).collect(),
             mask: n - 1,
-            alloc,
+            nodes: NodeAlloc::new::<Node<K, V>>(alloc, "map"),
             len: AtomicUsize::new(0),
-            domain_id,
-            backend,
-            kind: TraversalKind::from(backend),
             _marker: PhantomData,
         }
     }
@@ -125,52 +103,23 @@ where
         (h.finish() as usize) & self.mask
     }
 
-    fn check_guard(&self, guard: &ReadGuard<'_>) {
-        assert_eq!(
-            guard.domain_id(),
-            self.domain_id,
-            "read guard belongs to a different RCU domain than this map's allocator"
-        );
-        // See `RcuList::check_guard`: the guard must also participate in
-        // the backend that reclaims the nodes, or it protects nothing.
-        assert!(
-            guard.protects_backend(self.backend),
-            "read guard's RCU domain is not watched by this map's `{}` reclamation backend",
-            self.backend.label()
-        );
-    }
-
     fn alloc_node(&self, key: K, value: V, next: *mut Node<K, V>) -> Result<*mut Node<K, V>, AllocError> {
-        let obj = self.alloc.allocate()?;
-        let node = obj.as_ptr().cast::<Node<K, V>>();
-        // SAFETY: exclusive, large and aligned enough (checked in `new`).
-        unsafe {
-            node.write(Node {
-                key,
-                value,
-                next: AtomicPtr::new(next),
-            });
-        }
-        Ok(node)
-    }
-
-    fn obj_of(node: *mut Node<K, V>) -> ObjPtr {
-        // SAFETY: never called with null.
-        ObjPtr::new(unsafe { ptr::NonNull::new_unchecked(node.cast()) })
+        self.nodes.alloc_node(Node {
+            key,
+            value,
+            next: AtomicPtr::new(next),
+        })
     }
 
     /// Retires an unlinked node; under a robust backend its chain link
     /// is poisoned first so parked traversals restart from the bucket
-    /// head instead of following it (see `RcuList::retire`).
+    /// head instead of following it (see `NodeAlloc::retire`).
     ///
     /// # Safety
     ///
     /// `node` must be unlinked and retired exactly once.
     unsafe fn retire(&self, node: *mut Node<K, V>) {
-        if self.backend != ReclaimBackend::Epoch {
-            pbs_rcu::poison_link(&(*node).next);
-        }
-        self.alloc.free_deferred(Self::obj_of(node));
+        self.nodes.retire(node, [&(*node).next]);
     }
 
     /// Number of entries (approximate under concurrent writers).
@@ -232,9 +181,9 @@ where
     /// Panics if `guard` belongs to a different RCU domain or one whose
     /// reclamation backend does not watch this map's domain.
     pub fn get(&self, guard: &ReadGuard<'_>, key: &K) -> Option<V> {
-        self.check_guard(guard);
+        self.nodes.check_guard(guard);
         let b = self.bucket_of(key);
-        guard.walk(self.kind, |t| {
+        guard.walk(self.nodes.kind, |t| {
             let mut cur = t.load(&self.buckets[b])?;
             while !cur.is_null() {
                 // SAFETY: `t.load` only returns pointers it protects for
@@ -316,10 +265,10 @@ where
     ///
     /// Panics on a cross-domain or backend-mismatched guard.
     pub fn for_each(&self, guard: &ReadGuard<'_>, mut f: impl FnMut(&K, &V)) {
-        self.check_guard(guard);
+        self.nodes.check_guard(guard);
         for bucket in &self.buckets {
             let mut emitted = 0usize;
-            guard.walk(self.kind, |t| {
+            guard.walk(self.nodes.kind, |t| {
                 let mut index = 0usize;
                 let mut cur = t.load(bucket)?;
                 while !cur.is_null() {
@@ -351,8 +300,7 @@ impl<K, V> Drop for RcuHashMap<K, V> {
                 // SAFETY: exclusive access during drop.
                 unsafe {
                     let next = (*cur).next.load(Ordering::Acquire);
-                    self.alloc
-                        .free(ObjPtr::new(ptr::NonNull::new_unchecked(cur.cast())));
+                    self.nodes.free(cur);
                     cur = next;
                 }
             }
@@ -364,6 +312,7 @@ impl<K, V> Drop for RcuHashMap<K, V> {
 mod tests {
     use super::*;
     use pbs_mem::PageAllocator;
+    use pbs_rcu::reclaim::ReclaimBackend;
     use pbs_rcu::{Rcu, RcuConfig};
     use pbs_slub::SlubCache;
     use prudence::{PrudenceCache, PrudenceConfig};

@@ -7,9 +7,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pbs_alloc_api::{AllocError, ObjPtr, ObjectAllocator};
-use pbs_rcu::reclaim::ReclaimBackend;
-use pbs_rcu::{ReadGuard, TraversalKind};
+use pbs_alloc_api::{AllocError, ObjectAllocator};
+use pbs_rcu::ReadGuard;
+
+use crate::NodeAlloc;
 
 /// One list node, stored inside an allocator object.
 #[repr(C)]
@@ -36,15 +37,9 @@ struct Node<T> {
 /// See the [crate-level documentation](crate) for an example.
 pub struct RcuList<T> {
     head: AtomicPtr<Node<T>>,
-    alloc: Arc<dyn ObjectAllocator>,
+    nodes: NodeAlloc,
     writer: Mutex<()>,
     len: AtomicUsize,
-    domain_id: u64,
-    /// The reclamation backend the allocator defers freed nodes into;
-    /// decides the per-hop protection discipline of every read-side walk
-    /// and is enforced against guards in `check_guard`.
-    backend: ReclaimBackend,
-    kind: TraversalKind,
     _marker: PhantomData<T>,
 }
 
@@ -69,87 +64,32 @@ impl<T: Copy + Send + Sync> RcuList<T> {
     /// Panics if the allocator's objects are too small or under-aligned
     /// for a node of `T`.
     pub fn new(alloc: Arc<dyn ObjectAllocator>) -> Self {
-        assert!(
-            std::mem::size_of::<Node<T>>() <= alloc.object_size(),
-            "allocator objects too small: need {} bytes, cache serves {}",
-            std::mem::size_of::<Node<T>>(),
-            alloc.object_size()
-        );
-        assert!(
-            std::mem::align_of::<Node<T>>() <= 8,
-            "allocator objects are 8-byte aligned; node needs more"
-        );
-        let domain_id = alloc.rcu().id();
-        let backend = alloc
-            .reclaim_domain()
-            .map(|d| d.backend())
-            .unwrap_or(ReclaimBackend::Epoch);
         Self {
             head: AtomicPtr::new(ptr::null_mut()),
-            alloc,
+            nodes: NodeAlloc::new::<Node<T>>(alloc, "list"),
             writer: Mutex::new(()),
             len: AtomicUsize::new(0),
-            domain_id,
-            backend,
-            kind: TraversalKind::from(backend),
             _marker: PhantomData,
         }
     }
 
-    fn check_guard(&self, guard: &ReadGuard<'_>) {
-        assert_eq!(
-            guard.domain_id(),
-            self.domain_id,
-            "read guard belongs to a different RCU domain than this list's allocator"
-        );
-        // Same registry is necessary but not sufficient: the guard's
-        // domain must also be watched by the backend the nodes are
-        // reclaimed through, or the pin (epoch) / hazard slots (hp) /
-        // batch capture (hyaline) it relies on protect nothing.
-        assert!(
-            guard.protects_backend(self.backend),
-            "read guard's RCU domain is not watched by this list's `{}` reclamation backend",
-            self.backend.label()
-        );
-    }
-
     fn alloc_node(&self, key: u64, value: T, next: *mut Node<T>) -> Result<*mut Node<T>, AllocError> {
-        let obj = self.alloc.allocate()?;
-        let node = obj.as_ptr().cast::<Node<T>>();
-        // SAFETY: the object is exclusively ours, large and aligned enough
-        // (checked in `new`).
-        unsafe {
-            node.write(Node {
-                key,
-                value,
-                next: AtomicPtr::new(next),
-            });
-        }
-        Ok(node)
+        self.nodes.alloc_node(Node {
+            key,
+            value,
+            next: AtomicPtr::new(next),
+        })
     }
 
-    fn obj_of(node: *mut Node<T>) -> ObjPtr {
-        // SAFETY: node pointers are never null where this is called.
-        ObjPtr::new(unsafe { ptr::NonNull::new_unchecked(node.cast()) })
-    }
-
-    /// Retires an unlinked node. Under a robust backend its outgoing
-    /// link is poisoned first: a traversal parked on the retired node
-    /// must restart from the head (it gets [`pbs_rcu::Retry`]) rather
-    /// than follow a link whose target can be reclaimed without this
-    /// node's own link ever changing. Epoch walkers need the opposite —
-    /// retired nodes keep their links so pinned readers can cross them —
-    /// so epoch-backed lists never poison.
+    /// Retires an unlinked node (poisoning its link under a robust
+    /// backend; see `NodeAlloc::retire`).
     ///
     /// # Safety
     ///
     /// `node` must be unlinked (unreachable for new readers) and retired
     /// exactly once.
     unsafe fn retire(&self, node: *mut Node<T>) {
-        if self.backend != ReclaimBackend::Epoch {
-            pbs_rcu::poison_link(&(*node).next);
-        }
-        self.alloc.free_deferred(Self::obj_of(node));
+        self.nodes.retire(node, [&(*node).next]);
     }
 
     /// Number of entries (approximate under concurrent writers).
@@ -185,8 +125,8 @@ impl<T: Copy + Send + Sync> RcuList<T> {
     /// Panics if `guard` belongs to a different RCU domain than this list's
     /// allocator (that guard would not protect this traversal).
     pub fn lookup(&self, guard: &ReadGuard<'_>, key: u64) -> Option<T> {
-        self.check_guard(guard);
-        guard.walk(self.kind, |t| {
+        self.nodes.check_guard(guard);
+        guard.walk(self.nodes.kind, |t| {
             let mut cur = t.load(&self.head)?;
             while !cur.is_null() {
                 // SAFETY: `cur` came out of a protected load — under
@@ -212,14 +152,14 @@ impl<T: Copy + Send + Sync> RcuList<T> {
     ///
     /// Panics on a cross-domain guard, as [`lookup`](Self::lookup).
     pub fn for_each(&self, guard: &ReadGuard<'_>, mut f: impl FnMut(u64, &T)) {
-        self.check_guard(guard);
+        self.nodes.check_guard(guard);
         // Entries already delivered to `f`. A revoked attempt (hyaline
         // ejection) restarts the chain and skips this many before
         // emitting again, so nothing is delivered twice: positional
         // resume, exact on a quiescent list and best-effort — like any
         // RCU walk — under concurrent writers.
         let mut emitted = 0usize;
-        guard.walk(self.kind, |t| {
+        guard.walk(self.nodes.kind, |t| {
             let mut cur = t.load(&self.head)?;
             let mut index = 0usize;
             while !cur.is_null() {
@@ -307,8 +247,7 @@ impl<T> Drop for RcuList<T> {
             // SAFETY: no readers or writers can exist during drop.
             unsafe {
                 let next = (*cur).next.load(Ordering::Acquire);
-                self.alloc
-                    .free(ObjPtr::new(ptr::NonNull::new_unchecked(cur.cast())));
+                self.nodes.free(cur);
                 cur = next;
             }
         }
@@ -318,7 +257,9 @@ impl<T> Drop for RcuList<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::ObjPtr;
     use pbs_mem::PageAllocator;
+    use pbs_rcu::reclaim::ReclaimBackend;
     use pbs_rcu::{Rcu, RcuConfig};
     use prudence::{PrudenceCache, PrudenceConfig};
 

@@ -103,6 +103,20 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one sample. Unlike [`LogHistogram::record`] this ignores
+    /// the global trace toggle and needs no atomics: it is the histogram
+    /// for a single thread whose gates must see every sample.
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        if self.buckets.len() < BUCKETS {
+            // A snapshot parsed from outside may carry fewer buckets.
+            self.buckets.resize(BUCKETS, 0);
+        }
+        self.buckets[bucket_index(v)] += 1;
+        self.count += 1;
+        self.sum += v;
+    }
+
     /// Adds `other` into `self`, bucket-wise.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         if self.buckets.len() < other.buckets.len() {

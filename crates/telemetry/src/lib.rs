@@ -2,7 +2,7 @@
 //!
 //! The paper's argument is about *time-domain* behaviour — grace-period
 //! latency, latent-cache residency, defer→reuse delay — which monotonic
-//! counters summed at quiescence cannot show. This crate provides the three
+//! counters summed at quiescence cannot show. This crate provides the
 //! primitives the rest of the workspace wires through its existing
 //! single-writer statistics discipline:
 //!
@@ -11,6 +11,9 @@
 //!   sequence/checksum validation;
 //! * [`LogHistogram`] — power-of-two-bucketed latency histograms with
 //!   mergeable serde [`HistogramSnapshot`]s;
+//! * [`counter_table!`] — one declaration per counter schema, from which
+//!   the live block, the snapshot, `merge`/`delta` and the exported series
+//!   are generated (see [`table`]);
 //! * [`enabled`]/[`set_enabled`] — a global tracing gate whose disabled
 //!   fast path is a single `Relaxed` load plus branch (and a constant
 //!   `false` when the `trace` feature is compiled out).
@@ -27,6 +30,7 @@ mod hist;
 mod ring;
 mod shard;
 pub mod site;
+pub mod table;
 
 pub use event::{EventKind, EventSnapshot, KIND_COUNT};
 pub use hist::{

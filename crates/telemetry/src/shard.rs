@@ -11,32 +11,41 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crossbeam::utils::CachePadded;
 use serde::{Deserialize, Serialize};
 
-/// One shard's counters. All monotonic except [`open_conns`], a gauge the
-/// shard stores outright.
-///
-/// [`open_conns`]: ShardGauges::open_conns
-#[derive(Debug, Default)]
-pub struct ShardGauges {
-    /// Connections accepted (handshake completed, state allocated).
-    pub accepted: AtomicU64,
-    /// Dials shed at the listen queue (accept backpressure).
-    pub shed_accepts: AtomicU64,
-    /// Handshakes refused by injected `net.accept` faults (dropped SYNs).
-    pub refused_accepts: AtomicU64,
-    /// Established connections evicted by load shedding (hard pressure).
-    pub shed_conns: AtomicU64,
-    /// Connections evicted by an idle/slow deadline.
-    pub timeouts: AtomicU64,
-    /// Reads that returned would-block (slowloris peers).
-    pub read_stalls: AtomicU64,
-    /// Requests fully served.
-    pub requests: AtomicU64,
-    /// Alloc-failure retries taken by the backoff path.
-    pub alloc_retries: AtomicU64,
-    /// Connections dropped because the retry budget ran out.
-    pub alloc_drops: AtomicU64,
-    /// Live connections on the shard (gauge).
-    pub open_conns: AtomicU64,
+crate::counter_table! {
+    /// A point-in-time copy of one shard's gauges (or the totals across
+    /// shards). Not part of the `/metrics` exposition — the server report
+    /// is JSON — so the series names only pin what a scrape would call
+    /// these rows.
+    #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub struct ShardRow {}
+
+    /// One shard's counters. All monotonic except [`open_conns`], a gauge
+    /// the shard stores outright; the totals row sums it like the rest
+    /// (the open-connection count is the sum of per-shard gauges).
+    ///
+    /// [`open_conns`]: ShardGauges::open_conns
+    pub struct ShardGauges {
+        /// Connections accepted (handshake completed, state allocated).
+        accepted: AtomicU64 => u64, counter "pbs_server_accepted_total", sum;
+        /// Dials shed at the listen queue (accept backpressure).
+        shed_accepts: AtomicU64 => u64, counter "pbs_server_shed_accepts_total", sum;
+        /// Handshakes refused by injected `net.accept` faults (dropped SYNs).
+        refused_accepts: AtomicU64 => u64, counter "pbs_server_refused_accepts_total", sum;
+        /// Established connections evicted by load shedding (hard pressure).
+        shed_conns: AtomicU64 => u64, counter "pbs_server_shed_conns_total", sum;
+        /// Connections evicted by an idle/slow deadline.
+        timeouts: AtomicU64 => u64, counter "pbs_server_timeouts_total", sum;
+        /// Reads that returned would-block (slowloris peers).
+        read_stalls: AtomicU64 => u64, counter "pbs_server_read_stalls_total", sum;
+        /// Requests fully served.
+        requests: AtomicU64 => u64, counter "pbs_server_requests_total", sum;
+        /// Alloc-failure retries taken by the backoff path.
+        alloc_retries: AtomicU64 => u64, counter "pbs_server_alloc_retries_total", sum;
+        /// Connections dropped because the retry budget ran out.
+        alloc_drops: AtomicU64 => u64, counter "pbs_server_alloc_drops_total", sum;
+        /// Live connections on the shard (gauge).
+        open_conns: AtomicU64 => u64, gauge "pbs_server_open_conns", sum;
+    }
 }
 
 impl ShardGauges {
@@ -49,66 +58,9 @@ impl ShardGauges {
     pub fn set_open(&self, n: u64) {
         self.open_conns.store(n, Ordering::Relaxed);
     }
-
-    /// Reads one shard's counters into a row.
-    pub fn snapshot(&self) -> ShardRow {
-        ShardRow {
-            accepted: self.accepted.load(Ordering::Relaxed),
-            shed_accepts: self.shed_accepts.load(Ordering::Relaxed),
-            refused_accepts: self.refused_accepts.load(Ordering::Relaxed),
-            shed_conns: self.shed_conns.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            read_stalls: self.read_stalls.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            alloc_retries: self.alloc_retries.load(Ordering::Relaxed),
-            alloc_drops: self.alloc_drops.load(Ordering::Relaxed),
-            open_conns: self.open_conns.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of one shard's gauges (or the totals across
-/// shards).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShardRow {
-    /// See [`ShardGauges::accepted`].
-    pub accepted: u64,
-    /// See [`ShardGauges::shed_accepts`].
-    pub shed_accepts: u64,
-    /// See [`ShardGauges::refused_accepts`].
-    pub refused_accepts: u64,
-    /// See [`ShardGauges::shed_conns`].
-    pub shed_conns: u64,
-    /// See [`ShardGauges::timeouts`].
-    pub timeouts: u64,
-    /// See [`ShardGauges::read_stalls`].
-    pub read_stalls: u64,
-    /// See [`ShardGauges::requests`].
-    pub requests: u64,
-    /// See [`ShardGauges::alloc_retries`].
-    pub alloc_retries: u64,
-    /// See [`ShardGauges::alloc_drops`].
-    pub alloc_drops: u64,
-    /// See [`ShardGauges::open_conns`].
-    pub open_conns: u64,
 }
 
 impl ShardRow {
-    /// Adds `other` into `self`, field-wise (gauges sum too: the total
-    /// open-connection count is the sum of per-shard gauges).
-    pub fn absorb(&mut self, other: &ShardRow) {
-        self.accepted += other.accepted;
-        self.shed_accepts += other.shed_accepts;
-        self.refused_accepts += other.refused_accepts;
-        self.shed_conns += other.shed_conns;
-        self.timeouts += other.timeouts;
-        self.read_stalls += other.read_stalls;
-        self.requests += other.requests;
-        self.alloc_retries += other.alloc_retries;
-        self.alloc_drops += other.alloc_drops;
-        self.open_conns += other.open_conns;
-    }
-
     /// Everything shed or evicted rather than served: the "not panicked,
     /// counted" number the overload gate checks.
     pub fn total_shed(&self) -> u64 {
@@ -160,7 +112,7 @@ impl ShardSet {
     pub fn totals(&self) -> ShardRow {
         let mut total = ShardRow::default();
         for shard in &self.shards {
-            total.absorb(&shard.snapshot());
+            shard.add_into(&mut total);
         }
         total
     }
@@ -171,27 +123,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn totals_sum_across_shards() {
+    fn every_row_snapshots_merges_and_deltas_by_its_table_rule() {
+        let row = crate::table::check_table(ShardRow::FIELDS, ShardRow::merge, ShardRow::delta);
         let set = ShardSet::new(3);
-        for (i, n) in [(0usize, 2u64), (1, 3), (2, 5)] {
-            let g = set.shard(i);
-            for _ in 0..n {
-                ShardGauges::bump(&g.accepted);
-            }
-            g.set_open(n);
-            ShardGauges::bump(&g.shed_accepts);
-        }
-        let totals = set.totals();
-        assert_eq!(totals.accepted, 10);
-        assert_eq!(totals.open_conns, 10);
-        assert_eq!(totals.shed_accepts, 3);
-        assert_eq!(set.rows().len(), 3);
-        assert_eq!(set.rows()[2].accepted, 5);
+        set.shard(1).preload(&row);
+        assert_eq!(set.rows()[1], row);
+        assert_eq!(set.rows()[0], ShardRow::default());
+        // Totals fold every shard by the same rules.
+        set.shard(2).preload(&row);
+        let mut twice = row;
+        twice.merge(&row);
+        assert_eq!(set.totals(), twice);
     }
 
     #[test]
     fn total_shed_counts_every_non_served_path() {
-        let mut row = ShardRow {
+        let row = ShardRow {
             shed_accepts: 1,
             shed_conns: 2,
             timeouts: 3,
@@ -199,11 +146,5 @@ mod tests {
             ..ShardRow::default()
         };
         assert_eq!(row.total_shed(), 10);
-        let other = ShardRow {
-            timeouts: 1,
-            ..ShardRow::default()
-        };
-        row.absorb(&other);
-        assert_eq!(row.total_shed(), 11);
     }
 }

@@ -65,9 +65,7 @@ use pbs_rcu::reclaim::{ReclaimBackend, ReclaimConfig, ReclaimStats};
 use pbs_rcu::RcuConfig;
 use pbs_simnet::{ConnId, NetError, NetShard, ShardConfig, ShardedNet};
 use pbs_slub::SlubTuning;
-use pbs_telemetry::{
-    bucket_index, HistogramSnapshot, Percentiles, ShardGauges, ShardRow, ShardSet, BUCKETS,
-};
+use pbs_telemetry::{HistogramSnapshot, Percentiles, ShardGauges, ShardRow, ShardSet};
 use prudence::PrudenceConfig;
 
 use crate::{AllocatorKind, Testbed};
@@ -419,44 +417,6 @@ impl Zipf {
     }
 }
 
-/// Worker-local latency histogram: same buckets as
-/// [`pbs_telemetry::LogHistogram`] but unconditionally recorded (server
-/// gates must not depend on the global trace toggle) and unshared (no
-/// atomics on the reactor hot path).
-#[derive(Clone)]
-struct LatHist {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-}
-
-impl Default for LatHist {
-    fn default() -> Self {
-        Self {
-            buckets: vec![0; BUCKETS],
-            count: 0,
-            sum: 0,
-        }
-    }
-}
-
-impl LatHist {
-    #[inline]
-    fn record(&mut self, v: u64) {
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum += v;
-    }
-
-    fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            buckets: self.buckets.clone(),
-        }
-    }
-}
-
 /// One established connection's server-side state.
 struct ConnEntry {
     conn: ConnId,
@@ -508,7 +468,7 @@ fn alloc_with_retry(
     cache: &Arc<dyn ObjectAllocator>,
     gauges: &ShardGauges,
     budget: u32,
-    hist: &mut LatHist,
+    hist: &mut HistogramSnapshot,
 ) -> Option<ObjPtr> {
     let mut backoff_us = 20u64;
     for attempt in 0..=budget {
@@ -679,10 +639,12 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
             let is_stalled = params.stalled_shard && shard_idx == nshards - 1;
             let handle = std::thread::Builder::new()
                 .name(format!("server-shard-{shard_idx}"))
-                .spawn_scoped(s, move || -> LatHist {
+                .spawn_scoped(s, move || -> HistogramSnapshot {
                     let reader = rcu.register();
                     let mut rng = StdRng::seed_from_u64(params.seed ^ ((shard_idx as u64) << 17));
-                    let mut hist = LatHist::default();
+                    // Worker-local and always recorded: the p99.9 gate must not
+                    // depend on the global trace toggle.
+                    let mut hist = HistogramSnapshot::default();
                     let mut table = ConnTable::default();
                     let mut expired: Vec<(u64, u64)> = Vec::new();
                     let mut parked_already = false;
@@ -1061,7 +1023,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
         phase.store(PHASE_SHUTDOWN, Ordering::Release);
         for handle in reactors {
             match handle.join() {
-                Ok(hist) => merged_hist.merge(&hist.snapshot()),
+                Ok(hist) => merged_hist.merge(&hist),
                 Err(_) => panics += 1,
             }
         }
@@ -1115,9 +1077,9 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
     let used_bytes_after_teardown = bed.pages().used_bytes();
 
     let totals = gauges.totals();
-    let baseline = row_delta(&row_baseline_end, &row_establish_end);
-    let storm = row_delta(&row_storm_end, &row_baseline_end);
-    let recovery = row_delta(&row_recovery_end, &row_storm_end);
+    let baseline = row_baseline_end.delta(&row_establish_end);
+    let storm = row_storm_end.delta(&row_baseline_end);
+    let recovery = row_recovery_end.delta(&row_storm_end);
     let alloc_latency = merged_hist.percentiles();
 
     // ---- Degradation gates. ----
@@ -1252,23 +1214,6 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
         used_bytes_after_teardown,
         panics,
         violations,
-    }
-}
-
-/// Counter delta between two totals rows; the open-connection gauge keeps
-/// the later value.
-fn row_delta(now: &ShardRow, then: &ShardRow) -> ShardRow {
-    ShardRow {
-        accepted: now.accepted - then.accepted,
-        shed_accepts: now.shed_accepts - then.shed_accepts,
-        refused_accepts: now.refused_accepts - then.refused_accepts,
-        shed_conns: now.shed_conns - then.shed_conns,
-        timeouts: now.timeouts - then.timeouts,
-        read_stalls: now.read_stalls - then.read_stalls,
-        requests: now.requests - then.requests,
-        alloc_retries: now.alloc_retries - then.alloc_retries,
-        alloc_drops: now.alloc_drops - then.alloc_drops,
-        open_conns: now.open_conns,
     }
 }
 

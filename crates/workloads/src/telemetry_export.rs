@@ -6,10 +6,14 @@
 //! state is touched — so they can run after the workload has been torn
 //! down.
 
+use std::collections::HashSet;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use pbs_alloc_api::TelemetrySnapshot;
+use pbs_alloc_api::{CacheStatsSnapshot, TelemetrySnapshot};
+use pbs_rcu::reclaim::ReclaimStats;
+use pbs_rcu::RcuStats;
+use pbs_telemetry::table::Field;
 use pbs_telemetry::{bucket_upper_bound, ComponentTelemetry, HistogramSnapshot, BUCKETS};
 
 /// Renders the snapshot in the Prometheus text exposition format.
@@ -17,257 +21,151 @@ use pbs_telemetry::{bucket_upper_bound, ComponentTelemetry, HistogramSnapshot, B
 /// Series layout:
 /// * `pbs_rcu_*` — RCU domain counters and the `gp_latency_ns` /
 ///   `callback_delay_ns` histograms.
+/// * `pbs_reclaim_*{backend="<label>"}` — reclamation-backend counters;
+///   every series renders under every backend (zero where the mechanism
+///   is not in play), so the schema is stable across `PBS_RECLAIM` legs.
 /// * `pbs_cache_*{cache="<name>"}` — per-cache counters and the
 ///   `slot_wait_ns` / `defer_delay_ns` histograms.
-/// * `pbs_events_total{component,kind}` plus `pbs_events_dropped_total` /
-///   `pbs_events_torn_total` — trace-ring accounting.
+/// * `pbs_events_total{component,kind}` plus `pbs_events_recorded_total`
+///   / `pbs_events_dropped_total` / `pbs_events_torn_total` — trace-ring
+///   accounting.
+///
+/// The counter and gauge series of the three blocks are not named here:
+/// they are the rows (`FIELDS`) of [`RcuStats`], [`ReclaimStats`] and
+/// [`CacheStatsSnapshot`]. Each metric family is written once — one
+/// `# TYPE` line, then every cache's / backend's / component's samples —
+/// as a Prometheus scraper requires.
 pub fn to_prometheus(snap: &TelemetrySnapshot) -> String {
-    let mut out = String::new();
-    let r = &snap.rcu;
-    counter(&mut out, "pbs_rcu_gp_advances_total", "", r.gp_advances);
-    counter(
-        &mut out,
-        "pbs_rcu_synchronize_calls_total",
-        "",
-        r.synchronize_calls,
-    );
-    counter(
-        &mut out,
-        "pbs_rcu_membarrier_advances_total",
-        "",
-        r.membarrier_advances,
-    );
-    counter(
-        &mut out,
-        "pbs_rcu_fallback_fence_advances_total",
-        "",
-        r.fallback_fence_advances,
-    );
-    counter(
-        &mut out,
-        "pbs_rcu_injected_gp_stalls_total",
-        "",
-        r.injected_gp_stalls,
-    );
-    counter(&mut out, "pbs_rcu_stall_warnings_total", "", r.stall_warnings);
-    counter(&mut out, "pbs_rcu_stall_blames_total", "", r.stall_blames);
-    counter(&mut out, "pbs_rcu_expedited_gps_total", "", r.expedited_gps);
-    gauge(&mut out, "pbs_rcu_active_stalls", "", r.active_stalls);
-    gauge(&mut out, "pbs_rcu_longest_stall_ns", "", r.longest_stall_ns);
-    counter(
-        &mut out,
-        "pbs_rcu_callbacks_enqueued_total",
-        "",
-        r.callbacks_enqueued,
-    );
-    counter(
-        &mut out,
-        "pbs_rcu_callbacks_processed_total",
-        "",
-        r.callbacks_processed,
-    );
-    gauge(&mut out, "pbs_rcu_callback_backlog", "", r.callback_backlog as u64);
-    gauge(
-        &mut out,
-        "pbs_rcu_max_callback_backlog",
-        "",
-        r.max_callback_backlog as u64,
-    );
-    for h in &snap.rcu_telemetry.histograms {
-        histogram(&mut out, &format!("pbs_rcu_{}", h.name), "", &h.hist);
-    }
-    ring_series(&mut out, "rcu", &snap.rcu_telemetry);
-    reclaim_series(&mut out, snap);
-    blame_series(&mut out, snap);
-    site_series(&mut out, snap);
-    for cache in &snap.caches {
-        let labels = format!("cache=\"{}\"", cache.name);
-        let s = &cache.stats;
-        for (metric, value) in [
-            ("pbs_cache_alloc_requests_total", s.alloc_requests),
-            ("pbs_cache_hits_total", s.cache_hits),
-            ("pbs_cache_latent_hits_total", s.latent_hits),
-            ("pbs_cache_frees_total", s.frees),
-            ("pbs_cache_deferred_frees_total", s.deferred_frees),
-            ("pbs_cache_refills_total", s.refills),
-            ("pbs_cache_partial_refills_total", s.partial_refills),
-            ("pbs_cache_flushes_total", s.flushes),
-            ("pbs_cache_preflushes_total", s.preflushes),
-            ("pbs_cache_grows_total", s.grows),
-            ("pbs_cache_shrinks_total", s.shrinks),
-            ("pbs_cache_pre_movements_total", s.pre_movements),
-            ("pbs_cache_node_lock_contended_total", s.node_lock_contended),
-            ("pbs_cache_cpu_slot_misses_total", s.cpu_slot_misses),
-            ("pbs_cache_oom_waits_total", s.oom_waits),
-            ("pbs_cache_pressure_transitions_total", s.pressure_transitions),
-            ("pbs_cache_assisted_merges_total", s.assisted_merges),
-            ("pbs_cache_fastpath_hits_total", s.rseq_hits),
-            ("pbs_cache_fastpath_restarts_total", s.rseq_restarts),
-            ("pbs_cache_fastpath_fallbacks_total", s.fastpath_fallbacks),
-        ] {
-            counter(&mut out, metric, &labels, value);
-        }
-        for (stage, value) in [
-            ("1", s.oom_recoveries_stage1),
-            ("2", s.oom_recoveries_stage2),
-            ("3", s.oom_recoveries_stage3),
-        ] {
-            counter(
-                &mut out,
-                "pbs_cache_oom_recoveries_total",
-                &format!("{labels},stage=\"{stage}\""),
-                value,
-            );
-        }
-        gauge(
-            &mut out,
-            "pbs_cache_pressure_level",
-            &labels,
-            s.pressure_level as u64,
-        );
-        gauge(&mut out, "pbs_cache_slabs_current", &labels, s.slabs_current as u64);
-        gauge(&mut out, "pbs_cache_slabs_peak", &labels, s.slabs_peak as u64);
-        gauge(&mut out, "pbs_cache_live_objects", &labels, s.live_objects);
-        for h in &cache.telemetry.histograms {
-            histogram(&mut out, &format!("pbs_cache_{}", h.name), &labels, &h.hist);
-        }
-        ring_series(&mut out, &cache.name, &cache.telemetry);
-    }
-    out
-}
-
-fn counter(out: &mut String, name: &str, labels: &str, value: u64) {
-    let _ = writeln!(out, "# TYPE {name} counter");
-    write_sample(out, name, labels, value);
-}
-
-fn gauge(out: &mut String, name: &str, labels: &str, value: u64) {
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    write_sample(out, name, labels, value);
-}
-
-fn write_sample(out: &mut String, name: &str, labels: &str, value: u64) {
-    if labels.is_empty() {
-        let _ = writeln!(out, "{name} {value}");
-    } else {
-        let _ = writeln!(out, "{name}{{{labels}}} {value}");
-    }
-}
-
-/// Prometheus histograms are cumulative: each `le` bucket counts all
-/// observations at or below its bound, ending with `+Inf`.
-fn histogram(out: &mut String, name: &str, labels: &str, h: &HistogramSnapshot) {
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    let sep = if labels.is_empty() { "" } else { "," };
-    let mut cumulative = 0u64;
-    for i in 0..BUCKETS {
-        cumulative += h.buckets.get(i).copied().unwrap_or(0);
-        // The last bucket's bound is u64::MAX; Prometheus spells it +Inf.
-        if i + 1 == BUCKETS {
-            break;
-        }
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cumulative}",
-            bucket_upper_bound(i)
-        );
-    }
-    let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}", h.count);
-    write_sample(out, &format!("{name}_sum"), labels, h.sum);
-    write_sample(out, &format!("{name}_count"), labels, h.count);
-}
-
-/// Reclamation-backend counters. All series render under every backend
-/// (zero-valued where the mechanism is not in play) so dashboards and the
-/// validator see a stable schema across `PBS_RECLAIM` legs.
-fn reclaim_series(out: &mut String, snap: &TelemetrySnapshot) {
-    let rc = &snap.reclaim;
-    let backend = if rc.backend.is_empty() {
-        "none"
-    } else {
-        rc.backend.as_str()
+    let mut x = Exposition::default();
+    x.table(RcuStats::FIELDS, "", &snap.rcu);
+    x.component("pbs_rcu", "rcu", "", &snap.rcu_telemetry);
+    let backend = match snap.reclaim.backend.as_str() {
+        "" => "none",
+        label => label,
     };
-    let labels = format!("backend=\"{backend}\"");
-    counter(out, "pbs_reclaim_hp_scans_total", &labels, rc.scans);
-    counter(out, "pbs_reclaim_batch_seals_total", &labels, rc.batches_sealed);
-    counter(out, "pbs_reclaim_reader_ejects_total", &labels, rc.ejections);
-    counter(out, "pbs_reclaim_scan_reclaimed_total", &labels, rc.scan_reclaimed);
-    counter(out, "pbs_reclaim_scan_protected_total", &labels, rc.scan_protected);
-    counter(
-        out,
-        "pbs_reclaim_batch_refs_captured_total",
-        &labels,
-        rc.batch_refs_captured,
-    );
-    gauge(
-        out,
-        "pbs_reclaim_deferred_in_domain",
-        &labels,
-        rc.deferred_in_domain as u64,
-    );
-}
+    x.table(ReclaimStats::FIELDS, &format!("backend=\"{backend}\""), &snap.reclaim);
 
-/// Stall-blame series: one gauge per live culprit (thread-labelled) plus
-/// the open-episode count.
-fn blame_series(out: &mut String, snap: &TelemetrySnapshot) {
-    let open = snap.blame.iter().filter(|b| !b.cleared).count();
-    gauge(out, "pbs_rcu_blame_open_episodes", "", open as u64);
-    for b in snap.blame.iter().filter(|b| !b.cleared) {
-        gauge(
-            out,
-            "pbs_rcu_blame_stalled_for_ns",
-            &format!("thread=\"{}\",record=\"{}\"", b.thread_name, b.record_id),
-            b.stalled_for_ns,
-        );
+    // Stall blame: the open-episode count plus one gauge per live culprit.
+    let open = snap.blame.iter().filter(|b| !b.cleared);
+    x.sample("pbs_rcu_blame_open_episodes", "gauge", "", open.clone().count() as u64);
+    for b in open {
+        let labels = format!("thread=\"{}\",record=\"{}\"", b.thread_name, b.record_id);
+        x.sample("pbs_rcu_blame_stalled_for_ns", "gauge", &labels, b.stalled_for_ns);
     }
-}
 
-/// Per-site attribution series plus garbage-age histograms and gauges.
-fn site_series(out: &mut String, snap: &TelemetrySnapshot) {
+    // Per-site attribution plus the garbage-age histograms.
     let sites = &snap.sites;
-    gauge(out, "pbs_sites_outstanding_total", "", sites.outstanding_total);
-    gauge(
-        out,
-        "pbs_sites_oldest_outstanding_ns",
-        "",
-        sites.oldest_outstanding_ns,
-    );
-    counter(out, "pbs_sites_dropped_total", "", sites.dropped_sites);
-    counter(out, "pbs_sites_lost_stamps_total", "", sites.lost_stamps);
+    x.sample("pbs_sites_outstanding_total", "gauge", "", sites.outstanding_total);
+    x.sample("pbs_sites_oldest_outstanding_ns", "gauge", "", sites.oldest_outstanding_ns);
+    x.sample("pbs_sites_dropped_total", "counter", "", sites.dropped_sites);
+    x.sample("pbs_sites_lost_stamps_total", "counter", "", sites.lost_stamps);
     for s in &sites.sites {
         let labels = format!("site=\"{}\"", s.label);
-        counter(out, "pbs_site_deferred_total", &labels, s.deferred);
-        counter(out, "pbs_site_reclaimed_total", &labels, s.reclaimed);
-        gauge(out, "pbs_site_outstanding", &labels, s.outstanding);
-        gauge(out, "pbs_site_outstanding_bytes", &labels, s.outstanding_bytes);
+        x.sample("pbs_site_deferred_total", "counter", &labels, s.deferred);
+        x.sample("pbs_site_reclaimed_total", "counter", &labels, s.reclaimed);
+        x.sample("pbs_site_outstanding", "gauge", &labels, s.outstanding);
+        x.sample("pbs_site_outstanding_bytes", "gauge", &labels, s.outstanding_bytes);
     }
     for h in &sites.age {
-        let backend = h
-            .name
-            .strip_prefix("garbage_age_ns_")
-            .unwrap_or(h.name.as_str());
-        histogram(
-            out,
-            "pbs_garbage_age_ns",
-            &format!("backend=\"{backend}\""),
-            &h.hist,
-        );
+        let backend = h.name.strip_prefix("garbage_age_ns_").unwrap_or(&h.name);
+        x.histogram("pbs_garbage_age_ns", &format!("backend=\"{backend}\""), &h.hist);
+    }
+
+    for cache in &snap.caches {
+        let labels = format!("cache=\"{}\"", cache.name);
+        x.table(CacheStatsSnapshot::FIELDS, &labels, &cache.stats);
+        x.component("pbs_cache", &cache.name, &labels, &cache.telemetry);
+    }
+    x.render()
+}
+
+/// Prometheus text under construction. Samples arrive in whatever order
+/// the snapshot is walked (cache by cache, component by component) and
+/// are grouped by family on the way out, so a family is always one
+/// `# TYPE` line followed by all of its samples.
+#[derive(Default)]
+struct Exposition {
+    /// `(family, type, sample lines)` in first-seen order.
+    families: Vec<(String, &'static str, String)>,
+}
+
+impl Exposition {
+    /// Adds the sample `<family>{<labels>} <value>`.
+    fn sample(&mut self, family: &str, kind: &'static str, labels: &str, value: u64) {
+        self.line(family, kind, "", labels, value);
+    }
+
+    /// Adds the line `<family><suffix>{<labels>} <value>` to `family` (the
+    /// suffix is a histogram's `_bucket` / `_sum` / `_count`).
+    fn line(&mut self, family: &str, kind: &'static str, suffix: &str, labels: &str, value: u64) {
+        let at = match self.families.iter().position(|f| f.0 == family) {
+            Some(at) => at,
+            None => {
+                self.families.push((family.to_owned(), kind, String::new()));
+                self.families.len() - 1
+            }
+        };
+        let lines = &mut self.families[at].2;
+        let _ = match labels {
+            "" => writeln!(lines, "{family}{suffix} {value}"),
+            _ => writeln!(lines, "{family}{suffix}{{{labels}}} {value}"),
+        };
+    }
+
+    /// One owner's sample of every row of a counter table.
+    fn table<S>(&mut self, fields: &[Field<S>], owner: &str, snap: &S) {
+        for f in fields {
+            let labels = join_labels(owner, f.labels());
+            self.sample(f.family(), f.kind.label(), &labels, (f.get)(snap));
+        }
+    }
+
+    /// Prometheus histograms are cumulative: each `le` bucket counts all
+    /// observations at or below its bound, ending with `+Inf`.
+    fn histogram(&mut self, family: &str, labels: &str, h: &HistogramSnapshot) {
+        let mut cumulative = 0u64;
+        // The last bucket's bound is u64::MAX; Prometheus spells it +Inf.
+        for b in 0..BUCKETS - 1 {
+            cumulative += h.buckets.get(b).copied().unwrap_or(0);
+            let le = join_labels(labels, &format!("le=\"{}\"", bucket_upper_bound(b)));
+            self.line(family, "histogram", "_bucket", &le, cumulative);
+        }
+        let inf = join_labels(labels, "le=\"+Inf\"");
+        self.line(family, "histogram", "_bucket", &inf, h.count);
+        self.line(family, "histogram", "_sum", labels, h.sum);
+        self.line(family, "histogram", "_count", labels, h.count);
+    }
+
+    /// One component's histograms (as `<prefix>_<name>`), event-kind
+    /// counts and ring accounting.
+    fn component(&mut self, prefix: &str, name: &str, labels: &str, t: &ComponentTelemetry) {
+        for h in &t.histograms {
+            self.histogram(&format!("{prefix}_{}", h.name), labels, &h.hist);
+        }
+        let component = format!("component=\"{name}\"");
+        for (kind, count) in &t.event_counts {
+            let labels = format!("{component},kind=\"{kind}\"");
+            self.sample("pbs_events_total", "counter", &labels, *count);
+        }
+        self.sample("pbs_events_recorded_total", "counter", &component, t.events_recorded);
+        self.sample("pbs_events_dropped_total", "counter", &component, t.events_dropped);
+        self.sample("pbs_events_torn_total", "counter", &component, t.events_torn);
+    }
+
+    fn render(self) -> String {
+        let mut out = String::new();
+        for (family, kind, lines) in self.families {
+            let _ = writeln!(out, "# TYPE {family} {kind}");
+            out.push_str(&lines);
+        }
+        out
     }
 }
 
-/// Event-kind counts and ring accounting for one component.
-fn ring_series(out: &mut String, component: &str, t: &ComponentTelemetry) {
-    for (kind, count) in &t.event_counts {
-        let _ = writeln!(out, "# TYPE pbs_events_total counter");
-        let _ = writeln!(
-            out,
-            "pbs_events_total{{component=\"{component}\",kind=\"{kind}\"}} {count}"
-        );
-    }
-    let labels = format!("component=\"{component}\"");
-    counter(out, "pbs_events_recorded_total", &labels, t.events_recorded);
-    counter(out, "pbs_events_dropped_total", &labels, t.events_dropped);
-    counter(out, "pbs_events_torn_total", &labels, t.events_torn);
+/// `a` and `b` as one label list.
+fn join_labels(a: &str, b: &str) -> String {
+    let sep = if a.is_empty() || b.is_empty() { "" } else { "," };
+    format!("{a}{sep}{b}")
 }
 
 /// Renders the snapshot's events in the Trace Event Format consumed by
@@ -316,66 +214,97 @@ fn push_component_events(
     }
 }
 
-/// Series every healthy run must expose; [`validate_prometheus`] fails
-/// when any is absent.
-pub const REQUIRED_PROM_SERIES: [&str; 15] = [
-    "pbs_rcu_gp_advances_total",
-    "pbs_rcu_membarrier_advances_total",
-    "pbs_rcu_fallback_fence_advances_total",
-    "pbs_rcu_stall_warnings_total",
-    "pbs_rcu_expedited_gps_total",
-    "pbs_rcu_active_stalls",
-    "pbs_rcu_gp_latency_ns_bucket",
-    "pbs_cache_pressure_level",
-    "pbs_cache_oom_recoveries_total",
-    "pbs_cache_fastpath_hits_total",
-    "pbs_cache_fastpath_fallbacks_total",
-    "pbs_events_total",
-    "pbs_reclaim_hp_scans_total",
-    "pbs_reclaim_batch_seals_total",
-    "pbs_reclaim_reader_ejects_total",
-];
+/// The sample names a histogram family `f` is made of: `f_bucket`,
+/// `f_sum`, `f_count`.
+const HISTOGRAM_SUFFIXES: [&str; 3] = ["_bucket", "_sum", "_count"];
 
-/// Validates Prometheus exposition text: every non-comment line must be
-/// `name[{labels}] <number>`, and every [`REQUIRED_PROM_SERIES`] entry
-/// must be present.
+/// Sample names every healthy run must expose: every series the three
+/// counter tables declare, the four latency histograms and the
+/// trace-ring accounting.
+fn required_samples() -> Vec<String> {
+    fn families<S>(fields: &[Field<S>]) -> impl Iterator<Item = String> + '_ {
+        fields.iter().map(|f| f.family().to_owned())
+    }
+    let histograms = ["rcu_gp_latency", "rcu_callback_delay", "cache_slot_wait", "cache_defer_delay"]
+        .into_iter()
+        .flat_map(|h| HISTOGRAM_SUFFIXES.map(|suffix| format!("pbs_{h}_ns{suffix}")));
+    let ring = ["total", "recorded_total", "dropped_total", "torn_total"]
+        .map(|name| format!("pbs_events_{name}"));
+    families(RcuStats::FIELDS)
+        .chain(families(ReclaimStats::FIELDS))
+        .chain(families(CacheStatsSnapshot::FIELDS))
+        .chain(histograms)
+        .chain(ring)
+        .collect()
+}
+
+/// Validates Prometheus exposition text as a scraper reads it: every
+/// sample line must be `name[{labels}] <number>`; a metric family has at
+/// most one `# TYPE` line, ahead of its samples; a family's samples are
+/// contiguous; and every series the schema declares (the three counter
+/// tables' rows, the four latency histograms, the ring accounting) must
+/// be present as a *sample* — a mention in a comment or a label value
+/// does not count.
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed line or missing series.
+/// Returns a description of the first malformed line, repeated `# TYPE`,
+/// reopened family or missing series.
 pub fn validate_prometheus(text: &str) -> Result<(), String> {
     if text.trim().is_empty() {
         return Err("empty Prometheus exposition".to_owned());
     }
+    // Every family begun so far, and the one still open: its name and
+    // whether a `# TYPE` declared it a histogram.
+    let mut begun: HashSet<&str> = HashSet::new();
+    let mut open = ("", false);
+    let mut samples: HashSet<&str> = HashSet::new();
     for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
+        let (line, at) = (line.trim(), lineno + 1);
+        if let Some(decl) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = decl.split_once(' ').unwrap_or((decl, ""));
+            if !begun.insert(name) {
+                return Err(format!("line {at}: second or late # TYPE for {name}"));
+            }
+            open = (name, kind == "histogram");
+            continue;
+        }
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let (series, value) = line
             .rsplit_once(' ')
-            .ok_or_else(|| format!("line {}: no sample value: {line:?}", lineno + 1))?;
+            .ok_or_else(|| format!("line {at}: no sample value: {line:?}"))?;
         value
             .parse::<f64>()
-            .map_err(|_| format!("line {}: non-numeric value: {line:?}", lineno + 1))?;
+            .map_err(|_| format!("line {at}: non-numeric value: {line:?}"))?;
         let name = series.split('{').next().unwrap_or("");
         if name.is_empty()
             || !name
                 .chars()
                 .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
         {
-            return Err(format!("line {}: bad metric name: {line:?}", lineno + 1));
+            return Err(format!("line {at}: bad metric name: {line:?}"));
         }
         if series.contains('{') && !series.ends_with('}') {
-            return Err(format!("line {}: unterminated labels: {line:?}", lineno + 1));
+            return Err(format!("line {at}: unterminated labels: {line:?}"));
         }
-    }
-    for required in REQUIRED_PROM_SERIES {
-        if !text.contains(required) {
-            return Err(format!("missing required series {required}"));
+        let of_open_histogram = open.1
+            && name
+                .strip_prefix(open.0)
+                .is_some_and(|suffix| HISTOGRAM_SUFFIXES.contains(&suffix));
+        if name != open.0 && !of_open_histogram {
+            if !begun.insert(name) {
+                return Err(format!("line {at}: {name} sample after its family was closed"));
+            }
+            open = (name, false);
         }
+        samples.insert(name);
     }
-    Ok(())
+    match required_samples().iter().find(|r| !samples.contains(r.as_str())) {
+        Some(missing) => Err(format!("missing required series {missing}")),
+        None => Ok(()),
+    }
 }
 
 /// Validates chrome://tracing JSON: it must parse, carry a `traceEvents`
@@ -562,37 +491,142 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_cumulative() {
-        let mut out = String::new();
-        let h = HistogramSnapshot {
-            count: 3,
-            sum: 12,
-            buckets: {
-                let mut b = vec![0u64; BUCKETS];
-                b[1] = 1; // value 1
-                b[3] = 2; // two values in [4,7]
-                b
-            },
-        };
-        histogram(&mut out, "t_ns", "", &h);
+        let mut h = HistogramSnapshot::default();
+        for v in [1, 4, 7] {
+            h.record(v);
+        }
+        let mut x = Exposition::default();
+        x.histogram("t_ns", "", &h);
+        x.histogram("t_ns", "cache=\"b\"", &h);
+        let out = x.render();
         assert!(out.contains("t_ns_bucket{le=\"1\"} 1"));
         assert!(out.contains("t_ns_bucket{le=\"7\"} 3"));
         assert!(out.contains("t_ns_bucket{le=\"+Inf\"} 3"));
+        assert!(out.contains("t_ns_bucket{cache=\"b\",le=\"7\"} 3"));
         assert!(out.contains("t_ns_sum 12"));
-        validate_prometheus(&format!(
-            "{out}pbs_rcu_gp_advances_total 0\npbs_rcu_membarrier_advances_total 0\n\
-             pbs_rcu_fallback_fence_advances_total 0\npbs_rcu_stall_warnings_total 0\n\
-             pbs_rcu_expedited_gps_total 0\npbs_rcu_active_stalls 0\n\
-             pbs_rcu_gp_latency_ns_bucket{{le=\"+Inf\"}} 0\n\
-             pbs_cache_pressure_level{{cache=\"t\"}} 0\n\
-             pbs_cache_oom_recoveries_total{{cache=\"t\",stage=\"1\"}} 0\n\
-             pbs_cache_fastpath_hits_total{{cache=\"t\"}} 0\n\
-             pbs_cache_fastpath_fallbacks_total{{cache=\"t\"}} 0\n\
-             pbs_events_total{{component=\"rcu\",kind=\"gp_begin\"}} 0\n\
-             pbs_reclaim_hp_scans_total{{backend=\"epoch\"}} 0\n\
-             pbs_reclaim_batch_seals_total{{backend=\"epoch\"}} 0\n\
-             pbs_reclaim_reader_ejects_total{{backend=\"epoch\"}} 0\n"
-        ))
-        .unwrap();
+        assert_eq!(out.matches("# TYPE t_ns histogram").count(), 1);
+    }
+
+    /// A snapshot in which every table row holds its own prime (two
+    /// caches, so a family has more than one owner) and every optional
+    /// family — blame culprits, sites, garbage ages — has a sample.
+    fn full_snapshot() -> TelemetrySnapshot {
+        use pbs_telemetry::table::check_table;
+        let mut snap = exercised_snapshot();
+        snap.rcu = check_table(RcuStats::FIELDS, RcuStats::merge, RcuStats::delta);
+        snap.reclaim = check_table(ReclaimStats::FIELDS, ReclaimStats::merge, ReclaimStats::delta);
+        snap.reclaim.backend = "hp".to_owned();
+        snap.caches[0].stats = check_table(
+            CacheStatsSnapshot::FIELDS,
+            CacheStatsSnapshot::merge,
+            CacheStatsSnapshot::delta,
+        );
+        snap.caches.push(snap.caches[0].clone());
+        snap.caches[1].name = "b".to_owned();
+        snap.blame = vec![pbs_rcu::BlameReport::default()];
+        snap.sites.sites = vec![pbs_telemetry::site::SiteStat::default()];
+        snap.sites.age = vec![pbs_telemetry::NamedHistogram {
+            name: "garbage_age_ns_hp".to_owned(),
+            hist: HistogramSnapshot::default(),
+        }];
+        snap
+    }
+
+    fn typed_families(text: &str) -> Vec<&str> {
+        text.lines()
+            .filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next())
+            .collect()
+    }
+
+    /// Every row of the three exported tables reaches the exposition —
+    /// through JSON and back — exactly once per owner, with its own value.
+    #[test]
+    fn every_table_row_is_exported_once_per_owner() {
+        let json = serde_json::to_string(&full_snapshot()).unwrap();
+        let snap: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
+        let text = to_prometheus(&snap);
+        validate_prometheus(&text).expect("a full exposition validates");
+        fn check<S>(text: &str, fields: &[Field<S>], owner: &str, snap: &S) {
+            for f in fields {
+                let series = match join_labels(owner, f.labels()).as_str() {
+                    "" => f.family().to_owned(),
+                    labels => format!("{}{{{labels}}}", f.family()),
+                };
+                let prefix = format!("{series} ");
+                let hits: Vec<&str> = text.lines().filter(|l| l.starts_with(&prefix)).collect();
+                assert_eq!(hits, [format!("{prefix}{}", (f.get)(snap))], "{}", f.name);
+            }
+        }
+        check(&text, RcuStats::FIELDS, "", &snap.rcu);
+        check(&text, ReclaimStats::FIELDS, "backend=\"hp\"", &snap.reclaim);
+        for cache in &snap.caches {
+            let owner = format!("cache=\"{}\"", cache.name);
+            check(&text, CacheStatsSnapshot::FIELDS, &owner, &cache.stats);
+        }
+    }
+
+    /// The public schema: every metric family a full snapshot exports,
+    /// each declared exactly once. A rename, removal or addition must be
+    /// a deliberate edit of this list (dashboards key on these names).
+    #[test]
+    fn exported_families_are_the_public_schema() {
+        let golden = "\
+            pbs_rcu_gp_advances_total pbs_rcu_synchronize_calls_total \
+            pbs_rcu_membarrier_advances_total pbs_rcu_fallback_fence_advances_total \
+            pbs_rcu_injected_gp_stalls_total pbs_rcu_stall_warnings_total \
+            pbs_rcu_longest_stall_ns pbs_rcu_active_stalls pbs_rcu_stall_blames_total \
+            pbs_rcu_expedited_gps_total pbs_rcu_callbacks_enqueued_total \
+            pbs_rcu_callbacks_processed_total pbs_rcu_max_callback_backlog \
+            pbs_rcu_callback_backlog pbs_rcu_gp_latency_ns pbs_rcu_callback_delay_ns \
+            pbs_events_total pbs_events_recorded_total pbs_events_dropped_total \
+            pbs_events_torn_total \
+            pbs_reclaim_deferred_in_domain pbs_reclaim_hp_scans_total \
+            pbs_reclaim_scan_reclaimed_total pbs_reclaim_scan_protected_total \
+            pbs_reclaim_batch_seals_total pbs_reclaim_batch_refs_captured_total \
+            pbs_reclaim_reader_ejects_total pbs_reclaim_injected_stalls_total \
+            pbs_rcu_blame_open_episodes pbs_rcu_blame_stalled_for_ns \
+            pbs_sites_outstanding_total pbs_sites_oldest_outstanding_ns \
+            pbs_sites_dropped_total pbs_sites_lost_stamps_total pbs_site_deferred_total \
+            pbs_site_reclaimed_total pbs_site_outstanding pbs_site_outstanding_bytes \
+            pbs_garbage_age_ns \
+            pbs_cache_alloc_requests_total pbs_cache_hits_total pbs_cache_latent_hits_total \
+            pbs_cache_frees_total pbs_cache_deferred_frees_total pbs_cache_refills_total \
+            pbs_cache_partial_refills_total pbs_cache_flushes_total pbs_cache_preflushes_total \
+            pbs_cache_pre_movements_total pbs_cache_node_lock_contended_total \
+            pbs_cache_cpu_slot_misses_total pbs_cache_grows_total pbs_cache_shrinks_total \
+            pbs_cache_oom_waits_total pbs_cache_slabs_current pbs_cache_slabs_peak \
+            pbs_cache_pressure_level pbs_cache_pressure_transitions_total \
+            pbs_cache_assisted_merges_total pbs_cache_live_objects \
+            pbs_cache_oom_recoveries_total pbs_cache_fastpath_hits_total \
+            pbs_cache_fastpath_restarts_total pbs_cache_fastpath_fallbacks_total \
+            pbs_cache_slot_wait_ns pbs_cache_defer_delay_ns";
+        let text = to_prometheus(&full_snapshot());
+        assert_eq!(typed_families(&text), golden.split(' ').collect::<Vec<_>>());
+    }
+
+    /// The shape the exporter used to produce — a `# TYPE` per sample, a
+    /// family's samples spread between other families' — is what a real
+    /// scraper rejects, and so must the validator; likewise a required
+    /// series that only appears in a comment or a label value.
+    #[test]
+    fn validator_rejects_repeated_types_reopened_families_and_mentions() {
+        let good = to_prometheus(&full_snapshot());
+        let hit = "pbs_cache_hits_total{cache=\"c\"} 1\n";
+        let err = validate_prometheus(&format!("{good}# TYPE pbs_cache_hits_total counter\n{hit}"));
+        assert!(err.unwrap_err().contains("second or late # TYPE"));
+        let err = validate_prometheus(&format!("{good}{hit}"));
+        assert!(err.unwrap_err().contains("after its family was closed"));
+
+        let missing = "pbs_reclaim_injected_stalls_total";
+        let mentioned: String = good
+            .lines()
+            .filter(|l| !l.starts_with(missing))
+            .map(|l| format!("{l}\n"))
+            .chain([format!("pbs_other{{why=\"{missing}\"}} 1\n")])
+            .collect();
+        assert!(mentioned.contains(&format!("# TYPE {missing} counter")));
+        let err = validate_prometheus(&mentioned).unwrap_err();
+        assert_eq!(err, format!("missing required series {missing}"));
     }
 
     #[test]
