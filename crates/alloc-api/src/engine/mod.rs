@@ -58,12 +58,6 @@ pub struct EngineConfig {
     /// Recovery-ladder rungs to climb before reporting out-of-memory
     /// (§4.2, *Handling memory pressure*); zero turns the ladder off.
     pub oom_retries: usize,
-    /// Route the allocate/free hit paths through the per-CPU fast path
-    /// (`pbs-percpu`): zero atomics and zero locks per uncontended pair.
-    /// When disabled the cache is built without fast-path slots at all
-    /// (ablation; the runtime toggle is
-    /// [`ObjectAllocator::fastpath_set_enabled`]).
-    pub fastpath: bool,
 }
 
 impl EngineConfig {
@@ -79,7 +73,6 @@ impl EngineConfig {
             soft_watermark: 4096,
             hard_watermark: 16384,
             oom_retries: 4,
-            fastpath: true,
         }
     }
 
@@ -88,12 +81,6 @@ impl EngineConfig {
     pub fn with_watermarks(mut self, soft: usize, hard: usize) -> Self {
         self.soft_watermark = soft.max(1);
         self.hard_watermark = hard.max(self.soft_watermark);
-        self
-    }
-
-    /// Toggles the per-CPU fast path (ablation).
-    pub fn with_fastpath(mut self, on: bool) -> Self {
-        self.fastpath = on;
         self
     }
 }
@@ -245,12 +232,11 @@ impl<P: SlabPolicy> SlabEngine<P> {
         let sizing = SizingPolicy::for_object_size(object_size);
         config.soft_watermark = config.soft_watermark.max(1);
         config.hard_watermark = config.hard_watermark.max(config.soft_watermark);
-        let fast_cap =
-            if config.fastpath && FastPathOverride::from_env() != Some(FastPathOverride::Off) {
-                sizing.object_cache_size
-            } else {
-                0
-            };
+        let fast_cap = if FastPathOverride::from_env() != Some(FastPathOverride::Off) {
+            sizing.object_cache_size
+        } else {
+            0
+        };
         let engine = Arc::new_cyclic(|weak: &Weak<Self>| {
             let client: Weak<dyn ReclaimClient> = weak.clone();
             Self {

@@ -25,7 +25,7 @@ use pbs_alloc_api::engine::EngineConfig;
 #[derive(Debug, Clone)]
 pub struct PrudenceConfig {
     /// The settings shared with every engine-backed cache: CPU-slot
-    /// count, pressure watermarks, OOM-ladder depth, fast path.
+    /// count, pressure watermarks, OOM-ladder depth.
     pub engine: EngineConfig,
     /// Keep deferred objects in per-CPU latent caches (§4.1). When
     /// disabled, deferred objects go straight to latent slabs.
@@ -99,12 +99,6 @@ impl PrudenceConfig {
         self.engine = self.engine.with_watermarks(soft, hard);
         self
     }
-
-    /// Toggles the per-CPU fast path (ablation).
-    pub fn with_fastpath(mut self, on: bool) -> Self {
-        self.engine = self.engine.with_fastpath(on);
-        self
-    }
 }
 
 impl From<EngineConfig> for PrudenceConfig {
@@ -136,7 +130,6 @@ mod tests {
         assert!(c.deferred_aware_selection);
         assert_eq!(c.slab_scan_window, 10);
         assert!(c.engine.soft_watermark <= c.engine.hard_watermark);
-        assert!(c.engine.fastpath);
     }
 
     #[test]

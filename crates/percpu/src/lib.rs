@@ -199,27 +199,6 @@ pub fn effective_label() -> &'static str {
     }
 }
 
-/// Forces the process default to the lock engine. Returns `false` if the
-/// default was already decided as rseq (too late to force). Used by test
-/// binaries that must cover the portable path deterministically.
-pub fn force_locks_engine() -> bool {
-    match DEFAULT_ENGINE.compare_exchange(
-        ENGINE_UNDECIDED,
-        ENGINE_LOCKS,
-        Ordering::AcqRel,
-        Ordering::Acquire,
-    ) {
-        Ok(_) => true,
-        Err(prev) => prev == ENGINE_LOCKS,
-    }
-}
-
-/// Whether the rseq engine can run in this process (registered rseq area
-/// plus the `PRIVATE_EXPEDITED_RSEQ` membarrier fence).
-pub fn rseq_available() -> bool {
-    rseq::supported()
-}
-
 /// Number of per-CPU slots a [`FastCache`] allocates: one per *possible*
 /// CPU id, so an rseq-reported cpu number always indexes its own slot
 /// (any sharing would break the per-CPU mutual-exclusion argument).

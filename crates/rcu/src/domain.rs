@@ -938,11 +938,6 @@ impl RcuThread {
         self.record.clear_hazard(slot);
     }
 
-    /// Clears every hazard slot of this thread.
-    pub fn clear_all_protections(&self) {
-        self.record.clear_hazards();
-    }
-
     /// Crate-internal: the registry record backing this thread.
     pub(crate) fn record(&self) -> &Arc<CachePadded<ThreadRecord>> {
         &self.record

@@ -13,9 +13,10 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Weak};
 
-use parking_lot::Mutex;
-
-use super::{ClientId, ReclaimBackend, ReclaimClient, ReclaimStats, ReclamationDomain};
+use super::{
+    stamp_untracked, ClientId, ClientRegistry, ReclaimBackend, ReclaimClient, ReclaimStats,
+    ReclamationDomain,
+};
 use crate::Rcu;
 
 /// Epoch-based backend; see the module docs.
@@ -24,7 +25,7 @@ pub struct EpochDomain {
     /// Shared with the queued callbacks, which resolve their client at
     /// delivery time (as the robust backends' deliveries do) — `defer`
     /// itself never takes this lock.
-    clients: Arc<Mutex<Vec<Weak<dyn ReclaimClient>>>>,
+    clients: Arc<ClientRegistry>,
 }
 
 impl EpochDomain {
@@ -51,32 +52,14 @@ impl ReclamationDomain for EpochDomain {
     }
 
     fn register_client(&self, client: Weak<dyn ReclaimClient>) -> ClientId {
-        let mut clients = self.clients.lock();
-        clients.push(client);
-        clients.len() - 1
+        self.clients.register(client)
     }
 
     fn defer(&self, client: ClientId, addr: usize) {
-        if pbs_telemetry::enabled() {
-            // Direct domain users get attributed here; allocator-layer
-            // callers already stamped the address with their own site.
-            pbs_telemetry::site::note_deferred_if_untracked(
-                addr,
-                pbs_telemetry::site::intern(std::panic::Location::caller()),
-                pbs_telemetry::site::BACKEND_EPOCH,
-            );
-        }
+        stamp_untracked(addr, pbs_telemetry::site::BACKEND_EPOCH);
         let clients = Arc::clone(&self.clients);
-        self.rcu.call_rcu(Box::new(move || {
-            // Attribution is credited here and nowhere downstream: the
-            // grace period elapsed, so the object is reusable now even if
-            // its client is already gone.
-            pbs_telemetry::site::note_reclaimed(addr);
-            let client = clients.lock().get(client).and_then(Weak::upgrade);
-            if let Some(client) = client {
-                client.reclaim_addrs(&[addr]);
-            }
-        }));
+        self.rcu
+            .call_rcu(Box::new(move || clients.deliver(client, &[addr])));
     }
 
     fn advance(&self) -> bool {

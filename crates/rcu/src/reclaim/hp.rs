@@ -45,7 +45,10 @@ use std::sync::{Arc, Weak};
 use parking_lot::Mutex;
 use pbs_telemetry::EventKind;
 
-use super::{ClientId, ReclaimBackend, ReclaimClient, ReclaimConfig, ReclaimStats, ReclamationDomain};
+use super::{
+    stamp_untracked, ClientId, ClientRegistry, ReclaimBackend, ReclaimClient, ReclaimConfig,
+    ReclaimStats, ReclamationDomain,
+};
 use crate::epoch::HP_SLOTS;
 use crate::membarrier;
 use crate::stats::ReclaimCounters;
@@ -63,7 +66,7 @@ struct Retired {
 pub struct HpDomain {
     rcu: Arc<Rcu>,
     config: ReclaimConfig,
-    clients: Mutex<Vec<Weak<dyn ReclaimClient>>>,
+    clients: ClientRegistry,
     retired: Mutex<Vec<Retired>>,
     retire_seq: AtomicU64,
     stats: ReclaimCounters,
@@ -79,7 +82,7 @@ impl HpDomain {
         Self {
             rcu,
             config,
-            clients: Mutex::new(Vec::new()),
+            clients: ClientRegistry::default(),
             retired: Mutex::new(Vec::new()),
             retire_seq: AtomicU64::new(0),
             stats: ReclaimCounters::default(),
@@ -148,15 +151,7 @@ impl HpDomain {
         let mut total = 0;
         for (client, addrs) in ready {
             total += addrs.len();
-            // Attribution: the scan proved these unprotected, so they are
-            // reusable now even if the client is already gone.
-            for &addr in &addrs {
-                pbs_telemetry::site::note_reclaimed(addr);
-            }
-            let client = self.clients.lock().get(client).cloned();
-            if let Some(client) = client.and_then(|weak| weak.upgrade()) {
-                client.reclaim_addrs(&addrs);
-            }
+            self.clients.deliver(client, &addrs);
         }
         self.stats.scan_reclaimed.fetch_add(total as u64, Ordering::Relaxed);
         self.stats.deferred_in_domain.fetch_sub(total, Ordering::Relaxed);
@@ -179,21 +174,11 @@ impl ReclamationDomain for HpDomain {
     }
 
     fn register_client(&self, client: Weak<dyn ReclaimClient>) -> ClientId {
-        let mut clients = self.clients.lock();
-        clients.push(client);
-        clients.len() - 1
+        self.clients.register(client)
     }
 
     fn defer(&self, client: ClientId, addr: usize) {
-        if pbs_telemetry::enabled() {
-            // Direct domain users get attributed here; allocator-layer
-            // callers already stamped the address with their own site.
-            pbs_telemetry::site::note_deferred_if_untracked(
-                addr,
-                pbs_telemetry::site::intern(std::panic::Location::caller()),
-                pbs_telemetry::site::BACKEND_HP,
-            );
-        }
+        stamp_untracked(addr, pbs_telemetry::site::BACKEND_HP);
         let seq = self.retire_seq.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.deferred_in_domain.fetch_add(1, Ordering::Relaxed);
         let len = {

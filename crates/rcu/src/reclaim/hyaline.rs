@@ -56,7 +56,10 @@ use std::time::Instant;
 use parking_lot::Mutex;
 use pbs_telemetry::EventKind;
 
-use super::{ClientId, ReclaimBackend, ReclaimClient, ReclaimConfig, ReclaimStats, ReclamationDomain};
+use super::{
+    stamp_untracked, ClientId, ClientRegistry, ReclaimBackend, ReclaimClient, ReclaimConfig,
+    ReclaimStats, ReclamationDomain,
+};
 use crate::membarrier;
 use crate::stats::ReclaimCounters;
 use crate::Rcu;
@@ -81,7 +84,7 @@ struct Batch {
 pub struct HyalineDomain {
     rcu: Arc<Rcu>,
     config: ReclaimConfig,
-    clients: Mutex<Vec<Weak<dyn ReclaimClient>>>,
+    clients: ClientRegistry,
     open: Mutex<Vec<(ClientId, usize)>>,
     /// Sealed batches in seal order, plus the blocking clock: first time
     /// each still-live captured reference was seen blocking a batch.
@@ -106,7 +109,7 @@ impl HyalineDomain {
         Self {
             rcu,
             config,
-            clients: Mutex::new(Vec::new()),
+            clients: ClientRegistry::default(),
             open: Mutex::new(Vec::new()),
             sealed: Mutex::new(SealedState::default()),
             batch_seq: AtomicU64::new(0),
@@ -265,15 +268,7 @@ impl HyalineDomain {
             }
         }
         for (client, addrs) in by_client {
-            // Attribution: the batch's reference set drained, so these are
-            // reusable now even if the client is already gone.
-            for &addr in &addrs {
-                pbs_telemetry::site::note_reclaimed(addr);
-            }
-            let client = self.clients.lock().get(client).cloned();
-            if let Some(client) = client.and_then(|weak| weak.upgrade()) {
-                client.reclaim_addrs(&addrs);
-            }
+            self.clients.deliver(client, &addrs);
         }
         self.stats.deferred_in_domain.fetch_sub(total, Ordering::Relaxed);
         total
@@ -295,21 +290,11 @@ impl ReclamationDomain for HyalineDomain {
     }
 
     fn register_client(&self, client: Weak<dyn ReclaimClient>) -> ClientId {
-        let mut clients = self.clients.lock();
-        clients.push(client);
-        clients.len() - 1
+        self.clients.register(client)
     }
 
     fn defer(&self, client: ClientId, addr: usize) {
-        if pbs_telemetry::enabled() {
-            // Direct domain users get attributed here; allocator-layer
-            // callers already stamped the address with their own site.
-            pbs_telemetry::site::note_deferred_if_untracked(
-                addr,
-                pbs_telemetry::site::intern(std::panic::Location::caller()),
-                pbs_telemetry::site::BACKEND_HYALINE,
-            );
-        }
+        stamp_untracked(addr, pbs_telemetry::site::BACKEND_HYALINE);
         self.stats.deferred_in_domain.fetch_add(1, Ordering::Relaxed);
         let len = {
             let mut open = self.open.lock();

@@ -53,6 +53,8 @@ use std::str::FromStr;
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
+use parking_lot::Mutex;
+
 pub use crate::stats::ReclaimStats;
 use crate::Rcu;
 
@@ -85,6 +87,50 @@ pub trait ReclaimClient: Send + Sync {
     /// not call back into [`ReclamationDomain::defer`] for this domain
     /// from inside the callback.
     fn reclaim_addrs(&self, addrs: &[usize]);
+}
+
+/// The clients of one domain and the one route reclaimed addresses take
+/// back to them, shared by all three backends.
+#[derive(Default)]
+pub(crate) struct ClientRegistry {
+    clients: Mutex<Vec<Weak<dyn ReclaimClient>>>,
+}
+
+impl ClientRegistry {
+    pub(crate) fn register(&self, client: Weak<dyn ReclaimClient>) -> ClientId {
+        let mut clients = self.clients.lock();
+        clients.push(client);
+        clients.len() - 1
+    }
+
+    /// Returns `addrs` to `client`; call with no domain lock held (the
+    /// [`ReclaimClient`] contract). Attribution is credited here and
+    /// nowhere downstream: the backend proved the objects reusable, so
+    /// they count as reclaimed even if their client is already gone, in
+    /// which case the addresses are dropped.
+    pub(crate) fn deliver(&self, client: ClientId, addrs: &[usize]) {
+        for &addr in addrs {
+            pbs_telemetry::site::note_reclaimed(addr);
+        }
+        let client = self.clients.lock().get(client).cloned();
+        if let Some(client) = client.and_then(|weak| weak.upgrade()) {
+            client.reclaim_addrs(addrs);
+        }
+    }
+}
+
+/// Attributes a defer made directly on a domain to its caller's site.
+/// Allocator-layer callers already stamped the address with their own
+/// site and win.
+#[track_caller]
+pub(crate) fn stamp_untracked(addr: usize, backend: u8) {
+    if pbs_telemetry::enabled() {
+        pbs_telemetry::site::note_deferred_if_untracked(
+            addr,
+            pbs_telemetry::site::intern(std::panic::Location::caller()),
+            backend,
+        );
+    }
 }
 
 /// Which reclamation scheme a domain runs.
@@ -312,7 +358,6 @@ pub fn domain_for(
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::*;
-    use parking_lot::Mutex;
 
     /// A client that records every reclaimed address, for backend unit
     /// tests.

@@ -174,11 +174,6 @@ impl NetShard {
         self.wheel.lock().advance(now, expired);
     }
 
-    /// Entries armed on the deadline wheel (including stale ones).
-    pub fn armed_deadlines(&self) -> usize {
-        self.wheel.lock().len()
-    }
-
     /// Closes `conn`: drops epoll interest (deferred epi free) and tears
     /// the connection down (deferred sock/filp/selinux frees).
     ///

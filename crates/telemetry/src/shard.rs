@@ -60,14 +60,6 @@ impl ShardGauges {
     }
 }
 
-impl ShardRow {
-    /// Everything shed or evicted rather than served: the "not panicked,
-    /// counted" number the overload gate checks.
-    pub fn total_shed(&self) -> u64 {
-        self.shed_accepts + self.shed_conns + self.timeouts + self.alloc_drops
-    }
-}
-
 /// The per-shard gauge set for one server run.
 #[derive(Debug)]
 pub struct ShardSet {
@@ -134,17 +126,5 @@ mod tests {
         let mut twice = row;
         twice.merge(&row);
         assert_eq!(set.totals(), twice);
-    }
-
-    #[test]
-    fn total_shed_counts_every_non_served_path() {
-        let row = ShardRow {
-            shed_accepts: 1,
-            shed_conns: 2,
-            timeouts: 3,
-            alloc_drops: 4,
-            ..ShardRow::default()
-        };
-        assert_eq!(row.total_shed(), 10);
     }
 }

@@ -349,11 +349,6 @@ pub struct SiteReport {
 }
 
 impl SiteReport {
-    /// Looks up a site's stats by label substring (tests, doctor).
-    pub fn site_containing(&self, fragment: &str) -> Option<&SiteStat> {
-        self.sites.iter().find(|s| s.label.contains(fragment))
-    }
-
     /// Folds another report into this one: sites merge by label (counters
     /// add), gauges take the maximum, histograms merge bucket-wise. Two
     /// captures of the *same* process should not be merged — that would

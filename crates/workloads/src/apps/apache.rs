@@ -8,8 +8,6 @@
 //! epoll instance" (`eventpoll_epi`). The paper measured 18 % deferred
 //! frees and a 5.6 % throughput win.
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,6 +15,7 @@ use pbs_simfs::SimFs;
 use pbs_simnet::{Epoll, SimNet};
 
 use super::AppParams;
+use crate::harness::run_workers;
 use crate::report::AppResult;
 use crate::{AllocatorKind, Testbed};
 
@@ -32,40 +31,22 @@ pub fn run_apache(kind: AllocatorKind, params: &AppParams) -> AppResult {
     let docs: Vec<pbs_simfs::Ino> = (0..params.pool_size.max(1))
         .map(|name| fs.create(0, name).expect("create document"))
         .collect();
-    let start = Instant::now();
-    let mut ops = 0u64;
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for tid in 0..params.threads {
-            let net = &net;
-            let epoll = &epoll;
-            let fs = &fs;
-            let docs = &docs;
-            let params = params.clone();
-            handles.push(s.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(params.seed ^ (tid as u64) << 8);
-                let mut local = 0u64;
-                for _ in 0..params.transactions_per_thread {
-                    let conn = net.connect().expect("accept");
-                    epoll.add(conn.0, 0x1).expect("epoll add");
-                    // Serve a random static document.
-                    let doc = docs[rng.gen_range(0..docs.len())];
-                    let fd = fs.open(doc).expect("open doc");
-                    fs.read(fd, RESPONSE_BYTES).expect("read doc");
-                    fs.close(fd).expect("close doc");
-                    net.request_response(conn, RESPONSE_BYTES).expect("send");
-                    epoll.del(conn.0);
-                    net.close(conn).expect("teardown");
-                    local += 1;
-                }
-                local
-            }));
+    let (ops, elapsed) = run_workers(params.threads, |tid| {
+        let mut rng = StdRng::seed_from_u64(params.seed ^ (tid as u64) << 8);
+        for _ in 0..params.transactions_per_thread {
+            let conn = net.connect().expect("accept");
+            epoll.add(conn.0, 0x1).expect("epoll add");
+            // Serve a random static document.
+            let doc = docs[rng.gen_range(0..docs.len())];
+            let fd = fs.open(doc).expect("open doc");
+            fs.read(fd, RESPONSE_BYTES).expect("read doc");
+            fs.close(fd).expect("close doc");
+            net.request_response(conn, RESPONSE_BYTES).expect("send");
+            epoll.del(conn.0);
+            net.close(conn).expect("teardown");
         }
-        for h in handles {
-            ops += h.join().expect("apache worker");
-        }
+        params.transactions_per_thread
     });
-    let elapsed = start.elapsed();
     net.quiesce();
     epoll.quiesce();
     fs.quiesce();

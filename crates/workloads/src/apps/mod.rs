@@ -19,7 +19,7 @@ pub use apache::run_apache;
 pub use netperf::run_netperf;
 pub use pgbench::run_pgbench;
 pub use postmark::run_postmark;
-pub use server::{run_server, ServerParams, ServerReport};
+pub use server::{run_server, ServerParams, ServerReport, ATTACKER_FRACTION};
 
 use crate::report::AppComparison;
 use crate::AllocatorKind;

@@ -8,11 +8,10 @@
 //! Prudence throughput win, with `filp` slab churn dropping from 364 K to
 //! 6 K.
 
-use std::time::Instant;
-
 use pbs_simnet::SimNet;
 
 use super::AppParams;
+use crate::harness::run_workers;
 use crate::report::AppResult;
 use crate::{AllocatorKind, Testbed};
 
@@ -26,35 +25,20 @@ const REQUEST_BYTES: usize = 128;
 pub fn run_netperf(kind: AllocatorKind, params: &AppParams) -> AppResult {
     let bed = Testbed::new(kind, params.threads, pbs_rcu::RcuConfig::kernel_bursty(), None);
     let net = SimNet::new(bed.factory());
-    let start = Instant::now();
-    let mut ops = 0u64;
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for _ in 0..params.threads {
-            let net = &net;
-            let n = params.transactions_per_thread;
-            handles.push(s.spawn(move || {
-                let mut local = 0u64;
-                for _ in 0..n {
-                    let conn = net.connect().expect("connect");
-                    // Handshake segments (SYN, SYN/ACK, ACK) ...
-                    net.request_response(conn, 1).expect("handshake");
-                    // ... one request/response exchange ...
-                    net.request_response(conn, REQUEST_BYTES).expect("rr");
-                    // ... FIN/ACK teardown segments, then teardown proper.
-                    net.request_response(conn, 1).expect("fin");
-                    net.request_response(conn, 1).expect("ack");
-                    net.close(conn).expect("close");
-                    local += 1;
-                }
-                local
-            }));
+    let (ops, elapsed) = run_workers(params.threads, |_| {
+        for _ in 0..params.transactions_per_thread {
+            let conn = net.connect().expect("connect");
+            // Handshake segments (SYN, SYN/ACK, ACK) ...
+            net.request_response(conn, 1).expect("handshake");
+            // ... one request/response exchange ...
+            net.request_response(conn, REQUEST_BYTES).expect("rr");
+            // ... FIN/ACK teardown segments, then teardown proper.
+            net.request_response(conn, 1).expect("fin");
+            net.request_response(conn, 1).expect("ack");
+            net.close(conn).expect("close");
         }
-        for h in handles {
-            ops += h.join().expect("netperf worker");
-        }
+        params.transactions_per_thread
     });
-    let elapsed = start.elapsed();
     net.quiesce();
     let caches = net
         .stats()

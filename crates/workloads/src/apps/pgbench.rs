@@ -10,12 +10,11 @@
 //! kmalloc-64 work objects mostly freed in place, a couple of RCU-deferred
 //! ones (fd-table/SELinux-style), and larger transient buffers.
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use super::AppParams;
+use crate::harness::run_workers;
 use crate::report::AppResult;
 use crate::{AllocatorKind, Testbed};
 
@@ -33,63 +32,48 @@ pub fn run_pgbench(kind: AllocatorKind, params: &AppParams) -> AppResult {
     let k64 = bed.create_cache("kmalloc-64", 64);
     let k1024 = bed.create_cache("kmalloc-1024", 1024);
     let selinux = bed.create_cache("selinux", 64);
-    let start = Instant::now();
-    let mut ops = 0u64;
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for tid in 0..params.threads {
-            let k64 = &k64;
-            let k1024 = &k1024;
-            let selinux = &selinux;
-            let params = params.clone();
-            handles.push(s.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(params.seed ^ (tid as u64) << 16);
-                // Session start: a security blob for the backend socket.
-                let session_blob = selinux.allocate().expect("session blob");
-                let mut local = 0u64;
-                let mut work = Vec::with_capacity(K64_PER_TXN);
-                for _ in 0..params.transactions_per_thread {
-                    for _ in 0..K64_PER_TXN {
-                        let o = k64.allocate().expect("k64");
-                        // SAFETY: fresh exclusive object.
-                        unsafe { o.as_ptr().cast::<u64>().write(local) };
-                        work.push(o);
-                    }
-                    for _ in 0..BUF_PER_TXN {
-                        let b = k1024.allocate().expect("buf");
-                        // SAFETY: fresh exclusive object of 1024 bytes.
-                        unsafe {
-                            std::ptr::write_bytes(b.as_ptr(), 0x11, 1024);
-                            k1024.free(b);
-                        }
-                    }
-                    // Free the burst: mostly immediate, a sliver deferred —
-                    // and in random order, as PostgreSQL's own free pattern
-                    // interleaves with the deferred context.
-                    for (i, o) in work.drain(..).enumerate() {
-                        // SAFETY: each work object freed exactly once.
-                        unsafe {
-                            if i < K64_DEFERRED_PER_TXN && rng.gen_bool(0.9) {
-                                k64.free_deferred(o);
-                            } else {
-                                k64.free(o);
-                            }
-                        }
-                    }
-                    local += 1;
+    let (ops, elapsed) = run_workers(params.threads, |tid| {
+        let mut rng = StdRng::seed_from_u64(params.seed ^ (tid as u64) << 16);
+        // Session start: a security blob for the backend socket.
+        let session_blob = selinux.allocate().expect("session blob");
+        let mut local = 0u64;
+        let mut work = Vec::with_capacity(K64_PER_TXN);
+        for _ in 0..params.transactions_per_thread {
+            for _ in 0..K64_PER_TXN {
+                let o = k64.allocate().expect("k64");
+                // SAFETY: fresh exclusive object.
+                unsafe { o.as_ptr().cast::<u64>().write(local) };
+                work.push(o);
+            }
+            for _ in 0..BUF_PER_TXN {
+                let b = k1024.allocate().expect("buf");
+                // SAFETY: fresh exclusive object of 1024 bytes.
+                unsafe {
+                    std::ptr::write_bytes(b.as_ptr(), 0x11, 1024);
+                    k1024.free(b);
                 }
-                // Session end: the blob is RCU-deferred like socket
-                // teardown.
-                // SAFETY: blob unpublished, freed once.
-                unsafe { selinux.free_deferred(session_blob) };
-                local
-            }));
+            }
+            // Free the burst: mostly immediate, a sliver deferred —
+            // and in random order, as PostgreSQL's own free pattern
+            // interleaves with the deferred context.
+            for (i, o) in work.drain(..).enumerate() {
+                // SAFETY: each work object freed exactly once.
+                unsafe {
+                    if i < K64_DEFERRED_PER_TXN && rng.gen_bool(0.9) {
+                        k64.free_deferred(o);
+                    } else {
+                        k64.free(o);
+                    }
+                }
+            }
+            local += 1;
         }
-        for h in handles {
-            ops += h.join().expect("pgbench worker");
-        }
+        // Session end: the blob is RCU-deferred like socket
+        // teardown.
+        // SAFETY: blob unpublished, freed once.
+        unsafe { selinux.free_deferred(session_blob) };
+        local
     });
-    let elapsed = start.elapsed();
     for c in [&k64, &k1024, &selinux] {
         c.quiesce();
     }

@@ -9,14 +9,13 @@
 //! highest of the four benchmarks, and the largest Prudence speedup
 //! (+18 %).
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use pbs_simfs::SimFs;
 
 use super::AppParams;
+use crate::harness::run_workers;
 use crate::report::AppResult;
 use crate::{AllocatorKind, Testbed};
 
@@ -24,82 +23,68 @@ use crate::{AllocatorKind, Testbed};
 pub fn run_postmark(kind: AllocatorKind, params: &AppParams) -> AppResult {
     let bed = Testbed::new(kind, params.threads, pbs_rcu::RcuConfig::kernel_bursty(), None);
     let fs = SimFs::new(bed.factory());
-    let start = Instant::now();
-    let mut ops = 0u64;
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for tid in 0..params.threads {
-            let fs = &fs;
-            let bed = &bed;
-            let params = params.clone();
-            handles.push(s.spawn(move || {
-                let reader = bed.rcu().register();
-                let mut rng = StdRng::seed_from_u64(params.seed ^ tid as u64);
-                let dir = tid as u64;
-                // Initial pool, as Postmark creates its file set up front.
-                let mut files: Vec<u64> = (0..params.pool_size).collect();
-                let mut next_name = params.pool_size;
-                for &name in &files {
-                    fs.create(dir, name).expect("pool create");
-                }
-                let mut local = 0u64;
-                for _ in 0..params.transactions_per_thread {
-                    // Postmark transaction mix: half data ops (read or
-                    // append), half metadata ops (create or delete).
-                    match rng.gen_range(0..4u32) {
-                        0 => {
-                            // Read a random file.
-                            if let Some(&name) = pick(&mut rng, &files) {
-                                let guard = reader.read_lock();
-                                let ino = fs.lookup(&guard, dir, name);
-                                drop(guard);
-                                if let Some(ino) = ino {
-                                    let fd = fs.open(ino).expect("open");
-                                    fs.read(fd, rng.gen_range(512..8192)).expect("read");
-                                    fs.close(fd).expect("close");
-                                }
-                            }
-                        }
-                        1 => {
-                            // Append to a random file.
-                            if let Some(&name) = pick(&mut rng, &files) {
-                                let guard = reader.read_lock();
-                                let ino = fs.lookup(&guard, dir, name);
-                                drop(guard);
-                                if let Some(ino) = ino {
-                                    let fd = fs.open(ino).expect("open");
-                                    fs.append(fd, rng.gen_range(512..4096)).expect("append");
-                                    fs.close(fd).expect("close");
-                                }
-                            }
-                        }
-                        2 => {
-                            // Create a new file.
-                            let name = next_name;
-                            next_name += 1;
-                            fs.create(dir, name).expect("create");
-                            files.push(name);
-                        }
-                        _ => {
-                            // Delete a random file (keep the pool
-                            // non-empty).
-                            if files.len() > 1 {
-                                let i = rng.gen_range(0..files.len());
-                                let name = files.swap_remove(i);
-                                fs.unlink(dir, name).expect("unlink");
-                            }
+    let (ops, elapsed) = run_workers(params.threads, |tid| {
+        let reader = bed.rcu().register();
+        let mut rng = StdRng::seed_from_u64(params.seed ^ tid as u64);
+        let dir = tid as u64;
+        // Initial pool, as Postmark creates its file set up front.
+        let mut files: Vec<u64> = (0..params.pool_size).collect();
+        let mut next_name = params.pool_size;
+        for &name in &files {
+            fs.create(dir, name).expect("pool create");
+        }
+        let mut local = 0u64;
+        for _ in 0..params.transactions_per_thread {
+            // Postmark transaction mix: half data ops (read or
+            // append), half metadata ops (create or delete).
+            match rng.gen_range(0..4u32) {
+                0 => {
+                    // Read a random file.
+                    if let Some(&name) = pick(&mut rng, &files) {
+                        let guard = reader.read_lock();
+                        let ino = fs.lookup(&guard, dir, name);
+                        drop(guard);
+                        if let Some(ino) = ino {
+                            let fd = fs.open(ino).expect("open");
+                            fs.read(fd, rng.gen_range(512..8192)).expect("read");
+                            fs.close(fd).expect("close");
                         }
                     }
-                    local += 1;
                 }
-                local
-            }));
+                1 => {
+                    // Append to a random file.
+                    if let Some(&name) = pick(&mut rng, &files) {
+                        let guard = reader.read_lock();
+                        let ino = fs.lookup(&guard, dir, name);
+                        drop(guard);
+                        if let Some(ino) = ino {
+                            let fd = fs.open(ino).expect("open");
+                            fs.append(fd, rng.gen_range(512..4096)).expect("append");
+                            fs.close(fd).expect("close");
+                        }
+                    }
+                }
+                2 => {
+                    // Create a new file.
+                    let name = next_name;
+                    next_name += 1;
+                    fs.create(dir, name).expect("create");
+                    files.push(name);
+                }
+                _ => {
+                    // Delete a random file (keep the pool
+                    // non-empty).
+                    if files.len() > 1 {
+                        let i = rng.gen_range(0..files.len());
+                        let name = files.swap_remove(i);
+                        fs.unlink(dir, name).expect("unlink");
+                    }
+                }
+            }
+            local += 1;
         }
-        for h in handles {
-            ops += h.join().expect("postmark worker");
-        }
+        local
     });
-    let elapsed = start.elapsed();
     fs.quiesce();
     let caches = fs
         .stats()

@@ -40,9 +40,9 @@
 //!   stop accepting, drain their listen queues unserved and evict idle
 //!   connections until pressure recedes;
 //! * **connection cap** — a shard never holds more than
-//!   `max_conns_factor ×` its share of the target population.
+//!   `MAX_CONNS_FACTOR ×` its share of the target population.
 //!
-//! Degradation is *gating*: [`ServerReport::violations`] is empty only if
+//! Degradation is *gating*: [`ServerReport::verdict`] passes only if
 //! p99.9 alloc-path latency stayed under the bound, overload was shed and
 //! counted rather than panicked, the garbage bound held under the robust
 //! reclamation backends while a shard was parked, service recovered to
@@ -61,14 +61,13 @@ use serde::{Deserialize, Serialize};
 use pbs_alloc_api::engine::EngineConfig;
 use pbs_alloc_api::{ObjPtr, ObjectAllocator};
 use pbs_fault::{site, FaultInjector, Schedule};
-use pbs_rcu::reclaim::{ReclaimBackend, ReclaimConfig, ReclaimStats};
+use pbs_rcu::reclaim::ReclaimBackend;
 use pbs_rcu::RcuConfig;
 use pbs_simnet::{ConnId, NetError, NetShard, ShardConfig, ShardedNet};
-use pbs_slub::SlubTuning;
 use pbs_telemetry::{HistogramSnapshot, Percentiles, ShardGauges, ShardRow, ShardSet};
-use prudence::PrudenceConfig;
 
-use crate::{AllocatorKind, Testbed};
+use crate::harness::{self, audit_teardown, garbage_contrast_gate, ContrastFailure, Wording};
+use crate::{hardened_bed, AllocatorKind, RunVerdict};
 
 /// Parse-state object per connection (request line, header cursor).
 const CONN_STATE_SIZE: usize = 192;
@@ -76,6 +75,30 @@ const CONN_STATE_SIZE: usize = 192;
 const PARSE_BUF_SIZE: usize = 512;
 /// Per-request scratch object (response head, iovec stand-in).
 const SCRATCH_SIZE: usize = 256;
+
+/// Zipf exponent of the request mix (≈1.1 is classic web-trace shape).
+const ZIPF_S: f64 = 1.1;
+/// Request-service attempts per reactor iteration.
+const REQUEST_BUDGET: usize = 128;
+/// Fraction of storm dials that are slowloris attackers.
+pub const ATTACKER_FRACTION: f64 = 0.5;
+/// Probability an accept is refused by the `net.accept` fault site.
+const ACCEPT_FAULT_P: f64 = 0.002;
+/// Probability a read stalls via the `net.read_stall` fault site.
+const READ_STALL_FAULT_P: f64 = 0.01;
+/// Bounded retries per allocation before the connection is dropped.
+const ALLOC_RETRY_BUDGET: u32 = 6;
+/// A shard stops accepting once it holds this multiple of its share of
+/// the target population.
+const MAX_CONNS_FACTOR: usize = 2;
+/// Memory-recovery gate: once reclamation catches up after the storm,
+/// used bytes must be at most this multiple of the established
+/// baseline. Not 1.0 — randomly evicting half the storm peak leaves a
+/// survivor on almost every slab, and that fragmentation is real
+/// server behaviour, not a leak (the teardown gate still demands an
+/// exact return to zero, and a true leak compounds far past any small
+/// constant).
+const RECOVERY_FACTOR: f64 = 4.0;
 
 /// Run phases, stored in one shared atomic.
 const PHASE_ESTABLISH: u8 = 0;
@@ -89,7 +112,7 @@ const COOKIE_HONEST: u64 = 0;
 const COOKIE_ATTACKER: u64 = 1;
 
 /// Parameters for one server run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerParams {
     /// Reactor shards (threads; also the testbed CPU-slot count).
     pub shards: usize,
@@ -105,14 +128,10 @@ pub struct ServerParams {
     pub recovery_ms: u64,
     /// Zipf catalog size (distinct request keys).
     pub keys: usize,
-    /// Zipf exponent (≈1.1 is classic web-trace shape).
-    pub zipf_s: f64,
     /// Per-shard listen-queue capacity.
     pub backlog_cap: usize,
     /// Accepts per reactor iteration.
     pub accept_budget: usize,
-    /// Request-service attempts per reactor iteration.
-    pub request_budget: usize,
     /// Honest connections churned (closed + re-dialed) per storm
     /// iteration per shard.
     pub churn_per_iter: usize,
@@ -121,18 +140,10 @@ pub struct ServerParams {
     /// Hard request deadline for connections that never complete one
     /// (slowloris eviction).
     pub slow_deadline_ms: u64,
-    /// Fraction of storm dials that are slowloris attackers.
-    pub attacker_fraction: f64,
-    /// Probability an accept is refused by the `net.accept` fault site.
-    pub accept_fault_p: f64,
-    /// Probability a read stalls via the `net.read_stall` fault site.
-    pub read_stall_fault_p: f64,
     /// Probability of an injected OOM per slab-grow attempt (exercises
     /// the retry-with-backoff path; 0 leaves allocation failure to any
     /// real memory limit).
     pub grow_fault_p: f64,
-    /// Bounded retries per allocation before the connection is dropped.
-    pub alloc_retry_budget: u32,
     /// Park the last shard in a read-side critical section for the whole
     /// storm (the stalled reader the robust backends must tolerate).
     pub stalled_shard: bool,
@@ -156,17 +167,6 @@ pub struct ServerParams {
     /// tunings; `None` keeps allocator defaults. Tests lower these to
     /// make the load-shedding trip reachable at small scale.
     pub pressure_watermarks: Option<(usize, usize)>,
-    /// A shard stops accepting once it holds `max_conns_factor ×` its
-    /// share of the target population.
-    pub max_conns_factor: usize,
-    /// Memory-recovery gate: once reclamation catches up after the storm,
-    /// used bytes must be at most this multiple of the established
-    /// baseline. Not 1.0 — randomly evicting half the storm peak leaves a
-    /// survivor on almost every slab, and that fragmentation is real
-    /// server behaviour, not a leak (the teardown gate still demands an
-    /// exact return to zero, and a true leak compounds far past any small
-    /// constant).
-    pub recovery_factor: f64,
     /// Cap on the establish phase before the run is declared failed.
     pub establish_timeout: Duration,
 }
@@ -181,18 +181,12 @@ impl Default for ServerParams {
             storm_ms: 400,
             recovery_ms: 400,
             keys: 256,
-            zipf_s: 1.1,
             backlog_cap: 1024,
             accept_budget: 512,
-            request_budget: 128,
             churn_per_iter: 64,
             idle_timeout_ms: 150,
             slow_deadline_ms: 60,
-            attacker_fraction: 0.5,
-            accept_fault_p: 0.002,
-            read_stall_fault_p: 0.01,
             grow_fault_p: 0.0,
-            alloc_retry_budget: 6,
             stalled_shard: true,
             limit_bytes: None,
             reclaim: None,
@@ -200,8 +194,6 @@ impl Default for ServerParams {
             require_epoch_contrast: false,
             p999_alloc_bound_ns: 1_000_000_000,
             pressure_watermarks: None,
-            max_conns_factor: 2,
-            recovery_factor: 4.0,
             establish_timeout: Duration::from_secs(60),
         }
     }
@@ -227,9 +219,51 @@ impl ServerParams {
         }
     }
 
+    /// The full-scale run `server_bench` defaults to: a million
+    /// connections over eight shards, multi-second phases.
+    pub fn full_scale() -> Self {
+        Self {
+            shards: 8,
+            connections: 1_000_000,
+            baseline_ms: 2_000,
+            storm_ms: 3_000,
+            recovery_ms: 4_000,
+            establish_timeout: Duration::from_secs(600),
+            ..Self::default()
+        }
+    }
+
+    /// The `server_bench` flags, beyond the ones a replay line always
+    /// spells out, that reproduce these parameters: `--smoke` when the
+    /// un-flagged sizing is [`smoke`](Self::smoke)'s, then whatever
+    /// differs from that base. Each flag has a leading space.
+    fn replay_flags(&self) -> String {
+        use std::fmt::Write;
+        let smoke = self.backlog_cap == Self::smoke().backlog_cap;
+        let base = if smoke { Self::smoke() } else { Self::full_scale() };
+        let mut flags = String::new();
+        if smoke {
+            flags.push_str(" --smoke");
+        }
+        if !self.stalled_shard {
+            flags.push_str(" --no-stall");
+        }
+        for (flag, mine, base) in [
+            ("--baseline-ms", self.baseline_ms, base.baseline_ms),
+            ("--storm-ms", self.storm_ms, base.storm_ms),
+            ("--recovery-ms", self.recovery_ms, base.recovery_ms),
+            ("--garbage-bound", self.garbage_bound as u64, base.garbage_bound as u64),
+        ] {
+            if mine != base {
+                let _ = write!(flags, " {flag} {mine}");
+            }
+        }
+        flags
+    }
+
     /// Rescales deadlines to the connection population. The Zipf service
     /// loop revisits a given connection roughly every `population /
-    /// (shards * request_budget)` iterations, so past ~20k connections a
+    /// (shards * REQUEST_BUDGET)` iterations, so past ~20k connections a
     /// sub-second idle deadline expires before the refresh arrives and
     /// honest connections are mass-evicted at the accept-rate x timeout
     /// equilibrium — the population can never hold its target. Real
@@ -253,16 +287,13 @@ impl ServerParams {
     }
 }
 
-/// Outcome of one server run; `violations` is empty iff every degradation
-/// gate held.
+/// Outcome of one server run; `verdict.violations` is empty iff every
+/// degradation gate held.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServerReport {
-    /// Allocator label.
-    pub allocator: String,
-    /// Reclamation backend label.
-    pub reclaim_backend: String,
-    /// The seed the run used.
-    pub seed: u64,
+    /// Who ran, what the teardown audit measured and every gate violated.
+    /// At least one stall warning is expected when a shard is parked.
+    pub verdict: RunVerdict,
     /// Reactor shards.
     pub shards: usize,
     /// Target concurrent connections.
@@ -299,44 +330,23 @@ pub struct ServerReport {
     pub garbage_bound: usize,
     /// Whether a shard was parked through the storm.
     pub stalled_shard: bool,
-    /// RCU stall-watchdog warnings (≥1 expected when a shard is parked).
-    pub stall_warnings: u64,
-    /// Expedited grace periods driven during the run.
-    pub expedited_gps: u64,
-    /// Epoch advances that used the membarrier protocol.
-    pub membarrier_advances: u64,
-    /// Epoch advances that used the portable fallback-fence protocol.
-    pub fallback_fence_advances: u64,
     /// Handshakes the `net.accept` fault site refused.
     pub injected_accept_refusals: u64,
     /// Reads the `net.read_stall` fault site stalled.
     pub injected_read_stalls: u64,
-    /// Slab grows the allocator fault site failed.
-    pub injected_oom: u64,
-    /// Stall-blame records captured during the run.
-    pub blame: Vec<pbs_rcu::BlameReport>,
-    /// Reclamation-domain counters at the end of the run.
-    pub reclaim: ReclaimStats,
     /// Page-allocator bytes used once the population was established.
     pub baseline_used_bytes: usize,
     /// Page-allocator bytes used at the end of recovery.
     pub recovered_used_bytes: usize,
-    /// Peak page-allocator bytes over the run.
-    pub peak_bytes: usize,
-    /// Deferred objects outstanding after the final quiesce (must be 0).
-    pub deferred_outstanding_end: usize,
-    /// Page-allocator bytes still used after full teardown (must be 0).
-    pub used_bytes_after_teardown: usize,
-    /// Reactor panics (must be 0).
-    pub panics: u64,
-    /// Gate violations; empty on a passing run.
-    pub violations: Vec<String>,
+    /// `server_bench` flags beyond seed, shards, connections, allocator
+    /// and backend (see [`replay_command`](Self::replay_command)).
+    pub replay_flags: String,
 }
 
 impl ServerReport {
     /// Whether every degradation gate held.
     pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+        self.verdict.passed()
     }
 
     /// Multi-line human summary.
@@ -355,9 +365,9 @@ impl ServerReport {
              {} retries/{} drops, alloc {alloc}, gp {gp}, \
              garbage max {}/{} bound, {} warns, {} expedited, \
              mem {}/{} KiB baseline/recovered (peak {} KiB), {} panics — {}",
-            self.allocator,
-            self.reclaim_backend,
-            self.seed,
+            self.verdict.allocator,
+            self.verdict.reclaim_backend,
+            self.verdict.seed,
             self.shards,
             self.established_peak,
             self.target_connections,
@@ -370,12 +380,12 @@ impl ServerReport {
             self.totals.alloc_drops,
             self.max_garbage_storm,
             self.garbage_bound,
-            self.stall_warnings,
-            self.expedited_gps,
+            self.verdict.stall_warnings,
+            self.verdict.expedited_gps,
             self.baseline_used_bytes >> 10,
             self.recovered_used_bytes >> 10,
-            self.peak_bytes >> 10,
-            self.panics,
+            self.verdict.peak_bytes >> 10,
+            self.verdict.panics,
             if self.passed() { "OK" } else { "FAILED" },
         )
     }
@@ -384,8 +394,13 @@ impl ServerReport {
     pub fn replay_command(&self) -> String {
         format!(
             "cargo run --release -p pbs-workloads --bin server_bench -- \
-             --seed {} --shards {} --connections {} --allocator {} --reclaim {}",
-            self.seed, self.shards, self.target_connections, self.allocator, self.reclaim_backend
+             --seed {} --shards {} --connections {} --allocator {} --reclaim {}{}",
+            self.verdict.seed,
+            self.shards,
+            self.target_connections,
+            self.verdict.allocator,
+            self.verdict.reclaim_backend,
+            self.replay_flags
         )
     }
 }
@@ -514,63 +529,37 @@ fn close_entry(
 #[allow(clippy::too_many_lines)]
 pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
     let faults = Arc::new(FaultInjector::new(params.seed));
-    if params.accept_fault_p > 0.0 {
-        faults.schedule(site::NET_ACCEPT, Schedule::Probability(params.accept_fault_p));
-    }
-    if params.read_stall_fault_p > 0.0 {
+    faults.schedule(site::NET_ACCEPT, Schedule::Probability(ACCEPT_FAULT_P));
+    faults.schedule(site::NET_READ_STALL, Schedule::Probability(READ_STALL_FAULT_P));
+    if params.grow_fault_p > 0.0 {
         faults.schedule(
-            site::NET_READ_STALL,
-            Schedule::Probability(params.read_stall_fault_p),
+            harness::grow_fault_site(kind),
+            Schedule::Probability(params.grow_fault_p),
         );
     }
-    if params.grow_fault_p > 0.0 {
-        let grow_site = match kind {
-            AllocatorKind::Slub => site::SLUB_GROW,
-            AllocatorKind::Prudence => site::PRUDENCE_GROW,
-        };
-        faults.schedule(grow_site, Schedule::Probability(params.grow_fault_p));
-    }
-
-    let backend = params.reclaim.unwrap_or_else(ReclaimBackend::from_env);
-    let robust = backend != ReclaimBackend::Epoch;
-    // Robust backends get the aggressive tuning so the garbage bound is
-    // reachable within sub-second storm phases (as in the chaos harness).
-    let reclaim_config = if robust {
-        ReclaimConfig::aggressive()
-    } else {
-        ReclaimConfig::default()
-    };
 
     // The watchdog threshold sits well under the storm length so a parked
     // reactor is blamed while the storm is still running.
     let stall_threshold = Duration::from_millis((params.storm_ms / 4).clamp(5, 50));
-    let rcu_config = RcuConfig::eager().with_stall_threshold(stall_threshold);
-
-    let mut slub_tuning = None;
-    let mut prudence_config = None;
-    if let Some((soft, hard)) = params.pressure_watermarks {
-        let engine = EngineConfig::new(params.shards).with_watermarks(soft, hard);
-        slub_tuning = Some(SlubTuning::from(engine.clone()));
-        prudence_config = Some(PrudenceConfig::from(engine));
-    }
-
-    let bed = Testbed::new_tuned(
+    let bed = hardened_bed(
         kind,
         params.shards,
-        rcu_config,
+        RcuConfig::eager().with_stall_threshold(stall_threshold),
         params.limit_bytes,
         Some(Arc::clone(&faults)),
-        slub_tuning,
-        prudence_config,
-        Some((backend, reclaim_config)),
+        params
+            .pressure_watermarks
+            .map(|(soft, hard)| EngineConfig::new(params.shards).with_watermarks(soft, hard)),
+        params.reclaim,
     );
+    let backend = bed.reclaim_backend();
     let state_cache = bed.create_cache("conn_state", CONN_STATE_SIZE);
     let buf_cache = bed.create_cache("parse_buf", PARSE_BUF_SIZE);
     let scratch_cache = bed.create_cache("req_scratch", SCRATCH_SIZE);
 
     let nshards = params.shards.max(1);
     let target_per_shard = params.connections.div_ceil(nshards);
-    let max_conns = target_per_shard * params.max_conns_factor.max(1);
+    let max_conns = target_per_shard * MAX_CONNS_FACTOR;
     let shard_config = ShardConfig {
         backlog_cap: params.backlog_cap,
         conn_buckets: (max_conns / 4).next_power_of_two().clamp(256, 1 << 18),
@@ -579,7 +568,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
     };
     let net = ShardedNet::new(bed.factory(), nshards, shard_config, Some(Arc::clone(&faults)));
     let gauges = ShardSet::new(nshards);
-    let zipf = Zipf::new(params.keys, params.zipf_s);
+    let zipf = Zipf::new(params.keys, ZIPF_S);
 
     let phase = AtomicU8::new(PHASE_ESTABLISH);
     // Published by the driver's sampler; read by every reactor to decide
@@ -681,7 +670,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
                                 // a slowloris mix.
                                 let dials = params.backlog_cap + params.backlog_cap / 4;
                                 for _ in 0..dials {
-                                    let cookie = if rng.gen_bool(params.attacker_fraction) {
+                                    let cookie = if rng.gen_bool(ATTACKER_FRACTION) {
                                         COOKIE_ATTACKER
                                     } else {
                                         COOKIE_HONEST
@@ -741,13 +730,13 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
                                         let state = alloc_with_retry(
                                             state_cache,
                                             shard_gauges,
-                                            params.alloc_retry_budget,
+                                            ALLOC_RETRY_BUDGET,
                                             &mut hist,
                                         );
                                         let buf = alloc_with_retry(
                                             buf_cache,
                                             shard_gauges,
-                                            params.alloc_retry_budget,
+                                            ALLOC_RETRY_BUDGET,
                                             &mut hist,
                                         );
                                         match (state, buf) {
@@ -801,7 +790,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
                         // hard pressure calls for evicting idle
                         // connections instead.
                         if hard_pressure {
-                            for _ in 0..params.request_budget.min(table.len()) {
+                            for _ in 0..REQUEST_BUDGET.min(table.len()) {
                                 let Some(e) = table.entries.last() else { break };
                                 let conn = e.conn.0;
                                 if let Some(e) = table.remove(conn) {
@@ -810,7 +799,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
                                 }
                             }
                         } else if ph != PHASE_ESTABLISH {
-                            for _ in 0..params.request_budget {
+                            for _ in 0..REQUEST_BUDGET {
                                 if table.len() == 0 {
                                     break;
                                 }
@@ -828,7 +817,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
                                 let scratch = alloc_with_retry(
                                     scratch_cache,
                                     shard_gauges,
-                                    params.alloc_retry_budget,
+                                    ALLOC_RETRY_BUDGET,
                                     &mut hist,
                                 );
                                 let Some(scratch) = scratch else { continue };
@@ -900,10 +889,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
         }
 
         // ---- Driver: phase clock + sampling. ----
-        let sample = |max_garbage: &mut usize,
-                      pressure_hard: &mut bool,
-                      established_peak: &mut usize,
-                      track_garbage: bool| {
+        let mut sample = |track_garbage: bool| {
             let level = state_cache
                 .stats()
                 .pressure_level
@@ -911,38 +897,22 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
                 .max(scratch_cache.stats().pressure_level);
             pressure.store(level, Ordering::Relaxed);
             if level >= 2 {
-                *pressure_hard = true;
+                pressure_hard_seen = true;
             }
-            *established_peak = (*established_peak).max(net.connection_count());
+            established_peak = established_peak.max(net.connection_count());
             if track_garbage {
                 let outstanding = state_cache.deferred_outstanding()
                     + buf_cache.deferred_outstanding()
                     + scratch_cache.deferred_outstanding()
                     + net.deferred_outstanding();
-                *max_garbage = (*max_garbage).max(outstanding);
-            }
-        };
-        let pace = |ms: u64,
-                    max_garbage: &mut usize,
-                    pressure_hard: &mut bool,
-                    established_peak: &mut usize,
-                    track_garbage: bool| {
-            let deadline = Instant::now() + Duration::from_millis(ms);
-            while Instant::now() < deadline {
-                sample(max_garbage, pressure_hard, established_peak, track_garbage);
-                std::thread::sleep(Duration::from_millis(2));
+                max_garbage_storm = max_garbage_storm.max(outstanding);
             }
         };
 
         // Establish until the population is (nearly) at target.
         let establish_deadline = Instant::now() + params.establish_timeout;
         loop {
-            sample(
-                &mut max_garbage_storm,
-                &mut pressure_hard_seen,
-                &mut established_peak,
-                false,
-            );
+            sample(false);
             let open = net.connection_count();
             if open * 100 >= params.connections * 99 {
                 break;
@@ -959,34 +929,23 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
         baseline_used_bytes = bed.pages().used_bytes();
         row_establish_end = gauges.totals();
 
+        let mut pace = |ms: u64, track_garbage: bool| {
+            let deadline = Instant::now() + Duration::from_millis(ms);
+            while Instant::now() < deadline {
+                sample(track_garbage);
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
         phase.store(PHASE_BASELINE, Ordering::Release);
-        pace(
-            params.baseline_ms,
-            &mut max_garbage_storm,
-            &mut pressure_hard_seen,
-            &mut established_peak,
-            false,
-        );
+        pace(params.baseline_ms, false);
         row_baseline_end = gauges.totals();
 
         phase.store(PHASE_STORM, Ordering::Release);
-        pace(
-            params.storm_ms,
-            &mut max_garbage_storm,
-            &mut pressure_hard_seen,
-            &mut established_peak,
-            true,
-        );
+        pace(params.storm_ms, true);
         row_storm_end = gauges.totals();
 
         phase.store(PHASE_RECOVERY, Ordering::Release);
-        pace(
-            params.recovery_ms,
-            &mut max_garbage_storm,
-            &mut pressure_hard_seen,
-            &mut established_peak,
-            false,
-        );
+        pace(params.recovery_ms, false);
         // The nominal window is a floor, not the verdict: refilling the
         // post-storm deficit is accept-throughput-bound, so on a starved
         // machine (CI sharing one core across every shard) the pumps may
@@ -999,12 +958,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
         while net.connection_count() * 100 < params.connections * 95
             && Instant::now() < recovery_grace
         {
-            sample(
-                &mut max_garbage_storm,
-                &mut pressure_hard_seen,
-                &mut established_peak,
-                false,
-            );
+            sample(false);
             std::thread::sleep(Duration::from_millis(2));
         }
         row_recovery_end = gauges.totals();
@@ -1031,50 +985,29 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
         let _ = gp_prober.join();
     });
 
-    // Everything is closed; drain the deferred backlog completely.
-    net.quiesce();
-    state_cache.quiesce();
-    buf_cache.quiesce();
-    scratch_cache.quiesce();
-
-    let deferred_outstanding_end = state_cache.deferred_outstanding()
-        + buf_cache.deferred_outstanding()
-        + scratch_cache.deferred_outstanding()
-        + net.deferred_outstanding();
-    let mut live_leaks = Vec::new();
-    for (name, stats) in net.stats() {
-        if stats.live_objects != 0 {
-            live_leaks.push(format!("{name}: {}", stats.live_objects));
-        }
-    }
-    for (name, cache) in [
-        ("conn_state", &state_cache),
-        ("parse_buf", &buf_cache),
-        ("req_scratch", &scratch_cache),
-    ] {
-        let live = cache.stats().live_objects;
-        if live != 0 {
-            live_leaks.push(format!("{name}: {live}"));
-        }
-    }
-
-    let rcu_stats = bed.rcu().stats();
+    // Everything is closed: drain the deferred backlog completely, then
+    // drop the net layer and caches — every page must be back at the
+    // allocator.
+    let (mut verdict, _) = audit_teardown(
+        &bed,
+        &faults,
+        Wording::Server,
+        panics,
+        violations,
+        vec![
+            Box::new(net),
+            Box::new(state_cache),
+            Box::new(buf_cache),
+            Box::new(scratch_cache),
+        ],
+    );
+    let violations = &mut verdict.violations;
     let gp_latency = bed
         .rcu()
         .telemetry()
         .histogram("gp_latency_ns")
         .and_then(HistogramSnapshot::percentiles);
-    let blame = bed.rcu().blame_reports();
-    let reclaim = bed.reclaim_stats();
-    let peak_bytes = bed.pages().peak_bytes();
-
-    // Teardown: drop the net layer and caches, then every page must be
-    // back at the allocator.
-    drop(net);
-    drop(state_cache);
-    drop(buf_cache);
-    drop(scratch_cache);
-    let used_bytes_after_teardown = bed.pages().used_bytes();
+    let peak_bytes = verdict.peak_bytes;
 
     let totals = gauges.totals();
     let baseline = row_baseline_end.delta(&row_establish_end);
@@ -1104,25 +1037,26 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
         }
     }
     if params.stalled_shard {
-        if rcu_stats.stall_warnings == 0 {
+        if verdict.stall_warnings == 0 {
             violations.push("parked shard never tripped the stall watchdog".into());
         }
-        if robust && max_garbage_storm > params.garbage_bound {
-            violations.push(format!(
+        match garbage_contrast_gate(
+            harness::is_robust(backend),
+            max_garbage_storm,
+            params.garbage_bound,
+            params.require_epoch_contrast,
+        ) {
+            Some(ContrastFailure::RobustOverBound) => violations.push(format!(
                 "robust backend {backend:?} let garbage reach {max_garbage_storm} \
                  (bound {}) with a shard parked",
                 params.garbage_bound
-            ));
-        }
-        if params.require_epoch_contrast
-            && !robust
-            && max_garbage_storm <= params.garbage_bound
-        {
-            violations.push(format!(
+            )),
+            Some(ContrastFailure::EpochWithinBound) => violations.push(format!(
                 "epoch backend held garbage to {max_garbage_storm} (bound {}) — \
                  the stalled-reader contrast went missing",
                 params.garbage_bound
-            ));
+            )),
+            None => {}
         }
     }
     if recovery.requests == 0 {
@@ -1150,7 +1084,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
     // so the bound is the looser of "factor × baseline" and "gave back at
     // least half the storm overshoot" — either way a run that returns
     // nothing (recovered ≈ peak) fails.
-    let recovery_bound = ((baseline_used_bytes as f64 * params.recovery_factor) as usize)
+    let recovery_bound = ((baseline_used_bytes as f64 * RECOVERY_FACTOR) as usize)
         .max(baseline_used_bytes + (peak_bytes - baseline_used_bytes) / 2);
     if kind == AllocatorKind::Slub && recovered_used_bytes > recovery_bound {
         violations.push(format!(
@@ -1158,29 +1092,9 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
              {baseline_used_bytes} baseline (bound {recovery_bound})"
         ));
     }
-    if deferred_outstanding_end != 0 {
-        violations.push(format!(
-            "{deferred_outstanding_end} deferred objects outstanding after quiesce"
-        ));
-    }
-    if !live_leaks.is_empty() {
-        violations.push(format!("live objects after teardown: {}", live_leaks.join(", ")));
-    }
-    if used_bytes_after_teardown != 0 {
-        violations.push(format!(
-            "{used_bytes_after_teardown} bytes still used after teardown"
-        ));
-    }
-    if let Some(limit) = params.limit_bytes {
-        if peak_bytes > limit {
-            violations.push(format!("peak {peak_bytes} exceeded limit {limit}"));
-        }
-    }
 
     ServerReport {
-        allocator: kind.label().to_owned(),
-        reclaim_backend: format!("{backend}"),
-        seed: params.seed,
+        verdict,
         shards: nshards,
         target_connections: params.connections,
         established_peak,
@@ -1198,22 +1112,11 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
         max_garbage_storm,
         garbage_bound: params.garbage_bound,
         stalled_shard: params.stalled_shard,
-        stall_warnings: rcu_stats.stall_warnings,
-        expedited_gps: rcu_stats.expedited_gps,
-        membarrier_advances: rcu_stats.membarrier_advances,
-        fallback_fence_advances: rcu_stats.fallback_fence_advances,
         injected_accept_refusals: faults.injected(site::NET_ACCEPT),
         injected_read_stalls: faults.injected(site::NET_READ_STALL),
-        injected_oom: faults.injected(site::SLUB_GROW) + faults.injected(site::PRUDENCE_GROW),
-        blame,
-        reclaim,
         baseline_used_bytes,
         recovered_used_bytes,
-        peak_bytes,
-        deferred_outstanding_end,
-        used_bytes_after_teardown,
-        panics,
-        violations,
+        replay_flags: params.replay_flags(),
     }
 }
 
@@ -1252,12 +1155,12 @@ mod tests {
     fn storm_and_recovery_gates_hold_on_both_allocators() {
         for kind in AllocatorKind::BOTH {
             let r = run_server(kind, &tiny());
-            assert!(r.passed(), "{kind}: {:?}\n{}", r.violations, r.render());
+            assert!(r.passed(), "{kind}: {:?}\n{}", r.verdict.violations, r.render());
             assert!(r.totals.requests > 0);
             assert!(r.storm.shed_accepts > 0, "storm must shed at the backlog");
             assert!(r.totals.timeouts > 0, "slowloris conns must be evicted");
-            assert_eq!(r.deferred_outstanding_end, 0);
-            assert_eq!(r.used_bytes_after_teardown, 0);
+            assert_eq!(r.verdict.deferred_outstanding_end, 0);
+            assert_eq!(r.verdict.used_bytes_after_teardown, 0);
         }
     }
 
@@ -1277,7 +1180,7 @@ mod tests {
             "p=0.4 grow faults must force retries: {}",
             r.render()
         );
-        assert_eq!(r.panics, 0);
+        assert_eq!(r.verdict.panics, 0);
     }
 
     #[test]
@@ -1298,8 +1201,8 @@ mod tests {
             "hard pressure must shed: {}",
             r.render()
         );
-        assert_eq!(r.panics, 0);
-        assert_eq!(r.deferred_outstanding_end, 0);
+        assert_eq!(r.verdict.panics, 0);
+        assert_eq!(r.verdict.deferred_outstanding_end, 0);
     }
 
     #[test]
@@ -1309,13 +1212,26 @@ mod tests {
             ..tiny()
         };
         let r = run_server(AllocatorKind::Prudence, &params);
-        assert!(r.passed(), "{:?}\n{}", r.violations, r.render());
+        assert!(r.passed(), "{:?}\n{}", r.verdict.violations, r.render());
         assert!(
             r.max_garbage_storm <= r.garbage_bound,
             "hp must bound garbage: {}",
             r.render()
         );
-        assert!(r.stall_warnings >= 1, "parked shard must be blamed");
+        assert!(r.verdict.stall_warnings >= 1, "parked shard must be blamed");
+    }
+
+    #[test]
+    fn replay_flags_name_only_what_differs_from_the_base() {
+        assert_eq!(ServerParams::full_scale().replay_flags(), "");
+        assert_eq!(ServerParams::smoke().replay_flags(), " --smoke");
+        let params = ServerParams {
+            stalled_shard: false,
+            storm_ms: 10,
+            garbage_bound: 9,
+            ..ServerParams::full_scale()
+        };
+        assert_eq!(params.replay_flags(), " --no-stall --storm-ms 10 --garbage-bound 9");
     }
 
     #[test]
@@ -1333,8 +1249,8 @@ mod tests {
         );
         let json = serde_json::to_string(&r).unwrap();
         let back: ServerReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.allocator, r.allocator);
+        assert_eq!(back.verdict.allocator, r.verdict.allocator);
         assert_eq!(back.totals, r.totals);
-        assert_eq!(back.violations, r.violations);
+        assert_eq!(back.verdict.violations, r.verdict.violations);
     }
 }

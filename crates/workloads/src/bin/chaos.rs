@@ -14,69 +14,131 @@
 //! `PBS_RECLAIM`, so the CI matrix drives the whole binary through one
 //! environment variable.
 //!
-//! Every failing report prints a one-line replay command (seed, scenario
-//! and allocator pin the whole fault plan) so a red CI run can be
-//! reproduced directly.
+//! Every failing report prints a one-line replay command (seed, scenario,
+//! allocator and every non-default parameter) so a red CI run can be
+//! reproduced directly. An unknown flag, a missing value or a value that
+//! does not parse is a usage error (exit 2), never a silently different
+//! run.
 //!
 //! The process forces the RCU membarrier fallback before any domain is
 //! built, so every grace period in the run also exercises the fallback
 //! fence protocol (the unlucky-kernel path CI would otherwise never take).
 
+use std::time::Duration;
+
 use pbs_workloads::chaos::{run_chaos, ChaosParams, ChaosScenario};
 use pbs_workloads::AllocatorKind;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
+const USAGE: &str = "usage: chaos [--scenario mixed|stalled-reader|oom-storm|fastpath-flap|server-storm|all]
+             [--seed N | --seeds 1,2,3] [--allocator slub|prudence|both]
+             [--reclaim epoch|hp|hyaline] [--garbage-bound N] [--duration SECS]
+             [--threads N] [--ops N] [--keys N] [--limit-mb N] [--grow-p P]
+             [--stall-p P] [--connections N] [--json] [--doctor-smoke]";
+
+struct Cli {
+    scenarios: Vec<ChaosScenario>,
+    seeds: Vec<u64>,
+    kinds: Vec<AllocatorKind>,
+    json: bool,
+    /// Spin up the live doctor endpoint inside every run and poll it
+    /// mid-chaos; under stalled-reader the smoke also insists /doctor
+    /// names the staller.
+    doctor_smoke: bool,
+    /// `(flag, value)` pairs [`apply`] accepted, in command-line order;
+    /// applied over each scenario's defaults.
+    overrides: Vec<(String, String)>,
 }
 
-/// Parses `flag` if present; `None` leaves the scenario default in force.
-fn parse_opt<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    flag_value(args, flag).map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("chaos: invalid value for {flag}: {v}");
-            std::process::exit(2);
-        })
-    })
+impl Cli {
+    fn params(&self, scenario: ChaosScenario, seed: u64) -> ChaosParams {
+        let mut params = ChaosParams { seed, ..ChaosParams::for_scenario(scenario) };
+        params.doctor |= self.doctor_smoke;
+        for (flag, raw) in &self.overrides {
+            apply(&mut params, flag, Some(raw)).expect("parse accepted this override");
+        }
+        params
+    }
+}
+
+/// The value after `flag`, parsed; names both in the error.
+fn value<T: std::str::FromStr>(flag: &str, raw: Option<&String>) -> Result<T, String> {
+    let raw = raw.ok_or_else(|| format!("{flag} needs a value"))?;
+    raw.parse().map_err(|_| format!("invalid value for {flag}: {raw:?}"))
+}
+
+/// Applies one parameter flag to `p`.
+fn apply(p: &mut ChaosParams, flag: &str, raw: Option<&String>) -> Result<(), String> {
+    match flag {
+        "--threads" => {
+            p.threads = value(flag, raw)?;
+            if p.threads == 0 {
+                return Err("--threads must be at least 1".into());
+            }
+        }
+        "--ops" => p.ops_per_thread = value(flag, raw)?,
+        "--keys" => p.keys = value(flag, raw)?,
+        "--limit-mb" => p.limit_bytes = value::<usize>(flag, raw)? << 20,
+        "--grow-p" => p.grow_fault_p = value(flag, raw)?,
+        "--stall-p" => p.stall_fault_p = value(flag, raw)?,
+        "--duration" => {
+            let duration = Duration::try_from_secs_f64(value(flag, raw)?);
+            p.duration = Some(duration.map_err(|e| format!("invalid value for {flag}: {e}"))?);
+        }
+        "--reclaim" => p.reclaim = Some(value(flag, raw)?),
+        "--garbage-bound" => p.garbage_bound = value(flag, raw)?,
+        "--connections" => p.connections = value(flag, raw)?,
+        other => return Err(format!("unknown argument {other:?}")),
+    }
+    Ok(())
+}
+
+fn parse(args: &[String]) -> Result<Cli, String> {
+    let mut cli = Cli {
+        scenarios: vec![ChaosScenario::Mixed],
+        seeds: vec![1, 2, 3],
+        kinds: AllocatorKind::BOTH.to_vec(),
+        json: false,
+        doctor_smoke: false,
+        overrides: Vec::new(),
+    };
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        match flag.as_str() {
+            "--json" => cli.json = true,
+            "--doctor-smoke" => cli.doctor_smoke = true,
+            "--scenario" => {
+                cli.scenarios = match value::<String>(flag, args.next())?.as_str() {
+                    "all" => ChaosScenario::ALL.to_vec(),
+                    one => vec![one.parse()?],
+                };
+            }
+            "--seed" => cli.seeds = vec![value(flag, args.next())?],
+            "--seeds" => {
+                let list: String = value(flag, args.next())?;
+                let seeds = list.split(',').map(|s| s.trim().parse());
+                cli.seeds = seeds
+                    .collect::<Result<_, _>>()
+                    .map_err(|_| format!("invalid value for {flag}: {list:?}"))?;
+            }
+            "--allocator" => {
+                cli.kinds = AllocatorKind::selection(&value::<String>(flag, args.next())?)?;
+            }
+            parameter => {
+                let raw = args.next();
+                apply(&mut ChaosParams::default(), parameter, raw)?;
+                cli.overrides.push((parameter.to_owned(), raw.cloned().unwrap_or_default()));
+            }
+        }
+    }
+    Ok(cli)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seeds: Vec<u64> = match parse_opt::<u64>(&args, "--seed") {
-        Some(seed) => vec![seed],
-        None => flag_value(&args, "--seeds")
-            .unwrap_or_else(|| "1,2,3".into())
-            .split(',')
-            .map(|s| {
-                s.trim().parse().unwrap_or_else(|_| {
-                    eprintln!("chaos: invalid seed: {s}");
-                    std::process::exit(2);
-                })
-            })
-            .collect(),
-    };
-    let scenarios: Vec<ChaosScenario> = match flag_value(&args, "--scenario").as_deref() {
-        None => vec![ChaosScenario::Mixed],
-        Some("all") => ChaosScenario::ALL.to_vec(),
-        Some(s) => vec![s.parse().unwrap_or_else(|e| {
-            eprintln!("chaos: {e}");
-            std::process::exit(2);
-        })],
-    };
-    let kinds: Vec<AllocatorKind> = match flag_value(&args, "--allocator").as_deref() {
-        None | Some("both") => AllocatorKind::BOTH.to_vec(),
-        Some("slub") => vec![AllocatorKind::Slub],
-        Some("prudence") => vec![AllocatorKind::Prudence],
-        Some(other) => {
-            eprintln!("chaos: unknown allocator {other:?} (expected slub, prudence or both)");
-            std::process::exit(2);
-        }
-    };
-    let json = args.iter().any(|a| a == "--json");
-    // Spin up the live doctor endpoint inside every run and poll it mid-chaos;
-    // under stalled-reader the smoke also insists /doctor names the staller.
-    let doctor_smoke = args.iter().any(|a| a == "--doctor-smoke");
+    let cli = parse(&args).unwrap_or_else(|err| {
+        eprintln!("chaos: {err}\n{USAGE}");
+        std::process::exit(2);
+    });
 
     // Own-process decision: force the fallback fence protocol so the run
     // covers the no-membarrier path. Must happen before any Rcu is built.
@@ -86,49 +148,31 @@ fn main() {
     }
 
     let mut failed = false;
-    for &scenario in &scenarios {
-        let base = ChaosParams::for_scenario(scenario);
-        let template = ChaosParams {
-            threads: parse_opt(&args, "--threads").unwrap_or(base.threads),
-            ops_per_thread: parse_opt(&args, "--ops").unwrap_or(base.ops_per_thread),
-            keys: parse_opt(&args, "--keys").unwrap_or(base.keys),
-            limit_bytes: parse_opt::<usize>(&args, "--limit-mb")
-                .map(|mb| mb << 20)
-                .unwrap_or(base.limit_bytes),
-            grow_fault_p: parse_opt(&args, "--grow-p").unwrap_or(base.grow_fault_p),
-            stall_fault_p: parse_opt(&args, "--stall-p").unwrap_or(base.stall_fault_p),
-            duration: parse_opt::<f64>(&args, "--duration")
-                .map(std::time::Duration::from_secs_f64)
-                .or(base.duration),
-            reclaim: parse_opt(&args, "--reclaim").map(Some).unwrap_or(base.reclaim),
-            garbage_bound: parse_opt(&args, "--garbage-bound").unwrap_or(base.garbage_bound),
-            doctor: doctor_smoke || base.doctor,
-            connections: parse_opt(&args, "--connections").unwrap_or(base.connections),
-            ..base
-        };
-        for &seed in &seeds {
-            let params = ChaosParams { seed, ..template.clone() };
-            for &kind in &kinds {
+    for &scenario in &cli.scenarios {
+        for &seed in &cli.seeds {
+            let params = cli.params(scenario, seed);
+            for &kind in &cli.kinds {
                 let mut report = run_chaos(kind, &params);
-                if report.membarrier_advances != 0 {
-                    report.violations.push(format!(
+                let verdict = &mut report.verdict;
+                if verdict.membarrier_advances != 0 {
+                    verdict.violations.push(format!(
                         "{} membarrier advances despite forced fallback",
-                        report.membarrier_advances
+                        verdict.membarrier_advances
                     ));
                 }
-                if report.fallback_fence_advances == 0 {
-                    report
+                if verdict.fallback_fence_advances == 0 {
+                    verdict
                         .violations
                         .push("fallback fence protocol never ran".into());
                 }
-                if json {
+                if cli.json {
                     println!(
                         "{}",
                         serde_json::to_string(&report).expect("serialize report")
                     );
                 } else {
                     println!("{}", report.render());
-                    for v in &report.violations {
+                    for v in &report.verdict.violations {
                         println!("  violation: {v}");
                     }
                 }
@@ -142,5 +186,102 @@ fn main() {
     if failed {
         eprintln!("chaos: invariant violations detected");
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_line(line: &str) -> Result<Cli, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse(&args)
+    }
+
+    #[test]
+    fn replay_command_reproduces_the_parameters_of_every_scenario() {
+        let reclaim = Some(pbs_rcu::reclaim::ReclaimBackend::from_env());
+        for scenario in ChaosScenario::ALL {
+            // Every replayable parameter off its scenario default.
+            let params = ChaosParams {
+                threads: 2,
+                ops_per_thread: 300,
+                keys: 64,
+                seed: 77,
+                limit_bytes: 16 << 20,
+                grow_fault_p: 0.125,
+                stall_fault_p: 0.3,
+                duration: Some(Duration::from_millis(40)),
+                reclaim,
+                garbage_bound: 300,
+                connections: 600,
+                doctor: scenario == ChaosScenario::StalledReader,
+                ..ChaosParams::for_scenario(scenario)
+            };
+            let report = run_chaos(AllocatorKind::Slub, &params);
+            let replay = report.replay_command();
+            let (_, flags) = replay.split_once(" -- ").expect("cargo args, then chaos args");
+            let cli = parse_line(flags).unwrap_or_else(|e| panic!("{replay}: {e}"));
+            assert_eq!(cli.scenarios, [scenario], "{replay}");
+            assert_eq!(cli.seeds, [77], "{replay}");
+            assert_eq!(cli.kinds, [AllocatorKind::Slub], "{replay}");
+            assert_eq!(cli.params(scenario, 77), params, "{replay}");
+        }
+        // Defaults stay implicit, so the common line stays short.
+        let defaults = ChaosParams {
+            threads: 2,
+            ops_per_thread: 300,
+            ..ChaosParams::default()
+        };
+        let replay = run_chaos(AllocatorKind::Prudence, &defaults).replay_command();
+        assert!(replay.ends_with("--threads 2 --ops 300"), "{replay}");
+    }
+
+    #[test]
+    fn parse_accepts_the_lines_ci_and_the_docs_run() {
+        for line in [
+            "",
+            "--scenario all --seeds 1,2,3",
+            "--scenario stalled-reader --reclaim hyaline",
+            "--scenario all --seeds 1,2,3 --allocator both",
+            "--scenario stalled-reader --seed 5 --allocator both --doctor-smoke",
+            "--scenario server-storm --seeds 1,2,3 --allocator both --connections 100000",
+            "--scenario oom-storm --json --limit-mb 1 --duration 0.25 --reclaim hp",
+        ] {
+            assert!(parse_line(line).is_ok(), "rejected {line:?}");
+        }
+        let cli = parse_line("--scenario all --doctor-smoke --connections 9").unwrap();
+        assert_eq!(cli.scenarios, ChaosScenario::ALL);
+        let params = cli.params(ChaosScenario::OomStorm, 4);
+        assert_eq!(
+            params,
+            ChaosParams {
+                seed: 4,
+                doctor: true,
+                connections: 9,
+                ..ChaosParams::for_scenario(ChaosScenario::OomStorm)
+            }
+        );
+    }
+
+    #[test]
+    fn parse_rejects_typos_instead_of_running_the_default() {
+        for line in [
+            "--scenarios all", "--scenario", "--scenario everything", "--seed x", "--seed",
+            "--seeds 1,,2", "--seeds 1,x", "--allocator slab", "--allocator", "--reclaim",
+            "--reclaim epochs", "--threads two", "--threads -1", "--threads 0", "--duration -1",
+            "--duration soon", "--grow-p lots", "--limit-mb", "--connections 1e5", "--jsn", "mixed", "--doctor",
+        ] {
+            assert!(parse_line(line).is_err(), "accepted {line:?}");
+        }
+        for (line, offender) in [
+            ("--scenarios all", "--scenarios"),
+            ("--seed x", "\"x\""),
+            ("--allocator slab", "slab"),
+            ("--scenario all --reclaim", "--reclaim"),
+        ] {
+            let err = parse_line(line).err().unwrap();
+            assert!(err.contains(offender), "{line:?}: offending argument named: {err}");
+        }
     }
 }

@@ -35,10 +35,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
+use pbs_alloc_api::engine::EngineConfig;
 use pbs_rcu::RcuConfig;
 use pbs_workloads::doctor::{http_get, DoctorServer};
-use pbs_workloads::{AllocatorKind, Testbed};
-use prudence::PrudenceConfig;
+use pbs_workloads::{hardened_bed, AllocatorKind};
 
 const USAGE: &str = "usage: overhead [--threads N] [--enforce]   (N: integer >= 1)";
 
@@ -154,20 +154,19 @@ fn measure_leg(leg: Leg, threads: usize, duration: Duration) -> f64 {
     pbs_telemetry::set_enabled(leg.tracing);
     // Both settings of `armed` make the same calls and allocations, so
     // heap layout cannot differ between them — only three scalars do.
-    let (rcu, config) = (RcuConfig::linux_like(), PrudenceConfig::new(threads));
+    let (rcu, engine) = (RcuConfig::linux_like(), EngineConfig::new(threads));
     let (threshold, soft, hard) = if leg.armed {
-        (rcu.stall_threshold, config.engine.soft_watermark, config.engine.hard_watermark)
+        (rcu.stall_threshold, engine.soft_watermark, engine.hard_watermark)
     } else {
         (Duration::from_secs(3600), usize::MAX / 4, usize::MAX / 4)
     };
-    let bed = Arc::new(Testbed::new_tuned(
+    let bed = Arc::new(hardened_bed(
         AllocatorKind::Prudence,
         threads,
         rcu.with_stall_threshold(threshold),
         None,
         None,
-        None,
-        Some(config.with_watermarks(soft, hard)),
+        Some(engine.with_watermarks(soft, hard)),
         None,
     ));
     // Registered (never pinned) readers: the watchdog scan on the driver

@@ -34,15 +34,15 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use pbs_alloc_api::engine::EngineConfig;
-use pbs_alloc_api::{fastpath_default_engine, FastPathEngine, ObjPtr};
+use pbs_alloc_api::{fastpath_default_engine, CacheStatsSnapshot, FastPathEngine, ObjPtr};
 use pbs_fault::{site, FaultInjector, Schedule};
-use pbs_rcu::reclaim::{ReclaimBackend, ReclaimConfig, ReclaimStats};
+use pbs_rcu::reclaim::ReclaimBackend;
 use pbs_rcu::RcuConfig;
-use pbs_slub::SlubTuning;
 use pbs_structs::{RcuBst, RcuHashMap};
-use prudence::PrudenceConfig;
 
-use crate::{AllocatorKind, Testbed};
+use crate::apps::{ServerParams, ServerReport};
+use crate::harness::{self, audit_teardown, garbage_contrast_gate, ContrastFailure, Wording};
+use crate::{hardened_bed, AllocatorKind, RunVerdict};
 
 /// Which stress profile a chaos run applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,7 +117,7 @@ impl std::str::FromStr for ChaosScenario {
 }
 
 /// Parameters for one chaos run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosParams {
     /// Worker threads (also the testbed CPU-slot count).
     pub threads: usize,
@@ -228,59 +228,52 @@ impl ChaosParams {
             },
         }
     }
+
+    /// The `chaos` flags that turn [`for_scenario`](Self::for_scenario)
+    /// into these parameters, each with a leading space. Seed, scenario,
+    /// allocator and backend are left out: a replay line always spells
+    /// them out.
+    fn replay_flags(&self) -> String {
+        let base = Self::for_scenario(self.scenario);
+        let duration = self.duration.filter(|&d| Some(d) != base.duration);
+        let (p, b) = (self, &base);
+        [
+            (p.threads != b.threads, format!(" --threads {}", p.threads)),
+            (p.ops_per_thread != b.ops_per_thread, format!(" --ops {}", p.ops_per_thread)),
+            (p.keys != b.keys, format!(" --keys {}", p.keys)),
+            (p.limit_bytes != b.limit_bytes, format!(" --limit-mb {}", p.limit_bytes >> 20)),
+            (p.grow_fault_p != b.grow_fault_p, format!(" --grow-p {}", p.grow_fault_p)),
+            (p.stall_fault_p != b.stall_fault_p, format!(" --stall-p {}", p.stall_fault_p)),
+            (
+                duration.is_some(),
+                format!(" --duration {}", duration.unwrap_or_default().as_secs_f64()),
+            ),
+            (p.garbage_bound != b.garbage_bound, format!(" --garbage-bound {}", p.garbage_bound)),
+            (p.connections != b.connections, format!(" --connections {}", p.connections)),
+            (p.doctor, " --doctor-smoke".to_owned()),
+        ]
+        .into_iter()
+        .filter_map(|(differs, flag)| differs.then_some(flag))
+        .collect()
+    }
 }
 
-/// Outcome of one chaos run; `violations` is empty iff every invariant
-/// held.
+/// Outcome of one chaos run; `verdict.violations` is empty iff every
+/// invariant held.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChaosReport {
-    /// Allocator label.
-    pub allocator: String,
     /// Scenario label.
     pub scenario: String,
-    /// Reclamation backend label (`epoch`, `hp` or `hyaline`).
-    pub reclaim_backend: String,
-    /// The seed the run (and any replay) used.
-    pub seed: u64,
+    /// Who ran, what the teardown audit measured and every invariant
+    /// violated. Stalled-reader runs must carry at least one blame record
+    /// naming the dedicated staller thread.
+    pub verdict: RunVerdict,
     /// Operations completed across all workers.
     pub ops_completed: u64,
     /// `AllocError` results observed by workers (limit OOMs + injected).
     pub oom_errors: u64,
-    /// Faults injected at the slab-grow sites.
-    pub injected_oom: u64,
-    /// Grace-period advances refused by injection.
-    pub injected_gp_stalls: u64,
-    /// Worker panics (must be zero).
-    pub panics: u64,
-    /// Peak page-allocator usage during the run.
-    pub peak_bytes: usize,
-    /// The hard limit in force.
-    pub limit_bytes: usize,
-    /// `deferred_outstanding` across caches after quiesce (must be zero).
-    pub deferred_outstanding_end: usize,
-    /// Page-allocator bytes still out after caches were dropped (must be
-    /// zero — the baseline the run must return to).
-    pub used_bytes_after_teardown: usize,
-    /// Grace-period advances that used the membarrier protocol.
-    pub membarrier_advances: u64,
-    /// Grace-period advances that used the fallback-fence protocol.
-    pub fallback_fence_advances: u64,
-    /// RCU stall-watchdog warnings raised during the run.
-    pub stall_warnings: u64,
-    /// Expedited grace-period requests (ladder stage 2 + backpressure).
-    pub expedited_gps: u64,
-    /// Allocations rescued by a recovery-ladder stage across all caches.
-    pub ladder_recoveries: u64,
-    /// Pressure-level transitions across all caches.
-    pub pressure_transitions: u64,
-    /// Per-CPU fast-path hits (alloc + free) across all caches.
-    pub fastpath_hits: u64,
-    /// Fast-path operations that bounced to the slow path across all
-    /// caches (empty/full slots, disabled windows, engine switches).
-    pub fastpath_fallbacks: u64,
-    /// Fast-path state changes the flap toggler performed (0 outside the
-    /// fastpath-flap scenario).
-    pub fastpath_flips: u64,
+    /// What only the micro-churn scenarios count (zero for server-storm).
+    pub churn: ChurnCounters,
     /// Stalled-reader scenario: deferred objects still outstanding on the
     /// probe cache while a reader stayed pinned (`None` outside that
     /// scenario). Robust backends must keep this at or below
@@ -290,21 +283,34 @@ pub struct ChaosReport {
     pub stalled_garbage_observed: Option<usize>,
     /// The bound the probe held the robust backends to.
     pub stalled_garbage_bound: usize,
-    /// Stall-blame records captured during the run: who wedged
-    /// reclamation, for how long. Stalled-reader runs must contain at
-    /// least one record naming the dedicated staller thread.
-    pub blame: Vec<pbs_rcu::BlameReport>,
-    /// The shared reclamation domain's backend counters at the end of the
-    /// run (scans, seals, captures, ejections, injected refusals).
-    pub reclaim: ReclaimStats,
-    /// Invariant violations; empty on a passing run.
-    pub violations: Vec<String>,
+    /// `chaos` flags for every parameter that differed from the
+    /// scenario's defaults (see [`replay_command`](Self::replay_command)).
+    pub replay_flags: String,
+}
+
+/// Counters of the micro-churn harness, summed across its caches.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ChurnCounters {
+    /// Grace-period advances refused by injection.
+    pub injected_gp_stalls: u64,
+    /// Allocations rescued by a recovery-ladder stage.
+    pub ladder_recoveries: u64,
+    /// Pressure-level transitions.
+    pub pressure_transitions: u64,
+    /// Per-CPU fast-path hits (alloc + free).
+    pub fastpath_hits: u64,
+    /// Fast-path operations that bounced to the slow path (empty/full
+    /// slots, disabled windows, engine switches).
+    pub fastpath_fallbacks: u64,
+    /// Fast-path state changes the flap toggler performed (0 outside the
+    /// fastpath-flap scenario).
+    pub fastpath_flips: u64,
 }
 
 impl ChaosReport {
     /// Whether every invariant held.
     pub fn passed(&self) -> bool {
-        self.violations.is_empty()
+        self.verdict.passed()
     }
 
     /// One-line summary for logs.
@@ -316,39 +322,45 @@ impl ChaosReport {
             ),
             None => String::new(),
         };
+        let (v, c) = (&self.verdict, &self.churn);
         format!(
             "chaos[{} {} {} seed={}]: {} ops, {} ooms ({} injected), {} gp stalls, \
              {} warns, {} expedited, {} rescued, fastpath {}h/{}f/{} flips, \
              peak {}/{} KiB, {} panics{garbage} — {}",
-            self.allocator,
+            v.allocator,
             self.scenario,
-            self.reclaim_backend,
-            self.seed,
+            v.reclaim_backend,
+            v.seed,
             self.ops_completed,
             self.oom_errors,
-            self.injected_oom,
-            self.injected_gp_stalls,
-            self.stall_warnings,
-            self.expedited_gps,
-            self.ladder_recoveries,
-            self.fastpath_hits,
-            self.fastpath_fallbacks,
-            self.fastpath_flips,
-            self.peak_bytes >> 10,
-            self.limit_bytes >> 10,
-            self.panics,
+            v.injected_oom,
+            c.injected_gp_stalls,
+            v.stall_warnings,
+            v.expedited_gps,
+            c.ladder_recoveries,
+            c.fastpath_hits,
+            c.fastpath_fallbacks,
+            c.fastpath_flips,
+            v.peak_bytes >> 10,
+            v.limit_bytes.unwrap_or(0) >> 10,
+            v.panics,
             if self.passed() { "OK" } else { "FAILED" },
         )
     }
 
-    /// One-line command reproducing this run (same seed, scenario and
-    /// allocator drive the same fault plan); printed whenever an
+    /// One-line command reproducing this run: seed, scenario, allocator
+    /// and backend pin the fault plan, and every parameter that differed
+    /// from the scenario's defaults follows. Printed whenever an
     /// invariant fails so the failure can be replayed directly.
     pub fn replay_command(&self) -> String {
         format!(
             "cargo run --release -p pbs-workloads --bin chaos -- \
-             --scenario {} --seed {} --allocator {} --reclaim {}",
-            self.scenario, self.seed, self.allocator, self.reclaim_backend
+             --scenario {} --seed {} --allocator {} --reclaim {}{}",
+            self.scenario,
+            self.verdict.seed,
+            self.verdict.allocator,
+            self.verdict.reclaim_backend,
+            self.replay_flags
         )
     }
 }
@@ -361,14 +373,12 @@ struct WorkerTally {
     violations: Vec<String>,
 }
 
-/// The server-storm leg: delegates to the sharded server scenario and
-/// folds its [`ServerReport`](crate::apps::ServerReport) into the chaos
-/// report shape, so the same runner, seed plumbing and replay flow cover
-/// it. The epoch contrast is required — in the chaos matrix the epoch
-/// backend exceeding the garbage bound under the parked shard is as
-/// load-bearing as the robust backends holding it.
-fn run_server_storm(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
-    let server_params = crate::apps::ServerParams {
+/// The server scenario a server-storm leg runs. The epoch contrast is
+/// required — in the chaos matrix the epoch backend exceeding the garbage
+/// bound under the parked shard is as load-bearing as the robust backends
+/// holding it.
+fn server_storm_params(params: &ChaosParams) -> ServerParams {
+    ServerParams {
         connections: params.connections,
         seed: params.seed,
         grow_fault_p: params.grow_fault_p,
@@ -376,54 +386,39 @@ fn run_server_storm(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
         garbage_bound: params.garbage_bound,
         limit_bytes: (params.limit_bytes > 0).then_some(params.limit_bytes),
         require_epoch_contrast: true,
-        ..crate::apps::ServerParams::default()
+        ..ServerParams::default()
     }
-    .scaled_for_population();
-    let report = crate::apps::run_server(kind, &server_params);
+    .scaled_for_population()
+}
+
+/// Folds a server run into the chaos report shape, so the same runner,
+/// seed plumbing and replay flow cover it; the verdict is carried whole.
+fn server_storm_report(params: &ChaosParams, report: ServerReport) -> ChaosReport {
     ChaosReport {
-        allocator: report.allocator,
         scenario: ChaosScenario::ServerStorm.label().to_owned(),
-        reclaim_backend: report.reclaim_backend,
-        seed: report.seed,
         ops_completed: report.totals.requests,
         oom_errors: report.totals.alloc_retries + report.totals.alloc_drops,
-        injected_oom: report.injected_oom,
-        injected_gp_stalls: 0,
-        panics: report.panics,
-        peak_bytes: report.peak_bytes,
-        limit_bytes: params.limit_bytes,
-        deferred_outstanding_end: report.deferred_outstanding_end,
-        used_bytes_after_teardown: report.used_bytes_after_teardown,
-        membarrier_advances: report.membarrier_advances,
-        fallback_fence_advances: report.fallback_fence_advances,
-        stall_warnings: report.stall_warnings,
-        expedited_gps: report.expedited_gps,
-        ladder_recoveries: 0,
-        pressure_transitions: 0,
-        fastpath_hits: 0,
-        fastpath_fallbacks: 0,
-        fastpath_flips: 0,
+        churn: ChurnCounters::default(),
         stalled_garbage_observed: report
             .stalled_shard
             .then_some(report.max_garbage_storm),
         stalled_garbage_bound: report.garbage_bound,
-        blame: report.blame,
-        reclaim: report.reclaim,
-        violations: report.violations,
+        replay_flags: params.replay_flags(),
+        verdict: report.verdict,
     }
 }
 
 /// Runs the chaos workload on one allocator and checks every invariant.
 pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     if params.scenario == ChaosScenario::ServerStorm {
-        return run_server_storm(kind, params);
+        let report = crate::apps::run_server(kind, &server_storm_params(params));
+        return server_storm_report(params, report);
     }
     let faults = Arc::new(FaultInjector::new(params.seed));
-    let grow_site = match kind {
-        AllocatorKind::Slub => site::SLUB_GROW,
-        AllocatorKind::Prudence => site::PRUDENCE_GROW,
-    };
-    faults.schedule(grow_site, Schedule::Probability(params.grow_fault_p));
+    faults.schedule(
+        harness::grow_fault_site(kind),
+        Schedule::Probability(params.grow_fault_p),
+    );
     faults.schedule(site::RCU_ADVANCE, Schedule::Probability(params.stall_fault_p));
     // The generalized reclamation site: HP scans and Hyaline seals consult
     // it, and the epoch grace-period advance honours it alongside its
@@ -433,29 +428,13 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
         Schedule::Probability(params.stall_fault_p),
     );
 
-    let backend = params.reclaim.unwrap_or_else(ReclaimBackend::from_env);
-    // Robust backends reclaim while readers stay pinned. The structure
-    // walks run under every backend — lookups and for_each go through the
-    // protected-traversal layer (hazard-published under hp, checkpointed
-    // under hyaline), so the op mix below is identical across backends.
-    let robust = backend != ReclaimBackend::Epoch;
-    let reclaim_config = if robust {
-        // Small batches / low scan thresholds and a short ejection fuse:
-        // chaos runs are ~150 ms, so the garbage bound must be reachable
-        // within a few milliseconds of stall.
-        ReclaimConfig::aggressive()
-    } else {
-        ReclaimConfig::default()
-    };
-
     // Scenario knobs. The stalled-reader run lowers the watchdog threshold
     // below its pin pulses so warnings are reachable in a short run; the
     // storm lowers the pressure watermarks into the run's backlog range so
     // the governor (expedite, caller-assisted reclaim) engages.
     let mut rcu_config = RcuConfig::eager();
     let mut staller_hold = Duration::from_millis(2);
-    let mut slub_tuning = None;
-    let mut prudence_config = None;
+    let mut engine = None;
     match params.scenario {
         // ServerStorm never reaches here (it returned above); it carries
         // no knobs for the micro-churn harness.
@@ -469,24 +448,27 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
             // grows to collide with the budget; the ladder's expedited
             // drain then succeeds as soon as a pin releases.
             staller_hold = Duration::from_millis(4);
-            let engine = EngineConfig::new(params.threads).with_watermarks(64, 256);
-            slub_tuning = Some(SlubTuning::from(engine.clone()));
-            prudence_config = Some(PrudenceConfig::from(engine));
+            engine = Some(EngineConfig::new(params.threads).with_watermarks(64, 256));
         }
     }
 
     // Arc-wrapped so the doctor endpoint's provider closure can snapshot
     // the bed from its own thread while the run is live.
-    let bed = Arc::new(Testbed::new_tuned(
+    let bed = Arc::new(hardened_bed(
         kind,
         params.threads,
         rcu_config,
         Some(params.limit_bytes),
         Some(Arc::clone(&faults)),
-        slub_tuning,
-        prudence_config,
-        Some((backend, reclaim_config)),
+        engine,
+        params.reclaim,
     ));
+    // Robust backends reclaim while readers stay pinned. The structure
+    // walks run under every backend — lookups and for_each go through the
+    // protected-traversal layer (hazard-published under hp, checkpointed
+    // under hyaline), so the op mix below is identical across backends.
+    let backend = bed.reclaim_backend();
+    let robust = harness::is_robust(backend);
     let node_cache = bed.create_cache("chaos_node", 64);
     let obj_cache = bed.create_cache("chaos_obj", 128);
     // Large-object cache only the storm's burst arm touches: 32-object
@@ -842,19 +824,18 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
             }
             let observed = probe_cache.deferred_outstanding();
             stalled_garbage_observed = Some(observed);
-            if robust && observed > params.garbage_bound {
-                violations.push(format!(
+            match garbage_contrast_gate(robust, observed, params.garbage_bound, true) {
+                Some(ContrastFailure::RobustOverBound) => violations.push(format!(
                     "{backend}: {observed} of {deferred} deferred objects outstanding \
                      under a stalled reader, bound is {}",
                     params.garbage_bound
-                ));
-            }
-            if !robust && observed <= params.garbage_bound {
-                violations.push(format!(
+                )),
+                Some(ContrastFailure::EpochWithinBound) => violations.push(format!(
                     "epoch probe inert: only {observed} of {deferred} deferred objects \
                      were blocked by a stalled reader — the unbounded-garbage failure \
                      mode this matrix documents did not reproduce"
-                ));
+                )),
+                None => {}
             }
             drop(guard);
         }
@@ -1006,28 +987,6 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
         }
     }
 
-    // Quiesce with the staller gone: every deferred object must drain.
-    node_cache.quiesce();
-    obj_cache.quiesce();
-    storm_cache.quiesce();
-    let deferred_outstanding_end = node_cache.deferred_outstanding()
-        + obj_cache.deferred_outstanding()
-        + storm_cache.deferred_outstanding();
-    if deferred_outstanding_end != 0 {
-        violations.push(format!(
-            "deferred_outstanding {deferred_outstanding_end} != 0 after quiesce"
-        ));
-    }
-    for cache in [&node_cache, &obj_cache, &storm_cache] {
-        let stats = cache.stats();
-        if stats.live_objects != 0 {
-            violations.push(format!(
-                "{}: {} live objects after teardown",
-                cache.name(),
-                stats.live_objects
-            ));
-        }
-    }
     if !live.lock().is_empty() {
         violations.push(format!(
             "{} addresses still marked live after frees",
@@ -1037,14 +996,28 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     if panics != 0 {
         violations.push(format!("{panics} worker panics"));
     }
-
-    let peak_bytes = bed.pages().peak_bytes();
-    if peak_bytes > params.limit_bytes {
-        violations.push(format!(
-            "hard limit exceeded: peak {} > limit {}",
-            peak_bytes, params.limit_bytes
-        ));
+    if params.scenario == ChaosScenario::FastpathFlap {
+        for cache in [&node_cache, &obj_cache, &storm_cache] {
+            if !cache.fastpath_enabled() {
+                violations.push(format!(
+                    "fastpath-flap: {} ended with the fast path disabled",
+                    cache.name()
+                ));
+            }
+        }
     }
+
+    // Quiesce with the staller gone: every deferred object must drain,
+    // and dropping the caches must bring every page home.
+    let (mut verdict, stats) = audit_teardown(
+        &bed,
+        &faults,
+        Wording::Chaos,
+        panics,
+        violations,
+        vec![Box::new(node_cache), Box::new(obj_cache), Box::new(storm_cache)],
+    );
+    let violations = &mut verdict.violations;
     // The background grace-period driver keeps consulting the injector
     // while we read, so the two counters can't be compared for equality.
     // Domains bump their stat strictly *after* the injector records the
@@ -1052,17 +1025,14 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     // refusals now land at two sites — the epoch advance consults both
     // `rcu.advance` and `reclaim.advance`, and the robust backends' scans
     // and seals consult `reclaim.advance` — so both sides are summed.
-    let rcu_stats = bed.rcu().stats();
-    let reclaim_stats = bed.reclaim_stats();
-    let blame = bed.rcu().blame_reports();
-    let injected_oom = faults.injected(grow_site);
+    let injected_gp_stalls = bed.rcu().stats().injected_gp_stalls;
     // The epoch domain *mirrors* the RCU stall counter into its
     // `injected_stalls`, so adding the two would double-count; only the
     // robust backends refuse scans/seals on their own behalf.
     let stall_stats = if robust {
-        rcu_stats.injected_gp_stalls + reclaim_stats.injected_stalls
+        injected_gp_stalls + verdict.reclaim.injected_stalls
     } else {
-        rcu_stats.injected_gp_stalls
+        injected_gp_stalls
     };
     let stall_injected =
         faults.injected(site::RCU_ADVANCE) + faults.injected(site::RECLAIM_ADVANCE);
@@ -1076,9 +1046,10 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     // deferred objects) absorbed it — in which case the allocator performed
     // extra refill work we can't biject to faults. What is *never* allowed
     // is a panic, which is counted above.
+    let injected_oom = verdict.injected_oom;
     if injected_oom > 0 && oom_errors == 0 {
-        let stats = node_cache.stats();
-        let absorbed = stats.refills + obj_cache.stats().refills;
+        // The node and object caches (owner order).
+        let absorbed = stats[0].1.refills + stats[1].1.refills;
         if absorbed == 0 {
             violations.push(format!(
                 "{injected_oom} injected OOMs left no trace (no Err, no refill activity)"
@@ -1090,29 +1061,28 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     // stalled-reader run that never tripped the watchdog, or a storm that
     // never rescued an allocation through the ladder, means the machinery
     // under test did not engage.
-    let node_stats = node_cache.stats();
-    let obj_stats = obj_cache.stats();
-    let storm_stats = storm_cache.stats();
-    let ladder_recoveries = node_stats.oom_recoveries_total()
-        + obj_stats.oom_recoveries_total()
-        + storm_stats.oom_recoveries_total();
-    let pressure_transitions = node_stats.pressure_transitions
-        + obj_stats.pressure_transitions
-        + storm_stats.pressure_transitions;
-    let fastpath_hits = node_stats.rseq_hits + obj_stats.rseq_hits + storm_stats.rseq_hits;
-    let fastpath_fallbacks = node_stats.fastpath_fallbacks
-        + obj_stats.fastpath_fallbacks
-        + storm_stats.fastpath_fallbacks;
+    let sum = |field: fn(&CacheStatsSnapshot) -> u64| -> u64 {
+        stats.iter().map(|(_, s)| field(s)).sum()
+    };
+    let churn = ChurnCounters {
+        injected_gp_stalls,
+        ladder_recoveries: sum(|s| s.oom_recoveries_total()),
+        pressure_transitions: sum(|s| s.pressure_transitions),
+        fastpath_hits: sum(|s| s.rseq_hits),
+        fastpath_fallbacks: sum(|s| s.fastpath_fallbacks),
+        fastpath_flips,
+    };
     match params.scenario {
         ChaosScenario::Mixed | ChaosScenario::ServerStorm => {}
         ChaosScenario::StalledReader => {
-            if rcu_stats.stall_warnings == 0 {
+            if verdict.stall_warnings == 0 {
                 violations.push("stalled-reader: watchdog never warned".into());
             }
             // The blame subsystem must have identified the parked reader:
             // at least one record naming the staller thread, with a
             // nonzero measured pin duration.
-            match blame
+            match verdict
+                .blame
                 .iter()
                 .filter(|b| b.thread_name == "chaos-staller")
                 .max_by_key(|b| b.stalled_for_ns)
@@ -1126,7 +1096,7 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
             }
         }
         ChaosScenario::OomStorm => {
-            if ladder_recoveries == 0 {
+            if churn.ladder_recoveries == 0 {
                 violations.push("oom-storm: no allocation recovered via a ladder stage".into());
             }
         }
@@ -1138,78 +1108,48 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
             // windows operations bounce (fallbacks), during enabled
             // windows they hit. A run where neither moved means the flap
             // never raced live traffic.
-            if fastpath_hits + fastpath_fallbacks == 0 {
+            if churn.fastpath_hits + churn.fastpath_fallbacks == 0 {
                 violations.push("fastpath-flap: fast path saw no traffic".into());
             }
-            for (cache, stats) in [
-                (&node_cache, &node_stats),
-                (&obj_cache, &obj_stats),
-                (&storm_cache, &storm_stats),
-            ] {
-                if !cache.fastpath_enabled() {
-                    violations.push(format!(
-                        "fastpath-flap: {} ended with the fast path disabled",
-                        cache.name()
-                    ));
-                }
-                // A quiesced cache has drained its fast slots: nothing
-                // parked may survive into the post-quiesce accounting
-                // (live_objects == 0 is asserted above for every run).
+            // A quiesced cache has drained its fast slots: nothing parked
+            // may survive into the post-quiesce accounting (the audit
+            // asserts live_objects == 0 for every run).
+            for (name, stats) in &stats {
                 if stats.live_objects != 0 {
                     violations.push(format!(
                         "fastpath-flap: {} holds parked objects after quiesce",
-                        cache.name()
+                        name
                     ));
                 }
             }
         }
     }
 
-    // Baseline check: drop the caches and every page must come home.
-    drop(node_cache);
-    drop(obj_cache);
-    drop(storm_cache);
-    let used_bytes_after_teardown = bed.pages().used_bytes();
-    if used_bytes_after_teardown != 0 {
-        violations.push(format!(
-            "{used_bytes_after_teardown} bytes leaked after cache teardown"
-        ));
-    }
-
     ChaosReport {
-        allocator: kind.label().to_owned(),
         scenario: params.scenario.label().to_owned(),
-        reclaim_backend: backend.label().to_owned(),
-        seed: params.seed,
+        verdict,
         ops_completed,
         oom_errors,
-        injected_oom,
-        injected_gp_stalls: rcu_stats.injected_gp_stalls,
-        panics,
-        peak_bytes,
-        limit_bytes: params.limit_bytes,
-        deferred_outstanding_end,
-        used_bytes_after_teardown,
-        membarrier_advances: rcu_stats.membarrier_advances,
-        fallback_fence_advances: rcu_stats.fallback_fence_advances,
-        stall_warnings: rcu_stats.stall_warnings,
-        expedited_gps: rcu_stats.expedited_gps,
-        ladder_recoveries,
-        pressure_transitions,
-        fastpath_hits,
-        fastpath_fallbacks,
-        fastpath_flips,
+        churn,
         stalled_garbage_observed,
         stalled_garbage_bound: params.garbage_bound,
-        blame,
-        reclaim: reclaim_stats,
-        violations,
+        replay_flags: params.replay_flags(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn assert_passed(report: &ChaosReport) {
+        assert!(
+            report.passed(),
+            "{}\nviolations: {:?}\nreplay: {}",
+            report.render(),
+            report.verdict.violations,
+            report.replay_command()
+        );
+    }
 
     #[test]
     fn chaos_invariants_hold_for_both_allocators() {
@@ -1221,10 +1161,10 @@ mod tests {
         };
         for kind in AllocatorKind::BOTH {
             let report = run_chaos(kind, &params);
-            assert!(report.passed(), "{}", report.render());
+            assert_passed(&report);
             assert!(report.ops_completed > 0);
             assert!(
-                report.injected_gp_stalls > 0,
+                report.churn.injected_gp_stalls > 0,
                 "{kind}: stall schedule never fired"
             );
         }
@@ -1244,9 +1184,9 @@ mod tests {
         };
         for kind in AllocatorKind::BOTH {
             let report = run_chaos(kind, &params);
-            assert!(report.passed(), "{}", report.render());
-            assert!(report.injected_oom > 0, "{kind}: grow faults never fired");
-            assert_eq!(report.panics, 0);
+            assert_passed(&report);
+            assert!(report.verdict.injected_oom > 0, "{kind}: grow faults never fired");
+            assert_eq!(report.verdict.panics, 0);
         }
     }
 
@@ -1260,14 +1200,9 @@ mod tests {
         };
         for kind in AllocatorKind::BOTH {
             let report = run_chaos(kind, &params);
-            assert!(
-                report.passed(),
-                "{}\nreplay: {}",
-                report.render(),
-                report.replay_command()
-            );
-            assert!(report.stall_warnings >= 1, "{}", report.render());
-            assert_eq!(report.deferred_outstanding_end, 0);
+            assert_passed(&report);
+            assert!(report.verdict.stall_warnings >= 1, "{}", report.render());
+            assert_eq!(report.verdict.deferred_outstanding_end, 0);
         }
     }
 
@@ -1281,15 +1216,10 @@ mod tests {
         };
         for kind in AllocatorKind::BOTH {
             let report = run_chaos(kind, &params);
-            assert!(
-                report.passed(),
-                "{}\nreplay: {}",
-                report.render(),
-                report.replay_command()
-            );
-            assert!(report.ladder_recoveries >= 1, "{}", report.render());
-            assert!(report.peak_bytes <= report.limit_bytes);
-            assert_eq!(report.panics, 0);
+            assert_passed(&report);
+            assert!(report.churn.ladder_recoveries >= 1, "{}", report.render());
+            assert!(Some(report.verdict.peak_bytes) <= report.verdict.limit_bytes);
+            assert_eq!(report.verdict.panics, 0);
         }
     }
 
@@ -1303,20 +1233,15 @@ mod tests {
         };
         for kind in AllocatorKind::BOTH {
             let report = run_chaos(kind, &params);
+            assert_passed(&report);
+            assert!(report.churn.fastpath_flips >= 1, "{}", report.render());
             assert!(
-                report.passed(),
-                "{}\nreplay: {}",
-                report.render(),
-                report.replay_command()
-            );
-            assert!(report.fastpath_flips >= 1, "{}", report.render());
-            assert!(
-                report.fastpath_hits + report.fastpath_fallbacks >= 1,
+                report.churn.fastpath_hits + report.churn.fastpath_fallbacks >= 1,
                 "{}",
                 report.render()
             );
-            assert_eq!(report.deferred_outstanding_end, 0);
-            assert_eq!(report.panics, 0);
+            assert_eq!(report.verdict.deferred_outstanding_end, 0);
+            assert_eq!(report.verdict.panics, 0);
         }
     }
 
@@ -1338,12 +1263,7 @@ mod tests {
             };
             for kind in AllocatorKind::BOTH {
                 let report = run_chaos(kind, &params);
-                assert!(
-                    report.passed(),
-                    "{}\nreplay: {}",
-                    report.render(),
-                    report.replay_command()
-                );
+                assert_passed(&report);
                 let observed = report
                     .stalled_garbage_observed
                     .expect("stalled-reader runs always probe");
@@ -1370,20 +1290,33 @@ mod tests {
         };
         for kind in AllocatorKind::BOTH {
             let report = run_chaos(kind, &params);
-            assert!(
-                report.passed(),
-                "{}\nviolations: {:?}\nreplay: {}",
-                report.render(),
-                report.violations,
-                report.replay_command()
-            );
+            assert_passed(&report);
             let culprit = report
+                .verdict
                 .blame
                 .iter()
                 .find(|b| b.thread_name == "chaos-staller")
                 .expect("blame names the staller");
             assert!(culprit.stalled_for_ns > 0);
         }
+    }
+
+    #[test]
+    fn server_storm_leg_carries_the_server_verdict() {
+        let params = ChaosParams {
+            connections: 1_200,
+            seed: 31,
+            ..ChaosParams::for_scenario(ChaosScenario::ServerStorm)
+        };
+        let server_params = server_storm_params(&params);
+        let server = crate::apps::run_server(AllocatorKind::Prudence, &server_params);
+        let chaos = server_storm_report(&params, server.clone());
+        assert_eq!(chaos.verdict, server.verdict);
+        assert_eq!(chaos.passed(), server.passed());
+        assert_eq!(chaos.churn, ChurnCounters::default());
+        assert_eq!(chaos.ops_completed, server.totals.requests);
+        let replay = chaos.replay_command();
+        assert!(replay.ends_with("--connections 1200"), "{replay}");
     }
 
     #[test]

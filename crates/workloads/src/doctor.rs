@@ -122,15 +122,6 @@ impl DoctorReport {
             deferred_in_domain: snap.reclaim.deferred_in_domain,
         }
     }
-
-    /// The live culprit with the longest current pin, if any episode is
-    /// open.
-    pub fn worst_open_blame(&self) -> Option<&pbs_rcu::BlameReport> {
-        self.blame
-            .iter()
-            .filter(|b| !b.cleared)
-            .max_by_key(|b| b.stalled_for_ns)
-    }
 }
 
 fn fmt_ns(ns: u64) -> String {

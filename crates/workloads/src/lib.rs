@@ -11,6 +11,7 @@
 //! | [`apps`] | Figures 7–13 — Postmark / Netperf / Apache / PostgreSQL emulations |
 //! | [`tree_churn`] | extension: §3.1 multi-deferral amplification on an RCU tree |
 //! | [`chaos`] | extension: fault-injected churn asserting OOM/stall robustness invariants |
+//! | [`hardened_bed`], [`RunVerdict`] | the bed and the verdict the gating runs (chaos, the server scenario) share |
 //! | [`figures`] | orchestration + paper-style table rendering |
 //!
 //! Every driver runs unchanged over both allocators via [`Testbed`], so a
@@ -23,11 +24,13 @@ pub mod chaos;
 pub mod doctor;
 pub mod endurance;
 pub mod figures;
+mod harness;
 pub mod microbench;
 mod report;
 pub mod telemetry_export;
 mod testbed;
 pub mod tree_churn;
 
+pub use harness::{hardened_bed, RunVerdict};
 pub use report::{AppComparison, AppResult, CacheComparison};
 pub use testbed::{AllocatorKind, Testbed};

@@ -10,14 +10,14 @@
 //! reaches a steady state where allocations are served from merged latent
 //! objects.
 
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
 
 use pbs_alloc_api::{AllocError, ObjectAllocator};
 use pbs_rcu::RcuConfig;
 
+use crate::harness::run_workers;
 use crate::{AllocatorKind, Testbed};
 
 /// Parameters for a microbenchmark run.
@@ -79,26 +79,19 @@ pub fn run_microbench(
         Some(params.memory_limit),
     );
     let cache = bed.create_cache(&format!("kmalloc-{object_size}"), object_size);
-    let start = Instant::now();
-    std::thread::scope(|s| {
-        for _ in 0..params.threads {
-            let cache = Arc::clone(&cache);
-            s.spawn(move || {
-                for _ in 0..params.pairs_per_thread {
-                    let obj = alloc_with_reclaim_stall(cache.as_ref());
-                    // Touch the object the way real writers initialize the
-                    // new version before publishing it.
-                    // SAFETY: fresh exclusive object.
-                    unsafe {
-                        obj.as_ptr().cast::<u64>().write(0xC0FFEE);
-                        cache.free_deferred(obj);
-                    }
-                }
-            });
+    let (total_pairs, elapsed) = run_workers(params.threads, |_| {
+        for _ in 0..params.pairs_per_thread {
+            let obj = alloc_with_reclaim_stall(cache.as_ref());
+            // Touch the object the way real writers initialize the new
+            // version before publishing it.
+            // SAFETY: fresh exclusive object.
+            unsafe {
+                obj.as_ptr().cast::<u64>().write(0xC0FFEE);
+                cache.free_deferred(obj);
+            }
         }
+        params.pairs_per_thread
     });
-    let elapsed = start.elapsed();
-    let total_pairs = params.threads as u64 * params.pairs_per_thread;
     let stats = cache.stats();
     cache.quiesce();
     let telemetry = bed.telemetry();

@@ -75,51 +75,6 @@ pub struct CacheComparison {
     pub prudence: CacheStatsSnapshot,
 }
 
-impl CacheComparison {
-    /// Figure 7: percentage-point improvement in object-cache hits.
-    pub fn hit_improvement_pp(&self) -> f64 {
-        self.prudence.hit_percent() - self.slub.hit_percent()
-    }
-
-    /// Figure 8: percent reduction in object-cache churns (negative means
-    /// Prudence churned more, as the paper observed for PostgreSQL
-    /// kmalloc-64).
-    pub fn object_churn_reduction_percent(&self) -> f64 {
-        reduction_percent(
-            self.slub.object_cache_churns(),
-            self.prudence.object_cache_churns(),
-        )
-    }
-
-    /// Figure 9: percent reduction in slab churns.
-    pub fn slab_churn_reduction_percent(&self) -> f64 {
-        reduction_percent(self.slub.slab_churns(), self.prudence.slab_churns())
-    }
-
-    /// Figure 10: percent reduction in peak slab usage.
-    pub fn peak_slab_reduction_percent(&self) -> f64 {
-        reduction_percent(self.slub.slabs_peak as u64, self.prudence.slabs_peak as u64)
-    }
-
-    /// Figure 11: change in total fragmentation (negative = Prudence
-    /// lower/better), or `None` when either side has no live objects.
-    pub fn fragmentation_change_percent(&self) -> Option<f64> {
-        let s = self.slub.total_fragmentation()?;
-        let p = self.prudence.total_fragmentation()?;
-        if s == 0.0 {
-            return None;
-        }
-        Some(100.0 * (p - s) / s)
-    }
-}
-
-fn reduction_percent(base: u64, new: u64) -> f64 {
-    if base == 0 {
-        return 0.0;
-    }
-    100.0 * (base as f64 - new as f64) / base as f64
-}
-
 /// A full benchmark comparison: both runs plus the per-cache rows.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct AppComparison {
@@ -237,22 +192,6 @@ mod tests {
             flushes,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn comparison_math() {
-        let c = CacheComparison {
-            cache: "filp".into(),
-            slub: snap(50, 100, 20, 20),
-            prudence: snap(90, 100, 2, 2),
-        };
-        assert!((c.hit_improvement_pp() - 40.0).abs() < 1e-9);
-        assert!((c.object_churn_reduction_percent() - 90.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reduction_handles_zero_base() {
-        assert_eq!(reduction_percent(0, 5), 0.0);
     }
 
     #[test]

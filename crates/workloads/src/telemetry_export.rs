@@ -418,25 +418,21 @@ pub fn accumulate_labeled(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllocatorKind, Testbed};
+    use crate::{hardened_bed, AllocatorKind};
     use pbs_rcu::RcuConfig;
 
     fn exercised_snapshot() -> TelemetrySnapshot {
         // Pinned to the epoch domain: the assertions below count on the
         // legacy deferred path's latent-stamp events, which robust
         // backends (a PBS_RECLAIM=hp/hyaline environment) divert around.
-        let bed = Testbed::new_tuned(
+        let bed = hardened_bed(
             AllocatorKind::Prudence,
             2,
             RcuConfig::eager(),
             None,
             None,
             None,
-            None,
-            Some((
-                pbs_rcu::reclaim::ReclaimBackend::Epoch,
-                pbs_rcu::reclaim::ReclaimConfig::default(),
-            )),
+            Some(pbs_rcu::reclaim::ReclaimBackend::Epoch),
         );
         let cache = bed.create_cache("kmalloc-64", 64);
         for _ in 0..50 {

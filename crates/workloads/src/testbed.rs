@@ -33,6 +33,19 @@ impl AllocatorKind {
             AllocatorKind::Prudence => "prudence",
         }
     }
+
+    /// Parses a command-line allocator selection: `slub`, `prudence` or
+    /// `both`.
+    pub fn selection(s: &str) -> Result<Vec<AllocatorKind>, String> {
+        match s {
+            "both" => Ok(Self::BOTH.to_vec()),
+            "slub" => Ok(vec![Self::Slub]),
+            "prudence" => Ok(vec![Self::Prudence]),
+            other => Err(format!(
+                "unknown allocator {other:?} (expected slub, prudence or both)"
+            )),
+        }
+    }
 }
 
 impl std::fmt::Display for AllocatorKind {
@@ -84,35 +97,26 @@ impl Testbed {
         rcu_config: RcuConfig,
         limit_bytes: Option<usize>,
     ) -> Self {
-        Self::new_with_faults(kind, ncpus, rcu_config, limit_bytes, None)
+        Self::new_tuned(kind, ncpus, rcu_config, limit_bytes, None, None, None, None)
     }
 
     /// [`new`](Self::new) plus a fault injector threaded through the whole
-    /// stack: the page allocator consults it on every block allocation and
+    /// stack — the page allocator consults it on every block allocation and
     /// the RCU domain on every grace-period-advance attempt, so one seeded
-    /// plan drives OOM and stall faults across every layer of the run.
-    pub fn new_with_faults(
-        kind: AllocatorKind,
-        ncpus: usize,
-        rcu_config: RcuConfig,
-        limit_bytes: Option<usize>,
-        faults: Option<Arc<pbs_fault::FaultInjector>>,
-    ) -> Self {
-        Self::new_tuned(kind, ncpus, rcu_config, limit_bytes, faults, None, None, None)
-    }
-
-    /// [`new_with_faults`](Self::new_with_faults) plus explicit allocator
-    /// degradation knobs: `slub_tuning` overrides the baseline's watermarks
-    /// and recovery-ladder depth (the endurance experiment pins
-    /// `oom_retries: 0` to reproduce the paper's unhardened baseline), and
-    /// `prudence_config` overrides the Prudence configuration wholesale
-    /// (either way `engine.ncpus` is forced to match). Each override applies only to its
-    /// own allocator kind; `None` keeps the defaults.
+    /// plan drives OOM and stall faults across every layer of the run — and
+    /// explicit allocator degradation knobs: `slub_tuning` overrides the
+    /// baseline's watermarks and recovery-ladder depth (the endurance
+    /// experiment pins `oom_retries: 0` to reproduce the paper's unhardened
+    /// baseline), and `prudence_config` overrides the Prudence
+    /// configuration wholesale (either way `engine.ncpus` is forced to
+    /// match). Each override applies only to its own allocator kind; `None`
+    /// keeps the defaults.
     ///
     /// `reclaim` overrides the reclamation backend and its tuning;
     /// `None` falls back to `PBS_RECLAIM` (default: `epoch`, the paper's
     /// scheme) with default tuning — so the whole harness fleet switches
     /// backend via one environment variable, mirroring `PBS_FASTPATH`.
+    /// Gating runs build theirs through [`hardened_bed`](crate::hardened_bed).
     #[allow(clippy::too_many_arguments)]
     pub fn new_tuned(
         kind: AllocatorKind,

@@ -7,8 +7,6 @@
 //! per operation, and the two allocators are compared under exactly that
 //! amplified load.
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,6 +15,7 @@ use serde::{Deserialize, Serialize};
 use pbs_rcu::RcuConfig;
 use pbs_structs::RcuBst;
 
+use crate::harness::run_workers;
 use crate::{AllocatorKind, Testbed};
 
 /// Parameters for the tree-churn experiment.
@@ -61,44 +60,31 @@ pub struct TreeChurnReport {
 pub fn run_tree_churn(kind: AllocatorKind, params: &TreeChurnParams) -> TreeChurnReport {
     let bed = Testbed::new(kind, params.threads, RcuConfig::kernel_bursty(), None);
     let cache = bed.create_cache("btree_node", 64);
-    let start = Instant::now();
-    let mut deferred_total = 0u64;
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for tid in 0..params.threads {
-            let cache = std::sync::Arc::clone(&cache);
-            let params = params.clone();
-            let bed = &bed;
-            handles.push(s.spawn(move || {
-                let tree: RcuBst<u64> = RcuBst::new(cache);
-                let reader = bed.rcu().register();
-                let mut rng = StdRng::seed_from_u64(params.seed ^ tid as u64);
-                for k in 0..params.keys {
-                    tree.insert(k, k).expect("populate");
-                }
-                for i in 0..params.ops_per_thread {
-                    let k = rng.gen_range(0..params.keys);
-                    tree.remove(k);
-                    tree.insert(k, i).expect("reinsert");
-                    // Read-side descent interleaved with the churn: under
-                    // the robust backends this runs the protected walk
-                    // against the very versions the churn just deferred.
-                    if i % 8 == 0 {
-                        let guard = reader.read_lock();
-                        assert!(
-                            tree.lookup(&guard, k).is_some(),
-                            "own reinsert of {k} invisible to a guarded lookup"
-                        );
-                    }
-                }
-                tree.deferred_versions()
-            }));
+    let (deferred_total, elapsed) = run_workers(params.threads, |tid| {
+        let tree: RcuBst<u64> = RcuBst::new(std::sync::Arc::clone(&cache));
+        let reader = bed.rcu().register();
+        let mut rng = StdRng::seed_from_u64(params.seed ^ tid as u64);
+        for k in 0..params.keys {
+            tree.insert(k, k).expect("populate");
         }
-        for h in handles {
-            deferred_total += h.join().expect("tree churn worker");
+        for i in 0..params.ops_per_thread {
+            let k = rng.gen_range(0..params.keys);
+            tree.remove(k);
+            tree.insert(k, i).expect("reinsert");
+            // Read-side descent interleaved with the churn: under the
+            // robust backends this runs the protected walk against the
+            // very versions the churn just deferred.
+            if i % 8 == 0 {
+                let guard = reader.read_lock();
+                assert!(
+                    tree.lookup(&guard, k).is_some(),
+                    "own reinsert of {k} invisible to a guarded lookup"
+                );
+            }
         }
+        tree.deferred_versions()
     });
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed = elapsed.as_secs_f64();
     cache.quiesce();
     let total_ops = params.threads as u64 * params.ops_per_thread;
     TreeChurnReport {

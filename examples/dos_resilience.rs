@@ -21,7 +21,7 @@
 //! cargo run --release --example dos_resilience
 //! ```
 
-use prudence_repro::workloads::apps::{run_server, ServerParams};
+use prudence_repro::workloads::apps::{run_server, ServerParams, ATTACKER_FRACTION};
 use prudence_repro::workloads::AllocatorKind;
 
 fn main() {
@@ -31,20 +31,20 @@ fn main() {
          storm {}ms\n",
         params.connections,
         params.shards,
-        params.attacker_fraction * 100.0,
+        ATTACKER_FRACTION * 100.0,
         params.storm_ms,
     );
     let mut failed = false;
     for kind in AllocatorKind::BOTH {
         let report = run_server(kind, &params);
         println!("{}", report.render());
-        for violation in &report.violations {
+        for violation in &report.verdict.violations {
             println!("  VIOLATION: {violation}");
             failed = true;
         }
         // The DoS-specific claims, asserted on top of the scenario's own
         // gates so the example fails loudly if resilience regresses.
-        assert_eq!(report.panics, 0, "{kind}: a reactor shard panicked under attack");
+        assert_eq!(report.verdict.panics, 0, "{kind}: a reactor shard panicked under attack");
         assert!(
             report.storm.shed_accepts > 0,
             "{kind}: the storm never pushed the accept path into shedding"
@@ -58,7 +58,7 @@ fn main() {
             "{kind}: service did not come back after the storm"
         );
         assert_eq!(
-            report.used_bytes_after_teardown, 0,
+            report.verdict.used_bytes_after_teardown, 0,
             "{kind}: memory survived teardown"
         );
     }
