@@ -18,17 +18,11 @@ pub type LatentEntry = (ObjPtr, GpState, u64);
 ///   defer time, oldest first. Hidden from allocation until their grace
 ///   period completes, then merged into `obj_cache`.
 ///
-/// Rate counters feed the pre-flush aggressiveness decision (§4.2: be
-/// aggressive when frees outpace allocations, lazy otherwise). A policy
-/// without latent caches (SLUB) leaves `latent` empty.
+/// A policy without latent caches (SLUB) leaves `latent` empty.
 #[derive(Debug, Default)]
 pub struct CpuSlot {
     pub obj_cache: Vec<ObjPtr>,
     pub latent: VecDeque<LatentEntry>,
-    pub allocs_since: u64,
-    pub frees_since: u64,
-    pub defers_since: u64,
-    pub preflush_pending: bool,
 }
 
 impl CpuSlot {
@@ -57,12 +51,6 @@ impl CpuSlot {
             }
         }
         merged
-    }
-
-    /// Objects held in both caches together (the pre-flush trigger
-    /// compares this against the object-cache size, lines 41-42).
-    pub fn total_cached(&self) -> usize {
-        self.obj_cache.len() + self.latent.len()
     }
 }
 
@@ -138,13 +126,5 @@ mod tests {
         let mut stamps = Vec::new();
         cpu.merge_caches(early.raw_epoch() + 2, 10, |_, ns| stamps.push(ns));
         assert_eq!(stamps, vec![7, 0]);
-    }
-
-    #[test]
-    fn total_cached_counts_both() {
-        let mut cpu = CpuSlot::default();
-        cpu.obj_cache.push(obj(0x10));
-        cpu.latent.push_back((obj(0x20), gp(0), 0));
-        assert_eq!(cpu.total_cached(), 2);
     }
 }

@@ -267,11 +267,6 @@ impl<P: SlabPolicy> SlabEngine<P> {
         &self.sizing
     }
 
-    /// The design-specific half of this cache.
-    pub fn slab_policy(&self) -> &P {
-        &self.policy
-    }
-
     /// The RCU domain this cache is integrated with.
     pub fn rcu(&self) -> &Arc<Rcu> {
         &self.rcu
@@ -320,8 +315,8 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// uncontended `try_lock` of the home slot. On contention: note the
     /// miss, spin briefly (the holder's critical section is short), then
     /// steal any other free slot, and only then block on the home slot.
-    /// Returns the index actually locked so callers attribute stats (and
-    /// pre-flush scheduling) to the right shard.
+    /// Returns the index actually locked so callers attribute stats to
+    /// the right shard.
     pub fn lock_cpu(&self) -> (usize, MutexGuard<'_, CpuSlot>) {
         let home = self.cpus.current_cpu().0;
         if let Some(guard) = self.slots[home].try_lock() {
@@ -422,9 +417,23 @@ impl<P: SlabPolicy> SlabEngine<P> {
             .record_node_event(EventKind::FastpathEngine, code, cap as u64);
     }
 
+    /// Sweeps the node's pending list at the current epoch: merges
+    /// grace-period-complete latent-slab objects back into their slabs
+    /// and settles the backlog count. O(1) while the front stamp is inside
+    /// its grace period, and one empty-deque check for a policy that
+    /// parks nothing in latent slabs. Returns the number reclaimed.
+    pub fn settle_pending(&self, node: &mut Node) -> usize {
+        let reclaimed = node.reclaim_pending(self.rcu.current_epoch());
+        self.note_reclaimed(reclaimed);
+        reclaimed
+    }
+
     /// Returns free objects to their slabs under an already-held node
-    /// lock, then shrinks if too many slabs became free.
+    /// lock, then shrinks if too many slabs became free. Settles the
+    /// pending list first: every flush is a node-lock trip anyway, and
+    /// between refills nothing else does.
     fn give_back_locked(&self, node: &mut Node, objs: impl IntoIterator<Item = ObjPtr>) {
+        self.settle_pending(node);
         for obj in objs {
             // SAFETY: callers only pass pointers minted by this cache's
             // `allocate`, each returned exactly once; the node lock is
@@ -520,7 +529,6 @@ impl<P: SlabPolicy> SlabEngine<P> {
                 shard.alloc_requests.bump();
                 counted_request = true;
             }
-            cpu.allocs_since += 1;
             if let Some(obj) = cpu.obj_cache.pop() {
                 shard.cache_hits.bump();
                 shard.live_delta.bump_add();
@@ -736,7 +744,6 @@ impl<P: SlabPolicy> SlabEngine<P> {
         let shard = self.stats.shard(cpu_idx);
         shard.frees.bump();
         shard.live_delta.bump_sub();
-        cpu.frees_since += 1;
         self.recycle(cpu_idx, &mut cpu, obj);
     }
 
@@ -766,11 +773,10 @@ impl<P: SlabPolicy> SlabEngine<P> {
         // The shard bumps need the slot lock: `live_delta` is a
         // single-writer counter also updated by the locked alloc/free
         // paths with plain load+store pairs.
-        let (cpu_idx, mut cpu) = self.lock_cpu();
+        let (cpu_idx, cpu) = self.lock_cpu();
         let shard = self.stats.shard(cpu_idx);
         shard.deferred_frees.bump();
         shard.live_delta.bump_sub();
-        cpu.defers_since += 1;
         if let Some((_, to)) = transition {
             // Slot lock held: lane `cpu_idx` is ours to write.
             self.stats.ring.record(

@@ -157,7 +157,9 @@ pbs_telemetry::counter_table! {
         partial_refills: Counter => u64, counter "pbs_cache_partial_refills_total", sum;
         /// Object-cache flush operations (to node slabs).
         flushes: Counter => u64, counter "pbs_cache_flushes_total", sum;
-        /// Latent-cache pre-flush operations performed off the hot path.
+        /// Latent-cache pre-flush operations. No producer since PR 22 (the
+        /// worker is gone); a `benchmark` issue retires
+        /// `prudence.preflushes_per_kop` and then this field.
         preflushes: Counter => u64, counter "pbs_cache_preflushes_total", sum;
         /// Slab pre-movements between full/partial/free lists (Prudence, §4.2).
         pre_movements: Counter => u64, counter "pbs_cache_pre_movements_total", sum;

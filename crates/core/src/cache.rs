@@ -3,10 +3,8 @@
 
 use std::ops::Deref;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Sender};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::MutexGuard;
 
 use pbs_alloc_api::engine::{
     trace_clock, CpuSlot, LatentEntry, Node, SlabCache, SlabEngine, SlabPolicy,
@@ -18,21 +16,18 @@ use pbs_rcu::{GpState, Rcu};
 use pbs_telemetry::EventKind;
 
 use crate::config::PrudenceConfig;
-use crate::preflush::preflush_worker;
 
-pub(crate) type Engine = SlabEngine<PrudencePolicy>;
+type Engine = SlabEngine<PrudencePolicy>;
 
 /// A Prudence slab cache for fixed-size objects.
 ///
 /// See the [crate-level documentation](crate) for the design overview and
 /// an example. The cache is a handle to a [`SlabEngine`] running the
-/// [`PrudencePolicy`] and owns the background pre-flush worker; dropping
-/// the cache joins the worker and returns every slab to the page allocator
-/// deterministically.
+/// [`PrudencePolicy`]; it starts no thread, so dropping the last handle
+/// returns every slab to the page allocator deterministically.
 #[derive(Debug)]
 pub struct PrudenceCache {
     engine: Arc<Engine>,
-    worker: Option<JoinHandle<()>>,
 }
 
 impl PrudenceCache {
@@ -70,24 +65,10 @@ impl PrudenceCache {
         domain: Arc<dyn ReclamationDomain>,
     ) -> Self {
         let latent = domain.backend() == ReclaimBackend::Epoch;
-        // Only the latent machinery ever schedules a pre-flush.
-        let preflush = config.preflush && latent;
-        let (tx, rx) = unbounded();
-        let policy = PrudencePolicy {
-            latent,
-            preflush_tx: Mutex::new(preflush.then_some(tx)),
-            config,
-        };
+        let policy = PrudencePolicy { latent, config };
         let engine_config = policy.config.engine.clone();
         let engine = SlabEngine::new(name, object_size, engine_config, pages, domain, policy);
-        let worker = preflush.then(|| {
-            let weak = Arc::downgrade(&engine);
-            std::thread::Builder::new()
-                .name(format!("prudence-preflush-{name}"))
-                .spawn(move || preflush_worker(weak, rx))
-                .expect("spawn preflush worker")
-        });
-        Self { engine, worker }
+        Self { engine }
     }
 
     /// The reclamation domain this cache is attached to.
@@ -119,19 +100,6 @@ impl SlabCache for PrudenceCache {
     }
 }
 
-impl Drop for PrudenceCache {
-    fn drop(&mut self) {
-        // Closing the channel wakes the worker; it holds only a Weak, so it
-        // can never be the thread running this Drop.
-        self.engine.slab_policy().preflush_tx.lock().take();
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-        // With the worker joined, this is the last Arc: the engine drops
-        // here, returning all slabs deterministically.
-    }
-}
-
 /// The paper's delta over a SLUB-shaped allocator: latent caches and
 /// latent slabs stamped with grace-period state, and the hint-driven
 /// refill/flush/selection/shrink decisions of §4.2.
@@ -144,8 +112,6 @@ pub struct PrudencePolicy {
     /// Whether deferred objects park in latent caches/slabs (epoch
     /// backend) rather than in the attached domain.
     latent: bool,
-    /// Pre-flush request channel; taken (closed) when the cache drops.
-    preflush_tx: Mutex<Option<Sender<usize>>>,
 }
 
 impl PrudencePolicy {
@@ -194,9 +160,9 @@ impl PrudencePolicy {
     }
 
     /// Slab selection for refill (Algorithm lines 17-21 plus the Figure 5
-    /// fragmentation optimization). Scans at most `slab_scan_window` slabs
-    /// of the partial list; lazily reclaims completed deferred objects of
-    /// every slab it inspects.
+    /// fragmentation optimization). Considers the first
+    /// `slab_scan_window` partial slabs that have a free object; lazily
+    /// reclaims completed deferred objects of every slab it inspects.
     fn select(
         &self,
         eng: &Engine,
@@ -205,13 +171,18 @@ impl PrudencePolicy {
         allow_deferred_heavy: bool,
     ) -> Option<usize> {
         let window = self.config.slab_scan_window;
-        // Partial list first.
+        // Partial list first: the first `window` slabs that have a free
+        // object. A pre-moved slab (full, its deferred objects still
+        // inside their grace period) has nothing to give yet and does not
+        // use up the window — `window` of them at the head of the list
+        // would hide every other partial slab and turn refills into grows.
         let partial: Vec<usize> = node
             .lists
             .list(ListKind::Partial)
             .iter()
-            .take(window)
             .copied()
+            .filter(|&index| node.slab(index).raw.free_count() > 0)
+            .take(window)
             .collect();
         let mut best: Option<(usize, (usize, usize))> = None;
         for index in partial {
@@ -220,10 +191,6 @@ impl PrudencePolicy {
             let free = slab.raw.free_count();
             let allocated = slab.raw.allocated_count();
             let deferred = slab.deferred.len();
-            if free == 0 {
-                node.relist(index);
-                continue;
-            }
             if !self.config.deferred_aware_selection {
                 // Baseline behaviour: first usable partial slab.
                 return Some(index);
@@ -270,12 +237,17 @@ impl PrudencePolicy {
     /// pre-movement (Algorithm lines 49-59). Entries' defer-time clocks
     /// are dropped here: latent-slab objects rejoin circulation through
     /// whole-slab reclamation, which has no single defer to attribute.
+    ///
+    /// The node-lock trip first settles the pending list: between refills
+    /// nothing else merges grace-period-complete latent-slab objects, and
+    /// a defer-heavy phase would otherwise keep them parked.
     fn defer_to_slabs(&self, eng: &Engine, objs: &[LatentEntry]) {
         if objs.is_empty() {
             return;
         }
         let slab_bytes = eng.policy().slab_bytes;
         let mut node = eng.lock_node();
+        eng.settle_pending(&mut node);
         for &(obj, gp, _) in objs {
             // SAFETY: deferred objects come from this cache; node lock held.
             let index = unsafe { pbs_alloc_api::slab_layout::resolve_slab_index(obj, slab_bytes) };
@@ -313,54 +285,6 @@ impl PrudencePolicy {
         }
     }
 
-    /// Schedules an idle-time pre-flush for a CPU slot (lines 41-43).
-    fn schedule_preflush(&self, cpu_idx: usize, cpu: &mut CpuSlot) {
-        if cpu.preflush_pending {
-            return;
-        }
-        if let Some(tx) = self.preflush_tx.lock().as_ref() {
-            cpu.preflush_pending = true;
-            let _ = tx.send(cpu_idx);
-        }
-    }
-
-    /// Latent-cache pre-flush, run by the idle worker (§4.2).
-    ///
-    /// Merges any grace-period-complete objects first (the paper notes this
-    /// is done opportunistically during pre-flush), then moves excess
-    /// deferred objects to their latent slabs. When the recent allocation
-    /// rate exceeds the free/defer rate the pre-flush is lazier (allocation
-    /// will drain the object cache anyway).
-    pub(crate) fn preflush(&self, eng: &Engine, cpu_idx: usize) {
-        let mut cpu = eng.lock_slot(cpu_idx);
-        cpu.preflush_pending = false;
-        // Single-writer: only the pre-flush worker bumps this, and only
-        // while holding the matching slot lock.
-        eng.counters().shard(cpu_idx).preflushes.bump();
-        self.merge_caches(eng, cpu_idx, &mut cpu, 0);
-        let size = eng.policy().object_cache_size;
-        if cpu.total_cached() <= size {
-            return;
-        }
-        let mut excess = cpu.total_cached() - size;
-        if cpu.allocs_since > cpu.frees_since + cpu.defers_since {
-            excess = excess.div_ceil(2);
-        }
-        cpu.allocs_since = 0;
-        cpu.frees_since = 0;
-        cpu.defers_since = 0;
-        let n = excess.min(cpu.latent.len());
-        let moved: Vec<LatentEntry> = cpu.latent.drain(..n).collect();
-        eng.counters().ring.record(
-            cpu_idx,
-            EventKind::LatentPreflush,
-            eng.counters().id(),
-            moved.len() as u64,
-            cpu.latent.len() as u64,
-        );
-        self.defer_to_slabs(eng, &moved);
-    }
-
     /// Lines 39-51: admit `obj` into the latent cache or move it (and any
     /// overflow) to its latent slab. Consumes the guard so every early
     /// return drops the slot lock.
@@ -380,11 +304,9 @@ impl PrudencePolicy {
         }
         let threshold = eng.policy().object_cache_size;
         if cpu.latent.len() < threshold {
-            // Fast path (lines 39-44).
+            // Fast path (lines 39-40). Lines 41-43 (schedule an idle-time
+            // pre-flush) are not reproduced: see DESIGN.md §4c.
             cpu.latent.push_back((obj, gp, queued_ns));
-            if cpu.total_cached() > threshold {
-                self.schedule_preflush(cpu_idx, &mut cpu);
-            }
             return;
         }
         // Slow path (lines 45-51): make room, retry, else latent slab.
@@ -461,10 +383,10 @@ impl SlabPolicy for PrudencePolicy {
         node: &mut Node,
         have: bool,
     ) -> Result<Option<usize>, OutOfMemory> {
-        let epoch = eng.rcu().current_epoch();
         // Merge grace-period-complete latent-slab objects back into their
         // slabs first (§4.1), so refill reuses them instead of growing.
-        eng.note_reclaimed(node.reclaim_pending(epoch));
+        eng.settle_pending(node);
+        let epoch = eng.rcu().current_epoch();
         if let Some(index) = self.select(eng, node, epoch, false) {
             return Ok(Some(index));
         }
@@ -580,9 +502,7 @@ impl SlabPolicy for PrudencePolicy {
         let (cpu_idx, mut cpu) = eng.lock_cpu();
         self.merge_caches(eng, cpu_idx, &mut cpu, 0);
         drop(cpu);
-        let epoch = eng.rcu().current_epoch();
-        let mut node = eng.lock_node();
-        eng.note_reclaimed(node.reclaim_pending(epoch));
+        eng.settle_pending(&mut eng.lock_node());
     }
 
     /// Merge and flush this thread's slot and sweep the node's pending
@@ -594,18 +514,14 @@ impl SlabPolicy for PrudencePolicy {
         let moved: Vec<LatentEntry> = cpu.latent.drain(..).collect();
         drop(cpu);
         self.defer_to_slabs(eng, &moved);
-        let epoch = eng.rcu().current_epoch();
         let mut node = eng.lock_node();
-        eng.note_reclaimed(node.reclaim_pending(epoch));
+        eng.settle_pending(&mut node);
         eng.shrink(&mut node);
     }
 
     fn drain_parked(&self, eng: &Engine) -> usize {
         self.drain_latent_caches(eng);
-        let epoch = eng.rcu().current_epoch();
-        let reclaimed = eng.lock_node().reclaim_pending(epoch);
-        eng.note_reclaimed(reclaimed);
-        reclaimed
+        eng.settle_pending(&mut eng.lock_node())
     }
 }
 
@@ -615,22 +531,18 @@ mod tests {
     use pbs_alloc_api::ObjectAllocator;
     use pbs_rcu::RcuConfig;
 
-    fn cache(size: usize) -> (Arc<PrudenceCache>, Arc<PageAllocator>, Arc<Rcu>) {
+    /// One slot makes the slot a defer lands in deterministic.
+    fn cache(size: usize, ncpus: usize) -> (Arc<PrudenceCache>, Arc<PageAllocator>, Arc<Rcu>) {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let c = Arc::new(PrudenceCache::new(
-            "t",
-            size,
-            PrudenceConfig::new(2),
-            Arc::clone(&pages),
-            Arc::clone(&rcu),
-        ));
-        (c, pages, rcu)
+        let config = PrudenceConfig::new(ncpus);
+        let c = PrudenceCache::new("t", size, config, Arc::clone(&pages), Arc::clone(&rcu));
+        (Arc::new(c), pages, rcu)
     }
 
     #[test]
     fn deferred_object_reused_after_grace_period_without_refill() {
-        let (c, _p, rcu) = cache(512);
+        let (c, _p, rcu) = cache(512, 2);
         let a = c.allocate().unwrap();
         unsafe { c.free_deferred(a) };
         rcu.synchronize();
@@ -658,11 +570,7 @@ mod tests {
 
     #[test]
     fn latent_cache_overflows_to_latent_slab() {
-        let pages = Arc::new(PageAllocator::new());
-        let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        // Disable preflush so overflow must take the slow path.
-        let cfg = PrudenceConfig::new(1).with_preflush(false);
-        let c = PrudenceCache::new("t", 64, cfg, pages, Arc::clone(&rcu));
+        let (c, _p, rcu) = cache(64, 1);
         let reader = rcu.register();
         let guard = reader.read_lock(); // hold the grace period open
         let n = c.policy().object_cache_size * 3;
@@ -679,7 +587,7 @@ mod tests {
 
     #[test]
     fn quiesce_makes_everything_reusable() {
-        let (c, pages, _r) = cache(256);
+        let (c, pages, _r) = cache(256, 2);
         let objs: Vec<ObjPtr> = (0..500).map(|_| c.allocate().unwrap()).collect();
         for o in objs {
             unsafe { c.free_deferred(o) };
@@ -708,7 +616,7 @@ mod tests {
 
     #[test]
     fn stats_track_partial_refills() {
-        let (c, _p, rcu) = cache(64);
+        let (c, _p, rcu) = cache(64, 2);
         let size = c.policy().object_cache_size;
         // Put some deferred objects in the latent cache, then force a
         // refill: it should be partial.
@@ -733,40 +641,62 @@ mod tests {
     }
 
     #[test]
-    fn preflush_moves_latent_to_slabs() {
-        let pages = Arc::new(PageAllocator::new());
-        let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let c = PrudenceCache::new("t", 64, PrudenceConfig::new(1), pages, Arc::clone(&rcu));
+    fn overflow_batch_moves_latent_to_slabs() {
+        let (c, _p, rcu) = cache(64, 1);
         let reader = rcu.register();
         let guard = reader.read_lock();
         let size = c.policy().object_cache_size;
-        // Fill the object cache AND the latent cache so total > size:
-        // allocate 2×size, return half immediately (fills the object
-        // cache), defer the other half (fills latent and trips line 41).
-        let objs: Vec<ObjPtr> = (0..2 * size).map(|_| c.allocate().unwrap()).collect();
-        for &o in &objs[..size] {
-            unsafe { c.free(o) };
-        }
-        for &o in &objs[size..] {
+        // With the grace period held open nothing can merge, so defer
+        // number `size + 1` finds the latent cache full and moves its
+        // older half (lines 45-51) to the latent slabs in one batch.
+        let objs: Vec<ObjPtr> = (0..size + 1).map(|_| c.allocate().unwrap()).collect();
+        for &o in &objs {
             unsafe { c.free_deferred(o) };
         }
-        // Give the worker a moment.
-        for _ in 0..100 {
-            if c.stats().preflushes > 0 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert!(c.stats().preflushes > 0, "preflush never ran");
+        assert!(c.stats().pre_movements > 0, "stats: {:?}", c.stats());
+        assert_eq!(c.lock_slot(0).latent.len(), size - size / 2);
+        assert_eq!(c.deferred_outstanding(), size + 1);
         drop(guard);
         c.quiesce();
+        assert_eq!(c.deferred_outstanding(), 0);
+    }
+
+    #[test]
+    fn defer_only_phase_settles_latent_slabs_without_a_refill() {
+        let (c, pages, rcu) = cache(64, 1);
+        let size = c.policy().object_cache_size;
+        let objs: Vec<ObjPtr> = (0..5 * size + 1).map(|_| c.allocate().unwrap()).collect();
+        let (early, late) = objs.split_at(4 * size);
+        let reader = rcu.register();
+        let guard = reader.read_lock();
+        for &o in early {
+            unsafe { c.free_deferred(o) };
+        }
+        assert_eq!(c.deferred_outstanding(), 4 * size);
+        drop(guard);
+        rcu.synchronize();
+        // No `allocate` from here on: only the node-lock trips of the
+        // defer route itself can settle what the first phase parked in
+        // latent slabs.
+        for &o in late {
+            unsafe { c.free_deferred(o) };
+        }
+        assert!(
+            c.deferred_outstanding() <= 2 * size + 1,
+            "{} deferred objects outstanding past their grace period (cache size {size})",
+            c.deferred_outstanding()
+        );
+        c.quiesce();
+        assert_eq!(c.deferred_outstanding(), 0);
+        drop(c);
+        assert_eq!(pages.used_bytes(), 0);
     }
 
     #[test]
     fn epoch_domain_cache_matches_plain_construction() {
         // `new` and `with_domain(EpochDomain)` are the same cache: the
         // latent machinery stays in charge and quiesce drains through it.
-        let (c, _p, rcu) = cache(64);
+        let (c, _p, rcu) = cache(64, 2);
         assert_eq!(c.reclaim_domain().backend(), ReclaimBackend::Epoch);
         let a = c.allocate().unwrap();
         unsafe { c.free_deferred(a) };

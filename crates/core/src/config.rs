@@ -4,9 +4,10 @@ use pbs_alloc_api::engine::EngineConfig;
 
 /// Tuning knobs for a [`PrudenceCache`](crate::PrudenceCache).
 ///
-/// Every §4.2 optimization can be toggled independently so the benchmark
-/// harness can run ablations (see `DESIGN.md`). The defaults enable the
-/// full design exactly as the paper describes it.
+/// Every §4.2 optimization that is a decision of the policy can be
+/// toggled independently so `figures ablation` can run each one off (see
+/// `DESIGN.md`); the defaults enable them all. The paper's idle-time
+/// pre-flush is not reproduced and has no switch (DESIGN.md §4c).
 ///
 /// # Example
 ///
@@ -14,7 +15,7 @@ use pbs_alloc_api::engine::EngineConfig;
 /// use prudence::PrudenceConfig;
 ///
 /// let full = PrudenceConfig::new(8);
-/// assert!(full.preflush && full.partial_refill);
+/// assert!(full.latent_cache && full.partial_refill);
 /// assert_eq!(full.engine.ncpus, 8);
 ///
 /// let no_hints = PrudenceConfig::new(8)
@@ -33,17 +34,14 @@ pub struct PrudenceConfig {
     /// Refill only `cache_size − latent_count` objects when deferred
     /// objects are pending (§4.2, *Object cache refill*).
     pub partial_refill: bool,
-    /// Schedule idle-time latent-cache pre-flush when a post-grace-period
-    /// overflow is foreseen (§4.2, *Latent cache pre-flush*).
-    pub preflush: bool,
     /// Flush more objects when more deferred objects are pending (§4.2,
     /// *Object cache flush*).
     pub proportional_flush: bool,
     /// Consider deferred objects when selecting a slab for refill (§4.2,
     /// *Reduces total fragmentation*, Figure 5).
     pub deferred_aware_selection: bool,
-    /// How many partial slabs to scan during selection (the paper uses 10
-    /// as a latency/fragmentation trade-off, §5.4).
+    /// How many partial slabs with a free object selection compares (the
+    /// paper uses 10 as a latency/fragmentation trade-off, §5.4).
     pub slab_scan_window: usize,
 }
 
@@ -66,12 +64,6 @@ impl PrudenceConfig {
     /// Toggles partial refill (ablation).
     pub fn with_partial_refill(mut self, on: bool) -> Self {
         self.partial_refill = on;
-        self
-    }
-
-    /// Toggles idle pre-flush (ablation).
-    pub fn with_preflush(mut self, on: bool) -> Self {
-        self.preflush = on;
         self
     }
 
@@ -108,7 +100,6 @@ impl From<EngineConfig> for PrudenceConfig {
             engine,
             latent_cache: true,
             partial_refill: true,
-            preflush: true,
             proportional_flush: true,
             deferred_aware_selection: true,
             slab_scan_window: 10,
@@ -125,7 +116,6 @@ mod tests {
         let c = PrudenceConfig::new(2);
         assert!(c.latent_cache);
         assert!(c.partial_refill);
-        assert!(c.preflush);
         assert!(c.proportional_flush);
         assert!(c.deferred_aware_selection);
         assert_eq!(c.slab_scan_window, 10);
@@ -145,10 +135,8 @@ mod tests {
     fn builder_toggles() {
         let c = PrudenceConfig::new(2)
             .with_latent_cache(false)
-            .with_preflush(false)
             .with_slab_scan_window(0);
         assert!(!c.latent_cache);
-        assert!(!c.preflush);
         assert_eq!(c.slab_scan_window, 1, "window clamped to at least 1");
     }
 

@@ -15,12 +15,15 @@
 //!   the object cache / slab free lists and are immediately reusable —
 //!   extended object lifetimes (paper §3.2) are eliminated.
 //! * Hints about the future drive the §4.2 optimizations: **partial
-//!   refill**, **proportional flush**, **idle-time pre-flush**, **slab
-//!   pre-movement**, **deferred-aware slab selection** (Figure 5), and
-//!   **OOM deferral**.
+//!   refill**, **proportional flush**, **slab pre-movement**,
+//!   **deferred-aware slab selection** (Figure 5), and **OOM deferral**.
+//!   The paper's idle-time latent-cache pre-flush is not reproduced: a
+//!   full latent cache moves its older half to latent slabs in one batch,
+//!   and every node-lock trip of the free/defer route settles the
+//!   grace-period-complete latent slabs first (DESIGN.md §4c).
 //!
-//! Every optimization has an ablation switch in [`PrudenceConfig`] so its
-//! contribution can be measured independently.
+//! Each policy decision has an ablation switch in [`PrudenceConfig`] so
+//! its contribution can be measured independently.
 //!
 //! # Example
 //!
@@ -44,7 +47,6 @@
 
 mod cache;
 mod config;
-mod preflush;
 
 pub use cache::{PrudenceCache, PrudencePolicy};
 pub use config::PrudenceConfig;

@@ -28,8 +28,10 @@ pub enum EventKind {
     /// Grace-period-complete latent objects merged into the object cache
     /// (`a` = objects merged, `b` = raw epoch observed).
     LatentMerge = 5,
-    /// The idle-time pre-flush worker drained a latent cache
-    /// (`a` = objects moved to slabs).
+    /// A latent-cache pre-flush moved objects to slabs. No producer since
+    /// PR 22 (the worker is gone); the wire value stays reserved because
+    /// values are append-only, and a `benchmark` issue retires
+    /// `prudence.preflushes_per_kop` and then this kind.
     LatentPreflush = 6,
     /// A latent/object-cache overflow flushed objects to the slab layer
     /// (`a` = objects flushed).

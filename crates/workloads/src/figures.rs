@@ -94,7 +94,7 @@ pub fn render_figures7_to_13(comparisons: &[AppComparison]) -> String {
 }
 
 /// The §4.2 ablation rows: the full design, then each optimization
-/// altered alone. These rows are why [`PrudenceConfig`] keeps its six
+/// altered alone. These rows are why [`PrudenceConfig`] keeps its five
 /// Prudence-only switches.
 pub fn ablation_variants() -> Vec<(&'static str, PrudenceConfig)> {
     let full = PrudenceConfig::new(2);
@@ -104,7 +104,6 @@ pub fn ablation_variants() -> Vec<(&'static str, PrudenceConfig)> {
         engine: _,
         latent_cache,
         partial_refill,
-        preflush,
         proportional_flush,
         deferred_aware_selection,
         slab_scan_window: _,
@@ -114,7 +113,6 @@ pub fn ablation_variants() -> Vec<(&'static str, PrudenceConfig)> {
         ("full", base()),
         ("no_latent_cache", base().with_latent_cache(!latent_cache)),
         ("no_partial_refill", base().with_partial_refill(!partial_refill)),
-        ("no_preflush", base().with_preflush(!preflush)),
         ("no_proportional_flush", base().with_proportional_flush(!proportional_flush)),
         ("no_deferred_selection", base().with_deferred_aware_selection(!deferred_aware_selection)),
         ("scan_window_1", base().with_slab_scan_window(1)),
@@ -161,14 +159,14 @@ pub fn run_ablation(pairs: u64) -> Vec<(&'static str, CacheStatsSnapshot)> {
 pub fn render_ablation(pairs: u64, rows: &[(&'static str, CacheStatsSnapshot)]) -> String {
     let mut out = format!(
         "\u{00a7}4.2 ablation — {pairs} kmalloc/kfree_deferred pairs of 512 B, 1 thread, epoch backend\n\
-         {:<22} {:>9} {:>9} {:>8} {:>8} {:>6} {:>10} {:>13}\n",
-        "variant", "refills", "flushes", "grows", "shrinks", "peak", "preflushes", "pre_movements"
+         {:<22} {:>9} {:>9} {:>8} {:>8} {:>6} {:>13}\n",
+        "variant", "refills", "flushes", "grows", "shrinks", "peak", "pre_movements"
     );
     for (name, s) in rows {
         let _ = writeln!(
             out,
-            "{name:<22} {:>9} {:>9} {:>8} {:>8} {:>6} {:>10} {:>13}",
-            s.refills, s.flushes, s.grows, s.shrinks, s.slabs_peak, s.preflushes, s.pre_movements
+            "{name:<22} {:>9} {:>9} {:>8} {:>8} {:>6} {:>13}",
+            s.refills, s.flushes, s.grows, s.shrinks, s.slabs_peak, s.pre_movements
         );
     }
     out
@@ -184,7 +182,6 @@ mod tests {
             let switches = [
                 c.latent_cache,
                 c.partial_refill,
-                c.preflush,
                 c.proportional_flush,
                 c.deferred_aware_selection,
             ];
@@ -198,7 +195,8 @@ mod tests {
             .iter()
             .map(|(name, config)| {
                 let (switches, window) = fields(config);
-                let flipped: Vec<usize> = (0..5).filter(|&i| switches[i] != full[i]).collect();
+                let flipped: Vec<usize> =
+                    (0..switches.len()).filter(|&i| switches[i] != full[i]).collect();
                 match (flipped.as_slice(), window == full_window) {
                     ([switch], true) => Ok(*switch),
                     ([], false) => Err(window),
@@ -206,18 +204,16 @@ mod tests {
                 }
             })
             .collect();
-        assert_eq!(changed, [Ok(0), Ok(1), Ok(2), Ok(3), Ok(4), Err(1), Err(100)]);
+        assert_eq!(changed, [Ok(0), Ok(1), Ok(2), Ok(3), Err(1), Err(100)]);
     }
 
     #[test]
     fn every_ablation_variant_runs_and_renders() {
         let rows = run_ablation(3_000);
-        assert_eq!(rows.len(), 8);
+        assert_eq!(rows.len(), 7);
         for (name, stats) in &rows {
             assert_eq!(stats.deferred_frees, 3_000, "{name}");
         }
-        let (_, no_preflush) = rows.iter().find(|(name, _)| *name == "no_preflush").unwrap();
-        assert_eq!(no_preflush.preflushes, 0);
         let text = render_ablation(3_000, &rows);
         assert!(text.contains("pre_movements") && text.contains("scan_window_100"));
     }

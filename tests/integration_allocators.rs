@@ -297,3 +297,66 @@ fn long_running_reader_delays_but_does_not_block_forever() {
     assert!(done.load(Ordering::Relaxed), "quiesce returned before the reader finished");
     reader.join().unwrap();
 }
+
+#[test]
+fn refill_reuses_holes_behind_premoved_slabs() {
+    // Full slabs whose deferred objects are still inside their grace
+    // period are pre-moved to the partial list with nothing to give. If
+    // they used up the selection window, a refill would see only them
+    // once they reach the head of the list and grow, however many holes
+    // the partial slabs behind them have.
+    let pages = Arc::new(PageAllocator::new());
+    let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
+    // Latent cache off: every defer lands in its latent slab at once.
+    let config = PrudenceConfig::new(1).with_latent_cache(false);
+    let cache = PrudenceCache::new("it", 512, config, pages, Arc::clone(&rcu));
+    let per_slab = cache.policy().objects_per_slab;
+    let slab_of = |obj: &ObjPtr| obj.addr() / cache.policy().slab_bytes;
+
+    let mut held: Vec<ObjPtr> = (0..400 * per_slab)
+        .map(|_| cache.allocate().unwrap())
+        .collect();
+    let second_half = held.split_off(200 * per_slab);
+    // Holes: every other object of the first 200 slabs' worth goes back.
+    let mut kept = Vec::new();
+    for (i, obj) in held.into_iter().enumerate() {
+        if i % 2 == 0 {
+            unsafe { cache.free(obj) };
+        } else {
+            kept.push(obj);
+        }
+    }
+    // Pre-moved slabs: one deferred object in each of 40 slabs that are
+    // otherwise fully held, under a reader that keeps the grace period
+    // open.
+    let reader = rcu.register();
+    let guard = reader.read_lock();
+    let mut held_in_slab = std::collections::HashMap::new();
+    for obj in &second_half {
+        *held_in_slab.entry(slab_of(obj)).or_insert(0) += 1;
+    }
+    let mut premoved = std::collections::HashSet::new();
+    for obj in second_half {
+        let slab = slab_of(&obj);
+        if held_in_slab[&slab] == per_slab && premoved.len() < 40 && premoved.insert(slab) {
+            unsafe { cache.free_deferred(obj) };
+        } else {
+            kept.push(obj);
+        }
+    }
+    assert_eq!(premoved.len(), 40);
+
+    let grows = cache.stats().grows;
+    kept.extend((0..60 * per_slab).map(|_| cache.allocate().unwrap()));
+    assert_eq!(
+        cache.stats().grows,
+        grows,
+        "grew with ~100 slabs' worth of holes on the partial list"
+    );
+    drop(guard);
+    for obj in kept {
+        unsafe { cache.free(obj) };
+    }
+    cache.quiesce();
+    assert_eq!(cache.stats().live_objects, 0);
+}

@@ -143,7 +143,7 @@ proptest! {
                 Arc::new(PrudenceCache::new(
                     "prop-nolatent",
                     64,
-                    PrudenceConfig::new(1).with_latent_cache(false).with_preflush(false),
+                    PrudenceConfig::new(1).with_latent_cache(false),
                     pages,
                     rcu,
                 ))
