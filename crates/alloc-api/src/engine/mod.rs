@@ -677,8 +677,9 @@ impl<P: SlabPolicy> SlabEngine<P> {
 
     /// SHRINK (line 59): returns fully-free slabs beyond the policy's
     /// [`shrink_limit`](SlabPolicy::shrink_limit) to the page allocator.
-    /// Slabs pre-moved to the free list whose deferred objects are still
-    /// inside a grace period are *not* releasable yet.
+    /// Slabs pre-moved to the free list that still hold deferred objects
+    /// are *not* releasable; merging those back is the pending-list
+    /// sweep's job alone ([`settle_pending`](Self::settle_pending)).
     pub fn shrink(&self, node: &mut Node) {
         let Some(limit) = self.policy.shrink_limit(self, node) else {
             return;
@@ -686,14 +687,11 @@ impl<P: SlabPolicy> SlabEngine<P> {
         if node.lists.len(ListKind::Free) <= limit {
             return;
         }
-        let epoch = self.rcu.current_epoch();
         for index in node.lists.list(ListKind::Free).to_vec() {
             if node.lists.len(ListKind::Free) <= limit {
                 break;
             }
-            let slab = node.slab_mut(index);
-            self.note_reclaimed(slab.reclaim_completed(epoch));
-            if slab.releasable() {
+            if node.slab(index).releasable() {
                 let slab = node.remove_slab(index);
                 self.pages.free_pages(slab.raw.into_block());
                 self.stats.record_shrink();

@@ -12,8 +12,7 @@ use crate::{ListKind, RawSlab, SlabLists};
 ///
 /// Deferred objects are counted as *allocated* by the underlying
 /// [`RawSlab`] until their grace period completes and
-/// [`reclaim_completed`](Slab::reclaim_completed) returns them to
-/// the free list. A policy that never parks deferred objects in slabs
+/// [`Node::reclaim_pending`] returns them to the free list. A policy that never parks deferred objects in slabs
 /// (SLUB) leaves `deferred` empty, and [`classify`](Slab::classify)
 /// degenerates to the plain free/partial/full rule.
 #[derive(Debug)]
@@ -32,8 +31,10 @@ impl Slab {
     }
 
     /// Returns deferred objects whose grace period completed at `epoch` to
-    /// the slab free list. Returns how many were reclaimed.
-    pub fn reclaim_completed(&mut self, epoch: u64) -> usize {
+    /// the slab free list. Returns how many were reclaimed. Private: only
+    /// [`Node::reclaim_pending`] may take deferred objects out, or its
+    /// list goes stale.
+    fn reclaim_completed(&mut self, epoch: u64) -> usize {
         let mut reclaimed = 0;
         while let Some(&(idx, gp)) = self.deferred.front() {
             if !gp.is_completed_at(epoch) {
@@ -86,8 +87,14 @@ pub struct Node {
     /// Slabs with pending latent-slab objects, in the order their oldest
     /// stamp was queued. Lets reclamation merge completed objects back
     /// ("objects in the latent slab are merged with the slab", §4.1)
-    /// without scanning every slab. May contain stale entries; consumers
-    /// re-validate.
+    /// without scanning every slab. A slab is listed exactly once while
+    /// its `deferred` is non-empty: [`park`](Self::park) lists it with its
+    /// first deferred object and only
+    /// [`reclaim_pending`](Self::reclaim_pending) takes deferred objects
+    /// out. The sweep stops at the first stamp still inside its grace
+    /// period, so anything that emptied a slab's `deferred` behind the
+    /// list's back would leave an entry that later stands for newer
+    /// stamps and blocks every completed slab behind it.
     pub pending: VecDeque<usize>,
     /// Grace-period stamp taken when the free list was first observed over
     /// the shrink threshold, or `None` while it is within bounds. Shrink
@@ -138,6 +145,17 @@ impl Node {
         let slab = self.slabs[index].take().expect("live slab index");
         self.free_slots.push(index);
         slab
+    }
+
+    /// Parks a deferred object in slab `index`'s latent slab and lists the
+    /// slab for the sweep with its first one. Does not relist the slab.
+    pub fn park(&mut self, index: usize, obj_index: u16, gp: GpState) {
+        let slab = self.slab_mut(index);
+        let first = slab.deferred.is_empty();
+        slab.deferred.push_back((obj_index, gp));
+        if first {
+            self.pending.push_back(index);
+        }
     }
 
     /// Merges grace-period-complete latent-slab objects back into their
@@ -236,6 +254,55 @@ mod tests {
         rcu.synchronize();
         assert_eq!(slab.reclaim_completed(rcu.current_epoch()), 1);
         pages.free_pages(slab.raw.into_block());
+    }
+
+    /// `park` and the sweep keep the list exact: each slab with deferred
+    /// objects is named once, in the order of its oldest stamp, through
+    /// partial sweeps and re-parks — so the sweep's stop at the first
+    /// incomplete stamp never strands a completed slab behind it.
+    #[test]
+    fn pending_names_each_deferring_slab_once() {
+        let policy = SizingPolicy::for_object_size(64);
+        let pages = PageAllocator::new();
+        let rcu = Rcu::new();
+        let mut node = Node::default();
+        let a = node.insert_slab(mk_slab(&policy, &pages, 0));
+        let b = node.insert_slab(mk_slab(&policy, &pages, 1));
+        let (mut objs_a, mut objs_b) = (Vec::new(), Vec::new());
+        node.slab_mut(a).raw.take(3, &mut objs_a);
+        node.slab_mut(b).raw.take(1, &mut objs_b);
+        let idx = |node: &Node, slab: usize, obj| node.slab(slab).raw.index_of(obj);
+
+        let early = rcu.gp_state();
+        node.park(a, idx(&node, a, objs_a[0]), early);
+        node.park(b, idx(&node, b, objs_b[0]), early);
+        rcu.synchronize();
+        let late = rcu.gp_state();
+        node.park(a, idx(&node, a, objs_a[1]), late);
+        assert_eq!(node.pending, [a, b]);
+
+        // Only `early` is complete: `a` keeps its late object and queues
+        // again behind `b`, which leaves the list.
+        assert_eq!(node.reclaim_pending(early.raw_epoch() + 2), 2);
+        assert_eq!(node.pending, [a]);
+        // Nothing complete: the list does not move.
+        assert_eq!(node.reclaim_pending(early.raw_epoch() + 2), 0);
+        assert_eq!(node.pending, [a]);
+        // A second park into a listed slab does not list it twice; a park
+        // into a slab the sweep emptied lists it again, once.
+        node.park(a, idx(&node, a, objs_a[2]), late);
+        node.slab_mut(b).raw.take(1, &mut objs_b);
+        node.park(b, idx(&node, b, objs_b[1]), late);
+        assert_eq!(node.pending, [a, b]);
+
+        rcu.synchronize();
+        assert_eq!(node.reclaim_pending(rcu.current_epoch()), 3);
+        assert!(node.pending.is_empty());
+        for index in [a, b] {
+            let slab = node.remove_slab(index);
+            assert!(slab.releasable());
+            pages.free_pages(slab.raw.into_block());
+        }
     }
 
     #[test]

@@ -161,33 +161,27 @@ impl PrudencePolicy {
 
     /// Slab selection for refill (Algorithm lines 17-21 plus the Figure 5
     /// fragmentation optimization). Considers the first
-    /// `slab_scan_window` partial slabs that have a free object; lazily
-    /// reclaims completed deferred objects of every slab it inspects.
-    fn select(
-        &self,
-        eng: &Engine,
-        node: &mut Node,
-        epoch: u64,
-        allow_deferred_heavy: bool,
-    ) -> Option<usize> {
+    /// `slab_scan_window` partial slabs that have a free object. Reclaims
+    /// nothing itself: the caller's pending-list sweep already merged what
+    /// is complete, and a slab emptied of deferred objects behind the
+    /// list's back would leave a stale entry that blocks the sweep.
+    fn select(&self, node: &Node, allow_deferred_heavy: bool) -> Option<usize> {
         let window = self.config.slab_scan_window;
         // Partial list first: the first `window` slabs that have a free
         // object. A pre-moved slab (full, its deferred objects still
         // inside their grace period) has nothing to give yet and does not
         // use up the window — `window` of them at the head of the list
         // would hide every other partial slab and turn refills into grows.
-        let partial: Vec<usize> = node
+        let partial = node
             .lists
             .list(ListKind::Partial)
             .iter()
             .copied()
             .filter(|&index| node.slab(index).raw.free_count() > 0)
-            .take(window)
-            .collect();
+            .take(window);
         let mut best: Option<(usize, (usize, usize))> = None;
         for index in partial {
-            let slab = node.slab_mut(index);
-            eng.note_reclaimed(slab.reclaim_completed(epoch));
+            let slab = node.slab(index);
             let free = slab.raw.free_count();
             let allocated = slab.raw.allocated_count();
             let deferred = slab.deferred.len();
@@ -214,13 +208,10 @@ impl PrudencePolicy {
         // Free list next (lines 20-21); prefer slabs without pending
         // deferred objects — slabs that are entirely "about to be free"
         // should be left alone so their pages can be returned.
-        let free_list: Vec<usize> = node.lists.list(ListKind::Free).to_vec();
         let mut fallback = None;
-        for index in free_list {
-            let slab = node.slab_mut(index);
-            eng.note_reclaimed(slab.reclaim_completed(epoch));
+        for &index in node.lists.list(ListKind::Free) {
+            let slab = node.slab(index);
             if slab.raw.free_count() == 0 {
-                node.relist(index);
                 continue;
             }
             if slab.deferred.is_empty() {
@@ -251,13 +242,8 @@ impl PrudencePolicy {
         for &(obj, gp, _) in objs {
             // SAFETY: deferred objects come from this cache; node lock held.
             let index = unsafe { pbs_alloc_api::slab_layout::resolve_slab_index(obj, slab_bytes) };
-            let slab = node.slab_mut(index);
-            let obj_index = slab.raw.index_of(obj);
-            let first_pending = slab.deferred.is_empty();
-            slab.deferred.push_back((obj_index, gp));
-            if first_pending {
-                node.pending.push_back(index);
-            }
+            let obj_index = node.slab(index).raw.index_of(obj);
+            node.park(index, obj_index, gp);
             if node.relist(index) {
                 // Single-writer: the node lock is held on every path here
                 // (and it also owns the node trace lane).
@@ -386,8 +372,7 @@ impl SlabPolicy for PrudencePolicy {
         // Merge grace-period-complete latent-slab objects back into their
         // slabs first (§4.1), so refill reuses them instead of growing.
         eng.settle_pending(node);
-        let epoch = eng.rcu().current_epoch();
-        if let Some(index) = self.select(eng, node, epoch, false) {
+        if let Some(index) = self.select(node, false) {
             return Ok(Some(index));
         }
         // Growing is for satisfying the demanded object, not for topping
@@ -402,7 +387,7 @@ impl SlabPolicy for PrudencePolicy {
             // Last resort before failing: slabs we skipped because most of
             // their objects are deferred ("unless it needs to grow the
             // slab cache").
-            Err(e) => self.select(eng, node, epoch, true).map(Some).ok_or(e),
+            Err(e) => self.select(node, true).map(Some).ok_or(e),
         }
     }
 
