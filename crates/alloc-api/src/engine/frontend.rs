@@ -2,67 +2,51 @@
 //! factory subsystems are built over, and the kmalloc-style size-class
 //! heap.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use pbs_mem::PageAllocator;
-use pbs_rcu::reclaim::{EpochDomain, ReclamationDomain};
+use pbs_rcu::reclaim::ReclamationDomain;
 use pbs_rcu::Rcu;
 
+use super::{EngineConfig, SlabEngine, SlabPolicy};
 use crate::{
     class_index_for, AllocError, CacheFactory, CacheStatsSnapshot, ObjPtr, ObjectAllocator,
     SIZE_CLASSES,
 };
 
-/// A public cache type built on a [`SlabEngine`](super::SlabEngine):
-/// what [`SlabFactory`] and [`KmallocHeap`] need to mint one.
-pub trait SlabCache: ObjectAllocator + Sized + 'static {
-    /// The cache's configuration (carries the CPU-slot count).
-    type Config: Clone + std::fmt::Debug + Send + Sync;
-
-    /// Short label for reports ("slub" or "prudence").
-    const LABEL: &'static str;
-
-    /// Creates a cache named `name` for `object_size`-byte objects,
-    /// attached to `domain`.
-    fn create(
-        name: &str,
-        object_size: usize,
-        config: Self::Config,
-        pages: Arc<PageAllocator>,
-        domain: Arc<dyn ReclamationDomain>,
-    ) -> Arc<Self>;
-}
-
-/// Creates `C` caches sharing one page allocator, RCU domain and
-/// configuration.
-pub struct SlabFactory<C: SlabCache> {
-    config: C::Config,
+/// Creates `SlabEngine<P>` caches sharing one page allocator, RCU domain
+/// and configuration.
+pub struct SlabFactory<P: SlabPolicy> {
+    config: EngineConfig,
     pages: Arc<PageAllocator>,
     rcu: Arc<Rcu>,
     /// Shared reclamation domain for every minted cache; `None` gives
     /// each cache its own default epoch backend.
     domain: Option<Arc<dyn ReclamationDomain>>,
+    policy: PhantomData<P>,
 }
 
-impl<C: SlabCache> std::fmt::Debug for SlabFactory<C> {
+impl<P: SlabPolicy> std::fmt::Debug for SlabFactory<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SlabFactory")
-            .field("label", &C::LABEL)
+            .field("label", &P::LABEL)
             .field("config", &self.config)
             .field("backend", &self.domain.as_ref().map(|d| d.backend()))
             .finish()
     }
 }
 
-impl<C: SlabCache> SlabFactory<C> {
+impl<P: SlabPolicy> SlabFactory<P> {
     /// Creates a factory; every cache it mints shares `pages`, `rcu` and
     /// `config`.
-    pub fn new(config: impl Into<C::Config>, pages: Arc<PageAllocator>, rcu: Arc<Rcu>) -> Self {
+    pub fn new(config: EngineConfig, pages: Arc<PageAllocator>, rcu: Arc<Rcu>) -> Self {
         Self {
-            config: config.into(),
+            config,
             pages,
             rcu,
             domain: None,
+            policy: PhantomData,
         }
     }
 
@@ -70,15 +54,16 @@ impl<C: SlabCache> SlabFactory<C> {
     /// (one retire stream / batch stream across the whole subsystem, the
     /// way all caches already share one `rcu`).
     pub fn with_domain(
-        config: impl Into<C::Config>,
+        config: EngineConfig,
         pages: Arc<PageAllocator>,
         domain: Arc<dyn ReclamationDomain>,
     ) -> Self {
         Self {
-            config: config.into(),
+            config,
             pages,
             rcu: Arc::clone(domain.rcu()),
             domain: Some(domain),
+            policy: PhantomData,
         }
     }
 
@@ -93,49 +78,46 @@ impl<C: SlabCache> SlabFactory<C> {
     }
 
     /// The shared configuration.
-    pub fn config(&self) -> &C::Config {
+    pub fn config(&self) -> &EngineConfig {
         &self.config
     }
 
     /// Creates one cache with its concrete type.
-    pub fn create(&self, name: &str, object_size: usize) -> Arc<C> {
-        let domain = match &self.domain {
-            Some(domain) => Arc::clone(domain),
-            None => Arc::new(EpochDomain::new(Arc::clone(&self.rcu))),
-        };
-        C::create(
-            name,
-            object_size,
-            self.config.clone(),
-            Arc::clone(&self.pages),
-            domain,
-        )
+    pub fn create(&self, name: &str, object_size: usize) -> Arc<SlabEngine<P>> {
+        let (config, pages) = (self.config.clone(), Arc::clone(&self.pages));
+        match &self.domain {
+            Some(domain) => {
+                SlabEngine::with_domain(name, object_size, config, pages, Arc::clone(domain))
+            }
+            None => SlabEngine::new(name, object_size, config, pages, Arc::clone(&self.rcu)),
+        }
     }
 }
 
-impl<C: SlabCache> CacheFactory for SlabFactory<C> {
+impl<P: SlabPolicy> CacheFactory for SlabFactory<P> {
     fn create_cache(&self, name: &str, object_size: usize) -> Arc<dyn ObjectAllocator> {
         self.create(name, object_size)
     }
 
     fn label(&self) -> &str {
-        C::LABEL
+        P::LABEL
     }
 }
 
-/// A general-purpose front end: one `C` cache per kmalloc size class
-/// (`kmalloc-8` … `kmalloc-4096`), as in the Linux kernel. This is the
-/// allocator behind the paper's `kfree_deferred()` evaluation API (§5).
+/// A general-purpose front end: one `SlabEngine<P>` cache per kmalloc
+/// size class (`kmalloc-8` … `kmalloc-4096`), as in the Linux kernel. This
+/// is the allocator behind the paper's `kfree_deferred()` evaluation API
+/// (§5).
 #[derive(Debug)]
-pub struct KmallocHeap<C> {
-    caches: Vec<Arc<C>>,
+pub struct KmallocHeap<P: SlabPolicy> {
+    caches: Vec<Arc<SlabEngine<P>>>,
 }
 
-impl<C: SlabCache> KmallocHeap<C> {
+impl<P: SlabPolicy> KmallocHeap<P> {
     /// Creates the full set of size-class caches sharing one
     /// configuration.
-    pub fn new(config: impl Into<C::Config>, pages: Arc<PageAllocator>, rcu: Arc<Rcu>) -> Self {
-        let factory = SlabFactory::<C>::new(config, pages, rcu);
+    pub fn new(config: EngineConfig, pages: Arc<PageAllocator>, rcu: Arc<Rcu>) -> Self {
+        let factory = SlabFactory::<P>::new(config, pages, rcu);
         let caches = SIZE_CLASSES
             .iter()
             .map(|&size| factory.create(&format!("kmalloc-{size}"), size))
@@ -143,7 +125,7 @@ impl<C: SlabCache> KmallocHeap<C> {
         Self { caches }
     }
 
-    fn class_for(&self, size: usize) -> Result<&Arc<C>, AllocError> {
+    fn class_for(&self, size: usize) -> Result<&Arc<SlabEngine<P>>, AllocError> {
         self.cache_for(size).ok_or(AllocError::OutOfMemory)
     }
 
@@ -183,12 +165,12 @@ impl<C: SlabCache> KmallocHeap<C> {
     }
 
     /// The cache serving a given size.
-    pub fn cache_for(&self, size: usize) -> Option<&Arc<C>> {
+    pub fn cache_for(&self, size: usize) -> Option<&Arc<SlabEngine<P>>> {
         class_index_for(size).map(|i| &self.caches[i])
     }
 
     /// All size-class caches.
-    pub fn caches(&self) -> &[Arc<C>] {
+    pub fn caches(&self) -> &[Arc<SlabEngine<P>>] {
         &self.caches
     }
 

@@ -10,7 +10,8 @@
 //! to return slabs to the page allocator, and what to do with a deferred
 //! object. `pbs-slub` and `prudence` each supply one policy; every other
 //! line — and therefore every constant the comparison depends on — is
-//! shared.
+//! shared. A cache *is* its engine (`SlubCache` and `PrudenceCache` are
+//! aliases of `SlabEngine<P>`), configured by [`EngineConfig`] alone.
 
 mod cpu_slot;
 mod frontend;
@@ -24,7 +25,9 @@ use parking_lot::{Mutex, MutexGuard};
 
 use pbs_mem::{OutOfMemory, PageAllocator};
 use pbs_percpu::{FastCache, FastPathOverride, FastPop, FastPush};
-use pbs_rcu::reclaim::{DomainHandle, ReclaimClient, ReclamationDomain};
+use pbs_rcu::reclaim::{
+    DomainHandle, EpochDomain, ReclaimBackend, ReclaimClient, ReclamationDomain,
+};
 use pbs_rcu::Rcu;
 use pbs_telemetry::EventKind;
 
@@ -35,10 +38,11 @@ use crate::{
 };
 
 pub use cpu_slot::{CpuSlot, LatentEntry};
-pub use frontend::{KmallocHeap, SlabCache, SlabFactory};
+pub use frontend::{KmallocHeap, SlabFactory};
 pub use node::{Node, Slab};
 
-/// The settings every engine instance takes, whatever its policy.
+/// The settings every engine instance takes, whatever its policy — the
+/// only cache configuration there is.
 ///
 /// Setting `oom_retries` to zero disables the recovery ladder entirely,
 /// reproducing the paper's unhardened baseline that reports out-of-memory
@@ -86,23 +90,27 @@ impl EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// One CPU slot; constructors that take a slot count overwrite it.
+    /// One CPU slot.
     fn default() -> Self {
         Self::new(1)
     }
 }
 
-/// What an allocator design decides on top of the shared engine.
+/// What an allocator design decides on top of the shared engine. The
+/// engine builds its policy with [`Default`]: a policy carries no settings.
 ///
 /// Every method receives the engine it runs in and may use its public
 /// helpers ([`lock_cpu`](SlabEngine::lock_cpu),
 /// [`give_back`](SlabEngine::give_back), [`grow`](SlabEngine::grow), …).
 /// Lock order is slot lock → node lock; a hook that is handed a slot or
 /// node guard must not acquire another of the same kind.
-pub trait SlabPolicy: Send + Sync + Sized + 'static {
+pub trait SlabPolicy: Default + Send + Sync + Sized + 'static {
     /// Fault-injection site consulted when the engine grows this design's
     /// caches.
     const GROW_FAULT_SITE: &'static str;
+
+    /// Short label for reports ("slub" or "prudence").
+    const LABEL: &'static str;
 
     /// Runs when the slot's object cache missed, before a refill: moves
     /// whatever became reusable inside the slot into `cpu.obj_cache` and
@@ -187,7 +195,10 @@ pub struct SlabEngine<P: SlabPolicy> {
     /// pressure gauge and the OOM ladder.
     deferred_outstanding: AtomicUsize,
     reclaim: DomainHandle,
-    /// `pbs_telemetry::site` index of the attached backend.
+    /// The attached domain's backend, read once at construction so a
+    /// policy can branch on it without a virtual call per defer.
+    backend: ReclaimBackend,
+    /// `pbs_telemetry::site` index of [`backend`](Self::reclaim_backend).
     site_backend: u8,
     policy: P,
 }
@@ -213,9 +224,8 @@ pub fn trace_clock() -> u64 {
 }
 
 impl<P: SlabPolicy> SlabEngine<P> {
-    /// Creates a cache for `object_size`-byte objects attached to
-    /// `domain`. The sizing heuristics are the same for every policy
-    /// (paper §4.3).
+    /// Creates a cache for `object_size`-byte objects over its own epoch
+    /// domain on `rcu` (the paper's scheme).
     ///
     /// # Panics
     ///
@@ -224,10 +234,26 @@ impl<P: SlabPolicy> SlabEngine<P> {
     pub fn new(
         name: &str,
         object_size: usize,
+        config: EngineConfig,
+        pages: Arc<PageAllocator>,
+        rcu: Arc<Rcu>,
+    ) -> Arc<Self> {
+        let domain = Arc::new(EpochDomain::new(rcu));
+        Self::with_domain(name, object_size, config, pages, domain)
+    }
+
+    /// Like [`new`](Self::new), but attached to an explicit `domain`. The
+    /// sizing heuristics are the same for every policy (paper §4.3).
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new).
+    pub fn with_domain(
+        name: &str,
+        object_size: usize,
         mut config: EngineConfig,
         pages: Arc<PageAllocator>,
         domain: Arc<dyn ReclamationDomain>,
-        policy: P,
     ) -> Arc<Self> {
         let sizing = SizingPolicy::for_object_size(object_size);
         config.soft_watermark = config.soft_watermark.max(1);
@@ -237,6 +263,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
         } else {
             0
         };
+        let backend = domain.backend();
         let engine = Arc::new_cyclic(|weak: &Weak<Self>| {
             let client: Weak<dyn ReclaimClient> = weak.clone();
             Self {
@@ -252,10 +279,11 @@ impl<P: SlabPolicy> SlabEngine<P> {
                 node: Mutex::new(Node::default()),
                 stats: CacheStats::new(config.ncpus),
                 deferred_outstanding: AtomicUsize::new(0),
-                site_backend: pbs_telemetry::site::backend_index(domain.backend().label()),
+                backend,
+                site_backend: pbs_telemetry::site::backend_index(backend.label()),
                 reclaim: DomainHandle::attach(domain, client),
                 config,
-                policy,
+                policy: P::default(),
             }
         });
         engine.record_fastpath_engine(fast_cap);
@@ -275,6 +303,11 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// The reclamation domain this cache is attached to.
     pub fn reclaim_domain(&self) -> &Arc<dyn ReclamationDomain> {
         &self.reclaim.domain
+    }
+
+    /// The backend of [`reclaim_domain`](Self::reclaim_domain).
+    pub fn reclaim_backend(&self) -> ReclaimBackend {
+        self.backend
     }
 
     /// Deferred objects not yet reusable, wherever they wait.
@@ -853,12 +886,8 @@ impl<P: SlabPolicy> Drop for SlabEngine<P> {
 }
 
 /// The one [`ObjectAllocator`] implementation: every public cache type is
-/// a handle that dereferences to its [`SlabEngine`].
-impl<P, C> ObjectAllocator for C
-where
-    P: SlabPolicy,
-    C: std::ops::Deref<Target = SlabEngine<P>> + Send + Sync,
-{
+/// a [`SlabEngine`].
+impl<P: SlabPolicy> ObjectAllocator for SlabEngine<P> {
     #[inline]
     fn allocate(&self) -> Result<ObjPtr, AllocError> {
         SlabEngine::allocate(self)

@@ -5,18 +5,20 @@
 
 use std::sync::Arc;
 
-use pbs_alloc_api::engine::{EngineConfig, KmallocHeap, SlabCache};
+use pbs_alloc_api::engine::{EngineConfig, KmallocHeap, SlabEngine, SlabPolicy};
 use pbs_alloc_api::{AllocError, ObjPtr, ObjectAllocator, SizingPolicy, SIZE_CLASSES};
 use pbs_mem::PageAllocator;
 use pbs_rcu::reclaim::{domain_for, EpochDomain, ReclaimBackend, ReclaimConfig, ReclamationDomain};
 use pbs_rcu::{Rcu, RcuConfig};
-use pbs_slub::SlubCache;
+use pbs_slub::{SlubCache, SlubPolicy};
 use pbs_telemetry::EventKind;
-use prudence::PrudenceCache;
+use prudence::{PrudenceCache, PrudencePolicy};
 
-/// What the shared test bodies need to know about a policy beyond
-/// [`SlabCache`].
-trait Kit: SlabCache<Config: From<EngineConfig>> {
+/// What the shared test bodies need to know about a cache type beyond its
+/// policy.
+trait Kit {
+    /// The policy the cache is a [`SlabEngine`] over.
+    type Policy: SlabPolicy;
     /// Trace event marking "object deferred".
     const DEFERRED: EventKind;
     /// Trace event marking "deferred object reusable again".
@@ -29,6 +31,7 @@ trait Kit: SlabCache<Config: From<EngineConfig>> {
 }
 
 impl Kit for PrudenceCache {
+    type Policy = PrudencePolicy;
     const DEFERRED: EventKind = EventKind::LatentStamp;
     const REUSABLE: EventKind = EventKind::LatentMerge;
     const TIMES_DEFER_DELAY: bool = true;
@@ -45,6 +48,7 @@ impl Kit for PrudenceCache {
 }
 
 impl Kit for SlubCache {
+    type Policy = SlubPolicy;
     const DEFERRED: EventKind = EventKind::DeferredFree;
     const REUSABLE: EventKind = EventKind::DeferredReusable;
     const TIMES_DEFER_DELAY: bool = false;
@@ -58,21 +62,23 @@ fn eager_rcu() -> Arc<Rcu> {
     Arc::new(Rcu::with_config(RcuConfig::eager()))
 }
 
+type Cache<C> = Arc<SlabEngine<<C as Kit>::Policy>>;
+
 fn cache_on<C: Kit>(
     size: usize,
     engine: EngineConfig,
     pages: &Arc<PageAllocator>,
     domain: Arc<dyn ReclamationDomain>,
-) -> Arc<C> {
-    C::create("t", size, engine.into(), Arc::clone(pages), domain)
+) -> Cache<C> {
+    SlabEngine::with_domain("t", size, engine, Arc::clone(pages), domain)
 }
 
-/// A cache over a fresh epoch domain, like the caches' own `new`.
-fn cache<C: Kit>(size: usize, engine: EngineConfig) -> (Arc<C>, Arc<PageAllocator>, Arc<Rcu>) {
+/// A cache over a fresh epoch domain.
+fn cache<C: Kit>(size: usize, engine: EngineConfig) -> (Cache<C>, Arc<PageAllocator>, Arc<Rcu>) {
     let pages = Arc::new(PageAllocator::new());
     let rcu = eager_rcu();
-    let domain = Arc::new(EpochDomain::new(Arc::clone(&rcu)));
-    (cache_on(size, engine, &pages, domain), pages, rcu)
+    let c = SlabEngine::new("t", size, engine, Arc::clone(&pages), Arc::clone(&rcu));
+    (c, pages, rcu)
 }
 
 fn alloc_n(c: &impl ObjectAllocator, n: usize) -> Vec<ObjPtr> {
@@ -332,9 +338,9 @@ fn drop_with_defers_in_flight<C: Kit>() {
     }
 }
 
-fn heap<C: Kit>() -> KmallocHeap<C> {
+fn heap<C: Kit>() -> KmallocHeap<C::Policy> {
     KmallocHeap::new(
-        C::Config::from(EngineConfig::new(2)),
+        EngineConfig::new(2),
         Arc::new(PageAllocator::new()),
         eager_rcu(),
     )
@@ -403,6 +409,24 @@ fn heap_quiesce_drains_every_class<C: Kit>() {
             "kmalloc-{size} retained slabs: {s:?}"
         );
     }
+}
+
+/// The one cache configuration keeps its pressure levels ordered.
+#[test]
+fn engine_config_watermarks_stay_ordered() {
+    let c = EngineConfig::new(2).with_watermarks(100, 10);
+    assert_eq!(c.soft_watermark, 100);
+    assert_eq!(c.hard_watermark, 100, "hard clamped up to soft");
+    let c = EngineConfig::new(2).with_watermarks(0, 0);
+    assert_eq!(c.soft_watermark, 1, "soft clamped to at least 1");
+    let c = EngineConfig::default();
+    assert!(c.soft_watermark <= c.hard_watermark);
+}
+
+#[test]
+#[should_panic(expected = "at least one")]
+fn engine_config_rejects_zero_cpus() {
+    EngineConfig::new(0);
 }
 
 macro_rules! for_each_policy {

@@ -1,118 +1,41 @@
 //! The Prudence policy: Algorithm 1 of the paper plus the §4.2
 //! optimizations, expressed as the delta over the shared slab engine.
 
-use std::ops::Deref;
-use std::sync::Arc;
-
 use parking_lot::MutexGuard;
 
-use pbs_alloc_api::engine::{
-    trace_clock, CpuSlot, LatentEntry, Node, SlabCache, SlabEngine, SlabPolicy,
-};
+use pbs_alloc_api::engine::{trace_clock, CpuSlot, LatentEntry, Node, SlabEngine, SlabPolicy};
 use pbs_alloc_api::{ListKind, ObjPtr};
-use pbs_mem::{OutOfMemory, PageAllocator};
-use pbs_rcu::reclaim::{EpochDomain, ReclaimBackend, ReclamationDomain};
-use pbs_rcu::{GpState, Rcu};
+use pbs_mem::OutOfMemory;
+use pbs_rcu::reclaim::ReclaimBackend;
+use pbs_rcu::GpState;
 use pbs_telemetry::EventKind;
 
-use crate::config::PrudenceConfig;
-
-type Engine = SlabEngine<PrudencePolicy>;
-
-/// A Prudence slab cache for fixed-size objects.
+/// A Prudence slab cache for fixed-size objects: the shared
+/// [`SlabEngine`] running the [`PrudencePolicy`].
 ///
 /// See the [crate-level documentation](crate) for the design overview and
-/// an example. The cache is a handle to a [`SlabEngine`] running the
-/// [`PrudencePolicy`]; it starts no thread, so dropping the last handle
-/// returns every slab to the page allocator deterministically.
-#[derive(Debug)]
-pub struct PrudenceCache {
-    engine: Arc<Engine>,
-}
+/// an example. The cache starts no thread, so dropping the last handle
+/// returns every slab to the page allocator deterministically. Under the
+/// epoch backend deferred objects park in latent caches and slabs (the
+/// paper's scheme); under a robust backend (`hp`/`hyaline`) they route
+/// through the domain, which bounds the garbage one stalled reader can pin.
+pub type PrudenceCache = SlabEngine<PrudencePolicy>;
 
-impl PrudenceCache {
-    /// Creates a cache for `object_size`-byte objects.
-    ///
-    /// The sizing heuristics are identical to the baseline allocator's
-    /// (paper §4.3); only reclamation differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object_size` is zero or too large for the maximum slab
-    /// order.
-    pub fn new(
-        name: &str,
-        object_size: usize,
-        config: PrudenceConfig,
-        pages: Arc<PageAllocator>,
-        rcu: Arc<Rcu>,
-    ) -> Self {
-        let domain = Arc::new(EpochDomain::new(rcu));
-        Self::with_domain(name, object_size, config, pages, domain)
-    }
+type Engine = PrudenceCache;
 
-    /// Like [`new`](Self::new), but integrated with an explicit
-    /// [`ReclamationDomain`] instead of the default epoch backend. With a
-    /// *robust* backend (`hp`/`hyaline`) deferred frees bypass the latent
-    /// caches and route through the domain, which bounds the garbage one
-    /// stalled reader can pin; with the epoch backend the cache behaves
-    /// exactly like [`new`](Self::new) (the paper's scheme).
-    pub fn with_domain(
-        name: &str,
-        object_size: usize,
-        config: PrudenceConfig,
-        pages: Arc<PageAllocator>,
-        domain: Arc<dyn ReclamationDomain>,
-    ) -> Self {
-        let latent = domain.backend() == ReclaimBackend::Epoch;
-        let policy = PrudencePolicy { latent, config };
-        let engine_config = policy.config.engine.clone();
-        let engine = SlabEngine::new(name, object_size, engine_config, pages, domain, policy);
-        Self { engine }
-    }
-
-    /// The reclamation domain this cache is attached to.
-    pub fn reclaim_domain(&self) -> &Arc<dyn ReclamationDomain> {
-        self.engine.reclaim_domain()
-    }
-}
-
-impl Deref for PrudenceCache {
-    type Target = Engine;
-
-    fn deref(&self) -> &Engine {
-        &self.engine
-    }
-}
-
-impl SlabCache for PrudenceCache {
-    type Config = PrudenceConfig;
-    const LABEL: &'static str = "prudence";
-
-    fn create(
-        name: &str,
-        object_size: usize,
-        config: PrudenceConfig,
-        pages: Arc<PageAllocator>,
-        domain: Arc<dyn ReclamationDomain>,
-    ) -> Arc<Self> {
-        Arc::new(Self::with_domain(name, object_size, config, pages, domain))
-    }
-}
+/// How many partial slabs with a free object refill selection compares
+/// (the paper's latency/fragmentation trade-off, §5.4).
+const SLAB_SCAN_WINDOW: usize = 10;
 
 /// The paper's delta over a SLUB-shaped allocator: latent caches and
 /// latent slabs stamped with grace-period state, and the hint-driven
 /// refill/flush/selection/shrink decisions of §4.2.
 ///
 /// The latent machinery is in charge when the cache is attached to the
-/// epoch backend; under a robust backend (`hp`/`hyaline`) deferred objects
-/// enter the domain instead and the latent structures simply stay empty.
-pub struct PrudencePolicy {
-    config: PrudenceConfig,
-    /// Whether deferred objects park in latent caches/slabs (epoch
-    /// backend) rather than in the attached domain.
-    latent: bool,
-}
+/// epoch backend; under a robust backend deferred objects enter the domain
+/// instead and the latent structures simply stay empty.
+#[derive(Debug, Default)]
+pub struct PrudencePolicy;
 
 impl PrudencePolicy {
     /// MERGE_CACHES wrapper that maintains the outstanding-deferred count,
@@ -161,16 +84,15 @@ impl PrudencePolicy {
 
     /// Slab selection for refill (Algorithm lines 17-21 plus the Figure 5
     /// fragmentation optimization). Considers the first
-    /// `slab_scan_window` partial slabs that have a free object. Reclaims
+    /// [`SLAB_SCAN_WINDOW`] partial slabs that have a free object. Reclaims
     /// nothing itself: the caller's pending-list sweep already merged what
     /// is complete, and a slab emptied of deferred objects behind the
     /// list's back would leave a stale entry that blocks the sweep.
     fn select(&self, node: &Node, allow_deferred_heavy: bool) -> Option<usize> {
-        let window = self.config.slab_scan_window;
-        // Partial list first: the first `window` slabs that have a free
-        // object. A pre-moved slab (full, its deferred objects still
+        // Partial list first: the first `SLAB_SCAN_WINDOW` slabs that have
+        // a free object. A pre-moved slab (full, its deferred objects still
         // inside their grace period) has nothing to give yet and does not
-        // use up the window — `window` of them at the head of the list
+        // use up the window — a window's worth at the head of the list
         // would hide every other partial slab and turn refills into grows.
         let partial = node
             .lists
@@ -178,17 +100,13 @@ impl PrudencePolicy {
             .iter()
             .copied()
             .filter(|&index| node.slab(index).raw.free_count() > 0)
-            .take(window);
+            .take(SLAB_SCAN_WINDOW);
         let mut best: Option<(usize, (usize, usize))> = None;
         for index in partial {
             let slab = node.slab(index);
             let free = slab.raw.free_count();
             let allocated = slab.raw.allocated_count();
             let deferred = slab.deferred.len();
-            if !self.config.deferred_aware_selection {
-                // Baseline behaviour: first usable partial slab.
-                return Some(index);
-            }
             // Skip slabs whose allocated objects are mostly deferred: the
             // whole slab is likely to become free (returnable) soon.
             if !allow_deferred_heavy && allocated > 0 && deferred * 4 >= allocated * 3 {
@@ -283,11 +201,6 @@ impl PrudencePolicy {
         gp: GpState,
         queued_ns: u64,
     ) {
-        if !self.config.latent_cache {
-            drop(cpu);
-            self.defer_to_slabs(eng, &[(obj, gp, queued_ns)]);
-            return;
-        }
         let threshold = eng.policy().object_cache_size;
         if cpu.latent.len() < threshold {
             // Fast path (lines 39-40). Lines 41-43 (schedule an idle-time
@@ -337,6 +250,7 @@ impl PrudencePolicy {
 
 impl SlabPolicy for PrudencePolicy {
     const GROW_FAULT_SITE: &'static str = pbs_fault::site::PRUDENCE_GROW;
+    const LABEL: &'static str = "prudence";
 
     /// Lines 7-11: merge grace-period-complete latent objects and retry
     /// before touching the node lists.
@@ -351,12 +265,7 @@ impl SlabPolicy for PrudencePolicy {
     /// proportional flush.
     fn refill_want(&self, eng: &Engine, cpu_idx: usize, cpu: &CpuSlot) -> usize {
         let size = eng.policy().object_cache_size;
-        let latent_count = if self.config.partial_refill {
-            cpu.latent.len()
-        } else {
-            0
-        };
-        let want = size.saturating_sub(latent_count).max(size / 4).max(1);
+        let want = size.saturating_sub(cpu.latent.len()).max(size / 4).max(1);
         if want < size {
             eng.counters().shard(cpu_idx).partial_refills.bump();
         }
@@ -395,12 +304,7 @@ impl SlabPolicy for PrudencePolicy {
     /// latent cache, the more objects are flushed, so the
     /// post-grace-period merge will fit.
     fn flush_keep(&self, eng: &Engine, cpu: &CpuSlot) -> usize {
-        let base_keep = eng.policy().object_cache_size / 2;
-        if self.config.proportional_flush {
-            base_keep.saturating_sub(cpu.latent.len())
-        } else {
-            base_keep
-        }
+        (eng.policy().object_cache_size / 2).saturating_sub(cpu.latent.len())
     }
 
     /// The threshold "acts with caution by considering the number of
@@ -448,7 +352,7 @@ impl SlabPolicy for PrudencePolicy {
     /// The one branch on the backend: latent stamping (lines 35-51) under
     /// epoch, the domain otherwise.
     fn defer(&self, eng: &Engine, cpu_idx: usize, cpu: MutexGuard<'_, CpuSlot>, obj: ObjPtr) {
-        if !self.latent {
+        if eng.reclaim_backend() != ReclaimBackend::Epoch {
             drop(cpu);
             return eng.defer_to_domain(obj);
         }
@@ -480,7 +384,7 @@ impl SlabPolicy for PrudencePolicy {
     /// the node's pending list — or, when the domain holds the backlog,
     /// takes one bounded progress step (scan / seal + release).
     fn assist(&self, eng: &Engine) {
-        if !self.latent {
+        if eng.reclaim_backend() != ReclaimBackend::Epoch {
             eng.reclaim_domain().advance();
             return;
         }
@@ -512,17 +416,22 @@ impl SlabPolicy for PrudencePolicy {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use pbs_alloc_api::ObjectAllocator;
-    use pbs_rcu::RcuConfig;
+    use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::slab_layout::resolve_slab_index;
+    use pbs_fault::{site, FaultInjector, Schedule};
+    use pbs_mem::PageAllocator;
+    use pbs_rcu::{Rcu, RcuConfig};
 
     /// One slot makes the slot a defer lands in deterministic.
     fn cache(size: usize, ncpus: usize) -> (Arc<PrudenceCache>, Arc<PageAllocator>, Arc<Rcu>) {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let config = PrudenceConfig::new(ncpus);
+        let config = EngineConfig::new(ncpus);
         let c = PrudenceCache::new("t", size, config, Arc::clone(&pages), Arc::clone(&rcu));
-        (Arc::new(c), pages, rcu)
+        (c, pages, rcu)
     }
 
     #[test]
@@ -673,6 +582,80 @@ mod tests {
         );
         c.quiesce();
         assert_eq!(c.deferred_outstanding(), 0);
+        drop(c);
+        assert_eq!(pages.used_bytes(), 0);
+    }
+
+    /// Figure 5: a refill skips a partial slab whose allocated objects are
+    /// mostly deferred — it is about to be free — for one with none, and
+    /// takes from it only when growing fails.
+    #[test]
+    fn refill_prefers_deferred_free_slab_until_grow_fails() {
+        let faults = Arc::new(FaultInjector::new(5));
+        let pages = PageAllocator::builder().fault_injector(Arc::clone(&faults));
+        let pages = Arc::new(pages.build());
+        let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
+        let one_slot = EngineConfig::new(1);
+        let c = PrudenceCache::new("f5", 512, one_slot, Arc::clone(&pages), rcu);
+        c.fastpath_set_enabled(false); // every free reaches the slot
+        let (per_slab, size) = (c.policy().objects_per_slab, c.policy().object_cache_size);
+        // A refill of an empty slot grows one slab and takes all of it.
+        let objs: Vec<ObjPtr> = (0..4 * per_slab).map(|_| c.allocate().unwrap()).collect();
+        let (heavy, clean) = (&objs[..per_slab], &objs[per_slab..2 * per_slab]);
+        let fillers = &objs[2 * per_slab..];
+        let reader = c.rcu().register();
+        // No stamp completes from here on. Ten of the heavy slab's objects
+        // first: the defer that finds the latent cache full parks its older
+        // half in the latent slabs.
+        let guard = reader.read_lock();
+        let parked = 10;
+        for &o in heavy[..parked].iter().chain(&fillers[..size + 1 - parked]) {
+            // SAFETY: allocated above, deferred once, never touched again.
+            unsafe { c.free_deferred(o) };
+        }
+        // Three free objects in each, flushed home: the proportional flush
+        // keeps nothing while the latent cache holds half a cache.
+        for &o in heavy[parked..parked + 3].iter().chain(&clean[..3]) {
+            // SAFETY: allocated above, freed once.
+            unsafe { c.free(o) };
+        }
+        c.flush_obj_cache(0, &mut c.lock_slot(0));
+        // SAFETY: objects of this cache's live slabs; callers hold the
+        // node lock.
+        let index = |o| unsafe { resolve_slab_index(o, c.policy().slab_bytes) };
+        let state = |o| {
+            let node = c.lock_node();
+            let slab = node.slab(index(o));
+            (slab.raw.free_count(), slab.deferred.len())
+        };
+        // 10 of the 12 allocated deferred (≥ 3/4) beside none.
+        assert_eq!((state(heavy[0]), state(clean[0])), ((3, parked), (3, 0)));
+        {
+            // Listed first: a first-fit pick would take the heavy slab.
+            let node = c.lock_node();
+            let partial = node.lists.list(ListKind::Partial);
+            let at = |o| partial.iter().position(|&i| i == index(o)).unwrap();
+            assert!(at(heavy[0]) < at(clean[0]), "{partial:?}");
+        }
+        // The refill takes the clean slab's three objects and stops.
+        let mut held: Vec<ObjPtr> = (0..3).map(|_| c.allocate().unwrap()).collect();
+        assert_eq!((state(heavy[0]).0, state(clean[0]).0), (3, 0));
+        // Nothing clean left: the next refill grows instead.
+        let grows = c.stats().grows;
+        held.extend((0..per_slab).map(|_| c.allocate().unwrap()));
+        assert_eq!((c.stats().grows, state(heavy[0]).0), (grows + 1, 3));
+        // Out of pages, the heavy slab is the last resort.
+        faults.schedule(site::PRUDENCE_GROW, Schedule::EveryKth(1));
+        held.push(c.allocate().unwrap());
+        assert_eq!(state(heavy[0]).0, 0);
+        drop(guard);
+        let rest = heavy[parked + 3..].iter().chain(&clean[3..]);
+        for &o in held.iter().chain(rest).chain(&fillers[size + 1 - parked..]) {
+            // SAFETY: every object still held, freed once.
+            unsafe { c.free(o) };
+        }
+        c.quiesce();
+        assert_eq!(c.stats().live_objects, 0);
         drop(c);
         assert_eq!(pages.used_bytes(), 0);
     }

@@ -22,21 +22,22 @@
 //!   and every node-lock trip of the free/defer route settles the
 //!   grace-period-complete latent slabs first (DESIGN.md §4c).
 //!
-//! Each policy decision has an ablation switch in [`PrudenceConfig`] so
-//! its contribution can be measured independently.
+//! Every one of these decisions is hard-wired; a cache is configured by
+//! the engine's [`EngineConfig`](pbs_alloc_api::engine::EngineConfig)
+//! alone, exactly like the baseline.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
-//! use pbs_alloc_api::ObjectAllocator;
+//! use pbs_alloc_api::engine::EngineConfig;
 //! use pbs_mem::PageAllocator;
 //! use pbs_rcu::Rcu;
-//! use prudence::{PrudenceCache, PrudenceConfig};
+//! use prudence::PrudenceCache;
 //!
 //! let pages = Arc::new(PageAllocator::new());
 //! let rcu = Arc::new(Rcu::new());
-//! let cache = PrudenceCache::new("example", 256, PrudenceConfig::new(4), pages, rcu);
+//! let cache = PrudenceCache::new("example", 256, EngineConfig::new(4), pages, rcu);
 //!
 //! let obj = cache.allocate()?;
 //! unsafe { cache.free_deferred(obj) }; // visible to the allocator at once
@@ -46,10 +47,8 @@
 //! ```
 
 mod cache;
-mod config;
 
 pub use cache::{PrudenceCache, PrudencePolicy};
-pub use config::PrudenceConfig;
 
 /// Creates [`PrudenceCache`]s sharing one page allocator, RCU domain and
 /// configuration.
@@ -58,13 +57,14 @@ pub use config::PrudenceConfig;
 ///
 /// ```
 /// use std::sync::Arc;
+/// use pbs_alloc_api::engine::EngineConfig;
 /// use pbs_alloc_api::CacheFactory;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
-/// use prudence::{PrudenceConfig, PrudenceFactory};
+/// use prudence::PrudenceFactory;
 ///
 /// let f = PrudenceFactory::new(
-///     PrudenceConfig::new(4),
+///     EngineConfig::new(4),
 ///     Arc::new(PageAllocator::new()),
 ///     Arc::new(Rcu::new()),
 /// );
@@ -72,7 +72,7 @@ pub use config::PrudenceConfig;
 /// assert_eq!(cache.object_size(), 192);
 /// assert_eq!(f.label(), "prudence");
 /// ```
-pub type PrudenceFactory = pbs_alloc_api::engine::SlabFactory<PrudenceCache>;
+pub type PrudenceFactory = pbs_alloc_api::engine::SlabFactory<PrudencePolicy>;
 
 /// A general-purpose Prudence front end: one [`PrudenceCache`] per kmalloc
 /// size class.
@@ -81,12 +81,13 @@ pub type PrudenceFactory = pbs_alloc_api::engine::SlabFactory<PrudenceCache>;
 ///
 /// ```
 /// use std::sync::Arc;
+/// use pbs_alloc_api::engine::EngineConfig;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
-/// use prudence::{PrudenceConfig, PrudenceHeap};
+/// use prudence::PrudenceHeap;
 ///
 /// let heap = PrudenceHeap::new(
-///     PrudenceConfig::new(4),
+///     EngineConfig::new(4),
 ///     Arc::new(PageAllocator::new()),
 ///     Arc::new(Rcu::new()),
 /// );
@@ -95,4 +96,4 @@ pub type PrudenceFactory = pbs_alloc_api::engine::SlabFactory<PrudenceCache>;
 /// heap.quiesce();
 /// # Ok::<(), pbs_alloc_api::AllocError>(())
 /// ```
-pub type PrudenceHeap = pbs_alloc_api::engine::KmallocHeap<PrudenceCache>;
+pub type PrudenceHeap = pbs_alloc_api::engine::KmallocHeap<PrudencePolicy>;

@@ -316,15 +316,16 @@ impl Drop for SimFs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::engine::EngineConfig;
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
     use pbs_slub::SlubFactory;
-    use prudence::{PrudenceConfig, PrudenceFactory};
+    use prudence::PrudenceFactory;
 
     fn prudence_fs() -> (Arc<Rcu>, SimFs) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let factory = PrudenceFactory::new(
-            PrudenceConfig::new(2),
+            EngineConfig::new(2),
             Arc::new(PageAllocator::new()),
             Arc::clone(&rcu),
         );
@@ -334,7 +335,8 @@ mod tests {
 
     fn slub_fs() -> (Arc<Rcu>, SimFs) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let factory = SlubFactory::new(2, Arc::new(PageAllocator::new()), Arc::clone(&rcu));
+        let config = EngineConfig::new(2);
+        let factory = SlubFactory::new(config, Arc::new(PageAllocator::new()), Arc::clone(&rcu));
         let fs = SimFs::new(&factory);
         (rcu, fs)
     }
@@ -435,7 +437,7 @@ mod tests {
         let pages = Arc::new(PageAllocator::new());
         {
             let factory =
-                PrudenceFactory::new(PrudenceConfig::new(1), Arc::clone(&pages), Arc::clone(&rcu));
+                PrudenceFactory::new(EngineConfig::new(1), Arc::clone(&pages), Arc::clone(&rcu));
             let fs = SimFs::new(&factory);
             let ino = fs.create(1, 1).unwrap();
             let _fd = fs.open(ino).unwrap();

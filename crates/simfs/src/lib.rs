@@ -21,14 +21,15 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use pbs_alloc_api::engine::EngineConfig;
 //! use pbs_mem::PageAllocator;
 //! use pbs_rcu::Rcu;
 //! use pbs_simfs::SimFs;
-//! use prudence::{PrudenceConfig, PrudenceFactory};
+//! use prudence::PrudenceFactory;
 //!
 //! let rcu = Arc::new(Rcu::new());
 //! let factory = PrudenceFactory::new(
-//!     PrudenceConfig::new(2),
+//!     EngineConfig::new(2),
 //!     Arc::new(PageAllocator::new()),
 //!     Arc::clone(&rcu),
 //! );

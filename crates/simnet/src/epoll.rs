@@ -21,14 +21,15 @@ const EPI_SIZE: usize = 128;
 ///
 /// ```
 /// use std::sync::Arc;
+/// use pbs_alloc_api::engine::EngineConfig;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
 /// use pbs_simnet::Epoll;
-/// use prudence::{PrudenceConfig, PrudenceFactory};
+/// use prudence::PrudenceFactory;
 ///
 /// let rcu = Arc::new(Rcu::new());
 /// let factory = PrudenceFactory::new(
-///     PrudenceConfig::new(2),
+///     EngineConfig::new(2),
 ///     Arc::new(PageAllocator::new()),
 ///     Arc::clone(&rcu),
 /// );
@@ -117,14 +118,15 @@ impl Epoll {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::engine::EngineConfig;
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
-    use prudence::{PrudenceConfig, PrudenceFactory};
+    use prudence::PrudenceFactory;
 
     fn setup() -> (Arc<Rcu>, Epoll) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let factory = PrudenceFactory::new(
-            PrudenceConfig::new(2),
+            EngineConfig::new(2),
             Arc::new(PageAllocator::new()),
             Arc::clone(&rcu),
         );

@@ -275,15 +275,16 @@ impl Drop for SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::engine::EngineConfig;
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
     use pbs_slub::SlubFactory;
-    use prudence::{PrudenceConfig, PrudenceFactory};
+    use prudence::PrudenceFactory;
 
     fn prudence_net() -> (Arc<Rcu>, SimNet) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let factory = PrudenceFactory::new(
-            PrudenceConfig::new(2),
+            EngineConfig::new(2),
             Arc::new(PageAllocator::new()),
             Arc::clone(&rcu),
         );
@@ -302,11 +303,7 @@ mod tests {
         let pages = pbs_mem::PageAllocator::builder()
             .fault_injector(Arc::clone(&faults))
             .build();
-        let factory = PrudenceFactory::new(
-            PrudenceConfig::new(2),
-            Arc::new(pages),
-            Arc::clone(&rcu),
-        );
+        let factory = PrudenceFactory::new(EngineConfig::new(2), Arc::new(pages), Arc::clone(&rcu));
         let net = SimNet::with_config(&factory, 64, Some(Arc::clone(&faults)));
         let mut failures = 0usize;
         let mut open = Vec::new();
@@ -367,7 +364,8 @@ mod tests {
     #[test]
     fn works_on_slub_too() {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let factory = SlubFactory::new(2, Arc::new(PageAllocator::new()), Arc::clone(&rcu));
+        let config = EngineConfig::new(2);
+        let factory = SlubFactory::new(config, Arc::new(PageAllocator::new()), Arc::clone(&rcu));
         let net = SimNet::new(&factory);
         let c = net.connect().unwrap();
         net.request_response(c, 512).unwrap();
@@ -405,7 +403,7 @@ mod tests {
         let pages = Arc::new(PageAllocator::new());
         {
             let factory =
-                PrudenceFactory::new(PrudenceConfig::new(1), Arc::clone(&pages), Arc::clone(&rcu));
+                PrudenceFactory::new(EngineConfig::new(1), Arc::clone(&pages), Arc::clone(&rcu));
             let net = SimNet::new(&factory);
             let _c1 = net.connect().unwrap();
             let _c2 = net.connect().unwrap();

@@ -317,11 +317,12 @@ impl ShardedNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::engine::EngineConfig;
     use pbs_fault::{site, Schedule};
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
     use pbs_slub::SlubFactory;
-    use prudence::{PrudenceConfig, PrudenceFactory};
+    use prudence::PrudenceFactory;
 
     fn rcu() -> Arc<Rcu> {
         Arc::new(Rcu::with_config(RcuConfig::eager()))
@@ -329,7 +330,7 @@ mod tests {
 
     fn prudence_factory(rcu: &Arc<Rcu>) -> PrudenceFactory {
         PrudenceFactory::new(
-            PrudenceConfig::new(2),
+            EngineConfig::new(2),
             Arc::new(PageAllocator::new()),
             Arc::clone(rcu),
         )
@@ -517,7 +518,8 @@ mod tests {
     #[test]
     fn connect_close_churn_with_accept_faults_slub() {
         let rcu = rcu();
-        let factory = SlubFactory::new(2, Arc::new(PageAllocator::new()), Arc::clone(&rcu));
+        let config = EngineConfig::new(2);
+        let factory = SlubFactory::new(config, Arc::new(PageAllocator::new()), Arc::clone(&rcu));
         churn_under_accept_faults(&factory, &rcu);
     }
 

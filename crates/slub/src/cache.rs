@@ -1,142 +1,32 @@
 //! The baseline policy: plain SLUB decisions over the shared slab engine.
 
-use std::ops::Deref;
-use std::sync::Arc;
-
 use parking_lot::MutexGuard;
 
-use pbs_alloc_api::engine::{CpuSlot, EngineConfig, Node, SlabCache, SlabEngine, SlabPolicy};
+use pbs_alloc_api::engine::{CpuSlot, Node, SlabEngine, SlabPolicy};
 use pbs_alloc_api::{ListKind, ObjPtr};
-use pbs_mem::{OutOfMemory, PageAllocator};
-use pbs_rcu::reclaim::{EpochDomain, ReclamationDomain};
-use pbs_rcu::Rcu;
+use pbs_mem::OutOfMemory;
 use pbs_telemetry::EventKind;
 
-type Engine = SlabEngine<SlubPolicy>;
-
-/// Settings of the baseline cache: exactly the engine's, so the control
-/// and the treatment cannot drift apart.
-#[derive(Debug, Clone, Default)]
-pub struct SlubTuning {
-    /// CPU-slot count, pressure watermarks, OOM-ladder depth, fast path.
-    /// The cache constructors overwrite `ncpus` with their own argument.
-    pub engine: EngineConfig,
-}
-
-impl From<EngineConfig> for SlubTuning {
-    fn from(engine: EngineConfig) -> Self {
-        Self { engine }
-    }
-}
-
-impl From<usize> for SlubTuning {
-    /// Default settings for `ncpus` CPU slots.
-    fn from(ncpus: usize) -> Self {
-        EngineConfig::new(ncpus).into()
-    }
-}
-
-/// A SLUB-style slab cache for fixed-size objects: a handle to a
-/// [`SlabEngine`] running the [`SlubPolicy`].
+/// A SLUB-style slab cache for fixed-size objects: the shared
+/// [`SlabEngine`] running the [`SlubPolicy`]. Whatever the backend, a
+/// deferred object is handed to the domain and stays invisible to the
+/// allocator until the domain delivers it back.
 ///
 /// See the [crate-level documentation](crate) for the role this type plays
 /// in the reproduction and an example.
-#[derive(Debug)]
-pub struct SlubCache {
-    engine: Arc<Engine>,
-}
+pub type SlubCache = SlabEngine<SlubPolicy>;
 
-impl SlubCache {
-    /// Creates a cache for `object_size`-byte objects with `ncpus` per-CPU
-    /// object caches, growing from `pages` and deferring frees through
-    /// `rcu`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object_size` is zero or too large for the maximum slab
-    /// order, or `ncpus` is zero.
-    pub fn new(
-        name: &str,
-        object_size: usize,
-        ncpus: usize,
-        pages: Arc<PageAllocator>,
-        rcu: Arc<Rcu>,
-    ) -> Arc<Self> {
-        Self::with_tuning(name, object_size, ncpus, SlubTuning::default(), pages, rcu)
-    }
-
-    /// Like [`new`](Self::new) with explicit degradation knobs.
-    pub fn with_tuning(
-        name: &str,
-        object_size: usize,
-        ncpus: usize,
-        tuning: SlubTuning,
-        pages: Arc<PageAllocator>,
-        rcu: Arc<Rcu>,
-    ) -> Arc<Self> {
-        let domain = Arc::new(EpochDomain::new(rcu));
-        Self::with_domain(name, object_size, ncpus, tuning, pages, domain)
-    }
-
-    /// Like [`with_tuning`](Self::with_tuning), but integrated with an
-    /// explicit [`ReclamationDomain`] instead of the default epoch
-    /// backend. Whatever the backend, a deferred object is handed to the
-    /// domain and stays invisible to the allocator until the domain
-    /// delivers it back.
-    pub fn with_domain(
-        name: &str,
-        object_size: usize,
-        ncpus: usize,
-        tuning: SlubTuning,
-        pages: Arc<PageAllocator>,
-        domain: Arc<dyn ReclamationDomain>,
-    ) -> Arc<Self> {
-        let config = EngineConfig {
-            ncpus,
-            ..tuning.engine
-        };
-        let engine = SlabEngine::new(name, object_size, config, pages, domain, SlubPolicy);
-        Arc::new(Self { engine })
-    }
-
-    /// The reclamation domain this cache is attached to.
-    pub fn reclaim_domain(&self) -> &Arc<dyn ReclamationDomain> {
-        self.engine.reclaim_domain()
-    }
-}
-
-impl Deref for SlubCache {
-    type Target = Engine;
-
-    fn deref(&self) -> &Engine {
-        &self.engine
-    }
-}
-
-impl SlabCache for SlubCache {
-    type Config = SlubTuning;
-    const LABEL: &'static str = "slub";
-
-    fn create(
-        name: &str,
-        object_size: usize,
-        config: SlubTuning,
-        pages: Arc<PageAllocator>,
-        domain: Arc<dyn ReclamationDomain>,
-    ) -> Arc<Self> {
-        let ncpus = config.engine.ncpus;
-        Self::with_domain(name, object_size, ncpus, config, pages, domain)
-    }
-}
+type Engine = SlubCache;
 
 /// The baseline's decisions: nothing about deferred objects is visible to
 /// the allocator, so every hint-driven choice falls back to the fixed
 /// SLUB rule.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct SlubPolicy;
 
 impl SlabPolicy for SlubPolicy {
     const GROW_FAULT_SITE: &'static str = pbs_fault::site::SLUB_GROW;
+    const LABEL: &'static str = "slub";
 
     fn merge(&self, _: &Engine, _: usize, _: &mut CpuSlot) -> usize {
         0
@@ -245,13 +135,19 @@ impl SlabPolicy for SlubPolicy {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use pbs_alloc_api::{AllocError, ObjectAllocator};
+    use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::AllocError;
+    use pbs_mem::PageAllocator;
+    use pbs_rcu::Rcu;
 
     fn cache(size: usize) -> (Arc<SlubCache>, Arc<PageAllocator>, Arc<Rcu>) {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(pbs_rcu::RcuConfig::eager()));
-        let c = SlubCache::new("t", size, 2, Arc::clone(&pages), Arc::clone(&rcu));
+        let config = EngineConfig::new(2);
+        let c = SlubCache::new("t", size, config, Arc::clone(&pages), Arc::clone(&rcu));
         (c, pages, rcu)
     }
 
@@ -343,7 +239,7 @@ mod tests {
                 .build(),
         );
         let rcu = Arc::new(Rcu::with_config(pbs_rcu::RcuConfig::eager()));
-        let c = SlubCache::new("t", 64, 1, pages, rcu);
+        let c = SlubCache::new("t", 64, EngineConfig::new(1), pages, rcu);
         // A fresh cache has nothing cached, so the very first allocation
         // must reach grow, hit the blackout, and report OOM — not panic.
         assert_eq!(c.allocate(), Err(AllocError::OutOfMemory));

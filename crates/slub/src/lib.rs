@@ -21,14 +21,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use pbs_alloc_api::ObjectAllocator;
+//! use pbs_alloc_api::engine::EngineConfig;
 //! use pbs_mem::PageAllocator;
 //! use pbs_rcu::Rcu;
 //! use pbs_slub::SlubCache;
 //!
 //! let pages = Arc::new(PageAllocator::new());
 //! let rcu = Arc::new(Rcu::new());
-//! let cache = SlubCache::new("example", 256, 4, pages, rcu);
+//! let cache = SlubCache::new("example", 256, EngineConfig::new(4), pages, rcu);
 //!
 //! let obj = cache.allocate()?;
 //! unsafe { cache.free_deferred(obj) }; // reclaimed after a grace period
@@ -39,7 +39,7 @@
 
 mod cache;
 
-pub use cache::{SlubCache, SlubPolicy, SlubTuning};
+pub use cache::{SlubCache, SlubPolicy};
 
 /// Creates [`SlubCache`]s sharing one page allocator and RCU domain.
 ///
@@ -47,17 +47,19 @@ pub use cache::{SlubCache, SlubPolicy, SlubTuning};
 ///
 /// ```
 /// use std::sync::Arc;
+/// use pbs_alloc_api::engine::EngineConfig;
 /// use pbs_alloc_api::CacheFactory;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
 /// use pbs_slub::SlubFactory;
 ///
-/// let f = SlubFactory::new(4, Arc::new(PageAllocator::new()), Arc::new(Rcu::new()));
+/// let config = EngineConfig::new(4);
+/// let f = SlubFactory::new(config, Arc::new(PageAllocator::new()), Arc::new(Rcu::new()));
 /// let cache = f.create_cache("dentry", 192);
 /// assert_eq!(cache.object_size(), 192);
 /// assert_eq!(f.label(), "slub");
 /// ```
-pub type SlubFactory = pbs_alloc_api::engine::SlabFactory<SlubCache>;
+pub type SlubFactory = pbs_alloc_api::engine::SlabFactory<SlubPolicy>;
 
 /// A general-purpose allocator front end: one [`SlubCache`] per kmalloc
 /// size class.
@@ -66,13 +68,15 @@ pub type SlubFactory = pbs_alloc_api::engine::SlabFactory<SlubCache>;
 ///
 /// ```
 /// use std::sync::Arc;
+/// use pbs_alloc_api::engine::EngineConfig;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
 /// use pbs_slub::SlubHeap;
 ///
-/// let heap = SlubHeap::new(4, Arc::new(PageAllocator::new()), Arc::new(Rcu::new()));
+/// let config = EngineConfig::new(4);
+/// let heap = SlubHeap::new(config, Arc::new(PageAllocator::new()), Arc::new(Rcu::new()));
 /// let obj = heap.kmalloc(100)?; // served by kmalloc-128
 /// unsafe { heap.kfree(obj, 100) };
 /// # Ok::<(), pbs_alloc_api::AllocError>(())
 /// ```
-pub type SlubHeap = pbs_alloc_api::engine::KmallocHeap<SlubCache>;
+pub type SlubHeap = pbs_alloc_api::engine::KmallocHeap<SlubPolicy>;

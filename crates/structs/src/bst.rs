@@ -41,14 +41,15 @@ struct Node<T> {
 ///
 /// ```
 /// use std::sync::Arc;
+/// use pbs_alloc_api::engine::EngineConfig;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
 /// use pbs_structs::RcuBst;
-/// use prudence::{PrudenceCache, PrudenceConfig};
+/// use prudence::PrudenceCache;
 ///
 /// let pages = Arc::new(PageAllocator::new());
 /// let rcu = Arc::new(Rcu::new());
-/// let cache = Arc::new(PrudenceCache::new("bst", 64, PrudenceConfig::new(2), pages, Arc::clone(&rcu)));
+/// let cache = PrudenceCache::new("bst", 64, EngineConfig::new(2), pages, Arc::clone(&rcu));
 ///
 /// let tree: RcuBst<u64> = RcuBst::new(cache);
 /// let reader = rcu.register();
@@ -453,21 +454,22 @@ impl<T> Drop for RcuBst<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::engine::EngineConfig;
     use pbs_mem::PageAllocator;
     use pbs_rcu::reclaim::ReclaimBackend;
     use pbs_rcu::{Rcu, RcuConfig};
-    use prudence::{PrudenceCache, PrudenceConfig};
+    use prudence::PrudenceCache;
 
     fn setup() -> (Arc<Rcu>, Arc<dyn ObjectAllocator>) {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let cache: Arc<dyn ObjectAllocator> = Arc::new(PrudenceCache::new(
+        let cache: Arc<dyn ObjectAllocator> = PrudenceCache::new(
             "bst-nodes",
             64,
-            PrudenceConfig::new(2),
+            EngineConfig::new(2),
             pages,
             Arc::clone(&rcu),
-        ));
+        );
         (rcu, cache)
     }
 
@@ -587,13 +589,8 @@ mod tests {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let domain = domain_for(Arc::clone(&rcu), backend, ReclaimConfig::aggressive());
-        let cache: Arc<dyn ObjectAllocator> = Arc::new(PrudenceCache::with_domain(
-            "bst-nodes",
-            64,
-            PrudenceConfig::new(2),
-            pages,
-            domain,
-        ));
+        let cache: Arc<dyn ObjectAllocator> =
+            PrudenceCache::with_domain("bst-nodes", 64, EngineConfig::new(2), pages, domain);
         (rcu, cache)
     }
 

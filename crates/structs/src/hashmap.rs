@@ -33,14 +33,15 @@ struct Node<K, V> {
 ///
 /// ```
 /// use std::sync::Arc;
+/// use pbs_alloc_api::engine::EngineConfig;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
 /// use pbs_structs::RcuHashMap;
-/// use prudence::{PrudenceCache, PrudenceConfig};
+/// use prudence::PrudenceCache;
 ///
 /// let pages = Arc::new(PageAllocator::new());
 /// let rcu = Arc::new(Rcu::new());
-/// let cache = Arc::new(PrudenceCache::new("map-nodes", 64, PrudenceConfig::new(2), pages, Arc::clone(&rcu)));
+/// let cache = PrudenceCache::new("map-nodes", 64, EngineConfig::new(2), pages, Arc::clone(&rcu));
 ///
 /// let map: RcuHashMap<u64, u64> = RcuHashMap::new(cache, 64);
 /// let reader = rcu.register();
@@ -311,30 +312,36 @@ impl<K, V> Drop for RcuHashMap<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::engine::EngineConfig;
     use pbs_mem::PageAllocator;
     use pbs_rcu::reclaim::ReclaimBackend;
     use pbs_rcu::{Rcu, RcuConfig};
     use pbs_slub::SlubCache;
-    use prudence::{PrudenceCache, PrudenceConfig};
+    use prudence::PrudenceCache;
 
     fn setup_prudence() -> (Arc<Rcu>, Arc<dyn ObjectAllocator>) {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let cache: Arc<dyn ObjectAllocator> = Arc::new(PrudenceCache::new(
+        let cache: Arc<dyn ObjectAllocator> = PrudenceCache::new(
             "map-nodes",
             64,
-            PrudenceConfig::new(2),
+            EngineConfig::new(2),
             pages,
             Arc::clone(&rcu),
-        ));
+        );
         (rcu, cache)
     }
 
     fn setup_slub() -> (Arc<Rcu>, Arc<dyn ObjectAllocator>) {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let cache: Arc<dyn ObjectAllocator> =
-            SlubCache::new("map-nodes", 64, 2, pages, Arc::clone(&rcu));
+        let cache: Arc<dyn ObjectAllocator> = SlubCache::new(
+            "map-nodes",
+            64,
+            EngineConfig::new(2),
+            pages,
+            Arc::clone(&rcu),
+        );
         (rcu, cache)
     }
 
@@ -446,13 +453,8 @@ mod tests {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let domain = domain_for(Arc::clone(&rcu), backend, ReclaimConfig::aggressive());
-        let cache: Arc<dyn ObjectAllocator> = Arc::new(PrudenceCache::with_domain(
-            "map-nodes",
-            64,
-            PrudenceConfig::new(2),
-            pages,
-            domain,
-        ));
+        let cache: Arc<dyn ObjectAllocator> =
+            PrudenceCache::with_domain("map-nodes", 64, EngineConfig::new(2), pages, domain);
         (rcu, cache)
     }
 

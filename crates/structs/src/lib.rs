@@ -26,14 +26,15 @@
 //!
 //! ```
 //! use std::sync::Arc;
+//! use pbs_alloc_api::engine::EngineConfig;
 //! use pbs_mem::PageAllocator;
 //! use pbs_rcu::Rcu;
 //! use pbs_structs::RcuList;
-//! use prudence::{PrudenceCache, PrudenceConfig};
+//! use prudence::PrudenceCache;
 //!
 //! let pages = Arc::new(PageAllocator::new());
 //! let rcu = Arc::new(Rcu::new());
-//! let cache = Arc::new(PrudenceCache::new("nodes", 64, PrudenceConfig::new(2), pages, Arc::clone(&rcu)));
+//! let cache = PrudenceCache::new("nodes", 64, EngineConfig::new(2), pages, Arc::clone(&rcu));
 //!
 //! let list: RcuList<u64> = RcuList::new(cache);
 //! let reader = rcu.register();

@@ -257,22 +257,23 @@ impl<T> Drop for RcuList<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::engine::EngineConfig;
     use pbs_alloc_api::ObjPtr;
     use pbs_mem::PageAllocator;
     use pbs_rcu::reclaim::ReclaimBackend;
     use pbs_rcu::{Rcu, RcuConfig};
-    use prudence::{PrudenceCache, PrudenceConfig};
+    use prudence::PrudenceCache;
 
     fn setup() -> (Arc<Rcu>, Arc<dyn ObjectAllocator>) {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let cache: Arc<dyn ObjectAllocator> = Arc::new(PrudenceCache::new(
+        let cache: Arc<dyn ObjectAllocator> = PrudenceCache::new(
             "list-nodes",
             64,
-            PrudenceConfig::new(2),
+            EngineConfig::new(2),
             pages,
             Arc::clone(&rcu),
-        ));
+        );
         (rcu, cache)
     }
 
@@ -395,13 +396,8 @@ mod tests {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let domain = domain_for(Arc::clone(&rcu), backend, ReclaimConfig::aggressive());
-        let cache: Arc<dyn ObjectAllocator> = Arc::new(PrudenceCache::with_domain(
-            "list-nodes",
-            64,
-            PrudenceConfig::new(2),
-            pages,
-            domain,
-        ));
+        let cache: Arc<dyn ObjectAllocator> =
+            PrudenceCache::with_domain("list-nodes", 64, EngineConfig::new(2), pages, domain);
         (rcu, cache)
     }
 

@@ -348,6 +348,12 @@ mod tests {
                 })
             })
             .collect();
+        // Wait (bounded) for a writer to run: on a busy box the snapshots
+        // below can otherwise all finish before one is scheduled.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while ring.snapshot().recorded == 0 && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         // Snapshot concurrently with the writers: reads race with stores,
         // so torn slots are expected — but every *surfaced* record must be
         // internally consistent.

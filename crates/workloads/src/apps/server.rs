@@ -66,7 +66,7 @@ use pbs_rcu::RcuConfig;
 use pbs_simnet::{ConnId, NetError, NetShard, ShardConfig, ShardedNet};
 use pbs_telemetry::{HistogramSnapshot, Percentiles, ShardGauges, ShardRow, ShardSet};
 
-use crate::harness::{self, audit_teardown, garbage_contrast_gate, ContrastFailure, Wording};
+use crate::harness::{self, audit_teardown, garbage_contrast_gate, ContrastFailure};
 use crate::{hardened_bed, AllocatorKind, RunVerdict};
 
 /// Parse-state object per connection (request line, header cursor).
@@ -344,11 +344,6 @@ pub struct ServerReport {
 }
 
 impl ServerReport {
-    /// Whether every degradation gate held.
-    pub fn passed(&self) -> bool {
-        self.verdict.passed()
-    }
-
     /// Multi-line human summary.
     pub fn render(&self) -> String {
         let alloc = self
@@ -386,7 +381,7 @@ impl ServerReport {
             self.recovered_used_bytes >> 10,
             self.verdict.peak_bytes >> 10,
             self.verdict.panics,
-            if self.passed() { "OK" } else { "FAILED" },
+            if self.verdict.passed() { "OK" } else { "FAILED" },
         )
     }
 
@@ -991,7 +986,6 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
     let (mut verdict, _) = audit_teardown(
         &bed,
         &faults,
-        Wording::Server,
         panics,
         violations,
         vec![
@@ -1155,7 +1149,7 @@ mod tests {
     fn storm_and_recovery_gates_hold_on_both_allocators() {
         for kind in AllocatorKind::BOTH {
             let r = run_server(kind, &tiny());
-            assert!(r.passed(), "{kind}: {:?}\n{}", r.verdict.violations, r.render());
+            assert!(r.verdict.passed(), "{kind}: {:?}\n{}", r.verdict.violations, r.render());
             assert!(r.totals.requests > 0);
             assert!(r.storm.shed_accepts > 0, "storm must shed at the backlog");
             assert!(r.totals.timeouts > 0, "slowloris conns must be evicted");
@@ -1212,7 +1206,7 @@ mod tests {
             ..tiny()
         };
         let r = run_server(AllocatorKind::Prudence, &params);
-        assert!(r.passed(), "{:?}\n{}", r.verdict.violations, r.render());
+        assert!(r.verdict.passed(), "{:?}\n{}", r.verdict.violations, r.render());
         assert!(
             r.max_garbage_storm <= r.garbage_bound,
             "hp must bound garbage: {}",

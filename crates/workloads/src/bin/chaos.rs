@@ -176,7 +176,7 @@ fn main() {
                         println!("  violation: {v}");
                     }
                 }
-                if !report.passed() {
+                if !report.verdict.passed() {
                     eprintln!("replay: {}", report.replay_command());
                     failed = true;
                 }

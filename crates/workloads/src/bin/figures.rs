@@ -5,7 +5,6 @@
 //! figures [--quick] [--json PATH] [--telemetry PREFIX]      every table and figure
 //! figures fig6 [PAIRS] [--telemetry PREFIX]                 Figure 6 sweep with per-run attributes
 //! figures fig3 [SECONDS] [--csv PATH] [--telemetry PREFIX]  full-length Figure 3 (+ memory trace)
-//! figures ablation [--quick]                                §4.2: each optimization off in turn
 //! ```
 //!
 //! `--quick` shrinks workload sizes for a fast smoke pass; the default
@@ -26,8 +25,7 @@ use pbs_workloads::endurance::{
     run_endurance, EnduranceParams, EnduranceReport, EnduranceSample,
 };
 use pbs_workloads::figures::{
-    figures7_to_13, render_ablation, render_figure6, render_figures7_to_13, run_ablation,
-    Figure6Row, FIG6_SIZES,
+    figures7_to_13, render_figure6, render_figures7_to_13, Figure6Row, FIG6_SIZES,
 };
 use pbs_workloads::microbench::{run_microbench, MicrobenchParams};
 use pbs_workloads::telemetry_export::{accumulate_labeled, write_telemetry};
@@ -37,7 +35,6 @@ use pbs_workloads::AllocatorKind;
 const USAGE: &str = "usage: figures [--quick] [--json PATH] [--telemetry PREFIX]
        figures fig6 [PAIRS] [--telemetry PREFIX]
        figures fig3 [SECONDS] [--csv PATH] [--telemetry PREFIX]
-       figures ablation [--quick]
   PAIRS, SECONDS: integers >= 1";
 
 #[derive(Debug, PartialEq)]
@@ -45,7 +42,6 @@ enum Cmd {
     All { quick: bool, json: Option<String>, telemetry: Option<PathBuf> },
     Fig6 { pairs: u64, telemetry: Option<PathBuf> },
     Fig3 { seconds: u64, csv: Option<String>, telemetry: Option<PathBuf> },
-    Ablation { quick: bool },
 }
 
 fn parse(args: &[String]) -> Result<Cmd, String> {
@@ -53,7 +49,7 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
         Some((first, rest)) if !first.starts_with("--") => (first.as_str(), rest),
         _ => ("", args),
     };
-    if !["", "fig6", "fig3", "ablation"].contains(&selector) {
+    if !["", "fig6", "fig3"].contains(&selector) {
         return Err(format!("unknown selector {selector:?}"));
     }
     let (mut quick, mut count) = (false, None);
@@ -65,7 +61,7 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
             _ => Err(format!("{arg} needs a value")),
         };
         match (selector, arg.as_str()) {
-            ("" | "ablation", "--quick") => quick = true,
+            ("", "--quick") => quick = true,
             ("", "--json") => json = Some(value()?),
             ("fig3", "--csv") => csv = Some(value()?),
             ("" | "fig6" | "fig3", "--telemetry") => telemetry = Some(PathBuf::from(value()?)),
@@ -79,7 +75,6 @@ fn parse(args: &[String]) -> Result<Cmd, String> {
     Ok(match selector {
         "fig6" => Cmd::Fig6 { pairs: count.unwrap_or(200_000), telemetry },
         "fig3" => Cmd::Fig3 { seconds: count.unwrap_or(20), csv, telemetry },
-        "ablation" => Cmd::Ablation { quick },
         _ => Cmd::All { quick, json, telemetry },
     })
 }
@@ -95,10 +90,6 @@ fn main() {
         }
         Ok(Cmd::Fig3 { seconds, csv, telemetry }) => {
             fig3(Duration::from_secs(seconds), 96 << 20, csv.as_deref(), telemetry.as_deref());
-        }
-        Ok(Cmd::Ablation { quick }) => {
-            let pairs = if quick { 200_000 } else { 2_000_000 };
-            print!("{}", render_ablation(pairs, &run_ablation(pairs)));
         }
         Err(err) => {
             eprintln!("figures: {err}\n{USAGE}");
@@ -272,8 +263,6 @@ mod tests {
             ("fig6 5000 --telemetry target/t", Cmd::Fig6 { pairs: 5000, telemetry: path("target/t") }),
             ("fig3", Cmd::Fig3 { seconds: 20, csv: None, telemetry: None }),
             ("fig3 --csv f.csv 3", Cmd::Fig3 { seconds: 3, csv: Some("f.csv".into()), telemetry: None }),
-            ("ablation", Cmd::Ablation { quick: false }),
-            ("ablation --quick", Cmd::Ablation { quick: true }),
         ] {
             assert_eq!(parse_line(line), Ok(cmd), "{line:?}");
         }
@@ -284,7 +273,7 @@ mod tests {
         for line in [
             "--quik", "fig7", "microbench", "fig6 5k", "fig6 0", "fig6 5000 6000", "fig6 --quick",
             "fig6 --csv x.csv", "fig3 ten", "fig3 --csv", "fig3 --csv --telemetry t",
-            "fig3 --json x.json", "ablation 5000", "ablation --json x.json", "--json",
+            "fig3 --json x.json", "ablation", "ablation --quick", "--json",
             "--telemetry", "--quick 5000",
         ] {
             assert!(parse_line(line).is_err(), "accepted {line:?}");

@@ -87,7 +87,7 @@ fn main() {
         for violation in &report.verdict.violations {
             println!("  VIOLATION: {violation}");
         }
-        if !report.passed() {
+        if !report.verdict.passed() {
             println!("  replay: {}", report.replay_command());
             failed = true;
         }

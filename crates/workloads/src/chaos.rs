@@ -41,7 +41,7 @@ use pbs_rcu::RcuConfig;
 use pbs_structs::{RcuBst, RcuHashMap};
 
 use crate::apps::{ServerParams, ServerReport};
-use crate::harness::{self, audit_teardown, garbage_contrast_gate, ContrastFailure, Wording};
+use crate::harness::{self, audit_teardown, garbage_contrast_gate, ContrastFailure};
 use crate::{hardened_bed, AllocatorKind, RunVerdict};
 
 /// Which stress profile a chaos run applies.
@@ -308,11 +308,6 @@ pub struct ChurnCounters {
 }
 
 impl ChaosReport {
-    /// Whether every invariant held.
-    pub fn passed(&self) -> bool {
-        self.verdict.passed()
-    }
-
     /// One-line summary for logs.
     pub fn render(&self) -> String {
         let garbage = match self.stalled_garbage_observed {
@@ -344,7 +339,7 @@ impl ChaosReport {
             v.peak_bytes >> 10,
             v.limit_bytes.unwrap_or(0) >> 10,
             v.panics,
-            if self.passed() { "OK" } else { "FAILED" },
+            if v.passed() { "OK" } else { "FAILED" },
         )
     }
 
@@ -1012,7 +1007,6 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     let (mut verdict, stats) = audit_teardown(
         &bed,
         &faults,
-        Wording::Chaos,
         panics,
         violations,
         vec![Box::new(node_cache), Box::new(obj_cache), Box::new(storm_cache)],
@@ -1143,7 +1137,7 @@ mod tests {
 
     fn assert_passed(report: &ChaosReport) {
         assert!(
-            report.passed(),
+            report.verdict.passed(),
             "{}\nviolations: {:?}\nreplay: {}",
             report.render(),
             report.verdict.violations,
@@ -1251,7 +1245,7 @@ mod tests {
         // stalled reader, hp and hyaline keep the probe's outstanding
         // garbage at or below the bound while epoch demonstrably exceeds
         // it. `run_chaos` turns either side failing into a violation, so
-        // `passed()` carries the whole contrast; the explicit assertions
+        // `verdict.passed()` carries the whole contrast; the explicit assertions
         // below just make the failure message name the number.
         for backend in ReclaimBackend::ALL {
             let params = ChaosParams {
@@ -1312,7 +1306,7 @@ mod tests {
         let server = crate::apps::run_server(AllocatorKind::Prudence, &server_params);
         let chaos = server_storm_report(&params, server.clone());
         assert_eq!(chaos.verdict, server.verdict);
-        assert_eq!(chaos.passed(), server.passed());
+        assert_eq!(chaos.verdict.passed(), server.verdict.passed());
         assert_eq!(chaos.churn, ChurnCounters::default());
         assert_eq!(chaos.ops_completed, server.totals.requests);
         let replay = chaos.replay_command();

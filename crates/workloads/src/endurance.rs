@@ -133,11 +133,9 @@ pub fn run_endurance(kind: AllocatorKind, params: &EnduranceParams) -> Endurance
         RcuConfig::overwhelmed(),
         Some(params.memory_limit),
         None,
-        Some(pbs_slub::SlubTuning {
-            engine: EngineConfig {
-                oom_retries: 0,
-                ..Default::default()
-            },
+        Some(EngineConfig {
+            oom_retries: 0,
+            ..EngineConfig::default()
         }),
         None,
         params

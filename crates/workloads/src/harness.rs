@@ -16,8 +16,6 @@ use pbs_fault::{site, FaultInjector};
 use pbs_rcu::reclaim::{ReclaimBackend, ReclaimConfig, ReclaimStats};
 use pbs_rcu::RcuConfig;
 use pbs_simnet::ShardedNet;
-use pbs_slub::SlubTuning;
-use prudence::PrudenceConfig;
 
 use crate::{AllocatorKind, Testbed};
 
@@ -58,17 +56,14 @@ pub fn hardened_bed(
     } else {
         ReclaimConfig::default()
     };
-    let (slub_tuning, prudence_config) = engine
-        .map(|engine| (SlubTuning::from(engine.clone()), PrudenceConfig::from(engine)))
-        .unzip();
     Testbed::new_tuned(
         kind,
         slots,
         rcu_config,
         limit_bytes,
         faults,
-        slub_tuning,
-        prudence_config,
+        engine.clone(),
+        engine,
         Some((backend, reclaim_config)),
     )
 }
@@ -121,14 +116,6 @@ impl RunVerdict {
     }
 }
 
-/// Whose words the audit's violations use: both sets predate the shared
-/// audit, and CI logs and replay notes quote them.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Wording {
-    Chaos,
-    Server,
-}
-
 /// Anything a run built over the bed's factory and must hand to
 /// [`audit_teardown`]: a cache, or a subsystem owning several.
 pub(crate) trait Drains {
@@ -173,7 +160,6 @@ impl Drains for ShardedNet {
 pub(crate) fn audit_teardown(
     bed: &Testbed,
     faults: &FaultInjector,
-    wording: Wording,
     panics: u64,
     mut violations: Vec<String>,
     owners: Vec<Box<dyn Drains + '_>>,
@@ -183,30 +169,17 @@ pub(crate) fn audit_teardown(
     }
     let deferred_outstanding_end: usize = owners.iter().map(|o| o.outstanding()).sum();
     if deferred_outstanding_end != 0 {
-        violations.push(match wording {
-            Wording::Chaos => {
-                format!("deferred_outstanding {deferred_outstanding_end} != 0 after quiesce")
-            }
-            Wording::Server => {
-                format!("{deferred_outstanding_end} deferred objects outstanding after quiesce")
-            }
-        });
+        violations.push(format!(
+            "deferred_outstanding {deferred_outstanding_end} != 0 after quiesce"
+        ));
     }
     let cache_stats: Vec<_> = owners.iter().flat_map(|o| o.cache_stats()).collect();
-    let live = cache_stats.iter().filter(|(_, s)| s.live_objects != 0);
-    match wording {
-        Wording::Chaos => violations.extend(live.map(|(name, s)| {
-            format!("{}: {} live objects after teardown", name, s.live_objects)
-        })),
-        Wording::Server => {
-            let leaks: Vec<_> = live
-                .map(|(name, s)| format!("{name}: {}", s.live_objects))
-                .collect();
-            if !leaks.is_empty() {
-                violations.push(format!("live objects after teardown: {}", leaks.join(", ")));
-            }
-        }
-    }
+    violations.extend(
+        cache_stats
+            .iter()
+            .filter(|(_, s)| s.live_objects != 0)
+            .map(|(name, s)| format!("{name}: {} live objects after teardown", s.live_objects)),
+    );
 
     let rcu_stats = bed.rcu().stats();
     let reclaim = bed.reclaim_stats();
@@ -218,22 +191,14 @@ pub(crate) fn audit_teardown(
     drop(owners);
     let used_bytes_after_teardown = bed.pages().used_bytes();
     if used_bytes_after_teardown != 0 {
-        violations.push(match wording {
-            Wording::Chaos => {
-                format!("{used_bytes_after_teardown} bytes leaked after cache teardown")
-            }
-            Wording::Server => {
-                format!("{used_bytes_after_teardown} bytes still used after teardown")
-            }
-        });
+        violations.push(format!(
+            "{used_bytes_after_teardown} bytes leaked after cache teardown"
+        ));
     }
     if let Some(limit) = limit_bytes.filter(|&limit| peak_bytes > limit) {
-        violations.push(match wording {
-            Wording::Chaos => {
-                format!("hard limit exceeded: peak {} > limit {}", peak_bytes, limit)
-            }
-            Wording::Server => format!("peak {peak_bytes} exceeded limit {limit}"),
-        });
+        violations.push(format!(
+            "hard limit exceeded: peak {peak_bytes} > limit {limit}"
+        ));
     }
 
     let verdict = RunVerdict {
@@ -353,7 +318,6 @@ mod tests {
             let (verdict, stats) = audit_teardown(
                 &bed,
                 &faults,
-                Wording::Chaos,
                 0,
                 Vec::new(),
                 vec![Box::new(leaky), Box::new(Undrained(undrained))],
@@ -379,9 +343,8 @@ mod tests {
     }
 
     #[test]
-    fn audit_is_silent_on_a_clean_bed_in_either_wording() {
-        let wordings = [Wording::Chaos, Wording::Server];
-        for (kind, wording) in AllocatorKind::BOTH.into_iter().zip(wordings) {
+    fn audit_is_silent_on_a_clean_bed() {
+        for kind in AllocatorKind::BOTH {
             let (bed, faults) = bed_with_faults(kind);
             let cache = bed.create_cache("clean", 128);
             let objs: Vec<_> = (0..100).map(|_| cache.allocate().unwrap()).collect();
@@ -397,7 +360,7 @@ mod tests {
             }
             let early = vec!["found during the run".to_owned()];
             let (verdict, _) =
-                audit_teardown(&bed, &faults, wording, 0, early.clone(), vec![Box::new(cache)]);
+                audit_teardown(&bed, &faults, 0, early.clone(), vec![Box::new(cache)]);
             assert_eq!(verdict.violations, early, "{kind}: the audit only appends");
             assert_eq!(verdict.deferred_outstanding_end, 0);
             assert_eq!(verdict.used_bytes_after_teardown, 0);

@@ -4,14 +4,15 @@ use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
+use pbs_alloc_api::engine::EngineConfig;
 use pbs_alloc_api::{CacheFactory, ObjectAllocator, TelemetrySnapshot};
 use pbs_mem::PageAllocator;
 use pbs_rcu::reclaim::{
     domain_for, ReclaimBackend, ReclaimConfig, ReclaimStats, ReclamationDomain,
 };
 use pbs_rcu::{Rcu, RcuConfig};
-use pbs_slub::{SlubFactory, SlubTuning};
-use prudence::{PrudenceConfig, PrudenceFactory};
+use pbs_slub::SlubFactory;
+use prudence::PrudenceFactory;
 
 /// Which allocator design a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -104,13 +105,12 @@ impl Testbed {
     /// stack — the page allocator consults it on every block allocation and
     /// the RCU domain on every grace-period-advance attempt, so one seeded
     /// plan drives OOM and stall faults across every layer of the run — and
-    /// explicit allocator degradation knobs: `slub_tuning` overrides the
-    /// baseline's watermarks and recovery-ladder depth (the endurance
-    /// experiment pins `oom_retries: 0` to reproduce the paper's unhardened
-    /// baseline), and `prudence_config` overrides the Prudence
-    /// configuration wholesale (either way `engine.ncpus` is forced to
-    /// match). Each override applies only to its own allocator kind; `None`
-    /// keeps the defaults.
+    /// per-allocator engine settings: `slub` overrides the baseline's
+    /// watermarks and recovery-ladder depth (the endurance experiment pins
+    /// `oom_retries: 0` to reproduce the paper's unhardened baseline), and
+    /// `prudence` does the same for Prudence (either way `ncpus` is forced
+    /// to match). Each override applies only to its own allocator kind;
+    /// `None` keeps the defaults.
     ///
     /// `reclaim` overrides the reclamation backend and its tuning;
     /// `None` falls back to `PBS_RECLAIM` (default: `epoch`, the paper's
@@ -124,8 +124,8 @@ impl Testbed {
         mut rcu_config: RcuConfig,
         limit_bytes: Option<usize>,
         faults: Option<Arc<pbs_fault::FaultInjector>>,
-        slub_tuning: Option<SlubTuning>,
-        prudence_config: Option<PrudenceConfig>,
+        slub: Option<EngineConfig>,
+        prudence: Option<EngineConfig>,
         reclaim: Option<(ReclaimBackend, ReclaimConfig)>,
     ) -> Self {
         let mut builder = PageAllocator::builder();
@@ -152,24 +152,22 @@ impl Testbed {
             reclaim.unwrap_or_else(|| (ReclaimBackend::from_env(), ReclaimConfig::default()));
         let domain = domain_for(Arc::clone(&rcu), backend, reclaim_config);
         let factory: Box<dyn CacheFactory> = match kind {
-            AllocatorKind::Slub => {
-                let mut tuning = slub_tuning.unwrap_or_default();
-                tuning.engine.ncpus = ncpus;
-                Box::new(SlubFactory::with_domain(
-                    tuning,
-                    Arc::clone(&pages),
-                    Arc::clone(&domain),
-                ))
-            }
-            AllocatorKind::Prudence => {
-                let mut config = prudence_config.unwrap_or_else(|| PrudenceConfig::new(ncpus));
-                config.engine.ncpus = ncpus;
-                Box::new(PrudenceFactory::with_domain(
-                    config,
-                    Arc::clone(&pages),
-                    Arc::clone(&domain),
-                ))
-            }
+            AllocatorKind::Slub => Box::new(SlubFactory::with_domain(
+                EngineConfig {
+                    ncpus,
+                    ..slub.unwrap_or_default()
+                },
+                Arc::clone(&pages),
+                Arc::clone(&domain),
+            )),
+            AllocatorKind::Prudence => Box::new(PrudenceFactory::with_domain(
+                EngineConfig {
+                    ncpus,
+                    ..prudence.unwrap_or_default()
+                },
+                Arc::clone(&pages),
+                Arc::clone(&domain),
+            )),
         };
         Self {
             kind,

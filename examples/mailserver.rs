@@ -12,9 +12,10 @@
 
 use std::sync::Arc;
 
+use prudence_repro::alloc_api::engine::EngineConfig;
 use prudence_repro::alloc_api::CacheFactory;
 use prudence_repro::mem::PageAllocator;
-use prudence_repro::prudence::{PrudenceConfig, PrudenceFactory};
+use prudence_repro::prudence::PrudenceFactory;
 use prudence_repro::rcu::Rcu;
 use prudence_repro::simfs::SimFs;
 use prudence_repro::slub::SlubFactory;
@@ -73,14 +74,14 @@ fn main() {
     {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::new());
-        let factory = SlubFactory::new(2, pages, Arc::clone(&rcu));
+        let factory = SlubFactory::new(EngineConfig::new(2), pages, Arc::clone(&rcu));
         run("slub", &rcu, &factory);
     }
     println!();
     {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::new());
-        let factory = PrudenceFactory::new(PrudenceConfig::new(2), pages, Arc::clone(&rcu));
+        let factory = PrudenceFactory::new(EngineConfig::new(2), pages, Arc::clone(&rcu));
         run("prudence", &rcu, &factory);
     }
 }

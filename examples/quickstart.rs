@@ -10,9 +10,9 @@
 
 use std::sync::Arc;
 
-use prudence_repro::alloc_api::ObjectAllocator;
+use prudence_repro::alloc_api::engine::EngineConfig;
 use prudence_repro::mem::PageAllocator;
-use prudence_repro::prudence::{PrudenceCache, PrudenceConfig};
+use prudence_repro::prudence::PrudenceCache;
 use prudence_repro::rcu::Rcu;
 
 fn main() {
@@ -25,7 +25,7 @@ fn main() {
     let cache = PrudenceCache::new(
         "quickstart",
         256,
-        PrudenceConfig::new(4),
+        EngineConfig::new(4),
         Arc::clone(&pages),
         Arc::clone(&rcu),
     );

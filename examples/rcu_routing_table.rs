@@ -14,9 +14,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use prudence_repro::alloc_api::engine::EngineConfig;
 use prudence_repro::alloc_api::CacheFactory;
 use prudence_repro::mem::PageAllocator;
-use prudence_repro::prudence::{PrudenceConfig, PrudenceFactory};
+use prudence_repro::prudence::PrudenceFactory;
 use prudence_repro::rcu::Rcu;
 use prudence_repro::slub::SlubFactory;
 use prudence_repro::structs::RcuHashMap;
@@ -97,14 +98,15 @@ fn main() {
     {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::new());
-        let factory = SlubFactory::new(READERS + 1, Arc::clone(&pages), Arc::clone(&rcu));
+        let config = EngineConfig::new(READERS + 1);
+        let factory = SlubFactory::new(config, Arc::clone(&pages), Arc::clone(&rcu));
         run("slub", rcu, &factory);
     }
     {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::new());
         let factory = PrudenceFactory::new(
-            PrudenceConfig::new(READERS + 1),
+            EngineConfig::new(READERS + 1),
             Arc::clone(&pages),
             Arc::clone(&rcu),
         );

@@ -5,9 +5,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use prudence_repro::alloc_api::engine::EngineConfig;
 use prudence_repro::alloc_api::{AllocError, CacheFactory, ObjPtr, ObjectAllocator};
 use prudence_repro::mem::PageAllocator;
-use prudence_repro::prudence::{PrudenceCache, PrudenceConfig, PrudenceFactory};
+use prudence_repro::prudence::{PrudenceCache, PrudenceFactory};
 use prudence_repro::rcu::{Rcu, RcuConfig};
 use prudence_repro::simfs::SimFs;
 use prudence_repro::slub::{SlubCache, SlubFactory};
@@ -16,13 +17,13 @@ use prudence_repro::structs::{RcuHashMap, RcuList};
 fn prudence_setup(ncpus: usize) -> (Arc<PageAllocator>, Arc<Rcu>, Arc<PrudenceCache>) {
     let pages = Arc::new(PageAllocator::new());
     let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-    let cache = Arc::new(PrudenceCache::new(
+    let cache = PrudenceCache::new(
         "it",
         64,
-        PrudenceConfig::new(ncpus),
+        EngineConfig::new(ncpus),
         Arc::clone(&pages),
         Arc::clone(&rcu),
-    ));
+    );
     (pages, rcu, cache)
 }
 
@@ -32,14 +33,20 @@ fn list_stress_across_both_allocators_returns_all_memory() {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let cache: Arc<dyn ObjectAllocator> = match which {
-            "slub" => SlubCache::new("it", 64, 4, Arc::clone(&pages), Arc::clone(&rcu)),
-            _ => Arc::new(PrudenceCache::new(
+            "slub" => SlubCache::new(
                 "it",
                 64,
-                PrudenceConfig::new(4),
+                EngineConfig::new(4),
                 Arc::clone(&pages),
                 Arc::clone(&rcu),
-            )),
+            ),
+            _ => PrudenceCache::new(
+                "it",
+                64,
+                EngineConfig::new(4),
+                Arc::clone(&pages),
+                Arc::clone(&rcu),
+            ),
         };
         {
             let list: Arc<RcuList<u64>> = Arc::new(RcuList::new(Arc::clone(&cache)));
@@ -80,11 +87,17 @@ fn baseline_backlog_grows_while_reader_pinned_prudence_stays_visible() {
     // allocator), while Prudence tracks them itself.
     let pages = Arc::new(PageAllocator::new());
     let rcu = Arc::new(Rcu::with_config(RcuConfig::linux_like()));
-    let slub = SlubCache::new("base", 128, 1, Arc::clone(&pages), Arc::clone(&rcu));
+    let slub = SlubCache::new(
+        "base",
+        128,
+        EngineConfig::new(1),
+        Arc::clone(&pages),
+        Arc::clone(&rcu),
+    );
     let prudence = PrudenceCache::new(
         "pru",
         128,
-        PrudenceConfig::new(1),
+        EngineConfig::new(1),
         Arc::clone(&pages),
         Arc::clone(&rcu),
     );
@@ -116,7 +129,7 @@ fn oom_deferral_survives_where_memory_is_all_deferred() {
     let cache = PrudenceCache::new(
         "oom",
         512,
-        PrudenceConfig::new(1),
+        EngineConfig::new(1),
         Arc::clone(&pages),
         Arc::clone(&rcu),
     );
@@ -132,13 +145,7 @@ fn oom_deferral_survives_where_memory_is_all_deferred() {
 fn alloc_error_when_truly_out_of_memory() {
     let pages = Arc::new(PageAllocator::builder().limit_bytes(64 << 10).build());
     let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-    let cache = PrudenceCache::new(
-        "oom2",
-        1024,
-        PrudenceConfig::new(1),
-        pages,
-        rcu,
-    );
+    let cache = PrudenceCache::new("oom2", 1024, EngineConfig::new(1), pages, rcu);
     let mut held: Vec<ObjPtr> = Vec::new();
     let err = loop {
         match cache.allocate() {
@@ -157,11 +164,7 @@ fn alloc_error_when_truly_out_of_memory() {
 fn filesystem_and_hashmap_share_an_rcu_domain() {
     let pages = Arc::new(PageAllocator::new());
     let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-    let factory = PrudenceFactory::new(
-        PrudenceConfig::new(2),
-        Arc::clone(&pages),
-        Arc::clone(&rcu),
-    );
+    let factory = PrudenceFactory::new(EngineConfig::new(2), Arc::clone(&pages), Arc::clone(&rcu));
     let fs = SimFs::new(&factory);
     let index: RcuHashMap<u64, u64> =
         RcuHashMap::new(factory.create_cache("index", 64), 64);
@@ -198,9 +201,13 @@ fn slub_and_prudence_agree_on_workload_accounting() {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let factory: Box<dyn CacheFactory> = match which {
-            "slub" => Box::new(SlubFactory::new(2, pages, Arc::clone(&rcu))),
+            "slub" => Box::new(SlubFactory::new(
+                EngineConfig::new(2),
+                pages,
+                Arc::clone(&rcu),
+            )),
             _ => Box::new(PrudenceFactory::new(
-                PrudenceConfig::new(2),
+                EngineConfig::new(2),
                 pages,
                 Arc::clone(&rcu),
             )),
@@ -307,9 +314,7 @@ fn refill_reuses_holes_behind_premoved_slabs() {
     // the partial slabs behind them have.
     let pages = Arc::new(PageAllocator::new());
     let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-    // Latent cache off: every defer lands in its latent slab at once.
-    let config = PrudenceConfig::new(1).with_latent_cache(false);
-    let cache = PrudenceCache::new("it", 512, config, pages, Arc::clone(&rcu));
+    let cache = PrudenceCache::new("it", 512, EngineConfig::new(1), pages, Arc::clone(&rcu));
     let per_slab = cache.policy().objects_per_slab;
     let slab_of = |obj: &ObjPtr| obj.addr() / cache.policy().slab_bytes;
 
@@ -318,12 +323,12 @@ fn refill_reuses_holes_behind_premoved_slabs() {
         .collect();
     let second_half = held.split_off(200 * per_slab);
     // Holes: every other object of the first 200 slabs' worth goes back.
-    let mut kept = Vec::new();
+    let mut holes = Vec::new();
     for (i, obj) in held.into_iter().enumerate() {
         if i % 2 == 0 {
             unsafe { cache.free(obj) };
         } else {
-            kept.push(obj);
+            holes.push(obj);
         }
     }
     // Pre-moved slabs: one deferred object in each of 40 slabs that are
@@ -336,6 +341,7 @@ fn refill_reuses_holes_behind_premoved_slabs() {
         *held_in_slab.entry(slab_of(obj)).or_insert(0) += 1;
     }
     let mut premoved = std::collections::HashSet::new();
+    let mut kept = Vec::new();
     for obj in second_half {
         let slab = slab_of(&obj);
         if held_in_slab[&slab] == per_slab && premoved.len() < 40 && premoved.insert(slab) {
@@ -345,6 +351,20 @@ fn refill_reuses_holes_behind_premoved_slabs() {
         }
     }
     assert_eq!(premoved.len(), 40);
+    // Defer hole objects until the latent cache's overflow batches
+    // (Algorithm lines 45-51) have parked every pre-moved slab's object in
+    // its latent slab.
+    let premoved_in_latent_cache = || {
+        let slot = cache.lock_slot(0);
+        slot.latent
+            .iter()
+            .any(|(obj, _, _)| premoved.contains(&slab_of(obj)))
+    };
+    while premoved_in_latent_cache() {
+        unsafe { cache.free_deferred(holes.pop().unwrap()) };
+    }
+    assert!(cache.stats().pre_movements >= 40, "{:?}", cache.stats());
+    kept.append(&mut holes);
 
     let grows = cache.stats().grows;
     kept.extend((0..60 * per_slab).map(|_| cache.allocate().unwrap()));

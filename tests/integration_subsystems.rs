@@ -3,9 +3,10 @@
 
 use std::sync::Arc;
 
+use prudence_repro::alloc_api::engine::EngineConfig;
 use prudence_repro::alloc_api::CacheFactory;
 use prudence_repro::mem::PageAllocator;
-use prudence_repro::prudence::{PrudenceConfig, PrudenceFactory};
+use prudence_repro::prudence::PrudenceFactory;
 use prudence_repro::rcu::{Rcu, RcuConfig};
 use prudence_repro::simfs::{FsError, SimFs};
 use prudence_repro::simnet::{Epoll, SimNet};
@@ -15,13 +16,13 @@ fn each_factory(test: impl Fn(&str, Arc<Rcu>, Arc<PageAllocator>, &dyn CacheFact
     {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let f = SlubFactory::new(4, Arc::clone(&pages), Arc::clone(&rcu));
+        let f = SlubFactory::new(EngineConfig::new(4), Arc::clone(&pages), Arc::clone(&rcu));
         test("slub", rcu, pages, &f);
     }
     {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let f = PrudenceFactory::new(PrudenceConfig::new(4), Arc::clone(&pages), Arc::clone(&rcu));
+        let f = PrudenceFactory::new(EngineConfig::new(4), Arc::clone(&pages), Arc::clone(&rcu));
         test("prudence", rcu, pages, &f);
     }
 }
@@ -136,7 +137,7 @@ fn memory_returns_to_zero_after_mixed_subsystem_use() {
     let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
     {
         let factory =
-            PrudenceFactory::new(PrudenceConfig::new(2), Arc::clone(&pages), Arc::clone(&rcu));
+            PrudenceFactory::new(EngineConfig::new(2), Arc::clone(&pages), Arc::clone(&rcu));
         let net = SimNet::new(&factory);
         let fs = SimFs::new(&factory);
         for i in 0..200 {

@@ -12,9 +12,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use prudence_repro::alloc_api::{ObjPtr, ObjectAllocator};
+use prudence_repro::alloc_api::engine::EngineConfig;
+use prudence_repro::alloc_api::{ObjPtr, ObjectAllocator, SizingPolicy};
 use prudence_repro::mem::PageAllocator;
-use prudence_repro::prudence::{PrudenceCache, PrudenceConfig};
+use prudence_repro::prudence::PrudenceCache;
 use prudence_repro::rcu::{Rcu, RcuConfig};
 use prudence_repro::slub::SlubCache;
 
@@ -35,6 +36,17 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         3 => Just(Op::Alloc),
         2 => any::<usize>().prop_map(Op::Free),
         2 => any::<usize>().prop_map(Op::Defer),
+        1 => Just(Op::Quiesce),
+    ]
+}
+
+/// Mostly allocations and deferrals, rarely a grace period: deferred
+/// objects pile up past the latent cache between quiesces.
+fn defer_heavy_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        20 => Just(Op::Alloc),
+        5 => any::<usize>().prop_map(Op::Free),
+        20 => any::<usize>().prop_map(Op::Defer),
         1 => Just(Op::Quiesce),
     ]
 }
@@ -121,41 +133,31 @@ proptest! {
     #[test]
     fn prudence_respects_allocator_invariants(ops in proptest::collection::vec(op_strategy(), 1..200)) {
         check_allocator(
-            |pages, rcu| {
-                Arc::new(PrudenceCache::new(
-                    "prop",
-                    64,
-                    PrudenceConfig::new(2),
-                    pages,
-                    rcu,
-                ))
-            },
+            |pages, rcu| PrudenceCache::new("prop", 64, EngineConfig::new(2), pages, rcu),
             &ops,
         );
     }
 
+    /// 4 KiB objects have a 12-object latent cache. Every case opens with
+    /// one more defer than that under a single pin, so objects park in
+    /// latent slabs (lines 45-59), and the defer-heavy ops keep
+    /// overflowing between the rare grace periods.
     #[test]
-    fn prudence_without_latent_cache_respects_invariants(
-        ops in proptest::collection::vec(op_strategy(), 1..150)
+    fn prudence_latent_slabs_respect_invariants(
+        ops in proptest::collection::vec(defer_heavy_strategy(), 1..200)
     ) {
+        let n = SizingPolicy::for_object_size(4096).object_cache_size + 1;
+        let overflow = [vec![Op::Alloc; n], vec![Op::Defer(0); n]].concat();
         check_allocator(
-            |pages, rcu| {
-                Arc::new(PrudenceCache::new(
-                    "prop-nolatent",
-                    64,
-                    PrudenceConfig::new(1).with_latent_cache(false),
-                    pages,
-                    rcu,
-                ))
-            },
-            &ops,
+            |pages, rcu| PrudenceCache::new("prop-latent", 4096, EngineConfig::new(1), pages, rcu),
+            &[overflow, ops].concat(),
         );
     }
 
     #[test]
     fn slub_respects_allocator_invariants(ops in proptest::collection::vec(op_strategy(), 1..200)) {
         check_allocator(
-            |pages, rcu| SlubCache::new("prop", 64, 2, pages, rcu),
+            |pages, rcu| SlubCache::new("prop", 64, EngineConfig::new(2), pages, rcu),
             &ops,
         );
     }
@@ -166,7 +168,7 @@ proptest! {
         // always lie within allocator memory.
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let cache = PrudenceCache::new("sizes", size, PrudenceConfig::new(1), pages, rcu);
+        let cache = PrudenceCache::new("sizes", size, EngineConfig::new(1), pages, rcu);
         let objs: Vec<ObjPtr> = (0..count).map(|_| cache.allocate().unwrap()).collect();
         let real = cache.policy().object_size;
         let mut addrs: Vec<usize> = objs.iter().map(|o| o.addr()).collect();

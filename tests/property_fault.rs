@@ -24,10 +24,11 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use prudence_repro::alloc_api::engine::EngineConfig;
 use prudence_repro::alloc_api::{ObjPtr, ObjectAllocator};
 use prudence_repro::fault::{site, FaultInjector, Schedule};
 use prudence_repro::mem::PageAllocator;
-use prudence_repro::prudence::{PrudenceCache, PrudenceConfig};
+use prudence_repro::prudence::PrudenceCache;
 use prudence_repro::rcu::{Rcu, RcuConfig};
 use prudence_repro::slub::SlubCache;
 
@@ -150,17 +151,11 @@ fn check_faulted(
 }
 
 fn make_prudence(pages: Arc<PageAllocator>, rcu: Arc<Rcu>) -> Arc<dyn ObjectAllocator> {
-    Arc::new(PrudenceCache::new(
-        "prop-fault",
-        64,
-        PrudenceConfig::new(2),
-        pages,
-        rcu,
-    ))
+    PrudenceCache::new("prop-fault", 64, EngineConfig::new(2), pages, rcu)
 }
 
 fn make_slub(pages: Arc<PageAllocator>, rcu: Arc<Rcu>) -> Arc<dyn ObjectAllocator> {
-    SlubCache::new("prop-fault", 64, 2, pages, rcu)
+    SlubCache::new("prop-fault", 64, EngineConfig::new(2), pages, rcu)
 }
 
 proptest! {

@@ -20,15 +20,16 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
+use prudence_repro::alloc_api::engine::EngineConfig;
 use prudence_repro::alloc_api::ObjectAllocator;
 use prudence_repro::fault::{site, FaultInjector, Schedule};
 use prudence_repro::mem::PageAllocator;
-use prudence_repro::prudence::{PrudenceCache, PrudenceConfig};
+use prudence_repro::prudence::PrudenceCache;
 use prudence_repro::rcu::reclaim::{
     domain_for, ReclaimBackend, ReclaimConfig, ReclamationDomain,
 };
 use prudence_repro::rcu::{Rcu, RcuConfig};
-use prudence_repro::slub::{SlubCache, SlubTuning};
+use prudence_repro::slub::SlubCache;
 use prudence_repro::structs::{RcuBst, RcuHashMap, RcuList};
 
 type Make = fn(Arc<PageAllocator>, Arc<dyn ReclamationDomain>) -> Arc<dyn ObjectAllocator>;
@@ -37,27 +38,14 @@ fn make_prudence(
     pages: Arc<PageAllocator>,
     domain: Arc<dyn ReclamationDomain>,
 ) -> Arc<dyn ObjectAllocator> {
-    Arc::new(PrudenceCache::with_domain(
-        "prop-structs",
-        64,
-        PrudenceConfig::new(2),
-        pages,
-        domain,
-    ))
+    PrudenceCache::with_domain("prop-structs", 64, EngineConfig::new(2), pages, domain)
 }
 
 fn make_slub(
     pages: Arc<PageAllocator>,
     domain: Arc<dyn ReclamationDomain>,
 ) -> Arc<dyn ObjectAllocator> {
-    SlubCache::with_domain(
-        "prop-structs",
-        64,
-        2,
-        SlubTuning::default(),
-        pages,
-        domain,
-    )
+    SlubCache::with_domain("prop-structs", 64, EngineConfig::new(2), pages, domain)
 }
 
 const MAKES: [(&str, Make); 2] = [("prudence", make_prudence), ("slub", make_slub)];
