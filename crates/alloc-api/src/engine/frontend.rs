@@ -6,7 +6,7 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use pbs_mem::PageAllocator;
-use pbs_rcu::reclaim::ReclamationDomain;
+use pbs_rcu::reclaim::{EpochDomain, ReclamationDomain};
 use pbs_rcu::Rcu;
 
 use super::{EngineConfig, SlabEngine, SlabPolicy};
@@ -15,15 +15,14 @@ use crate::{
     SIZE_CLASSES,
 };
 
-/// Creates `SlabEngine<P>` caches sharing one page allocator, RCU domain
-/// and configuration.
+/// Creates `SlabEngine<P>` caches sharing one page allocator, reclamation
+/// domain and configuration.
 pub struct SlabFactory<P: SlabPolicy> {
     config: EngineConfig,
     pages: Arc<PageAllocator>,
-    rcu: Arc<Rcu>,
-    /// Shared reclamation domain for every minted cache; `None` gives
-    /// each cache its own default epoch backend.
-    domain: Option<Arc<dyn ReclamationDomain>>,
+    /// One retire stream for every minted cache, the way all caches share
+    /// one `rcu`.
+    domain: Arc<dyn ReclamationDomain>,
     policy: PhantomData<P>,
 }
 
@@ -32,27 +31,19 @@ impl<P: SlabPolicy> std::fmt::Debug for SlabFactory<P> {
         f.debug_struct("SlabFactory")
             .field("label", &P::LABEL)
             .field("config", &self.config)
-            .field("backend", &self.domain.as_ref().map(|d| d.backend()))
+            .field("backend", &self.domain.backend())
             .finish()
     }
 }
 
 impl<P: SlabPolicy> SlabFactory<P> {
-    /// Creates a factory; every cache it mints shares `pages`, `rcu` and
-    /// `config`.
+    /// Creates a factory whose caches share `pages`, `config` and one
+    /// epoch domain on `rcu` (the paper's scheme).
     pub fn new(config: EngineConfig, pages: Arc<PageAllocator>, rcu: Arc<Rcu>) -> Self {
-        Self {
-            config,
-            pages,
-            rcu,
-            domain: None,
-            policy: PhantomData,
-        }
+        Self::with_domain(config, pages, Arc::new(EpochDomain::new(rcu)))
     }
 
-    /// Like [`new`](Self::new), but every minted cache shares `domain`
-    /// (one retire stream / batch stream across the whole subsystem, the
-    /// way all caches already share one `rcu`).
+    /// Like [`new`](Self::new), but every minted cache shares `domain`.
     pub fn with_domain(
         config: EngineConfig,
         pages: Arc<PageAllocator>,
@@ -61,8 +52,7 @@ impl<P: SlabPolicy> SlabFactory<P> {
         Self {
             config,
             pages,
-            rcu: Arc::clone(domain.rcu()),
-            domain: Some(domain),
+            domain,
             policy: PhantomData,
         }
     }
@@ -74,7 +64,7 @@ impl<P: SlabPolicy> SlabFactory<P> {
 
     /// The shared RCU domain.
     pub fn rcu(&self) -> &Arc<Rcu> {
-        &self.rcu
+        self.domain.rcu()
     }
 
     /// The shared configuration.
@@ -85,12 +75,7 @@ impl<P: SlabPolicy> SlabFactory<P> {
     /// Creates one cache with its concrete type.
     pub fn create(&self, name: &str, object_size: usize) -> Arc<SlabEngine<P>> {
         let (config, pages) = (self.config.clone(), Arc::clone(&self.pages));
-        match &self.domain {
-            Some(domain) => {
-                SlabEngine::with_domain(name, object_size, config, pages, Arc::clone(domain))
-            }
-            None => SlabEngine::new(name, object_size, config, pages, Arc::clone(&self.rcu)),
-        }
+        SlabEngine::with_domain(name, object_size, config, pages, Arc::clone(&self.domain))
     }
 }
 
@@ -115,7 +100,7 @@ pub struct KmallocHeap<P: SlabPolicy> {
 
 impl<P: SlabPolicy> KmallocHeap<P> {
     /// Creates the full set of size-class caches sharing one
-    /// configuration.
+    /// configuration and one epoch domain on `rcu`.
     pub fn new(config: EngineConfig, pages: Arc<PageAllocator>, rcu: Arc<Rcu>) -> Self {
         let factory = SlabFactory::<P>::new(config, pages, rcu);
         let caches = SIZE_CLASSES

@@ -13,12 +13,14 @@
 //!   critical section has observed the current epoch. Two advances after an
 //!   object is retired constitute a **grace period**: no reader can still
 //!   hold a reference obtained before the retire.
-//! * Writers defer frees either through classic callbacks
-//!   ([`Rcu::call_rcu`], processed by background reclaimer threads with
-//!   Linux-style batch throttling — this is the *baseline* behaviour the
-//!   paper criticizes), or by stamping a [`GpState`] and polling
-//!   [`Rcu::poll`] — the **allocator integration interface** Prudence uses
-//!   (paper §4, requirement ii).
+//! * The domain exports grace-period state, not a callback queue: a
+//!   writer stamps a [`GpState`] and polls [`Rcu::poll`] — the
+//!   **allocator integration interface** Prudence uses (paper §4,
+//!   requirement ii). Deferred frees go through a
+//!   [`reclaim::ReclamationDomain`]; the classic callback path (a queue
+//!   drained by background reclaimer threads with Linux-style batch
+//!   throttling — the *baseline* behaviour the paper criticizes) is the
+//!   [`reclaim::EpochDomain`] backend.
 //!
 //! ## Example
 //!
@@ -48,25 +50,30 @@
 //! # unsafe { drop(Box::from_raw(shared.load(Ordering::Acquire))) };
 //! ```
 
-mod blame;
-mod callback;
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+mod config;
 mod domain;
 mod epoch;
 mod membarrier;
+mod reader;
 pub mod reclaim;
+mod registry;
 mod stats;
 mod traverse;
+mod watchdog;
 
-pub use blame::BlameReport;
-pub use callback::RcuConfig;
-pub use domain::{ReadGuard, Rcu, RcuThread};
+pub use config::RcuConfig;
+pub use domain::Rcu;
 pub use epoch::GpState;
-pub use epoch::HP_SLOTS;
+pub use reader::{RcuThread, ReadGuard};
+pub use registry::HP_SLOTS;
 pub use stats::RcuStats;
 pub use traverse::{
     poison_link, Retry, Traverse, TraversalKind, LINK_POISON, MAX_WALK_DEPTH,
     MAX_WALK_RETRIES, WALK_SLOTS,
 };
+pub use watchdog::BlameReport;
 
 /// Forces every domain in this process onto the portable fallback barrier
 /// protocol (readers fence themselves; no `membarrier(2)` dependence), as

@@ -34,13 +34,30 @@
 //! syscalls, so it always exercises the fallback protocol — which is the
 //! one whose weak-memory behaviours Miri can actually explore.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{compiler_fence, fence, AtomicU8, Ordering};
 
 const UNDECIDED: u8 = 0;
 const ASYMMETRIC: u8 = 1;
 const FALLBACK: u8 = 2;
 
 static STRATEGY: AtomicU8 = AtomicU8::new(UNDECIDED);
+
+/// The reader's half of the bargain, issued after every outermost pin and
+/// every hazard publication: it orders that store before the loads that
+/// follow (StoreLoad). A compiler fence when the advancer membarriers
+/// before each scan — no hardware barrier on the fast path (the urcu
+/// "memb" idiom) — and a full fence otherwise. Eliding it in fallback
+/// mode (e.g. for same-epoch re-pins) is unsound: neither the advancer's
+/// fence nor its RMW scan can observe a store still buffered behind
+/// reordered critical-section loads.
+#[inline]
+pub(crate) fn reader_fence() {
+    if readers_elide_fence() {
+        compiler_fence(Ordering::SeqCst);
+    } else {
+        fence(Ordering::SeqCst);
+    }
+}
 
 /// Whether readers may elide the hardware fence after pinning. Decided on
 /// first call (by whichever side asks first) and constant thereafter.
@@ -80,7 +97,8 @@ pub(crate) fn force_fallback() -> bool {
 
 /// The advancer's side of the asymmetric bargain: a process-wide expedited
 /// barrier, issued after its own `SeqCst` fence and before the registry
-/// scan. A no-op in fallback mode (readers already fence themselves).
+/// scan (`Registry::barrier_then_scan`, its one caller). A no-op in
+/// fallback mode (readers already fence themselves).
 ///
 /// # Panics
 ///
@@ -180,6 +198,7 @@ mod tests {
             // Must not panic in either mode: asymmetric issues a real
             // barrier, fallback is a no-op.
             heavy_barrier();
+            reader_fence();
         }
     }
 

@@ -15,9 +15,9 @@
 //!
 //! ## Ordering argument (membarrier reuse)
 //!
-//! The scan reuses the advancer-side protocol of the epoch machinery
-//! verbatim: `fence(SeqCst)` then a process-wide `membarrier`, after
-//! which the hazard-slot loads are trustworthy. The pairing is the
+//! The scan reads hazards inside the registry's one advancer-side
+//! barrier-then-scan (`fence(SeqCst)` then a process-wide `membarrier`),
+//! the same one every epoch advance runs. The pairing is the
 //! classic hazard-pointer one. A reader acquires protection by
 //! *publish-then-revalidate* ([`RcuThread::protect`]): store the hazard,
 //! (compiler) fence, re-read the shared pointer. A scanner frees `addr`
@@ -38,19 +38,19 @@
 //! [`defer`]: ReclamationDomain::defer
 //! [`RcuThread::protect`]: crate::RcuThread::protect
 
-use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use pbs_telemetry::EventKind;
 
 use super::{
-    stamp_untracked, ClientId, ClientRegistry, ReclaimBackend, ReclaimClient, ReclaimConfig,
-    ReclaimStats, ReclamationDomain,
+    advance_refused, drain_prefix, stamp_untracked, ClientId, ClientRegistry, ReclaimBackend,
+    ReclaimClient, ReclaimConfig, ReclaimStats, ReclamationDomain,
 };
-use crate::epoch::HP_SLOTS;
-use crate::membarrier;
+use crate::registry::HP_SLOTS;
 use crate::stats::ReclaimCounters;
 use crate::Rcu;
 
@@ -91,51 +91,42 @@ impl HpDomain {
 
     /// Runs one retire-list scan unless the `reclaim.advance` fault site
     /// refuses it. Returns the number of objects reclaimed.
-    ///
-    /// Refusing a scan only procrastinates (the list keeps growing until
-    /// a later attempt), which is what makes the site safe to inject —
-    /// the same argument as refusing an epoch advance.
     fn try_scan(&self) -> usize {
-        let inner = self.rcu.inner();
-        if let Some(faults) = &inner.config.fault_injector {
-            if faults.should_fail(pbs_fault::site::RECLAIM_ADVANCE) {
-                self.stats.injected_stalls.fetch_add(1, Ordering::Relaxed);
-                return 0;
-            }
+        if advance_refused(&self.rcu, &self.stats.injected_stalls) {
+            return 0;
         }
         let mut retired = self.retired.lock();
         if retired.is_empty() {
             return 0;
         }
-        // Advancer-side barrier protocol; see the module docs for why the
-        // hazard loads below are trustworthy only after this point.
-        fence(Ordering::SeqCst);
-        membarrier::heavy_barrier();
-        let hazards: std::collections::HashSet<usize> = {
-            let registry = inner.registry.lock();
-            registry
-                .iter()
-                .filter(|rec| rec.is_active())
+        // See the module docs for why these hazard loads are trustworthy.
+        let hazards: HashSet<usize> = self.rcu.inner().registry.barrier_then_scan(|active| {
+            active
                 .flat_map(|rec| (0..HP_SLOTS).map(move |slot| rec.hazard(slot)))
                 .filter(|&addr| addr != 0)
                 .collect()
-        };
-        let mut kept = Vec::new();
-        let mut ready: HashMap<ClientId, Vec<usize>> = HashMap::new();
-        for entry in retired.drain(..) {
-            if hazards.contains(&entry.addr) {
-                kept.push(entry);
-            } else {
-                ready.entry(entry.client).or_default().push(entry.addr);
-            }
-        }
-        self.stats.scan_protected.fetch_add(kept.len() as u64, Ordering::Relaxed);
+        });
+        let (kept, ready): (Vec<Retired>, Vec<Retired>) = retired
+            .drain(..)
+            .partition(|entry| hazards.contains(&entry.addr));
+        self.stats
+            .scan_protected
+            .fetch_add(kept.len() as u64, Ordering::Relaxed);
         *retired = kept;
         drop(retired);
         self.stats.scans.fetch_add(1, Ordering::Relaxed);
-        let reclaimed = self.deliver(ready);
+        // Locks dropped, per the `ReclaimClient` contract.
+        let reclaimed = self
+            .clients
+            .deliver(ready.into_iter().map(|e| (e.client, e.addr)));
+        self.stats
+            .scan_reclaimed
+            .fetch_add(reclaimed as u64, Ordering::Relaxed);
+        self.stats
+            .deferred_in_domain
+            .fetch_sub(reclaimed, Ordering::Relaxed);
         if pbs_telemetry::enabled() {
-            inner.ring.record_thread(
+            self.rcu.inner().ring.record_thread(
                 EventKind::HpScan,
                 0,
                 reclaimed as u64,
@@ -143,24 +134,6 @@ impl HpDomain {
             );
         }
         reclaimed
-    }
-
-    /// Hands reclaimed addresses back to their clients — with no domain
-    /// locks held, per the [`ReclaimClient`] contract.
-    fn deliver(&self, ready: HashMap<ClientId, Vec<usize>>) -> usize {
-        let mut total = 0;
-        for (client, addrs) in ready {
-            total += addrs.len();
-            self.clients.deliver(client, &addrs);
-        }
-        self.stats.scan_reclaimed.fetch_add(total as u64, Ordering::Relaxed);
-        self.stats.deferred_in_domain.fetch_sub(total, Ordering::Relaxed);
-        total
-    }
-
-    /// Oldest retire sequence still on the list (`None` = empty).
-    fn oldest_seq(&self) -> Option<u64> {
-        self.retired.lock().iter().map(|r| r.seq).min()
     }
 }
 
@@ -201,30 +174,10 @@ impl ReclamationDomain for HpDomain {
         // readers block exactly like an epoch pin blocks synchronize —
         // the difference is they block only their own addresses.
         let target = self.retire_seq.load(Ordering::Relaxed);
-        let mut rounds = 0u32;
-        loop {
+        drain_prefix(target, Duration::from_micros(50), || {
             self.try_scan();
-            match self.oldest_seq() {
-                None => return,
-                Some(oldest) if oldest > target => return,
-                Some(_) => {}
-            }
-            rounds += 1;
-            if rounds < 32 {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
-        }
-    }
-
-    fn synchronize_expedited(&self) {
-        // Scans are already eager; there is no passive mode to expedite.
-        self.synchronize();
-    }
-
-    fn expedite(&self) -> bool {
-        self.try_scan() > 0
+            self.retired.lock().iter().map(|r| r.seq).min()
+        });
     }
 
     fn deferred_in_domain(&self) -> usize {

@@ -2,9 +2,9 @@
 //! stalled-reader ejection.
 //!
 //! Deferred objects accumulate in an *open* batch; at `batch_size` the
-//! batch **seals**: after the advancer-side barrier protocol (SeqCst
-//! fence + process-wide membarrier, reused verbatim from the epoch
-//! machinery) the sealer walks the reader registry and records a
+//! batch **seals**: inside the registry's barrier-then-scan (SeqCst
+//! fence + process-wide membarrier, the one every epoch advance runs)
+//! the sealer walks the reader registry and records a
 //! reference `(record_id, pin_seq)` for every reader pinned at that
 //! moment. The batch may be released — its objects returned to their
 //! caches — once every captured reference is *observed dead*: the record
@@ -48,8 +48,8 @@
 //!
 //! [`ReadGuard::validate`]: crate::ReadGuard::validate
 
-use std::collections::HashMap;
-use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use std::time::Instant;
 
@@ -57,10 +57,10 @@ use parking_lot::Mutex;
 use pbs_telemetry::EventKind;
 
 use super::{
-    stamp_untracked, ClientId, ClientRegistry, ReclaimBackend, ReclaimClient, ReclaimConfig,
-    ReclaimStats, ReclamationDomain,
+    advance_refused, drain_prefix, stamp_untracked, ClientId, ClientRegistry, ReclaimBackend,
+    ReclaimClient, ReclaimConfig, ReclaimStats, ReclamationDomain,
 };
-use crate::membarrier;
+use crate::registry::Record;
 use crate::stats::ReclaimCounters;
 use crate::Rcu;
 
@@ -122,12 +122,8 @@ impl HyalineDomain {
     /// refusal only procrastinates (the open batch keeps absorbing
     /// defers until a later attempt succeeds).
     fn try_seal(&self) -> bool {
-        let inner = self.rcu.inner();
-        if let Some(faults) = &inner.config.fault_injector {
-            if faults.should_fail(pbs_fault::site::RECLAIM_ADVANCE) {
-                self.stats.injected_stalls.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
+        if advance_refused(&self.rcu, &self.stats.injected_stalls) {
+            return false;
         }
         let items: Vec<(ClientId, usize)> = {
             let mut open = self.open.lock();
@@ -136,33 +132,31 @@ impl HyalineDomain {
             }
             std::mem::take(&mut *open)
         };
-        // Advancer-side barrier protocol: after this, the registry walk's
-        // RMW pin observations are trustworthy, and any reader it does
-        // NOT capture started after the barrier and thus sees the
-        // unlinks that preceded every defer in `items` (module docs).
-        fence(Ordering::SeqCst);
-        membarrier::heavy_barrier();
-        let refs: Vec<BatchRef> = {
-            let registry = inner.registry.lock();
-            registry
-                .iter()
-                .filter(|rec| rec.is_active())
+        // After the barrier the walk's RMW pin observations are
+        // trustworthy, and any reader it does NOT capture started after
+        // the barrier and thus sees the unlinks that preceded every defer
+        // in `items` (module docs).
+        let refs: Vec<BatchRef> = self.rcu.inner().registry.barrier_then_scan(|active| {
+            active
                 .filter(|rec| rec.observe_pinned_epoch().is_some())
                 .map(|rec| BatchRef {
                     record_id: rec.id(),
                     // Read after the pin observation: at least the
-                    // observed pin's sequence (see epoch::ThreadRecord).
+                    // observed pin's sequence (see `ThreadRecord`).
                     pin_seq: rec.pin_seq(),
                 })
                 .collect()
-        };
+        });
         let seq = self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.batches_sealed.fetch_add(1, Ordering::Relaxed);
         self.stats.batch_refs_captured.fetch_add(refs.len() as u64, Ordering::Relaxed);
         if pbs_telemetry::enabled() {
-            inner
-                .ring
-                .record_thread(EventKind::BatchSeal, 0, items.len() as u64, refs.len() as u64);
+            self.rcu.inner().ring.record_thread(
+                EventKind::BatchSeal,
+                0,
+                items.len() as u64,
+                refs.len() as u64,
+            );
         }
         let batch = Batch { seq, items, refs };
         self.sealed.lock().batches.push(batch);
@@ -175,8 +169,7 @@ impl HyalineDomain {
     fn release_pass(&self) -> usize {
         let inner = self.rcu.inner();
         let now = Instant::now();
-        let mut ready: Vec<Batch> = Vec::new();
-        {
+        let ready: Vec<Batch> = {
             let mut sealed = self.sealed.lock();
             if sealed.batches.is_empty() {
                 sealed.blocking_since.clear();
@@ -187,14 +180,9 @@ impl HyalineDomain {
                 blocking_since,
             } = &mut *sealed;
             // Index the live registry once per pass.
-            let records: HashMap<u64, _> = {
-                let registry = inner.registry.lock();
-                registry
-                    .iter()
-                    .filter(|rec| rec.is_active())
-                    .map(|rec| (rec.id(), Arc::clone(rec)))
-                    .collect()
-            };
+            let records: HashMap<u64, Record> = inner
+                .registry
+                .walk(|active| active.map(|rec| (rec.id(), Arc::clone(rec))).collect());
             let ref_alive = |r: &BatchRef| -> bool {
                 let Some(rec) = records.get(&r.record_id) else {
                     return false; // record pruned or deactivated
@@ -208,19 +196,16 @@ impl HyalineDomain {
                 // Ejected at exactly this sequence: capture revoked.
                 !rec.ejected_at(r.pin_seq)
             };
-            for batch in batches.iter_mut() {
-                batch.refs.retain(&ref_alive);
-            }
-            // The blocking clock and the ejector. A reference starts its
-            // clock the first pass it is seen blocking; continuously
+            // The blocking clock and the ejector. A live reference starts
+            // its clock the first pass it is seen blocking; continuously
             // blocked past the threshold, it is ejected — the revocation
             // takes effect for this pass immediately.
             let mut still_blocking: HashMap<BatchRef, Instant> = HashMap::new();
-            let mut ejected: std::collections::HashSet<BatchRef> = std::collections::HashSet::new();
+            let mut ejected: HashSet<BatchRef> = HashSet::new();
             for batch in batches.iter_mut() {
                 batch.refs.retain(|r| {
-                    if ejected.contains(r) {
-                        return false; // already ejected via an earlier batch
+                    if ejected.contains(r) || !ref_alive(r) {
+                        return false; // dead, or ejected via an earlier batch
                     }
                     let since = *still_blocking
                         .entry(*r)
@@ -247,36 +232,19 @@ impl HyalineDomain {
             }
             *blocking_since = still_blocking;
             // Harvest batches with no surviving references.
-            let mut remaining = Vec::with_capacity(batches.len());
-            for batch in batches.drain(..) {
-                if batch.refs.is_empty() {
-                    ready.push(batch);
-                } else {
-                    remaining.push(batch);
-                }
-            }
+            let (ready, remaining) = batches.drain(..).partition(|batch| batch.refs.is_empty());
             *batches = remaining;
-        }
+            ready
+        };
         // Locks dropped: deliver to clients per the ReclaimClient
         // contract.
-        let mut by_client: HashMap<ClientId, Vec<usize>> = HashMap::new();
-        let mut total = 0;
-        for batch in ready {
-            for (client, addr) in batch.items {
-                by_client.entry(client).or_default().push(addr);
-                total += 1;
-            }
-        }
-        for (client, addrs) in by_client {
-            self.clients.deliver(client, &addrs);
-        }
-        self.stats.deferred_in_domain.fetch_sub(total, Ordering::Relaxed);
+        let total = self
+            .clients
+            .deliver(ready.into_iter().flat_map(|batch| batch.items));
+        self.stats
+            .deferred_in_domain
+            .fetch_sub(total, Ordering::Relaxed);
         total
-    }
-
-    /// Oldest sealed-batch sequence still pending (`None` = none).
-    fn oldest_sealed(&self) -> Option<u64> {
-        self.sealed.lock().batches.iter().map(|b| b.seq).min()
     }
 }
 
@@ -321,33 +289,12 @@ impl ReclamationDomain for HyalineDomain {
             std::thread::yield_now();
         }
         let target = self.batch_seq.load(Ordering::Relaxed);
-        let mut rounds = 0u32;
-        loop {
+        // Ejection is time-based; nap a fraction of the threshold so a
+        // blocked drain ends promptly after it.
+        drain_prefix(target, self.config.eject_after / 8, || {
             self.release_pass();
-            match self.oldest_sealed() {
-                None => return,
-                Some(oldest) if oldest > target => return,
-                Some(_) => {}
-            }
-            rounds += 1;
-            if rounds < 32 {
-                std::thread::yield_now();
-            } else {
-                // Ejection is time-based; poll at a fraction of the
-                // threshold so a blocked drain ends promptly after it.
-                std::thread::sleep(self.config.eject_after / 8);
-            }
-        }
-    }
-
-    fn synchronize_expedited(&self) {
-        // Sealing and releasing are already as eager as they get.
-        self.synchronize();
-    }
-
-    fn expedite(&self) -> bool {
-        let sealed = self.try_seal();
-        self.release_pass() > 0 || sealed
+            self.sealed.lock().batches.iter().map(|b| b.seq).min()
+        });
     }
 
     fn deferred_in_domain(&self) -> usize {

@@ -9,7 +9,7 @@
 //!
 //! | backend   | mechanism                         | garbage bound under one stalled reader |
 //! |-----------|-----------------------------------|----------------------------------------|
-//! | `epoch`   | grace periods ([`Rcu`])           | **unbounded** (the bug, kept as the baseline) |
+//! | `epoch`   | grace periods + a `call_rcu` queue | **unbounded** (the bug, kept as the baseline) |
 //! | `hp`      | hazard pointers, scan-on-threshold| `scan_threshold + threads × HP_SLOTS`  |
 //! | `hyaline` | reference-tracked batches + ejection | `batch_size + defer-rate × eject_after` |
 //!
@@ -48,8 +48,10 @@
 //! [`ReadGuard::walk`]: crate::ReadGuard::walk
 //! [`TraversalKind`]: crate::TraversalKind
 
+use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::Duration;
 
@@ -103,18 +105,61 @@ impl ClientRegistry {
         clients.len() - 1
     }
 
-    /// Returns `addrs` to `client`; call with no domain lock held (the
-    /// [`ReclaimClient`] contract). Attribution is credited here and
-    /// nowhere downstream: the backend proved the objects reusable, so
-    /// they count as reclaimed even if their client is already gone, in
-    /// which case the addresses are dropped.
-    pub(crate) fn deliver(&self, client: ClientId, addrs: &[usize]) {
-        for &addr in addrs {
+    /// Returns every `(client, addr)` to its client, one
+    /// [`ReclaimClient::reclaim_addrs`] call per client; call with no
+    /// domain lock held (the [`ReclaimClient`] contract). Attribution is
+    /// credited here and nowhere downstream: the backend proved the
+    /// objects reusable, so they count as reclaimed even if their client
+    /// is already gone, in which case the addresses are dropped. Returns
+    /// how many addresses were delivered.
+    pub(crate) fn deliver(&self, items: impl IntoIterator<Item = (ClientId, usize)>) -> usize {
+        let mut by_client: HashMap<ClientId, Vec<usize>> = HashMap::new();
+        let mut total = 0;
+        for (client, addr) in items {
             pbs_telemetry::site::note_reclaimed(addr);
+            by_client.entry(client).or_default().push(addr);
+            total += 1;
         }
-        let client = self.clients.lock().get(client).cloned();
-        if let Some(client) = client.and_then(|weak| weak.upgrade()) {
-            client.reclaim_addrs(addrs);
+        for (client, addrs) in by_client {
+            let client = self.clients.lock().get(client).cloned();
+            if let Some(client) = client.and_then(|weak| weak.upgrade()) {
+                client.reclaim_addrs(&addrs);
+            }
+        }
+        total
+    }
+}
+
+/// Whether the `reclaim.advance` fault site refuses this progress step of
+/// a robust backend (a scan or a seal), counted in `stalls`. Refusing only
+/// procrastinates — the work waits for a later attempt — which is what
+/// makes the site safe to inject, the same argument as refusing an epoch
+/// advance.
+pub(crate) fn advance_refused(rcu: &Rcu, stalls: &AtomicU64) -> bool {
+    let refused = rcu
+        .config()
+        .fault_injector
+        .as_ref()
+        .is_some_and(|faults| faults.should_fail(pbs_fault::site::RECLAIM_ADVANCE));
+    if refused {
+        stalls.fetch_add(1, Ordering::Relaxed);
+    }
+    refused
+}
+
+/// The robust backends' `synchronize`: runs `step` — a reclamation pass
+/// that returns the oldest pending sequence — until nothing older than
+/// `target` (the last sequence issued at entry) is left; later defers are
+/// not the caller's business. Yields for the first rounds, then naps.
+pub(crate) fn drain_prefix(target: u64, nap: Duration, mut step: impl FnMut() -> Option<u64>) {
+    for round in 0u32.. {
+        if step().is_none_or(|oldest| oldest > target) {
+            return;
+        }
+        if round < 32 {
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(nap);
         }
     }
 }
@@ -300,14 +345,19 @@ pub trait ReclamationDomain: Send + Sync {
 
     /// [`synchronize`](Self::synchronize) with an eager first drive —
     /// the generalization of [`Rcu::synchronize_expedited`] the OOM
-    /// recovery ladder calls.
-    fn synchronize_expedited(&self);
+    /// recovery ladder calls. Backends whose progress steps are already
+    /// eager (scans, seals) have no passive mode to expedite.
+    fn synchronize_expedited(&self) {
+        self.synchronize();
+    }
 
     /// Bounded eager drive toward reclamation progress; never blocks
     /// indefinitely (safe with a stalled reader wedging the domain).
     /// Returns whether the drive made progress. Backpressure
-    /// transitions call this.
-    fn expedite(&self) -> bool;
+    /// transitions call this. Defaults to one [`advance`](Self::advance).
+    fn expedite(&self) -> bool {
+        self.advance()
+    }
 
     /// Objects deferred into the domain and not yet returned.
     fn deferred_in_domain(&self) -> usize;

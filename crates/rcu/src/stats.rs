@@ -64,9 +64,10 @@ pbs_telemetry::counter_table! {
         /// ([`synchronize_expedited`](crate::Rcu::synchronize_expedited) /
         /// `expedite`).
         expedited_gps: AtomicU64 => u64, counter "pbs_rcu_expedited_gps_total", sum;
-        /// Callbacks ever queued with `call_rcu`.
+        /// Callbacks ever queued by an
+        /// [`EpochDomain`](crate::reclaim::EpochDomain) over this domain.
         callbacks_enqueued: AtomicU64 => u64, counter "pbs_rcu_callbacks_enqueued_total", sum;
-        /// Callbacks that have run.
+        /// Callbacks delivered to their client.
         callbacks_processed: AtomicU64 => u64, counter "pbs_rcu_callbacks_processed_total", sum;
         /// Highest backlog ever observed (the paper's §3.4 DoS metric).
         max_callback_backlog: AtomicUsize => usize, gauge "pbs_rcu_max_callback_backlog", max;
@@ -74,14 +75,14 @@ pbs_telemetry::counter_table! {
         /// Wall-clock duration of blocking `synchronize` calls — the paper's
         /// grace-period latency distribution.
         pub gp_latency: LogHistogram,
-        /// `call_rcu` enqueue → callback execution delay: how long the
+        /// Callback enqueue → delivery delay: how long the
         /// baseline's deferred objects stay dead-but-unreusable (§3.2).
         pub callback_delay: LogHistogram,
     }
 
     derived {
-        /// Callbacks currently waiting (the queue's length, read by
-        /// [`Rcu::stats`](crate::Rcu::stats)).
+        /// Callbacks currently waiting: `callbacks_enqueued −
+        /// callbacks_processed`, filled by [`Rcu::stats`](crate::Rcu::stats).
         callback_backlog: usize, gauge "pbs_rcu_callback_backlog", sum;
     }
 }
@@ -125,23 +126,28 @@ pbs_telemetry::counter_table! {
 }
 
 impl StatsInner {
-    /// Counts an enqueue and folds `backlog_now` into the high-water mark.
-    ///
-    /// Monotonicity contract: `max_backlog` only ever increases, and after
-    /// this call it is at least `backlog_now`. `fetch_max` gives up as soon
-    /// as another thread has already published a larger maximum — the
-    /// hand-rolled CAS loop this replaces kept retrying in that situation
-    /// even though it had nothing left to contribute.
-    pub(crate) fn record_enqueue(&self, backlog_now: usize) {
-        self.callbacks_enqueued.fetch_add(1, Ordering::Relaxed);
-        self.max_callback_backlog.fetch_max(backlog_now, Ordering::Relaxed);
+    /// Counts an enqueue and folds the backlog it leaves into the
+    /// high-water mark (`fetch_max`: the maximum only ever grows).
+    pub(crate) fn record_enqueue(&self) {
+        let enqueued = self.callbacks_enqueued.fetch_add(1, Ordering::Relaxed) + 1;
+        let backlog = enqueued.saturating_sub(self.callbacks_processed.load(Ordering::Relaxed));
+        self.max_callback_backlog
+            .fetch_max(backlog as usize, Ordering::Relaxed);
     }
 
     pub(crate) fn record_processed(&self, n: u64) {
         self.callbacks_processed.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Records one `call_rcu` enqueue→run delay, given the enqueue
+    /// Callbacks enqueued and not yet delivered.
+    pub(crate) fn backlog(&self) -> usize {
+        let processed = self.callbacks_processed.load(Ordering::Relaxed);
+        self.callbacks_enqueued
+            .load(Ordering::Relaxed)
+            .saturating_sub(processed) as usize
+    }
+
+    /// Records one callback's enqueue→delivery delay, given the enqueue
     /// timestamp (0 = tracing was disabled at enqueue; skip).
     pub(crate) fn record_callback_delay(&self, queued_ns: u64, now_ns: u64) {
         if queued_ns != 0 {
@@ -157,34 +163,38 @@ mod tests {
     #[test]
     fn snapshot_reflects_counters() {
         let s = StatsInner::default();
-        s.record_enqueue(1);
-        s.record_enqueue(2);
+        s.record_enqueue();
+        s.record_enqueue();
         s.record_processed(1);
         let snap = s.snapshot();
         assert_eq!(snap.callbacks_enqueued, 2);
         assert_eq!(snap.callbacks_processed, 1);
         assert_eq!(snap.max_callback_backlog, 2);
+        assert_eq!(s.backlog(), 1);
     }
 
     #[test]
     fn max_backlog_is_monotone() {
         let s = StatsInner::default();
-        s.record_enqueue(10);
-        s.record_enqueue(3);
+        for _ in 0..10 {
+            s.record_enqueue();
+        }
+        s.record_processed(8);
+        s.record_enqueue();
         assert_eq!(s.snapshot().max_callback_backlog, 10);
     }
 
     #[test]
     fn max_backlog_survives_concurrent_publication() {
         // The monotonicity contract under contention: whatever interleaving
-        // occurs, the final maximum is the largest value any thread saw.
+        // occurs, the enqueue that took the count to 4000 saw it last.
         let s = std::sync::Arc::new(StatsInner::default());
         let handles: Vec<_> = (0..4)
-            .map(|t| {
+            .map(|_| {
                 let s = std::sync::Arc::clone(&s);
                 std::thread::spawn(move || {
-                    for i in 0..1000usize {
-                        s.record_enqueue(t * 1000 + i);
+                    for _ in 0..1000 {
+                        s.record_enqueue();
                     }
                 })
             })
@@ -193,7 +203,7 @@ mod tests {
             h.join().unwrap();
         }
         let snap = s.snapshot();
-        assert_eq!(snap.max_callback_backlog, 3999);
+        assert_eq!(snap.max_callback_backlog, 4000);
         assert_eq!(snap.callbacks_enqueued, 4000);
     }
 

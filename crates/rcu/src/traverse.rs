@@ -45,9 +45,9 @@
 
 use std::sync::atomic::{AtomicPtr, Ordering};
 
-use crate::domain::{ReadGuard, RcuThread};
-use crate::epoch::HP_SLOTS;
+use crate::reader::{RcuThread, ReadGuard};
 use crate::reclaim::ReclaimBackend;
+use crate::registry::HP_SLOTS;
 
 /// Hazard slots a single traversal depth owns: two hand-over-hand hop
 /// slots plus one candidate slot.
@@ -154,7 +154,7 @@ impl<'t> Traverse<'t> {
             kind,
             slot_base,
             cursor: 0,
-            pin_seq: thread.record().own_pin_seq(),
+            pin_seq: thread.record.own_pin_seq(),
         }
     }
 
@@ -242,7 +242,7 @@ impl<'t> Traverse<'t> {
     }
 
     fn ejected(&self) -> bool {
-        self.thread.record().ejected_at(self.pin_seq)
+        self.thread.record.ejected_at(self.pin_seq)
     }
 }
 
@@ -330,6 +330,8 @@ mod tests {
     fn free_chain(head: &AtomicPtr<Node>) {
         let mut p = head.load(Ordering::Acquire);
         while !p.is_null() {
+            // SAFETY: every node came from `Box::into_raw` in `chain`, and
+            // each test frees its chain once, after its last walk.
             let b = unsafe { Box::from_raw(p) };
             p = b.next.load(Ordering::Acquire);
         }
@@ -340,6 +342,8 @@ mod tests {
             let mut sum = 0;
             let mut p = t.load(head)?;
             while !p.is_null() {
+                // SAFETY: `p` came from the last `load` on this walk, and the
+                // chain stays allocated until the test frees it.
                 let node = unsafe { &*p };
                 sum += node.value;
                 p = t.load(&node.next)?;
@@ -375,7 +379,7 @@ mod tests {
             assert_eq!(p, first);
             // The hop's hazard slot publishes exactly this node, in the
             // top slot block.
-            let record = t.record();
+            let record = &t.record;
             let published: Vec<usize> =
                 (0..HP_SLOTS).map(|s| record.hazard(s)).filter(|&a| a != 0).collect();
             assert_eq!(published, vec![p as usize]);
@@ -386,7 +390,7 @@ mod tests {
         });
         // Dropping the traversal cleared its whole slot block.
         for slot in 0..HP_SLOTS {
-            assert_eq!(t.record().hazard(slot), 0, "slot {slot} leaked");
+            assert_eq!(t.record.hazard(slot), 0, "slot {slot} leaked");
         }
         drop(guard);
         free_chain(&head);
@@ -401,13 +405,13 @@ mod tests {
         let guard = t.read_lock();
         guard.walk(TraversalKind::Hp, |outer| {
             let po = outer.load(&outer_chain)?;
-            let outer_slot_addr = t.record().hazard(HP_SLOTS - WALK_SLOTS);
+            let outer_slot_addr = t.record.hazard(HP_SLOTS - WALK_SLOTS);
             assert_eq!(outer_slot_addr, po as usize);
             let inner_sum = sum_walk(&guard, TraversalKind::Hp, &inner_chain);
             assert_eq!(inner_sum, 1);
             // The nested walk ran in the block below and left the outer
             // hop's hazard untouched.
-            assert_eq!(t.record().hazard(HP_SLOTS - WALK_SLOTS), po as usize);
+            assert_eq!(t.record.hazard(HP_SLOTS - WALK_SLOTS), po as usize);
             Ok(())
         });
         drop(guard);
@@ -446,13 +450,15 @@ mod tests {
         let seen_seqs = std::cell::RefCell::new(Vec::new());
         let sum = guard.walk(TraversalKind::Hyaline, |tr| {
             attempts += 1;
-            seen_seqs.borrow_mut().push(t.record().own_pin_seq());
+            seen_seqs.borrow_mut().push(t.record.own_pin_seq());
             if attempts == 1 {
-                t.record().eject(t.record().own_pin_seq());
+                t.record.eject(t.record.own_pin_seq());
             }
             let mut sum = 0;
             let mut p = tr.load(&head)?;
             while !p.is_null() {
+                // SAFETY: as in `sum_walk`: a live node from this walk's
+                // last `load`.
                 let node = unsafe { &*p };
                 sum += node.value;
                 p = tr.load(&node.next)?;
@@ -484,9 +490,15 @@ mod tests {
         let t = rcu.register();
         let head = chain(4); // 0 -> 1 -> 2 -> 3
         let first = head.load(Ordering::Acquire);
+        // SAFETY: the chain's four nodes stay allocated until
+        // `free_chain` at the end, and this thread is the only writer;
+        // every dereference of `first`, `second` and `third` below
+        // leans on the same fact.
         let second = unsafe { (*first).next.load(Ordering::Acquire) };
+        // SAFETY: as above.
         let third = unsafe { (*second).next.load(Ordering::Acquire) };
         for kind in [TraversalKind::Hp, TraversalKind::Hyaline] {
+            // SAFETY: as above.
             poison_link(unsafe { &(*second).next });
             let guard = t.read_lock();
             let mut attempts = 0;
@@ -495,11 +507,13 @@ mod tests {
                 if attempts == 2 {
                     // "Unlink" the retired node so the retry succeeds.
                     head.store(first, Ordering::Release);
+                    // SAFETY: as above.
                     unsafe { (*first).next.store(third, Ordering::Release) };
                 }
                 let mut sum = 0;
                 let mut p = tr.load(&head)?;
                 while !p.is_null() {
+                    // SAFETY: as above.
                     let node = unsafe { &*p };
                     sum += node.value;
                     p = tr.load(&node.next)?;
@@ -511,7 +525,9 @@ mod tests {
             assert_eq!(attempts, 2, "{kind:?}: one poisoned attempt, one clean");
             drop(guard);
             // Restore the chain for the next kind's iteration.
+            // SAFETY: as above.
             unsafe { (*second).next.store(third, Ordering::Release) };
+            // SAFETY: as above.
             unsafe { (*first).next.store(second, Ordering::Release) };
         }
         // Free manually: node 1 is re-linked, so free_chain sees all 4.

@@ -216,7 +216,8 @@ mod tests {
         assert_eq!(c.stats().deferred_frees, 10);
         assert_eq!(c.deferred_outstanding(), 10);
         c.quiesce();
-        assert_eq!(rcu.callback_backlog(), 0);
+        assert_eq!(c.reclaim_domain().deferred_in_domain(), 0);
+        assert_eq!(rcu.stats().callback_backlog, 0);
         assert_eq!(c.deferred_outstanding(), 0);
         // After quiesce the objects are reusable: allocate again without
         // growing further.

@@ -10,9 +10,10 @@
 //!
 //! **Deferred frees are not visible to this allocator.** `free_deferred`
 //! hands the object to the attached reclamation domain — under the default
-//! epoch backend that registers an RCU callback, exactly like kernel code
+//! epoch backend that queues a callback on the
+//! [`EpochDomain`](pbs_rcu::reclaim::EpochDomain), exactly like kernel code
 //! deferring a `kfree` through RCU — so deferred objects are reclaimed
-//! later, in bursts, by background reclaimer threads throttled per
+//! later, in bursts, by the domain's reclaimer threads throttled per
 //! [`RcuConfig`](pbs_rcu::RcuConfig). This reproduces the pathologies of
 //! paper §3: bursty freeing, extended object lifetimes, high object-cache
 //! and slab churn, and OOM under sustained deferred-free load.

@@ -100,7 +100,8 @@ fn parse(args: &[String]) -> Result<Opts, String> {
 }
 
 /// The ledger's worker rule: one core is left to the program's own
-/// threads (grace-period driver, reclaimers).
+/// threads (the grace-period driver; the SLUB control's epoch domain adds
+/// its callback reclaimers).
 fn default_workers(nproc: usize) -> usize {
     nproc.min(4).saturating_sub(1).max(1)
 }

@@ -111,12 +111,12 @@ fn baseline_backlog_grows_while_reader_pinned_prudence_stays_visible() {
             prudence.free_deferred(b);
         }
     }
-    assert!(rcu.callback_backlog() >= 500, "baseline objects stuck in callbacks");
+    assert!(rcu.stats().callback_backlog >= 500, "baseline objects stuck in callbacks");
     assert_eq!(prudence.deferred_outstanding(), 500, "prudence sees its deferred objects");
     drop(guard);
     slub.quiesce();
     prudence.quiesce();
-    assert_eq!(rcu.callback_backlog(), 0);
+    assert_eq!(rcu.stats().callback_backlog, 0);
     assert_eq!(prudence.deferred_outstanding(), 0);
 }
 

@@ -1,11 +1,23 @@
 //! Property tests on the RCU substrate: epoch monotonicity, grace-period
 //! ordering, and callback completeness under arbitrary interleavings.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 use proptest::prelude::*;
 
+use prudence_repro::rcu::reclaim::{EpochDomain, ReclaimClient, ReclamationDomain};
 use prudence_repro::rcu::{GpState, Rcu, RcuConfig};
+
+/// Counts the addresses the epoch domain hands back.
+#[derive(Default)]
+struct Counting(AtomicU64);
+
+impl ReclaimClient for Counting {
+    fn reclaim_addrs(&self, addrs: &[usize]) {
+        self.0.fetch_add(addrs.len() as u64, Ordering::SeqCst);
+    }
+}
 
 #[derive(Debug, Clone)]
 enum RcuOp {
@@ -15,7 +27,7 @@ enum RcuOp {
     ReadSection,
     /// Wait for a full grace period.
     Synchronize,
-    /// Queue a counting callback.
+    /// Defer an address into the epoch domain (the callback path).
     CallRcu,
 }
 
@@ -34,8 +46,10 @@ proptest! {
     #[test]
     fn epoch_and_grace_period_ordering(ops in proptest::collection::vec(rcu_op(), 1..60)) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
+        let domain = EpochDomain::new(Arc::clone(&rcu));
+        let counter = Arc::new(Counting::default());
+        let client = domain.register_client(Arc::downgrade(&counter) as Weak<dyn ReclaimClient>);
         let reader = rcu.register();
-        let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let mut queued = 0u64;
         let mut snapshots: Vec<GpState> = Vec::new();
         let mut last_epoch = rcu.current_epoch();
@@ -62,11 +76,8 @@ proptest! {
                     }
                 }
                 RcuOp::CallRcu => {
-                    let c = Arc::clone(&counter);
-                    rcu.call_rcu(Box::new(move || {
-                        c.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                    }));
                     queued += 1;
+                    domain.defer(client, queued as usize * 16);
                 }
             }
             // Global epoch is monotone.
@@ -84,10 +95,11 @@ proptest! {
                 complete_seen_from_back |= done;
             }
         }
-        // Barrier drains every queued callback.
-        rcu.barrier();
-        prop_assert_eq!(counter.load(std::sync::atomic::Ordering::SeqCst), queued);
-        prop_assert_eq!(rcu.callback_backlog(), 0);
+        // Synchronize drains every queued callback.
+        domain.synchronize();
+        prop_assert_eq!(counter.0.load(Ordering::SeqCst), queued);
+        prop_assert_eq!(domain.deferred_in_domain(), 0);
+        prop_assert_eq!(rcu.stats().callback_backlog, 0);
     }
 
     #[test]
