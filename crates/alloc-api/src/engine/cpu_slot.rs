@@ -18,7 +18,11 @@ pub type LatentEntry = (ObjPtr, GpState, u64);
 ///   defer time, oldest first. Hidden from allocation until their grace
 ///   period completes, then merged into `obj_cache`.
 ///
-/// A policy without latent caches (SLUB) leaves `latent` empty.
+/// A policy without latent caches (SLUB) leaves `latent` empty. Merging
+/// out of it is the engine's ([`SlabEngine::merge_latent`]): that is
+/// where a latent object leaves the deferred backlog.
+///
+/// [`SlabEngine::merge_latent`]: super::SlabEngine::merge_latent
 #[derive(Debug, Default)]
 pub struct CpuSlot {
     pub obj_cache: Vec<ObjPtr>,
@@ -32,7 +36,7 @@ impl CpuSlot {
     /// front check ends the merge. Returns the number merged; `on_merge`
     /// receives each merged object and its defer-time clock so the caller
     /// can record the defer→reusable delay and credit site attribution.
-    pub fn merge_caches(
+    pub(super) fn merge_caches(
         &mut self,
         epoch: u64,
         capacity: usize,

@@ -3,15 +3,21 @@
 //! [`SlabEngine`] owns everything a SLUB-shaped allocator needs — per-CPU
 //! slots behind the zero-atomic fast path, the node's slab lists, the
 //! refill/flush/grow/shrink skeleton, the OOM recovery ladder, the
-//! deferred-backlog pressure gauge, statistics and telemetry — and is
-//! parameterized by a statically dispatched [`SlabPolicy`] that decides
-//! only what differs between the baseline and the paper's design: how much
-//! to refill, which slab to refill from, how much to keep on a flush, when
-//! to return slabs to the page allocator, and what to do with a deferred
-//! object. `pbs-slub` and `prudence` each supply one policy; every other
-//! line — and therefore every constant the comparison depends on — is
-//! shared. A cache *is* its engine (`SlubCache` and `PrudenceCache` are
-//! aliases of `SlabEngine<P>`), configured by [`EngineConfig`] alone.
+//! deferred-backlog pressure gauge, statistics and telemetry — and the
+//! paper's latent structures with every motion on them: the latent-cache
+//! merge, the park into latent slabs, the pending-list sweep and the
+//! all-slot drain. Refill and flush sizes follow the latent cache (partial
+//! refill, proportional flush); with the latent structures empty every
+//! such rule is the plain SLUB rule, so a policy that never fills them
+//! gets the baseline for free. A statically dispatched [`SlabPolicy`]
+//! decides only where the two designs differ: which slab to refill from,
+//! when to return slabs to the page allocator, where a deferred object
+//! waits, how a delivered one re-enters, and how a freeing thread assists
+//! under hard pressure. `pbs-slub` and `prudence` each supply one policy;
+//! every other line — and therefore every constant the comparison depends
+//! on — is shared. A cache *is* its engine (`SlubCache` and
+//! `PrudenceCache` are aliases of `SlabEngine<P>`), configured by
+//! [`EngineConfig`] alone.
 
 mod cpu_slot;
 mod frontend;
@@ -101,24 +107,14 @@ impl Default for EngineConfig {
 ///
 /// Every method receives the engine it runs in and may use its public
 /// helpers ([`lock_cpu`](SlabEngine::lock_cpu),
+/// [`merge_latent`](SlabEngine::merge_latent),
+/// [`defer_to_slabs`](SlabEngine::defer_to_slabs),
 /// [`give_back`](SlabEngine::give_back), [`grow`](SlabEngine::grow), …).
 /// Lock order is slot lock → node lock; a hook that is handed a slot or
 /// node guard must not acquire another of the same kind.
 pub trait SlabPolicy: Default + Send + Sync + Sized + 'static {
-    /// Fault-injection site consulted when the engine grows this design's
-    /// caches.
-    const GROW_FAULT_SITE: &'static str;
-
     /// Short label for reports ("slub" or "prudence").
     const LABEL: &'static str;
-
-    /// Runs when the slot's object cache missed, before a refill: moves
-    /// whatever became reusable inside the slot into `cpu.obj_cache` and
-    /// returns how many objects that was.
-    fn merge(&self, engine: &SlabEngine<Self>, cpu_idx: usize, cpu: &mut CpuSlot) -> usize;
-
-    /// How many objects a refill should bring into the slot.
-    fn refill_want(&self, engine: &SlabEngine<Self>, cpu_idx: usize, cpu: &CpuSlot) -> usize;
 
     /// Picks (or grows) the slab the refill takes from next. `have` says
     /// the slot already holds at least one object; `Ok(None)` ends the
@@ -129,9 +125,6 @@ pub trait SlabPolicy: Default + Send + Sync + Sized + 'static {
         node: &mut Node,
         have: bool,
     ) -> Result<Option<usize>, OutOfMemory>;
-
-    /// How many objects an overflowing object cache keeps on a flush.
-    fn flush_keep(&self, engine: &SlabEngine<Self>, cpu: &CpuSlot) -> usize;
 
     /// Free-slab count above which [`SlabEngine::shrink`] returns slabs
     /// to the page allocator; `None` leaves every slab where it is.
@@ -157,14 +150,6 @@ pub trait SlabPolicy: Default + Send + Sync + Sized + 'static {
     /// Hard-pressure assist, run by every freeing thread with no locks
     /// held. Must stay short and never block on a grace period.
     fn assist(&self, engine: &SlabEngine<Self>);
-
-    /// OOM ladder rung 1: make free objects refillable without waiting
-    /// for any grace period.
-    fn reclaim_local(&self, engine: &SlabEngine<Self>);
-
-    /// After a domain drain (ladder rungs 2+, `quiesce`): collect what
-    /// the policy itself still parks. Returns the objects made reusable.
-    fn drain_parked(&self, engine: &SlabEngine<Self>) -> usize;
 }
 
 /// Spin budget on a busy home slot before trying neighbours: slot
@@ -320,11 +305,6 @@ impl<P: SlabPolicy> SlabEngine<P> {
         &self.stats
     }
 
-    /// Number of CPU slots.
-    pub fn nslots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Locks the node lists, counting contention for the statistics.
     pub fn lock_node(&self) -> MutexGuard<'_, Node> {
         if let Some(guard) = self.node.try_lock() {
@@ -387,7 +367,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     }
 
     /// Settles `n` deferred objects that just became reusable.
-    pub fn note_reclaimed(&self, n: usize) {
+    fn note_reclaimed(&self, n: usize) {
         if n > 0 {
             let prev = self.deferred_outstanding.fetch_sub(n, Ordering::Relaxed);
             // Downward pressure transitions happen here, as the backlog
@@ -459,6 +439,114 @@ impl<P: SlabPolicy> SlabEngine<P> {
         let reclaimed = node.reclaim_pending(self.rcu.current_epoch());
         self.note_reclaimed(reclaimed);
         reclaimed
+    }
+
+    /// MERGE_CACHES (Algorithm lines 60-65) on a held slot: moves latent
+    /// objects whose grace period completed into the object cache, settles
+    /// them in the backlog count, records each one's defer→reusable delay
+    /// and traces the merge on lane `cpu_idx`. The latent front is checked
+    /// before any clock is read, so a slot with nothing to merge — every
+    /// slot of a policy that keeps the latent cache empty — pays one deque
+    /// check. `now_hint` forwards a clock value the caller already read
+    /// (0 = none). Returns the number merged.
+    pub fn merge_latent(&self, cpu_idx: usize, cpu: &mut CpuSlot, now_hint: u64) -> usize {
+        let Some(&(_, front, _)) = cpu.latent.front() else {
+            return 0;
+        };
+        let epoch = self.rcu.current_epoch();
+        if !front.is_completed_at(epoch) {
+            return 0;
+        }
+        let now = if now_hint != 0 {
+            now_hint
+        } else {
+            trace_clock()
+        };
+        let stats = &self.stats;
+        let merged = cpu.merge_caches(epoch, self.sizing.object_cache_size, |obj, queued_ns| {
+            pbs_telemetry::site::note_reclaimed(obj.addr());
+            if now != 0 && queued_ns != 0 {
+                stats.defer_delay_ns.record(now.saturating_sub(queued_ns));
+            }
+        });
+        self.note_reclaimed(merged);
+        if merged > 0 {
+            // Reuse the clock read from the delay samples above.
+            stats.ring.record_at(
+                cpu_idx,
+                now,
+                EventKind::LatentMerge,
+                stats.id(),
+                merged as u64,
+                cpu.latent.len() as u64,
+            );
+        }
+        merged
+    }
+
+    /// Parks latent-cache entries in their latent slabs in one node-lock
+    /// trip, pre-moving every slab whose list changes (Algorithm lines
+    /// 49-59). The trip settles the pending list first: between refills
+    /// nothing else merges grace-period-complete latent-slab objects, and a
+    /// defer-heavy phase would otherwise keep them parked. The entries'
+    /// defer-time clocks are dropped: a latent-slab object rejoins
+    /// circulation through the sweep, which has no single defer to
+    /// attribute. Call with no slot lock held.
+    pub fn defer_to_slabs(&self, entries: &[LatentEntry]) {
+        if entries.is_empty() {
+            return;
+        }
+        let mut node = self.lock_node();
+        self.settle_pending(&mut node);
+        for &(obj, gp, _) in entries {
+            // SAFETY: latent entries hold objects this cache's `allocate`
+            // minted, each deferred exactly once; the node lock is held.
+            let index = unsafe { resolve_slab_index(obj, self.sizing.slab_bytes) };
+            let obj_index = node.slab(index).raw.index_of(obj);
+            node.park(index, obj_index, gp);
+            if node.relist(index) {
+                // Single-writer: the node lock is held, and it also owns
+                // the node trace lane.
+                self.stats.shard(0).pre_movements.bump();
+                self.stats
+                    .record_node_event(EventKind::SlabPremove, index as u64, gp.raw_epoch());
+            }
+        }
+        self.shrink(&mut node);
+    }
+
+    /// Empties every slot's latent cache — merges what completed its grace
+    /// period, parks the rest in latent slabs — then sweeps the pending
+    /// list. Returns the objects the sweep made reusable.
+    fn drain_latent(&self) -> usize {
+        for cpu_idx in 0..self.slots.len() {
+            let mut cpu = self.lock_slot(cpu_idx);
+            self.merge_latent(cpu_idx, &mut cpu, 0);
+            let parked: Vec<LatentEntry> = cpu.latent.drain(..).collect();
+            drop(cpu);
+            self.defer_to_slabs(&parked);
+        }
+        self.settle_pending(&mut self.lock_node())
+    }
+
+    /// OOM ladder rung 1: makes every free object refillable without
+    /// waiting for any grace period. Drains the fast path and every latent
+    /// cache, returns every slot's object cache — merged objects included
+    /// — to the slabs, where any slot's refill finds them, then shrinks.
+    fn reclaim_local(&self) {
+        self.flush_fastpath();
+        self.drain_latent();
+        for cpu_idx in 0..self.slots.len() {
+            let mut cpu = self.lock_slot(cpu_idx);
+            if cpu.obj_cache.is_empty() {
+                continue;
+            }
+            self.stats.shard(cpu_idx).flushes.bump();
+            let objs: Vec<ObjPtr> = cpu.obj_cache.drain(..).collect();
+            drop(cpu);
+            self.give_back(objs);
+        }
+        self.shrink(&mut self.lock_node());
     }
 
     /// Returns free objects to their slabs under an already-held node
@@ -568,7 +656,9 @@ impl<P: SlabPolicy> SlabEngine<P> {
                 self.stats.record_oom_recovery(cpu_idx, attempts);
                 return Ok(obj);
             }
-            if self.policy.merge(self, cpu_idx, &mut cpu) > 0 {
+            // Lines 7-11: merge grace-period-complete latent objects and
+            // retry before touching the node lists.
+            if self.merge_latent(cpu_idx, &mut cpu, 0) > 0 {
                 if let Some(obj) = cpu.obj_cache.pop() {
                     shard.latent_hits.bump();
                     shard.live_delta.bump_add();
@@ -606,10 +696,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
         match attempt {
             // Stage 1: consolidate free objects without waiting for any
             // grace period.
-            1 => {
-                self.flush_fastpath();
-                self.policy.reclaim_local(self);
-            }
+            1 => self.reclaim_local(),
             // Stage 2: drive the domain (expedited) and reclaim everything
             // reclaimable.
             2 => self.emergency_reclaim(true),
@@ -639,7 +726,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     fn emergency_reclaim(&self, expedited: bool) {
         self.flush_fastpath();
         self.domain_synchronize(expedited);
-        let reclaimed = self.policy.drain_parked(self);
+        let reclaimed = self.drain_latent();
         let mut node = self.lock_node();
         // Node lock held: the node lane is ours to write.
         self.stats.record_node_event(
@@ -650,9 +737,9 @@ impl<P: SlabPolicy> SlabEngine<P> {
         self.shrink(&mut node);
     }
 
-    /// REFILL_OBJECT_CACHE (Algorithm lines 13-30): takes
-    /// [`refill_want`](SlabPolicy::refill_want) objects from the slabs
-    /// [`select_slab`](SlabPolicy::select_slab) names.
+    /// REFILL_OBJECT_CACHE (Algorithm lines 13-30): takes objects from the
+    /// slabs [`select_slab`](SlabPolicy::select_slab) names — a whole
+    /// cache's worth, less one per latent object (partial refill, line 14).
     ///
     /// Returns the object the caller asked for; `Ok` *proves* the cache
     /// produced one rather than leaving the caller to pop-and-hope. Every
@@ -669,8 +756,18 @@ impl<P: SlabPolicy> SlabEngine<P> {
                 self.fastpath_set_enabled(!self.fast.is_enabled());
             }
         }
-        self.stats.shard(cpu_idx).refills.bump();
-        let mut want = self.policy.refill_want(self, cpu_idx, cpu);
+        let shard = self.stats.shard(cpu_idx);
+        shard.refills.bump();
+        // Objects in the latent cache will merge into this one after their
+        // grace period, so ask for that many fewer. The quarter-cache
+        // floor keeps a latent cache full of objects still inside their
+        // grace period from degrading refills to single objects; the
+        // proportional flush absorbs any overflow when they merge.
+        let size = self.sizing.object_cache_size;
+        let mut want = size.saturating_sub(cpu.latent.len()).max(size / 4).max(1);
+        if want < size {
+            shard.partial_refills.bump();
+        }
         let mut node = self.lock_node();
         while want > 0 {
             let have = !cpu.obj_cache.is_empty();
@@ -694,7 +791,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
         let block = self.pages.allocate_aligned_at(
             self.sizing.slab_bytes,
             self.sizing.slab_bytes,
-            P::GROW_FAULT_SITE,
+            pbs_fault::site::SLAB_GROW,
         )?;
         let color = node.next_color;
         node.next_color = node.next_color.wrapping_add(1);
@@ -732,14 +829,15 @@ impl<P: SlabPolicy> SlabEngine<P> {
         }
     }
 
-    /// Flushes an overflowing object cache down to the policy's
-    /// [`flush_keep`](SlabPolicy::flush_keep).
+    /// Flushes an overflowing object cache down to half a cache, less one
+    /// object per latent entry (proportional flush, §4.2), so the merge
+    /// after the grace period fits.
     pub fn flush_obj_cache(&self, cpu_idx: usize, cpu: &mut CpuSlot) {
         if cpu.obj_cache.is_empty() {
             return;
         }
         self.stats.shard(cpu_idx).flushes.bump();
-        let keep = self.policy.flush_keep(self, cpu);
+        let keep = (self.sizing.object_cache_size / 2).saturating_sub(cpu.latent.len());
         let n = cpu.obj_cache.len().saturating_sub(keep);
         let excess: Vec<ObjPtr> = cpu.obj_cache.drain(..n).collect();
         self.give_back(excess);
@@ -841,7 +939,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
                 return;
             }
             self.domain_synchronize(false);
-            self.policy.drain_parked(self);
+            self.drain_latent();
         }
         debug_assert_eq!(
             self.deferred_outstanding(),

@@ -11,10 +11,11 @@ use crate::{ListKind, RawSlab, SlabLists};
 /// (paper Figure 4, right side).
 ///
 /// Deferred objects are counted as *allocated* by the underlying
-/// [`RawSlab`] until their grace period completes and
-/// [`Node::reclaim_pending`] returns them to the free list. A policy that never parks deferred objects in slabs
-/// (SLUB) leaves `deferred` empty, and [`classify`](Slab::classify)
-/// degenerates to the plain free/partial/full rule.
+/// [`RawSlab`] until their grace period completes and the engine's
+/// pending-list sweep returns them to the free list. With
+/// `deferred` empty — always, under a policy that never parks deferred
+/// objects in slabs (SLUB) — [`classify`](Slab::classify) is the plain
+/// free/partial/full rule.
 #[derive(Debug)]
 pub struct Slab {
     pub raw: RawSlab,
@@ -88,10 +89,10 @@ pub struct Node {
     /// stamp was queued. Lets reclamation merge completed objects back
     /// ("objects in the latent slab are merged with the slab", §4.1)
     /// without scanning every slab. A slab is listed exactly once while
-    /// its `deferred` is non-empty: [`park`](Self::park) lists it with its
-    /// first deferred object and only
-    /// [`reclaim_pending`](Self::reclaim_pending) takes deferred objects
-    /// out. The sweep stops at the first stamp still inside its grace
+    /// its `deferred` is non-empty: `park` lists it with its first
+    /// deferred object and only `reclaim_pending` takes deferred objects
+    /// out — both private to the engine, which alone calls them. The
+    /// sweep stops at the first stamp still inside its grace
     /// period, so anything that emptied a slab's `deferred` behind the
     /// list's back would leave an entry that later stands for newer
     /// stamps and blocks every completed slab behind it.
@@ -149,7 +150,7 @@ impl Node {
 
     /// Parks a deferred object in slab `index`'s latent slab and lists the
     /// slab for the sweep with its first one. Does not relist the slab.
-    pub fn park(&mut self, index: usize, obj_index: u16, gp: GpState) {
+    pub(super) fn park(&mut self, index: usize, obj_index: u16, gp: GpState) {
         let slab = self.slab_mut(index);
         let first = slab.deferred.is_empty();
         slab.deferred.push_back((obj_index, gp));
@@ -162,7 +163,7 @@ impl Node {
     /// slabs' free lists, draining the pending queue front while stamps
     /// are complete. Returns the number of objects reclaimed and relists
     /// every touched slab.
-    pub fn reclaim_pending(&mut self, epoch: u64) -> usize {
+    pub(super) fn reclaim_pending(&mut self, epoch: u64) -> usize {
         let mut reclaimed = 0;
         while let Some(&index) = self.pending.front() {
             let Some(slab) = self.slabs.get_mut(index).and_then(|s| s.as_mut()) else {

@@ -23,43 +23,37 @@ trait Kit {
     const DEFERRED: EventKind;
     /// Trace event marking "deferred object reusable again".
     const REUSABLE: EventKind;
-    /// Whether the policy itself times defer→reusable (`defer_delay_ns`).
-    const TIMES_DEFER_DELAY: bool;
-    /// The RCU configuration under which a fully-deferred working set can
-    /// only come back through the OOM ladder.
-    fn oom_rcu() -> RcuConfig;
+    /// Whether an epoch-domain defer waits in the engine's latent cache
+    /// (and the engine times its defer→reusable delay, `defer_delay_ns`).
+    const LATENT: bool;
 }
 
 impl Kit for PrudenceCache {
     type Policy = PrudencePolicy;
     const DEFERRED: EventKind = EventKind::LatentStamp;
     const REUSABLE: EventKind = EventKind::LatentMerge;
-    const TIMES_DEFER_DELAY: bool = true;
-
-    /// The driver is parked out of reach so the background GP cannot race
-    /// the allocation loop and merge early — the only way the deferred
-    /// objects come back is the ladder's expedited grace period.
-    fn oom_rcu() -> RcuConfig {
-        RcuConfig {
-            driver_interval: std::time::Duration::from_secs(3600),
-            ..RcuConfig::eager()
-        }
-    }
+    const LATENT: bool = true;
 }
 
 impl Kit for SlubCache {
     type Policy = SlubPolicy;
     const DEFERRED: EventKind = EventKind::DeferredFree;
     const REUSABLE: EventKind = EventKind::DeferredReusable;
-    const TIMES_DEFER_DELAY: bool = false;
-
-    fn oom_rcu() -> RcuConfig {
-        RcuConfig::eager()
-    }
+    const LATENT: bool = false;
 }
 
 fn eager_rcu() -> Arc<Rcu> {
     Arc::new(Rcu::with_config(RcuConfig::eager()))
+}
+
+/// An RCU whose grace-period driver is parked out of reach: no background
+/// grace period can race an allocation loop and return deferred objects
+/// early, so they come back only through the OOM ladder (or `quiesce`).
+fn parked_driver_rcu() -> Arc<Rcu> {
+    Arc::new(Rcu::with_config(RcuConfig {
+        driver_interval: std::time::Duration::from_secs(3600),
+        ..RcuConfig::eager()
+    }))
 }
 
 type Cache<C> = Arc<SlabEngine<<C as Kit>::Policy>>;
@@ -205,8 +199,7 @@ fn oom_ladder_recovers_deferred_backlog<C: Kit>() {
             .limit_bytes(6 * sizing.slab_bytes)
             .build(),
     );
-    let rcu = Arc::new(Rcu::with_config(C::oom_rcu()));
-    let domain = Arc::new(EpochDomain::new(rcu));
+    let domain = Arc::new(EpochDomain::new(parked_driver_rcu()));
     let c = cache_on::<C>(512, EngineConfig::new(1), &pages, domain);
     for round in 0..4 {
         let objs: Vec<ObjPtr> = (0..sizing.objects_per_slab * 5)
@@ -230,6 +223,109 @@ fn oom_ladder_recovers_deferred_backlog<C: Kit>() {
         "the blocking rung should be traced"
     );
     c.quiesce();
+}
+
+/// Partial refill and proportional flush are the engine's sizing rules: a
+/// refill asks for a whole cache less one object per latent entry (floored
+/// at a quarter cache, and counted as partial), and an overflowing flush
+/// keeps half a cache less the same. With the latent cache empty — every
+/// SLUB slot — they are SLUB's whole cache and half.
+fn refill_and_flush_sizes_follow_the_latent_cache<C: Kit>() {
+    let size = SizingPolicy::for_object_size(64).object_cache_size;
+    for pinned in [0, size / 4, 7 * size / 8] {
+        let (c, _p, rcu) = cache::<C>(64, EngineConfig::new(1));
+        // Every free reaches the slot. Stock the slabs with free objects,
+        // so no refill below stops short at a grow decision, and hold two
+        // caches' worth.
+        c.fastpath_set_enabled(false);
+        let mut held = alloc_n(&*c, 4 * size);
+        for o in held.drain(2 * size..) {
+            unsafe { c.free(o) };
+        }
+        let stock: Vec<ObjPtr> = c.lock_slot(0).obj_cache.drain(..).collect();
+        c.give_back(stock);
+        // `pinned` defers behind a reader: Prudence stamps them into the
+        // latent cache, SLUB hands them to the domain.
+        let reader = rcu.register();
+        let guard = reader.read_lock();
+        for o in held.drain(..pinned) {
+            unsafe { c.free_deferred(o) };
+        }
+        let latent = c.lock_slot(0).latent.len();
+        assert_eq!(latent, if C::LATENT { pinned } else { 0 });
+        // The object cache is empty and nothing can merge: a refill.
+        let before = c.stats();
+        held.push(c.allocate().unwrap());
+        let after = c.stats();
+        let want = size.saturating_sub(latent).max(size / 4);
+        let refilled = c.lock_slot(0).obj_cache.len() + 1;
+        assert_eq!(refilled, want, "refill, {latent} latent");
+        assert_eq!(after.refills - before.refills, 1);
+        let partial = after.partial_refills - before.partial_refills;
+        assert_eq!(partial, u64::from(want < size));
+        // Free until the cache holds one object more than a whole cache.
+        for o in held.drain(..size + 2 - want) {
+            unsafe { c.free(o) };
+        }
+        assert_eq!(c.stats().flushes - after.flushes, 1);
+        let kept = c.lock_slot(0).obj_cache.len();
+        let keep = (size / 2).saturating_sub(latent);
+        assert_eq!(kept, keep, "flush, {latent} latent");
+        drop(guard);
+        for o in held {
+            unsafe { c.free(o) };
+        }
+        c.quiesce();
+        assert_eq!(c.deferred_outstanding(), 0);
+        assert_eq!(c.stats().live_objects, 0);
+    }
+}
+
+/// OOM ladder rung 1 is one engine rung for both policies: it drains every
+/// latent cache and returns every slot's object cache to the slabs, so free
+/// objects parked on *another* slot rescue an allocation without waiting
+/// for any grace period.
+fn ladder_rung_one_collects_every_slot<C: Kit>() {
+    let sizing = SizingPolicy::for_object_size(512);
+    let pages = Arc::new(
+        PageAllocator::builder()
+            .limit_bytes(2 * sizing.slab_bytes)
+            .build(),
+    );
+    let domain = Arc::new(EpochDomain::new(parked_driver_rcu()));
+    let c = cache_on::<C>(512, EngineConfig::new(2), &pages, domain);
+    // Every free reaches a slot. This thread (slot 0) takes the whole page
+    // budget; nothing is deferred yet, so the last allocation fails
+    // without the ladder.
+    c.fastpath_set_enabled(false);
+    let mut held = Vec::new();
+    while let Ok(o) = c.allocate() {
+        held.push(o);
+    }
+    assert_eq!(c.stats().oom_waits, 0);
+    // One deferred object arms the ladder; its grace period cannot end.
+    unsafe { c.free_deferred(held.pop().unwrap()) };
+    // A second thread (slot 1) frees three objects into its own cache.
+    let freed = held.split_off(held.len() - 3);
+    let cache = &*c;
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            for o in freed {
+                unsafe { cache.free(o) };
+            }
+        });
+    });
+    assert_eq!(c.lock_slot(1).obj_cache.len(), 3);
+    held.push(c.allocate().expect("the ladder recovers"));
+    let s = c.stats();
+    assert_eq!((s.oom_waits, s.oom_recoveries_stage1), (1, 1), "{s:?}");
+    for o in held {
+        unsafe { c.free(o) };
+    }
+    c.quiesce();
+    assert_eq!(c.deferred_outstanding(), 0);
+    drop(c);
+    assert_eq!(pages.used_bytes(), 0);
 }
 
 fn immediate_free_oom_propagates<C: Kit>() {
@@ -263,7 +359,7 @@ fn telemetry_traces_deferred_lifecycle<C: Kit>() {
     assert!(t.count_of(EventKind::SlabGrow) >= 1, "{:?}", t.event_counts);
     assert!(t.histogram("slot_wait_ns").is_some());
     let timed = t.histogram("defer_delay_ns").is_some_and(|h| h.count >= 1);
-    assert_eq!(timed, C::TIMES_DEFER_DELAY, "defer→reusable delay samples");
+    assert_eq!(timed, C::LATENT, "defer→reusable delay samples");
     for o in held {
         unsafe { c.free(o) };
     }
@@ -446,6 +542,8 @@ for_each_policy!(
     concurrent_alloc_free_defer_stress,
     pressure_gauge_tracks_backlog,
     oom_ladder_recovers_deferred_backlog,
+    refill_and_flush_sizes_follow_the_latent_cache,
+    ladder_rung_one_collects_every_slot,
     immediate_free_oom_propagates,
     telemetry_traces_deferred_lifecycle,
     robust_backends_bound_garbage_under_a_stalled_reader,

@@ -27,9 +27,12 @@ type Engine = PrudenceCache;
 /// (the paper's latency/fragmentation trade-off, §5.4).
 const SLAB_SCAN_WINDOW: usize = 10;
 
-/// The paper's delta over a SLUB-shaped allocator: latent caches and
-/// latent slabs stamped with grace-period state, and the hint-driven
-/// refill/flush/selection/shrink decisions of §4.2.
+/// The paper's delta over a SLUB-shaped allocator: deferred objects
+/// stamped with grace-period state into the engine's latent caches and
+/// latent slabs, and the hint-driven selection and shrink decisions of
+/// §4.2. The engine owns every motion on the latent structures (merge,
+/// park, sweep, drain) and sizes refills and flushes by the latent cache
+/// (partial refill, proportional flush).
 ///
 /// The latent machinery is in charge when the cache is attached to the
 /// epoch backend; under a robust backend deferred objects enter the domain
@@ -38,50 +41,6 @@ const SLAB_SCAN_WINDOW: usize = 10;
 pub struct PrudencePolicy;
 
 impl PrudencePolicy {
-    /// MERGE_CACHES wrapper that maintains the outstanding-deferred count,
-    /// records the defer→reusable delay of each merged object, and traces
-    /// the merge. `cpu_idx` is the slot whose lock the caller holds — it
-    /// picks the stats shard's trace lane (single-writer under that lock).
-    /// `now_hint` forwards a clock value the caller already read (0 =
-    /// none), so tracing costs at most one clock read per operation.
-    fn merge_caches(
-        &self,
-        eng: &Engine,
-        cpu_idx: usize,
-        cpu: &mut CpuSlot,
-        now_hint: u64,
-    ) -> usize {
-        let now = if now_hint != 0 {
-            now_hint
-        } else {
-            trace_clock()
-        };
-        let stats = eng.counters();
-        let merged = cpu.merge_caches(
-            eng.rcu().current_epoch(),
-            eng.policy().object_cache_size,
-            |obj, queued_ns| {
-                pbs_telemetry::site::note_reclaimed(obj.addr());
-                if now != 0 && queued_ns != 0 {
-                    stats.defer_delay_ns.record(now.saturating_sub(queued_ns));
-                }
-            },
-        );
-        eng.note_reclaimed(merged);
-        if merged > 0 {
-            // Reuse the clock read from the delay samples above.
-            stats.ring.record_at(
-                cpu_idx,
-                now,
-                EventKind::LatentMerge,
-                stats.id(),
-                merged as u64,
-                cpu.latent.len() as u64,
-            );
-        }
-        merged
-    }
-
     /// Slab selection for refill (Algorithm lines 17-21 plus the Figure 5
     /// fragmentation optimization). Considers the first
     /// [`SLAB_SCAN_WINDOW`] partial slabs that have a free object. Reclaims
@@ -142,53 +101,6 @@ impl PrudencePolicy {
         fallback
     }
 
-    /// Moves deferred objects into their latent slabs, with slab
-    /// pre-movement (Algorithm lines 49-59). Entries' defer-time clocks
-    /// are dropped here: latent-slab objects rejoin circulation through
-    /// whole-slab reclamation, which has no single defer to attribute.
-    ///
-    /// The node-lock trip first settles the pending list: between refills
-    /// nothing else merges grace-period-complete latent-slab objects, and
-    /// a defer-heavy phase would otherwise keep them parked.
-    fn defer_to_slabs(&self, eng: &Engine, objs: &[LatentEntry]) {
-        if objs.is_empty() {
-            return;
-        }
-        let slab_bytes = eng.policy().slab_bytes;
-        let mut node = eng.lock_node();
-        eng.settle_pending(&mut node);
-        for &(obj, gp, _) in objs {
-            // SAFETY: deferred objects come from this cache; node lock held.
-            let index = unsafe { pbs_alloc_api::slab_layout::resolve_slab_index(obj, slab_bytes) };
-            let obj_index = node.slab(index).raw.index_of(obj);
-            node.park(index, obj_index, gp);
-            if node.relist(index) {
-                // Single-writer: the node lock is held on every path here
-                // (and it also owns the node trace lane).
-                eng.counters().shard(0).pre_movements.bump();
-                eng.counters().record_node_event(
-                    EventKind::SlabPremove,
-                    index as u64,
-                    gp.raw_epoch(),
-                );
-            }
-        }
-        eng.shrink(&mut node);
-    }
-
-    /// Merges every slot's grace-period-complete latent objects and moves
-    /// the rest to their latent slabs, so a pending-list sweep can free
-    /// whole slabs.
-    fn drain_latent_caches(&self, eng: &Engine) {
-        for cpu_idx in 0..eng.nslots() {
-            let mut cpu = eng.lock_slot(cpu_idx);
-            self.merge_caches(eng, cpu_idx, &mut cpu, 0);
-            let moved: Vec<LatentEntry> = cpu.latent.drain(..).collect();
-            drop(cpu);
-            self.defer_to_slabs(eng, &moved);
-        }
-    }
-
     /// Lines 39-51: admit `obj` into the latent cache or move it (and any
     /// overflow) to its latent slab. Consumes the guard so every early
     /// return drops the slot lock.
@@ -220,7 +132,7 @@ impl PrudencePolicy {
             .is_some_and(|&(_, gp, _)| gp.is_completed_at(eng.rcu().current_epoch()));
         if mergeable {
             eng.flush_obj_cache(cpu_idx, &mut cpu);
-            self.merge_caches(eng, cpu_idx, &mut cpu, queued_ns);
+            eng.merge_latent(cpu_idx, &mut cpu, queued_ns);
         }
         if cpu.latent.len() < threshold {
             cpu.latent.push_back((obj, gp, queued_ns));
@@ -243,34 +155,13 @@ impl PrudencePolicy {
                 cpu.latent.len() as u64,
             );
             drop(cpu);
-            self.defer_to_slabs(eng, &moved);
+            eng.defer_to_slabs(&moved);
         }
     }
 }
 
 impl SlabPolicy for PrudencePolicy {
-    const GROW_FAULT_SITE: &'static str = pbs_fault::site::PRUDENCE_GROW;
     const LABEL: &'static str = "prudence";
-
-    /// Lines 7-11: merge grace-period-complete latent objects and retry
-    /// before touching the node lists.
-    fn merge(&self, eng: &Engine, cpu_idx: usize, cpu: &mut CpuSlot) -> usize {
-        self.merge_caches(eng, cpu_idx, cpu, 0)
-    }
-
-    /// Partial refill (line 14): refill o − d objects. Floor the batch at
-    /// a quarter cache so a latent cache full of objects still inside
-    /// their grace period cannot degrade refills to single objects; any
-    /// overflow when those objects later merge is absorbed by the
-    /// proportional flush.
-    fn refill_want(&self, eng: &Engine, cpu_idx: usize, cpu: &CpuSlot) -> usize {
-        let size = eng.policy().object_cache_size;
-        let want = size.saturating_sub(cpu.latent.len()).max(size / 4).max(1);
-        if want < size {
-            eng.counters().shard(cpu_idx).partial_refills.bump();
-        }
-        want
-    }
 
     fn select_slab(
         &self,
@@ -298,13 +189,6 @@ impl SlabPolicy for PrudencePolicy {
             // slab cache").
             Err(e) => self.select(node, true).map(Some).ok_or(e),
         }
-    }
-
-    /// Proportional flush (§4.2): the more deferred objects pending in the
-    /// latent cache, the more objects are flushed, so the
-    /// post-grace-period merge will fit.
-    fn flush_keep(&self, eng: &Engine, cpu: &CpuSlot) -> usize {
-        (eng.policy().object_cache_size / 2).saturating_sub(cpu.latent.len())
     }
 
     /// The threshold "acts with caution by considering the number of
@@ -389,28 +273,9 @@ impl SlabPolicy for PrudencePolicy {
             return;
         }
         let (cpu_idx, mut cpu) = eng.lock_cpu();
-        self.merge_caches(eng, cpu_idx, &mut cpu, 0);
+        eng.merge_latent(cpu_idx, &mut cpu, 0);
         drop(cpu);
         eng.settle_pending(&mut eng.lock_node());
-    }
-
-    /// Merge and flush this thread's slot and sweep the node's pending
-    /// list at the current epoch. Often enough when the backlog is merely
-    /// parked in the latent cache past its grace period.
-    fn reclaim_local(&self, eng: &Engine) {
-        let (cpu_idx, mut cpu) = eng.lock_cpu();
-        self.merge_caches(eng, cpu_idx, &mut cpu, 0);
-        let moved: Vec<LatentEntry> = cpu.latent.drain(..).collect();
-        drop(cpu);
-        self.defer_to_slabs(eng, &moved);
-        let mut node = eng.lock_node();
-        eng.settle_pending(&mut node);
-        eng.shrink(&mut node);
-    }
-
-    fn drain_parked(&self, eng: &Engine) -> usize {
-        self.drain_latent_caches(eng);
-        eng.settle_pending(&mut eng.lock_node())
     }
 }
 
@@ -645,7 +510,7 @@ mod tests {
         held.extend((0..per_slab).map(|_| c.allocate().unwrap()));
         assert_eq!((c.stats().grows, state(heavy[0]).0), (grows + 1, 3));
         // Out of pages, the heavy slab is the last resort.
-        faults.schedule(site::PRUDENCE_GROW, Schedule::EveryKth(1));
+        faults.schedule(site::SLAB_GROW, Schedule::EveryKth(1));
         held.push(c.allocate().unwrap());
         assert_eq!(state(heavy[0]).0, 0);
         drop(guard);

@@ -22,9 +22,16 @@
 //!   and every node-lock trip of the free/defer route settles the
 //!   grace-period-complete latent slabs first (DESIGN.md §4c).
 //!
-//! Every one of these decisions is hard-wired; a cache is configured by
-//! the engine's [`EngineConfig`](pbs_alloc_api::engine::EngineConfig)
-//! alone, exactly like the baseline.
+//! The latent structures and every motion on them (merge, park into latent
+//! slabs, pending-list sweep, drain), the refill/flush sizing that reads
+//! them and the OOM ladder belong to the shared
+//! [`SlabEngine`](pbs_alloc_api::engine::SlabEngine), where they reduce to
+//! the baseline's rules while the structures are empty. This crate is the
+//! [`PrudencePolicy`]: when deferred objects enter the latent structures,
+//! slab selection, and the shrink threshold. Every decision is hard-wired;
+//! a cache is configured by the engine's
+//! [`EngineConfig`](pbs_alloc_api::engine::EngineConfig) alone, exactly
+//! like the baseline.
 //!
 //! # Example
 //!

@@ -48,19 +48,14 @@ pub mod site {
     /// Any block allocation in `pbs_mem::PageAllocator` (catch-all: a
     /// schedule here fires for every tagged call site as well).
     pub const PAGE_ALLOC: &str = "mem.page_alloc";
-    /// The Prudence cache growing by one slab (`GROW`, Algorithm line 29).
-    pub const PRUDENCE_GROW: &str = "prudence.grow";
-    /// The baseline SLUB cache growing by one slab.
-    pub const SLUB_GROW: &str = "slub.grow";
-    /// One grace-period advance attempt in `pbs_rcu`; an injected fault
-    /// refuses the advance, stalling reclamation for that attempt.
-    pub const RCU_ADVANCE: &str = "rcu.advance";
-    /// One reclamation-progress step in any `ReclamationDomain` backend —
-    /// the generalization of [`RCU_ADVANCE`] to the non-epoch schemes. An
-    /// injected fault refuses the step (a hazard-pointer scan, a
-    /// Hyaline-style batch seal, or — alongside `rcu.advance` — an epoch
-    /// advance), which only procrastinates reclamation and is therefore
-    /// always safe to inject.
+    /// A slab cache growing by one slab (`GROW`, Algorithm line 29) —
+    /// either allocator, since both run the one slab engine.
+    pub const SLAB_GROW: &str = "slab.grow";
+    /// One reclamation-progress step in any backend: a grace-period
+    /// advance attempt in `pbs_rcu`, a hazard-pointer scan or a
+    /// Hyaline-style batch seal. An injected fault refuses the step, which
+    /// only procrastinates reclamation and is therefore always safe to
+    /// inject; one schedule starves every backend at the same rate.
     pub const RECLAIM_ADVANCE: &str = "reclaim.advance";
     /// Consulted by both caches' refill slow paths. Each injected fault
     /// flips the per-CPU fast path live — off (draining parked objects

@@ -57,7 +57,7 @@ pub struct RcuConfig {
     pub pressure_threshold: f64,
     /// Batch limit used while under memory pressure.
     pub pressure_blimit: usize,
-    /// Optional fault injector consulted (site [`pbs_fault::site::RCU_ADVANCE`])
+    /// Optional fault injector consulted (site [`pbs_fault::site::RECLAIM_ADVANCE`])
     /// on every grace-period-advance attempt; a scheduled fault refuses the
     /// advance, stalling reclamation for that attempt. Stalls are counted in
     /// [`RcuStats::injected_gp_stalls`](crate::RcuStats::injected_gp_stalls).

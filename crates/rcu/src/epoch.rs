@@ -75,14 +75,11 @@ impl Inner {
         // Injected grace-period stall: refuse this attempt outright, as if
         // a pinned reader were lagging. Refusing an advance is always safe
         // (it only procrastinates harder), which is what makes this fault
-        // injectable at will without a soundness question. Both the
-        // epoch-specific site and its backend-generic generalization are
-        // consulted (each counts its call either way, so harnesses can
-        // compare injected totals against the stall stat).
+        // injectable at will without a soundness question. The site is
+        // the one every backend's progress step consults, so harnesses
+        // compare one injected total against the stall stat.
         if let Some(faults) = &self.config.fault_injector {
-            let stall = faults.should_fail(pbs_fault::site::RCU_ADVANCE);
-            let stall = faults.should_fail(pbs_fault::site::RECLAIM_ADVANCE) || stall;
-            if stall {
+            if faults.should_fail(pbs_fault::site::RECLAIM_ADVANCE) {
                 self.stats
                     .injected_gp_stalls
                     .fetch_add(1, Ordering::Relaxed);
@@ -330,7 +327,7 @@ mod tests {
         // Refuse the first 20 advance attempts, then let progress resume:
         // synchronize must still terminate, and the stalls must be counted.
         for n in 1..=20 {
-            faults.schedule(site::RCU_ADVANCE, Schedule::Nth(n));
+            faults.schedule(site::RECLAIM_ADVANCE, Schedule::Nth(n));
         }
         let rcu = Rcu::with_config(RcuConfig::eager().with_fault_injector(Arc::clone(&faults)));
         rcu.synchronize();
@@ -340,7 +337,7 @@ mod tests {
             stats.gp_advances >= 2,
             "grace period completed after stalls"
         );
-        assert!(faults.calls(site::RCU_ADVANCE) > 20);
+        assert!(faults.calls(site::RECLAIM_ADVANCE) > 20);
     }
 
     #[test]

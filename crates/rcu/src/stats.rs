@@ -41,7 +41,7 @@ pbs_telemetry::counter_table! {
         /// own publication fence; `heavy_barrier` is a no-op).
         fallback_fence_advances: AtomicU64 => u64, counter "pbs_rcu_fallback_fence_advances_total", sum;
         /// Grace-period advance attempts refused by injected faults (fault
-        /// site `rcu.advance`); stays zero without a
+        /// site `reclaim.advance`); stays zero without a
         /// [`fault_injector`](crate::RcuConfig::fault_injector).
         injected_gp_stalls: AtomicU64 => u64, counter "pbs_rcu_injected_gp_stalls_total", sum;
         /// Reader stall episodes the watchdog warned about. Exactly one

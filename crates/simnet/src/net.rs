@@ -299,7 +299,7 @@ mod tests {
         // partially-built connection must be rolled back, not leaked.
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let faults = Arc::new(FaultInjector::new(7));
-        faults.schedule(site::PRUDENCE_GROW, pbs_fault::Schedule::Probability(0.5));
+        faults.schedule(site::SLAB_GROW, pbs_fault::Schedule::Probability(0.5));
         let pages = pbs_mem::PageAllocator::builder()
             .fault_injector(Arc::clone(&faults))
             .build();

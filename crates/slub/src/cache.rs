@@ -19,22 +19,13 @@ pub type SlubCache = SlabEngine<SlubPolicy>;
 type Engine = SlubCache;
 
 /// The baseline's decisions: nothing about deferred objects is visible to
-/// the allocator, so every hint-driven choice falls back to the fixed
-/// SLUB rule.
+/// the allocator, so the engine's latent structures stay empty and every
+/// hint-driven rule falls back to the fixed SLUB one.
 #[derive(Debug, Default)]
 pub struct SlubPolicy;
 
 impl SlabPolicy for SlubPolicy {
-    const GROW_FAULT_SITE: &'static str = pbs_fault::site::SLUB_GROW;
     const LABEL: &'static str = "slub";
-
-    fn merge(&self, _: &Engine, _: usize, _: &mut CpuSlot) -> usize {
-        0
-    }
-
-    fn refill_want(&self, eng: &Engine, _: usize, _: &CpuSlot) -> usize {
-        eng.policy().object_cache_size
-    }
 
     /// SLUB picks the first partial slab, then free slabs, then grows; out
     /// of pages, a partial batch is still usable.
@@ -56,10 +47,6 @@ impl SlabPolicy for SlubPolicy {
                 Err(e) => Err(e),
             },
         }
-    }
-
-    fn flush_keep(&self, eng: &Engine, _: &CpuSlot) -> usize {
-        eng.policy().object_cache_size / 2
     }
 
     fn shrink_limit(&self, eng: &Engine, _: &mut Node) -> Option<usize> {
@@ -109,27 +96,6 @@ impl SlabPolicy for SlubPolicy {
     fn assist(&self, eng: &Engine) {
         eng.reclaim_domain().expedite();
         std::thread::yield_now();
-    }
-
-    /// Consolidates every CPU cache back into slabs — free objects parked
-    /// on other slots become refillable without any grace-period wait.
-    fn reclaim_local(&self, eng: &Engine) {
-        for cpu_idx in 0..eng.nslots() {
-            let mut cpu = eng.lock_slot(cpu_idx);
-            if cpu.obj_cache.is_empty() {
-                continue;
-            }
-            eng.counters().shard(cpu_idx).flushes.bump();
-            let objs: Vec<ObjPtr> = cpu.obj_cache.drain(..).collect();
-            drop(cpu);
-            eng.give_back(objs);
-        }
-    }
-
-    /// Nothing is parked inside the allocator: deferred objects only come
-    /// back through domain delivery.
-    fn drain_parked(&self, _: &Engine) -> usize {
-        0
     }
 }
 
@@ -233,7 +199,7 @@ mod tests {
     fn injected_grow_fault_propagates_as_err() {
         use pbs_fault::{site, FaultInjector, Schedule};
         let faults = Arc::new(FaultInjector::new(1));
-        faults.schedule(site::SLUB_GROW, Schedule::EveryKth(1));
+        faults.schedule(site::SLAB_GROW, Schedule::EveryKth(1));
         let pages = Arc::new(
             PageAllocator::builder()
                 .fault_injector(Arc::clone(&faults))
@@ -244,7 +210,7 @@ mod tests {
         // A fresh cache has nothing cached, so the very first allocation
         // must reach grow, hit the blackout, and report OOM — not panic.
         assert_eq!(c.allocate(), Err(AllocError::OutOfMemory));
-        assert!(faults.injected(site::SLUB_GROW) >= 1);
+        assert!(faults.injected(site::SLAB_GROW) >= 1);
         assert_eq!(c.stats().live_objects, 0);
     }
 }

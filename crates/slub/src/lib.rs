@@ -7,6 +7,9 @@
 //! The crate is one [`SlabPolicy`](pbs_alloc_api::engine::SlabPolicy) over
 //! the shared [`SlabEngine`](pbs_alloc_api::engine::SlabEngine); every
 //! line that is not a SLUB decision is literally the code Prudence runs.
+//! The engine's latent caches and latent slabs stay empty here, so its
+//! refill and flush sizes are SLUB's whole cache and half, and the OOM
+//! ladder's first rung is SLUB's consolidation of every CPU cache.
 //!
 //! **Deferred frees are not visible to this allocator.** `free_deferred`
 //! hands the object to the attached reclamation domain — under the default

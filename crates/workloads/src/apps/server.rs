@@ -78,6 +78,8 @@ const SCRATCH_SIZE: usize = 256;
 
 /// Zipf exponent of the request mix (≈1.1 is classic web-trace shape).
 const ZIPF_S: f64 = 1.1;
+/// Zipf catalog size (distinct request keys).
+const KEYS: usize = 256;
 /// Request-service attempts per reactor iteration.
 const REQUEST_BUDGET: usize = 128;
 /// Fraction of storm dials that are slowloris attackers.
@@ -126,8 +128,6 @@ pub struct ServerParams {
     pub storm_ms: u64,
     /// Recovery-phase length.
     pub recovery_ms: u64,
-    /// Zipf catalog size (distinct request keys).
-    pub keys: usize,
     /// Per-shard listen-queue capacity.
     pub backlog_cap: usize,
     /// Accepts per reactor iteration.
@@ -180,7 +180,6 @@ impl Default for ServerParams {
             baseline_ms: 200,
             storm_ms: 400,
             recovery_ms: 400,
-            keys: 256,
             backlog_cap: 1024,
             accept_budget: 512,
             churn_per_iter: 64,
@@ -527,10 +526,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
     faults.schedule(site::NET_ACCEPT, Schedule::Probability(ACCEPT_FAULT_P));
     faults.schedule(site::NET_READ_STALL, Schedule::Probability(READ_STALL_FAULT_P));
     if params.grow_fault_p > 0.0 {
-        faults.schedule(
-            harness::grow_fault_site(kind),
-            Schedule::Probability(params.grow_fault_p),
-        );
+        faults.schedule(site::SLAB_GROW, Schedule::Probability(params.grow_fault_p));
     }
 
     // The watchdog threshold sits well under the storm length so a parked
@@ -563,7 +559,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
     };
     let net = ShardedNet::new(bed.factory(), nshards, shard_config, Some(Arc::clone(&faults)));
     let gauges = ShardSet::new(nshards);
-    let zipf = Zipf::new(params.keys, ZIPF_S);
+    let zipf = Zipf::new(KEYS, ZIPF_S);
 
     let phase = AtomicU8::new(PHASE_ESTABLISH);
     // Published by the driver's sampler; read by every reactor to decide

@@ -410,14 +410,9 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
         return server_storm_report(params, report);
     }
     let faults = Arc::new(FaultInjector::new(params.seed));
-    faults.schedule(
-        harness::grow_fault_site(kind),
-        Schedule::Probability(params.grow_fault_p),
-    );
-    faults.schedule(site::RCU_ADVANCE, Schedule::Probability(params.stall_fault_p));
-    // The generalized reclamation site: HP scans and Hyaline seals consult
-    // it, and the epoch grace-period advance honours it alongside its
-    // legacy site — so the same stall probability starves every backend.
+    faults.schedule(site::SLAB_GROW, Schedule::Probability(params.grow_fault_p));
+    // Epoch advances, HP scans and Hyaline seals all consult this one
+    // site, so the same stall probability starves every backend.
     faults.schedule(
         site::RECLAIM_ADVANCE,
         Schedule::Probability(params.stall_fault_p),
@@ -1015,10 +1010,9 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     // The background grace-period driver keeps consulting the injector
     // while we read, so the two counters can't be compared for equality.
     // Domains bump their stat strictly *after* the injector records the
-    // hit, so sampling stats first guarantees stats <= injector. Stall
-    // refusals now land at two sites — the epoch advance consults both
-    // `rcu.advance` and `reclaim.advance`, and the robust backends' scans
-    // and seals consult `reclaim.advance` — so both sides are summed.
+    // hit, so sampling stats first guarantees stats <= injector. Epoch
+    // advances and the robust backends' scans and seals refuse at the one
+    // `reclaim.advance` site, so the stats side sums both refusers.
     let injected_gp_stalls = bed.rcu().stats().injected_gp_stalls;
     // The epoch domain *mirrors* the RCU stall counter into its
     // `injected_stalls`, so adding the two would double-count; only the
@@ -1028,8 +1022,7 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     } else {
         injected_gp_stalls
     };
-    let stall_injected =
-        faults.injected(site::RCU_ADVANCE) + faults.injected(site::RECLAIM_ADVANCE);
+    let stall_injected = faults.injected(site::RECLAIM_ADVANCE);
     if stall_stats > stall_injected {
         violations.push(format!(
             "stall accounting disagrees: stats {stall_stats} > injector {stall_injected}"
@@ -1151,16 +1144,19 @@ mod tests {
             threads: 2,
             ops_per_thread: 1_500,
             seed: 7,
+            // A run this short makes only 15–45 advance attempts; at the
+            // default 0.1 a few runs in ten refuse none of them.
+            stall_fault_p: 0.2,
             ..ChaosParams::default()
         };
         for kind in AllocatorKind::BOTH {
             let report = run_chaos(kind, &params);
             assert_passed(&report);
             assert!(report.ops_completed > 0);
-            assert!(
-                report.churn.injected_gp_stalls > 0,
-                "{kind}: stall schedule never fired"
-            );
+            // Epoch advances and a robust domain's scans or seals draw on
+            // one `reclaim.advance` schedule; either may take its refusals.
+            let refused = report.churn.injected_gp_stalls + report.verdict.reclaim.injected_stalls;
+            assert!(refused > 0, "{kind}: stall schedule never fired");
         }
     }
 

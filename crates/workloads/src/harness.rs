@@ -26,14 +26,6 @@ pub(crate) fn is_robust(backend: ReclaimBackend) -> bool {
     backend != ReclaimBackend::Epoch
 }
 
-/// The fault site a `kind` cache consults when it grows a slab.
-pub(crate) fn grow_fault_site(kind: AllocatorKind) -> &'static str {
-    match kind {
-        AllocatorKind::Slub => site::SLUB_GROW,
-        AllocatorKind::Prudence => site::PRUDENCE_GROW,
-    }
-}
-
 /// A testbed for a gating run: `faults` threaded through every layer, one
 /// `engine` tuning applied to whichever allocator `kind` selects, and the
 /// reclamation backend (`None` honours `PBS_RECLAIM`) tuned so its garbage
@@ -210,7 +202,7 @@ pub(crate) fn audit_teardown(
         limit_bytes,
         deferred_outstanding_end,
         used_bytes_after_teardown,
-        injected_oom: faults.injected(grow_fault_site(bed.kind())),
+        injected_oom: faults.injected(site::SLAB_GROW),
         stall_warnings: rcu_stats.stall_warnings,
         expedited_gps: rcu_stats.expedited_gps,
         membarrier_advances: rcu_stats.membarrier_advances,

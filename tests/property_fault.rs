@@ -179,8 +179,8 @@ proptest! {
         seed in any::<u64>(),
         fault_pm in 0u32..600,
     ) {
-        // Specific site: only Prudence's slab-grow path fails.
-        check_faulted(make_prudence, site::PRUDENCE_GROW, seed, f64::from(fault_pm) / 1000.0, &ops);
+        // Specific site: only the slab-grow path fails.
+        check_faulted(make_prudence, site::SLAB_GROW, seed, f64::from(fault_pm) / 1000.0, &ops);
     }
 
     #[test]
@@ -198,7 +198,7 @@ proptest! {
         seed in any::<u64>(),
         fault_pm in 0u32..600,
     ) {
-        check_faulted(make_slub, site::SLUB_GROW, seed, f64::from(fault_pm) / 1000.0, &ops);
+        check_faulted(make_slub, site::SLAB_GROW, seed, f64::from(fault_pm) / 1000.0, &ops);
     }
 
     #[test]
@@ -209,7 +209,7 @@ proptest! {
     ) {
         // Grace-period advances refused at random: deferred objects must
         // still drain at quiesce and the ladder accounting stay coherent.
-        check_faulted(make_prudence, site::RCU_ADVANCE, seed, f64::from(fault_pm) / 1000.0, &ops);
+        check_faulted(make_prudence, site::RECLAIM_ADVANCE, seed, f64::from(fault_pm) / 1000.0, &ops);
     }
 
     #[test]
@@ -218,7 +218,7 @@ proptest! {
         seed in any::<u64>(),
         fault_pm in 0u32..600,
     ) {
-        check_faulted(make_slub, site::RCU_ADVANCE, seed, f64::from(fault_pm) / 1000.0, &ops);
+        check_faulted(make_slub, site::RECLAIM_ADVANCE, seed, f64::from(fault_pm) / 1000.0, &ops);
     }
 
     #[test]

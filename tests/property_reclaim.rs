@@ -3,9 +3,9 @@
 //! allocators.
 //!
 //! Reuses the op-sequence state machine of `property_fault.rs`, with the
-//! fault schedule aimed at the generalized `reclaim.advance` site (and
-//! its epoch-specific `rcu.advance` sibling): refused scans, seals and
-//! grace-period advances only procrastinate, so every backend must keep
+//! fault schedule aimed at the `reclaim.advance` site every backend's
+//! progress step consults: refused scans, seals and grace-period
+//! advances only procrastinate, so every backend must keep
 //! the same invariants the epoch scheme always had:
 //!
 //! 1. allocation never hands out a live address twice, whatever backend
@@ -92,9 +92,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// reclamation refusals.
 fn check_backend(backend: ReclaimBackend, make: Make, seed: u64, fault_p: f64, ops: &[Op]) {
     let faults = Arc::new(FaultInjector::new(seed));
-    // Both stall sites armed: the epoch advance consults both, the robust
-    // backends' scans and seals consult the generalized one.
-    faults.schedule(site::RCU_ADVANCE, Schedule::Probability(fault_p));
     faults.schedule(site::RECLAIM_ADVANCE, Schedule::Probability(fault_p));
     let (pages, _rcu, domain) = rig(backend, Some(&faults));
     let cache = make(Arc::clone(&pages), domain);

@@ -1,8 +1,8 @@
 //! Model-based property tests: the RCU data structures must behave like
 //! their std-collection models under arbitrary operation sequences — on
 //! both allocators and under **all three reclamation backends**, with the
-//! reclamation sites under fault injection (refused `rcu.advance` /
-//! `reclaim.advance` steps only procrastinate).
+//! reclamation site under fault injection (refused `reclaim.advance`
+//! steps only procrastinate).
 //!
 //! Beyond the randomized sequences, two deterministic scenarios pin down
 //! the protected-traversal contract directly:
@@ -52,8 +52,9 @@ const MAKES: [(&str, Make); 2] = [("prudence", make_prudence), ("slub", make_slu
 
 /// A fresh (pages, rcu, domain) triple with aggressive reclamation
 /// tuning (scans, seals and ejection fuses within milliseconds) and,
-/// when `seed` is given, `Probability(0.25)` refusals on both advance
-/// sites — a refused step procrastinates, it must never corrupt.
+/// when `seed` is given, `Probability(0.25)` refusals at the
+/// `reclaim.advance` site — a refused step procrastinates, it must never
+/// corrupt.
 fn rig(
     backend: ReclaimBackend,
     seed: Option<u64>,
@@ -62,7 +63,6 @@ fn rig(
     let mut config = RcuConfig::eager();
     if let Some(seed) = seed {
         let faults = Arc::new(FaultInjector::new(seed));
-        faults.schedule(site::RCU_ADVANCE, Schedule::Probability(0.25));
         faults.schedule(site::RECLAIM_ADVANCE, Schedule::Probability(0.25));
         config = config.with_fault_injector(faults);
     }
