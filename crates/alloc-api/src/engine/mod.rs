@@ -929,9 +929,11 @@ impl<P: SlabPolicy> SlabEngine<P> {
         self.reclaim.domain.defer(self.reclaim.client, obj.addr());
     }
 
-    /// Blocks until every deferred free issued so far is reusable. Parks
-    /// nothing across a quiesce: fast-cached objects go back to their
-    /// slabs so peak/fragmentation measurements stay comparable.
+    /// Drains what was deferred before the call: blocks until those
+    /// objects are reusable. Frees other threads defer meanwhile may still
+    /// be outstanding on return. Parks nothing across a quiesce:
+    /// fast-cached objects go back to their slabs so peak/fragmentation
+    /// measurements stay comparable.
     pub fn quiesce(&self) {
         self.flush_fastpath();
         for _ in 0..64 {
@@ -941,11 +943,6 @@ impl<P: SlabPolicy> SlabEngine<P> {
             self.domain_synchronize(false);
             self.drain_latent();
         }
-        debug_assert_eq!(
-            self.deferred_outstanding(),
-            0,
-            "quiesce failed to drain deferred objects"
-        );
     }
 
     /// Snapshot of the cache statistics.

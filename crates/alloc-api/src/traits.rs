@@ -173,15 +173,17 @@ pub trait ObjectAllocator: Send + Sync {
         pbs_telemetry::ComponentTelemetry::default()
     }
 
-    /// Blocks until all deferred frees issued so far have been reclaimed
-    /// and are reusable. Used at the end of benchmark runs so peak/
-    /// fragmentation measurements compare like with like.
+    /// Drains what was deferred before the call: blocks until those
+    /// frees have been reclaimed and are reusable. Used at the end of
+    /// benchmark runs so peak/fragmentation measurements compare like
+    /// with like.
     fn quiesce(&self);
 
     /// Number of objects whose free was deferred and has not yet been
-    /// reclaimed into a reusable state. After [`quiesce`](Self::quiesce)
-    /// this must be zero — the chaos harness asserts exactly that. The
-    /// default is `0` for allocators without a deferral path.
+    /// reclaimed into a reusable state. After a [`quiesce`](Self::quiesce)
+    /// that no other thread deferred across, this is zero — the gating
+    /// harnesses' teardown audit asserts exactly that. The default is `0`
+    /// for allocators without a deferral path.
     fn deferred_outstanding(&self) -> usize {
         0
     }

@@ -162,6 +162,42 @@ fn concurrent_alloc_free_defer_stress<C: Kit>() {
     assert_eq!(c.deferred_outstanding(), 0);
 }
 
+/// `quiesce` drains what was deferred before the call and returns while
+/// another thread keeps deferring: a server driver quiesces while its
+/// reactors still defer, so `quiesce` must not demand that nothing at
+/// all is outstanding.
+fn quiesce_returns_while_another_thread_defers<C: Kit>() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    /// Stops the deferrer on unwind too, so a failing quiesce fails the
+    /// test instead of hanging it.
+    struct Stop<'a>(&'a AtomicBool);
+    impl Drop for Stop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let (c, _p, _r) = cache::<C>(64, EngineConfig::new(2));
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let _stop = Stop(&stop);
+        s.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                let o = c.allocate().unwrap();
+                unsafe { c.free_deferred(o) };
+            }
+        });
+        while c.deferred_outstanding() == 0 {
+            std::thread::yield_now();
+        }
+        for _ in 0..16 {
+            c.quiesce();
+        }
+    });
+    c.quiesce();
+    assert_eq!(c.deferred_outstanding(), 0);
+    assert_eq!(c.stats().live_objects, 0);
+}
+
 fn pressure_gauge_tracks_backlog<C: Kit>() {
     let (c, _p, rcu) = cache::<C>(64, EngineConfig::new(1).with_watermarks(4, 8));
     let reader = rcu.register();
@@ -540,6 +576,7 @@ for_each_policy!(
     allocate_free_roundtrip,
     deferred_objects_invisible_until_grace_period,
     concurrent_alloc_free_defer_stress,
+    quiesce_returns_while_another_thread_defers,
     pressure_gauge_tracks_backlog,
     oom_ladder_recovers_deferred_backlog,
     refill_and_flush_sizes_follow_the_latent_cache,

@@ -147,10 +147,13 @@ impl Callbacks {
         let delivered = self
             .clients
             .deliver(ready.into_iter().map(|e| (e.client, e.addr)));
+        // Counted before the Release below: a `barrier` that acquires the
+        // delivery also sees it processed, so `callback_backlog` reads 0
+        // once a barrier returns.
+        inner.stats.record_processed(delivered as u64);
         for (shard, n) in popped {
             shard.delivered.fetch_add(n, Ordering::Release);
         }
-        inner.stats.record_processed(delivered as u64);
         delivered
     }
 

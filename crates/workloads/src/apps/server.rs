@@ -10,7 +10,8 @@
 //! teardown frees through `free_deferred`, exactly as kernel connection
 //! teardown defers through RCU.
 //!
-//! The run moves through phases:
+//! The run moves through phases; each one's clock starts only once every
+//! reactor has acknowledged it:
 //!
 //! 1. **Establish** — dial/accept until the target population is live.
 //! 2. **Baseline** — a Zipfian request mix over the open connections.
@@ -50,7 +51,7 @@
 //! `deferred_outstanding == 0` with every page back at the allocator.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -66,8 +67,8 @@ use pbs_rcu::RcuConfig;
 use pbs_simnet::{ConnId, NetError, NetShard, ShardConfig, ShardedNet};
 use pbs_telemetry::{HistogramSnapshot, Percentiles, ShardGauges, ShardRow, ShardSet};
 
-use crate::harness::{self, audit_teardown, garbage_contrast_gate, ContrastFailure};
-use crate::{hardened_bed, AllocatorKind, RunVerdict};
+use crate::harness::{audit_teardown, garbage_contrast_gate, join, Drains, StopOnDrop};
+use crate::{hardened_bed, AllocatorKind, RunVerdict, Testbed};
 
 /// Parse-state object per connection (request line, header cursor).
 const CONN_STATE_SIZE: usize = 192;
@@ -102,12 +103,14 @@ const MAX_CONNS_FACTOR: usize = 2;
 /// constant).
 const RECOVERY_FACTOR: f64 = 4.0;
 
-/// Run phases, stored in one shared atomic.
+/// Run phases, stored in one shared atomic, in the order the driver
+/// enters them; a phase indexes [`PHASE_NAMES`] and the driver's rows.
 const PHASE_ESTABLISH: u8 = 0;
 const PHASE_BASELINE: u8 = 1;
 const PHASE_STORM: u8 = 2;
 const PHASE_RECOVERY: u8 = 3;
 const PHASE_SHUTDOWN: u8 = 4;
+const PHASE_NAMES: [&str; 5] = ["establish", "baseline", "storm", "recovery", "shutdown"];
 
 /// Dial cookies: what kind of client is knocking.
 const COOKIE_HONEST: u64 = 0;
@@ -167,7 +170,8 @@ pub struct ServerParams {
     /// tunings; `None` keeps allocator defaults. Tests lower these to
     /// make the load-shedding trip reachable at small scale.
     pub pressure_watermarks: Option<(usize, usize)>,
-    /// Cap on the establish phase before the run is declared failed.
+    /// The run's patience for building a population: caps the establish
+    /// phase, each phase's reactor handshake and the post-storm rebuild.
     pub establish_timeout: Duration,
 }
 
@@ -345,14 +349,12 @@ pub struct ServerReport {
 impl ServerReport {
     /// Multi-line human summary.
     pub fn render(&self) -> String {
-        let alloc = self
-            .alloc_latency
-            .map(|p| format!("p50 {} / p99 {} / p99.9 {} ns", p.p50, p.p99, p.p999))
-            .unwrap_or_else(|| "n/a".to_owned());
-        let gp = self
-            .gp_latency
-            .map(|p| format!("p50 {} / p99 {} / p99.9 {} ns", p.p50, p.p99, p.p999))
-            .unwrap_or_else(|| "n/a".to_owned());
+        let percentiles = |p: Option<Percentiles>| {
+            p.map_or("n/a".to_owned(), |p| {
+                format!("p50 {} / p99 {} / p99.9 {} ns", p.p50, p.p99, p.p999)
+            })
+        };
+        let (alloc, gp) = (percentiles(self.alloc_latency), percentiles(self.gp_latency));
         format!(
             "server[{} {} seed={} shards={}]: {} conns peak (target {}), \
              {} requests, shed {} accepts + {} conns, {} timeouts, {} read stalls, \
@@ -449,13 +451,14 @@ impl ConnTable {
         self.entries.push(e);
     }
 
-    fn remove(&mut self, conn: u64) -> Option<ConnEntry> {
-        let i = self.index.remove(&conn)?;
+    /// Removes and returns the entry at `i`.
+    fn take(&mut self, i: usize) -> ConnEntry {
         let e = self.entries.swap_remove(i);
+        self.index.remove(&e.conn.0);
         if let Some(moved) = self.entries.get(i) {
             self.index.insert(moved.conn.0, i);
         }
-        Some(e)
+        e
     }
 
     fn len(&self) -> usize {
@@ -463,602 +466,352 @@ impl ConnTable {
     }
 }
 
-/// Nanosecond clock for latency windows.
-#[inline]
-fn nanos(since: Instant) -> u64 {
-    since.elapsed().as_nanos() as u64
+/// One server run's shared state: the bed, the caches and the net the
+/// reactors serve from, their gauges, and what the driver publishes to
+/// them — the phase and the cache pressure.
+struct ServerRun<'p> {
+    params: &'p ServerParams,
+    bed: Testbed,
+    faults: Arc<FaultInjector>,
+    state_cache: Arc<dyn ObjectAllocator>,
+    buf_cache: Arc<dyn ObjectAllocator>,
+    scratch_cache: Arc<dyn ObjectAllocator>,
+    net: ShardedNet,
+    gauges: ShardSet,
+    zipf: Zipf,
+    /// The run phase (`PHASE_*`), published by the driver.
+    phase: AtomicU8,
+    /// Per reactor, the last phase it acknowledged: it ran one full
+    /// iteration in it or, parked, holds its pin. A phase's clock starts
+    /// only once every reactor has acknowledged it.
+    acked: Vec<AtomicU8>,
+    /// The worst per-cache pressure level, published by the driver's
+    /// sampler so reactors decide load shedding without each one
+    /// snapshotting cache stats.
+    pressure: AtomicUsize,
+    /// Each shard's share of the target population.
+    target_per_shard: usize,
+    start: Instant,
 }
 
-/// Bounded retry with exponential backoff around one allocation. Each
-/// attempt re-enters the allocator (whose staged OOM ladder runs
-/// underneath); every attempt's latency — success or failure — lands in
-/// the alloc-path histogram the p99.9 gate reads.
-fn alloc_with_retry(
-    cache: &Arc<dyn ObjectAllocator>,
-    gauges: &ShardGauges,
-    budget: u32,
-    hist: &mut HistogramSnapshot,
-) -> Option<ObjPtr> {
-    let mut backoff_us = 20u64;
-    for attempt in 0..=budget {
-        let t0 = Instant::now();
-        match cache.allocate() {
-            Ok(p) => {
-                hist.record(nanos(t0));
-                return Some(p);
-            }
-            Err(_) => {
-                hist.record(nanos(t0));
-                if attempt == budget {
-                    break;
-                }
-                ShardGauges::bump(&gauges.alloc_retries);
-                std::thread::sleep(Duration::from_micros(backoff_us));
-                backoff_us = (backoff_us * 2).min(2_000);
-            }
-        }
-    }
-    None
-}
-
-/// Closes one connection and defers its server-side state, as connection
-/// teardown does in the kernel.
-fn close_entry(
-    shard: &NetShard,
-    state_cache: &Arc<dyn ObjectAllocator>,
-    buf_cache: &Arc<dyn ObjectAllocator>,
-    e: ConnEntry,
-) {
-    let _ = shard.close(e.conn);
-    // SAFETY: the entry was removed from the table, so this reactor owns
-    // the objects; pre-existing RCU readers may still inspect them until
-    // the grace period ends, which is exactly what free_deferred is for.
-    unsafe {
-        state_cache.free_deferred(e.state);
-        buf_cache.free_deferred(e.buf);
-    }
+/// What the driver records: shard counters at the end of each phase before
+/// shutdown (indexed by phase), its samples and its violations.
+#[derive(Default)]
+struct Timeline {
+    rows: [ShardRow; 4],
+    baseline_used_bytes: usize,
+    recovered_used_bytes: usize,
+    established_peak: usize,
+    open_at_end: usize,
+    max_garbage_storm: usize,
+    pressure_hard_seen: bool,
+    violations: Vec<String>,
 }
 
 /// Runs the server scenario on one allocator and checks every gate.
-#[allow(clippy::too_many_lines)]
 pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
-    let faults = Arc::new(FaultInjector::new(params.seed));
-    faults.schedule(site::NET_ACCEPT, Schedule::Probability(ACCEPT_FAULT_P));
-    faults.schedule(site::NET_READ_STALL, Schedule::Probability(READ_STALL_FAULT_P));
-    if params.grow_fault_p > 0.0 {
-        faults.schedule(site::SLAB_GROW, Schedule::Probability(params.grow_fault_p));
-    }
-
-    // The watchdog threshold sits well under the storm length so a parked
-    // reactor is blamed while the storm is still running.
-    let stall_threshold = Duration::from_millis((params.storm_ms / 4).clamp(5, 50));
-    let bed = hardened_bed(
-        kind,
-        params.shards,
-        RcuConfig::eager().with_stall_threshold(stall_threshold),
-        params.limit_bytes,
-        Some(Arc::clone(&faults)),
-        params
-            .pressure_watermarks
-            .map(|(soft, hard)| EngineConfig::new(params.shards).with_watermarks(soft, hard)),
-        params.reclaim,
-    );
-    let backend = bed.reclaim_backend();
-    let state_cache = bed.create_cache("conn_state", CONN_STATE_SIZE);
-    let buf_cache = bed.create_cache("parse_buf", PARSE_BUF_SIZE);
-    let scratch_cache = bed.create_cache("req_scratch", SCRATCH_SIZE);
-
-    let nshards = params.shards.max(1);
-    let target_per_shard = params.connections.div_ceil(nshards);
-    let max_conns = target_per_shard * MAX_CONNS_FACTOR;
-    let shard_config = ShardConfig {
-        backlog_cap: params.backlog_cap,
-        conn_buckets: (max_conns / 4).next_power_of_two().clamp(256, 1 << 18),
-        wheel_slots: 256,
-        wheel_granularity: (params.idle_timeout_ms / 128).max(1),
-    };
-    let net = ShardedNet::new(bed.factory(), nshards, shard_config, Some(Arc::clone(&faults)));
-    let gauges = ShardSet::new(nshards);
-    let zipf = Zipf::new(KEYS, ZIPF_S);
-
-    let phase = AtomicU8::new(PHASE_ESTABLISH);
-    // Published by the driver's sampler; read by every reactor to decide
-    // load shedding without each one snapshotting cache stats.
-    let pressure = AtomicUsize::new(0);
-    let stop = AtomicBool::new(false);
-
-    let start = Instant::now();
-    let mut violations: Vec<String> = Vec::new();
-    let mut panics = 0u64;
-    let mut merged_hist = HistogramSnapshot::default();
-
-    // Phase-boundary snapshots taken by the driver.
-    let mut row_establish_end = ShardRow::default();
-    let mut row_baseline_end = ShardRow::default();
-    let mut row_storm_end = ShardRow::default();
-    let mut row_recovery_end = ShardRow::default();
-    let mut baseline_used_bytes = 0usize;
-    let mut recovered_used_bytes = 0usize;
-    let mut established_peak = 0usize;
-    let mut open_at_end = 0usize;
-    let mut max_garbage_storm = 0usize;
-    let mut pressure_hard_seen = false;
-
-    std::thread::scope(|s| {
-        // Grace-period prober: periodic blocking synchronize() calls both
-        // bound the deferred backlog and populate the gp_latency_ns
-        // histogram the report quotes. Under an epoch-backend storm with
-        // a parked shard, one of these calls blocks for most of the storm
-        // — that tail is the contrast the report exists to show.
-        let gp_prober = {
-            let rcu = Arc::clone(bed.rcu());
-            let stop = &stop;
-            std::thread::Builder::new()
-                .name("server-gp-prober".to_owned())
-                .spawn_scoped(s, move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        rcu.synchronize();
-                        std::thread::sleep(Duration::from_millis(3));
-                    }
-                })
-                .expect("spawn gp prober")
-        };
-
-        // Reactor shards.
-        let mut reactors = Vec::new();
-        for shard_idx in 0..nshards {
-            let shard = net.shard(shard_idx);
-            let shard_gauges = gauges.shard(shard_idx);
-            let rcu = Arc::clone(bed.rcu());
-            let state_cache = &state_cache;
-            let buf_cache = &buf_cache;
-            let scratch_cache = &scratch_cache;
-            let zipf = &zipf;
-            let phase = &phase;
-            let pressure = &pressure;
-            let is_stalled = params.stalled_shard && shard_idx == nshards - 1;
-            let handle = std::thread::Builder::new()
-                .name(format!("server-shard-{shard_idx}"))
-                .spawn_scoped(s, move || -> HistogramSnapshot {
-                    let reader = rcu.register();
-                    let mut rng = StdRng::seed_from_u64(params.seed ^ ((shard_idx as u64) << 17));
-                    // Worker-local and always recorded: the p99.9 gate must not
-                    // depend on the global trace toggle.
-                    let mut hist = HistogramSnapshot::default();
-                    let mut table = ConnTable::default();
-                    let mut expired: Vec<(u64, u64)> = Vec::new();
-                    let mut parked_already = false;
-                    loop {
-                        let ph = phase.load(Ordering::Acquire);
-                        if ph == PHASE_SHUTDOWN {
-                            break;
-                        }
-                        let now_ms = start.elapsed().as_millis() as u64;
-
-                        // The deliberately-stalled reader shard: one
-                        // continuous read-side pin across the storm. Its
-                        // connections go unserviced; reclamation must
-                        // cope (robust backends) or visibly stall and be
-                        // blamed (epoch).
-                        if ph == PHASE_STORM && is_stalled && !parked_already {
-                            let guard = reader.read_lock();
-                            while phase.load(Ordering::Acquire) == PHASE_STORM {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            drop(guard);
-                            parked_already = true;
-                            continue;
-                        }
-
-                        let hard_pressure = pressure.load(Ordering::Relaxed) >= 2;
-
-                        // 1. Dial pump: the traffic engine knocking on
-                        // this shard's listener.
-                        match ph {
-                            PHASE_STORM => {
-                                // DoS burst: over-dial the listen queue
-                                // (backpressure must shed the excess) with
-                                // a slowloris mix.
-                                let dials = params.backlog_cap + params.backlog_cap / 4;
-                                for _ in 0..dials {
-                                    let cookie = if rng.gen_bool(ATTACKER_FRACTION) {
-                                        COOKIE_ATTACKER
-                                    } else {
-                                        COOKIE_HONEST
-                                    };
-                                    if shard.dial(cookie).is_err() {
-                                        ShardGauges::bump(&shard_gauges.shed_accepts);
-                                    }
-                                }
-                                // Churn storm: close established honest
-                                // connections (their teardown defers) and
-                                // let the pump re-dial them later.
-                                for _ in 0..params.churn_per_iter {
-                                    if table.len() == 0 {
-                                        break;
-                                    }
-                                    let i = rng.gen_range(0..table.entries.len());
-                                    if table.entries[i].attacker {
-                                        continue;
-                                    }
-                                    let conn = table.entries[i].conn.0;
-                                    if let Some(e) = table.remove(conn) {
-                                        close_entry(shard, state_cache, buf_cache, e);
-                                    }
-                                }
-                            }
-                            _ => {
-                                // Steady phases: restore the population,
-                                // paced inside the backlog so a healthy
-                                // server never sheds its own dials.
-                                let deficit = target_per_shard.saturating_sub(table.len());
-                                let free = params.backlog_cap.saturating_sub(shard.backlog_len());
-                                for _ in 0..deficit.min(free) {
-                                    if shard.dial(COOKIE_HONEST).is_err() {
-                                        ShardGauges::bump(&shard_gauges.shed_accepts);
-                                    }
-                                }
-                            }
-                        }
-
-                        // 2. Accept — or shed, when pressure is hard or
-                        // the shard is at its connection cap.
-                        if hard_pressure || table.len() >= max_conns {
-                            while shard.shed_dial().is_some() {
-                                ShardGauges::bump(&shard_gauges.shed_accepts);
-                            }
-                        } else {
-                            for _ in 0..params.accept_budget {
-                                match shard.accept() {
-                                    None => break,
-                                    Some(Err(NetError::Refused)) => {
-                                        ShardGauges::bump(&shard_gauges.refused_accepts);
-                                    }
-                                    Some(Err(_)) => {
-                                        ShardGauges::bump(&shard_gauges.alloc_drops);
-                                    }
-                                    Some(Ok((conn, cookie))) => {
-                                        let state = alloc_with_retry(
-                                            state_cache,
-                                            shard_gauges,
-                                            ALLOC_RETRY_BUDGET,
-                                            &mut hist,
-                                        );
-                                        let buf = alloc_with_retry(
-                                            buf_cache,
-                                            shard_gauges,
-                                            ALLOC_RETRY_BUDGET,
-                                            &mut hist,
-                                        );
-                                        match (state, buf) {
-                                            (Some(state), Some(buf)) => {
-                                                // SAFETY: fresh exclusive
-                                                // objects, sized above.
-                                                unsafe {
-                                                    state.as_ptr().cast::<u64>().write(conn.0);
-                                                    buf.as_ptr().cast::<u64>().write(conn.0);
-                                                }
-                                                let attacker = cookie == COOKIE_ATTACKER;
-                                                let deadline = now_ms
-                                                    + if attacker {
-                                                        params.slow_deadline_ms
-                                                    } else {
-                                                        params.idle_timeout_ms
-                                                    };
-                                                shard.arm_deadline(conn, deadline);
-                                                table.insert(ConnEntry {
-                                                    conn,
-                                                    state,
-                                                    buf,
-                                                    attacker,
-                                                    deadline,
-                                                });
-                                                ShardGauges::bump(&shard_gauges.accepted);
-                                            }
-                                            (state, buf) => {
-                                                // Retry budget exhausted:
-                                                // drop the connection,
-                                                // never panic.
-                                                // SAFETY: never published.
-                                                unsafe {
-                                                    if let Some(p) = state {
-                                                        state_cache.free(p);
-                                                    }
-                                                    if let Some(p) = buf {
-                                                        buf_cache.free(p);
-                                                    }
-                                                }
-                                                let _ = shard.close(conn);
-                                                ShardGauges::bump(&shard_gauges.alloc_drops);
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-
-                        // 3. Service the Zipfian request mix — unless
-                        // hard pressure calls for evicting idle
-                        // connections instead.
-                        if hard_pressure {
-                            for _ in 0..REQUEST_BUDGET.min(table.len()) {
-                                let Some(e) = table.entries.last() else { break };
-                                let conn = e.conn.0;
-                                if let Some(e) = table.remove(conn) {
-                                    close_entry(shard, state_cache, buf_cache, e);
-                                    ShardGauges::bump(&shard_gauges.shed_conns);
-                                }
-                            }
-                        } else if ph != PHASE_ESTABLISH {
-                            for _ in 0..REQUEST_BUDGET {
-                                if table.len() == 0 {
-                                    break;
-                                }
-                                let i = rng.gen_range(0..table.entries.len());
-                                if table.entries[i].attacker {
-                                    // Slowloris: never completes a
-                                    // request; just sits on its deadline.
-                                    continue;
-                                }
-                                let conn = table.entries[i].conn;
-                                let key = zipf.sample(rng.gen::<f64>());
-                                // Popular keys are small cached objects;
-                                // the long tail serves bigger documents.
-                                let bytes = 64usize << (key % 5).min(4);
-                                let scratch = alloc_with_retry(
-                                    scratch_cache,
-                                    shard_gauges,
-                                    ALLOC_RETRY_BUDGET,
-                                    &mut hist,
-                                );
-                                let Some(scratch) = scratch else { continue };
-                                // SAFETY: fresh exclusive object.
-                                unsafe {
-                                    std::ptr::write_bytes(scratch.as_ptr(), 0x5A, 64);
-                                    scratch_cache.free(scratch);
-                                }
-                                match shard.net().request_response(conn, bytes) {
-                                    Ok(()) => {
-                                        ShardGauges::bump(&shard_gauges.requests);
-                                        let deadline = now_ms + params.idle_timeout_ms;
-                                        table.entries[i].deadline = deadline;
-                                        shard.arm_deadline(conn, deadline);
-                                    }
-                                    Err(NetError::WouldBlock) => {
-                                        // Peer stalled mid-read: count it
-                                        // and leave the deadline armed —
-                                        // persistent stalling is evicted,
-                                        // not waited on.
-                                        ShardGauges::bump(&shard_gauges.read_stalls);
-                                    }
-                                    Err(_) => {}
-                                }
-                            }
-                        }
-
-                        // 4. Deadline sweep: evict expired connections
-                        // (lazily-cancelled refreshes are skipped by the
-                        // deadline comparison).
-                        expired.clear();
-                        shard.poll_deadlines(now_ms, &mut expired);
-                        for &(conn, deadline) in &expired {
-                            let Some(&i) = table.index.get(&conn) else { continue };
-                            if table.entries[i].deadline != deadline {
-                                continue;
-                            }
-                            if ph == PHASE_ESTABLISH && !table.entries[i].attacker {
-                                // No request is serviced before establish
-                                // completes, so "idle" is meaningless here;
-                                // evicting would cap the population at the
-                                // accept-rate x timeout equilibrium and
-                                // large targets could never establish.
-                                let next = now_ms + params.idle_timeout_ms;
-                                table.entries[i].deadline = next;
-                                let conn = table.entries[i].conn;
-                                shard.arm_deadline(conn, next);
-                                continue;
-                            }
-                            if let Some(e) = table.remove(conn) {
-                                close_entry(shard, state_cache, buf_cache, e);
-                                ShardGauges::bump(&shard_gauges.timeouts);
-                            }
-                        }
-
-                        shard_gauges.set_open(table.len() as u64);
-                        std::thread::yield_now();
-                    }
-
-                    // Shutdown: drain everything still open.
-                    for e in std::mem::take(&mut table.entries) {
-                        close_entry(shard, state_cache, buf_cache, e);
-                    }
-                    shard_gauges.set_open(0);
-                    hist
-                })
-                .expect("spawn reactor shard");
-            reactors.push(handle);
-        }
-
-        // ---- Driver: phase clock + sampling. ----
-        let mut sample = |track_garbage: bool| {
-            let level = state_cache
-                .stats()
-                .pressure_level
-                .max(buf_cache.stats().pressure_level)
-                .max(scratch_cache.stats().pressure_level);
-            pressure.store(level, Ordering::Relaxed);
-            if level >= 2 {
-                pressure_hard_seen = true;
-            }
-            established_peak = established_peak.max(net.connection_count());
-            if track_garbage {
-                let outstanding = state_cache.deferred_outstanding()
-                    + buf_cache.deferred_outstanding()
-                    + scratch_cache.deferred_outstanding()
-                    + net.deferred_outstanding();
-                max_garbage_storm = max_garbage_storm.max(outstanding);
-            }
-        };
-
-        // Establish until the population is (nearly) at target.
-        let establish_deadline = Instant::now() + params.establish_timeout;
-        loop {
-            sample(false);
-            let open = net.connection_count();
-            if open * 100 >= params.connections * 99 {
-                break;
-            }
-            if Instant::now() > establish_deadline {
-                violations.push(format!(
-                    "establish timed out: {open}/{} connections after {:?}",
-                    params.connections, params.establish_timeout
-                ));
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        baseline_used_bytes = bed.pages().used_bytes();
-        row_establish_end = gauges.totals();
-
-        let mut pace = |ms: u64, track_garbage: bool| {
-            let deadline = Instant::now() + Duration::from_millis(ms);
-            while Instant::now() < deadline {
-                sample(track_garbage);
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        };
-        phase.store(PHASE_BASELINE, Ordering::Release);
-        pace(params.baseline_ms, false);
-        row_baseline_end = gauges.totals();
-
-        phase.store(PHASE_STORM, Ordering::Release);
-        pace(params.storm_ms, true);
-        row_storm_end = gauges.totals();
-
-        phase.store(PHASE_RECOVERY, Ordering::Release);
-        pace(params.recovery_ms, false);
-        // The nominal window is a floor, not the verdict: refilling the
-        // post-storm deficit is accept-throughput-bound, so on a starved
-        // machine (CI sharing one core across every shard) the pumps may
-        // still be mid-refill when the window closes. Grant a bounded
-        // grace period for the population to come back; the recovery gate
-        // then judges what the server converged to, not scheduler luck.
-        let recovery_grace = Instant::now()
-            + Duration::from_millis(params.recovery_ms.max(100) * 9)
-                .min(Duration::from_secs(30));
-        while net.connection_count() * 100 < params.connections * 95
-            && Instant::now() < recovery_grace
-        {
-            sample(false);
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        row_recovery_end = gauges.totals();
-        open_at_end = net.connection_count();
-        // Memory recovery is judged after reclamation catches up — under
-        // procrastinated reclamation the storm's deferred backlog drains
-        // lazily, so the gate measures the settled state, not the race
-        // between the sampler and the collector. Service is still up
-        // (reactors keep running) while these drains wait.
-        state_cache.quiesce();
-        buf_cache.quiesce();
-        scratch_cache.quiesce();
-        net.quiesce();
-        recovered_used_bytes = bed.pages().used_bytes();
-
-        phase.store(PHASE_SHUTDOWN, Ordering::Release);
-        for handle in reactors {
-            match handle.join() {
-                Ok(hist) => merged_hist.merge(&hist),
-                Err(_) => panics += 1,
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        let _ = gp_prober.join();
-    });
-
+    let run = ServerRun::new(kind, params);
+    let mut t = Timeline::default();
+    let ((), alloc_hist, panics) = run.serve(|run| run.drive(&mut t));
+    let (bed, faults, gauges) = (&run.bed, &run.faults, &run.gauges);
     // Everything is closed: drain the deferred backlog completely, then
     // drop the net layer and caches — every page must be back at the
     // allocator.
-    let (mut verdict, _) = audit_teardown(
-        &bed,
-        &faults,
-        panics,
-        violations,
-        vec![
-            Box::new(net),
-            Box::new(state_cache),
-            Box::new(buf_cache),
-            Box::new(scratch_cache),
-        ],
-    );
-    let violations = &mut verdict.violations;
-    let gp_latency = bed
-        .rcu()
-        .telemetry()
-        .histogram("gp_latency_ns")
-        .and_then(HistogramSnapshot::percentiles);
-    let peak_bytes = verdict.peak_bytes;
+    let owners: Vec<Box<dyn Drains>> = vec![
+        Box::new(run.net),
+        Box::new(run.state_cache),
+        Box::new(run.buf_cache),
+        Box::new(run.scratch_cache),
+    ];
+    let (verdict, _) = audit_teardown(bed, faults, panics, t.violations, owners);
+    let [establish_end, baseline_end, storm_end, recovery_end] = t.rows;
+    let mut report = ServerReport {
+        verdict,
+        shards: gauges.len(),
+        target_connections: params.connections,
+        established_peak: t.established_peak,
+        open_at_end: t.open_at_end,
+        elapsed_secs: run.start.elapsed().as_secs_f64(),
+        totals: gauges.totals(),
+        per_shard: gauges.rows(),
+        baseline: baseline_end.delta(&establish_end),
+        storm: storm_end.delta(&baseline_end),
+        recovery: recovery_end.delta(&storm_end),
+        alloc_latency: alloc_hist.percentiles(),
+        gp_latency: bed
+            .rcu()
+            .telemetry()
+            .histogram("gp_latency_ns")
+            .and_then(HistogramSnapshot::percentiles),
+        alloc_hist,
+        pressure_hard_seen: t.pressure_hard_seen,
+        max_garbage_storm: t.max_garbage_storm,
+        garbage_bound: params.garbage_bound,
+        stalled_shard: params.stalled_shard,
+        injected_accept_refusals: faults.injected(site::NET_ACCEPT),
+        injected_read_stalls: faults.injected(site::NET_READ_STALL),
+        baseline_used_bytes: t.baseline_used_bytes,
+        recovered_used_bytes: t.recovered_used_bytes,
+        replay_flags: params.replay_flags(),
+    };
+    gates(&mut report, params, kind, bed.reclaim_backend(), run.pressure.into_inner());
+    report
+}
 
-    let totals = gauges.totals();
-    let baseline = row_baseline_end.delta(&row_establish_end);
-    let storm = row_storm_end.delta(&row_baseline_end);
-    let recovery = row_recovery_end.delta(&row_storm_end);
-    let alloc_latency = merged_hist.percentiles();
-
-    // ---- Degradation gates. ----
-    if panics != 0 {
-        violations.push(format!("{panics} reactor panics"));
+impl<'p> ServerRun<'p> {
+    fn new(kind: AllocatorKind, params: &'p ServerParams) -> Self {
+        let faults = Arc::new(FaultInjector::new(params.seed));
+        faults.schedule(site::NET_ACCEPT, Schedule::Probability(ACCEPT_FAULT_P));
+        faults.schedule(site::NET_READ_STALL, Schedule::Probability(READ_STALL_FAULT_P));
+        if params.grow_fault_p > 0.0 {
+            faults.schedule(site::SLAB_GROW, Schedule::Probability(params.grow_fault_p));
+        }
+        // The watchdog threshold sits well under the storm length so a
+        // parked reactor is blamed while the storm is still running.
+        let stall_threshold = Duration::from_millis((params.storm_ms / 4).clamp(5, 50));
+        let bed = hardened_bed(
+            kind,
+            params.shards,
+            RcuConfig::eager().with_stall_threshold(stall_threshold),
+            params.limit_bytes,
+            Some(Arc::clone(&faults)),
+            params
+                .pressure_watermarks
+                .map(|(soft, hard)| EngineConfig::new(params.shards).with_watermarks(soft, hard)),
+            params.reclaim,
+        );
+        let state_cache = bed.create_cache("conn_state", CONN_STATE_SIZE);
+        let buf_cache = bed.create_cache("parse_buf", PARSE_BUF_SIZE);
+        let scratch_cache = bed.create_cache("req_scratch", SCRATCH_SIZE);
+        let nshards = params.shards.max(1);
+        let target_per_shard = params.connections.div_ceil(nshards);
+        let shard_config = ShardConfig {
+            backlog_cap: params.backlog_cap,
+            conn_buckets: (target_per_shard * MAX_CONNS_FACTOR / 4)
+                .next_power_of_two()
+                .clamp(256, 1 << 18),
+            wheel_slots: 256,
+            wheel_granularity: (params.idle_timeout_ms / 128).max(1),
+        };
+        let net = ShardedNet::new(bed.factory(), nshards, shard_config, Some(Arc::clone(&faults)));
+        Self {
+            params,
+            bed,
+            faults,
+            state_cache,
+            buf_cache,
+            scratch_cache,
+            net,
+            gauges: ShardSet::new(nshards),
+            zipf: Zipf::new(KEYS, ZIPF_S),
+            phase: AtomicU8::new(PHASE_ESTABLISH),
+            acked: (0..nshards).map(|_| AtomicU8::new(PHASE_ESTABLISH)).collect(),
+            pressure: AtomicUsize::new(0),
+            target_per_shard,
+            start: Instant::now(),
+        }
     }
-    if storm.shed_accepts == 0 {
+
+    /// Runs `driver` on this thread beside the grace-period prober and one
+    /// reactor per shard, then raises shutdown — on unwind too, so a
+    /// panicking driver fails the run instead of hanging it — and joins
+    /// them. Returns the driver's result, the reactors' merged alloc-path
+    /// histogram and how many of those threads panicked.
+    fn serve<R>(&self, driver: impl FnOnce(&Self) -> R) -> (R, HistogramSnapshot, u64) {
+        std::thread::scope(|s| {
+            let shutdown = StopOnDrop(|| self.phase.store(PHASE_SHUTDOWN, Ordering::Release));
+            // Grace-period prober: periodic blocking `synchronize()` calls
+            // both bound the deferred backlog and populate the
+            // `gp_latency_ns` histogram the report quotes. Under an
+            // epoch-backend storm with a parked shard, one of these calls
+            // blocks for most of the storm — that tail is the contrast the
+            // report exists to show.
+            let prober = std::thread::Builder::new()
+                .name("server-gp-prober".to_owned())
+                .spawn_scoped(s, || {
+                    while self.phase.load(Ordering::Acquire) != PHASE_SHUTDOWN {
+                        self.bed.rcu().synchronize();
+                        std::thread::sleep(Duration::from_millis(3));
+                    }
+                })
+                .expect("spawn gp prober");
+            let reactors: Vec<_> = (0..self.acked.len())
+                .map(|idx| {
+                    std::thread::Builder::new()
+                        .name(format!("server-shard-{idx}"))
+                        .spawn_scoped(s, move || Reactor::new(self, idx).run())
+                        .expect("spawn reactor shard")
+                })
+                .collect();
+            let out = driver(self);
+            drop(shutdown);
+            let mut hist = HistogramSnapshot::default();
+            let mut panics = 0;
+            for reactor_hist in reactors.into_iter().filter_map(|r| join(r, &mut panics)) {
+                hist.merge(&reactor_hist);
+            }
+            join(prober, &mut panics);
+            (out, hist, panics)
+        })
+    }
+
+    /// The driver: every phase in order. The establish budget, the run's
+    /// patience for building a population, also bounds each phase's
+    /// handshake and the post-storm rebuild.
+    fn drive(&self, t: &mut Timeline) {
+        let p = self.params;
+        let patience = p.establish_timeout;
+        self.establish(t, patience);
+        self.hold(t, PHASE_BASELINE, Duration::from_millis(p.baseline_ms), patience);
+        self.hold(t, PHASE_STORM, Duration::from_millis(p.storm_ms), patience);
+        self.recover(t, Duration::from_millis(p.recovery_ms), patience);
+        self.shutdown(t);
+    }
+
+    /// Publishes the worst cache pressure and records the peaks the gates
+    /// read; deferred garbage only during the storm.
+    fn sample(&self, t: &mut Timeline) {
+        let level = self
+            .state_cache
+            .stats()
+            .pressure_level
+            .max(self.buf_cache.stats().pressure_level)
+            .max(self.scratch_cache.stats().pressure_level);
+        self.pressure.store(level, Ordering::Relaxed);
+        t.pressure_hard_seen |= level >= 2;
+        t.established_peak = t.established_peak.max(self.net.connection_count());
+        if self.phase.load(Ordering::Relaxed) == PHASE_STORM {
+            let outstanding = self.state_cache.deferred_outstanding()
+                + self.buf_cache.deferred_outstanding()
+                + self.scratch_cache.deferred_outstanding()
+                + self.net.deferred_outstanding();
+            t.max_garbage_storm = t.max_garbage_storm.max(outstanding);
+        }
+    }
+
+    /// The driver's one wait: samples every 2 ms until `done` holds or
+    /// `deadline` passes, and returns whether `done` held.
+    fn wait(&self, t: &mut Timeline, deadline: Instant, done: impl Fn(&Self) -> bool) -> bool {
+        loop {
+            self.sample(t);
+            if done(self) {
+                return true;
+            }
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Whether at least `percent` of the target population is connected.
+    fn populated(&self, percent: usize) -> bool {
+        self.net.connection_count() * 100 >= self.params.connections * percent
+    }
+
+    /// Establish: the reactors dial and accept until the population is
+    /// (nearly) at target, for at most `budget`.
+    fn establish(&self, t: &mut Timeline, budget: Duration) {
+        if !self.wait(t, Instant::now() + budget, |run| run.populated(99)) {
+            t.violations.push(format!(
+                "establish timed out: {}/{} connections after {budget:?}",
+                self.net.connection_count(),
+                self.params.connections
+            ));
+        }
+        t.baseline_used_bytes = self.bed.pages().used_bytes();
+        t.rows[usize::from(PHASE_ESTABLISH)] = self.gauges.totals();
+    }
+
+    /// Enters `phase` and, once every reactor has acknowledged it (a
+    /// violation naming the phase if that takes past `ack_budget`), holds
+    /// it for `window`.
+    fn hold(&self, t: &mut Timeline, phase: u8, window: Duration, ack_budget: Duration) {
+        self.phase.store(phase, Ordering::Release);
+        let acked = |run: &Self| run.acked.iter().all(|a| a.load(Ordering::Acquire) >= phase);
+        if !self.wait(t, Instant::now() + ack_budget, acked) {
+            t.violations.push(format!(
+                "reactors never acknowledged the {} phase within {ack_budget:?}",
+                PHASE_NAMES[usize::from(phase)]
+            ));
+        }
+        self.wait(t, Instant::now() + window, |_| false);
+        t.rows[usize::from(phase)] = self.gauges.totals();
+    }
+
+    /// Recovery: the attack stops; deadlines evict the attackers and the
+    /// dial pumps rebuild the population. `window` is a floor, not the
+    /// verdict: refilling the post-storm deficit is accept-throughput
+    /// bound, so on a starved machine the pumps may still be mid-refill
+    /// when it closes. The population gets up to `grace` more to come
+    /// back, and the recovery gate judges what the server converged to,
+    /// not scheduler luck.
+    fn recover(&self, t: &mut Timeline, window: Duration, grace: Duration) {
+        self.hold(t, PHASE_RECOVERY, window, grace);
+        self.wait(t, Instant::now() + grace, |run| run.populated(95));
+        t.rows[usize::from(PHASE_RECOVERY)] = self.gauges.totals();
+        t.open_at_end = self.net.connection_count();
+    }
+
+    /// Shutdown: memory recovery is judged after reclamation catches up —
+    /// under procrastinated reclamation the storm's deferred backlog
+    /// drains lazily, so the gate measures the settled state, not the
+    /// race between the sampler and the collector. Service is still up
+    /// while these drains wait: the reactors stop once the driver returns
+    /// and [`serve`](Self::serve) raises `PHASE_SHUTDOWN`.
+    fn shutdown(&self, t: &mut Timeline) {
+        self.state_cache.quiesce();
+        self.buf_cache.quiesce();
+        self.scratch_cache.quiesce();
+        self.net.quiesce();
+        t.recovered_used_bytes = self.bed.pages().used_bytes();
+    }
+}
+
+/// The degradation gates, judged on the finished report.
+/// `recovered_pressure` is the last pressure level the driver sampled.
+fn gates(
+    r: &mut ServerReport,
+    params: &ServerParams,
+    kind: AllocatorKind,
+    backend: ReclaimBackend,
+    recovered_pressure: usize,
+) {
+    let violations = &mut r.verdict.violations;
+    if r.storm.shed_accepts == 0 {
         violations.push("storm never tripped accept backpressure (shed_accepts == 0)".into());
     }
-    if totals.timeouts == 0 {
+    if r.totals.timeouts == 0 {
         violations.push("deadline wheel never evicted a connection (timeouts == 0)".into());
     }
-    match alloc_latency {
+    match r.alloc_latency {
         None => violations.push("no alloc-path latency samples recorded".into()),
-        Some(p) => {
-            if p.p999 > params.p999_alloc_bound_ns {
-                violations.push(format!(
-                    "alloc-path p99.9 {} ns exceeds bound {} ns",
-                    p.p999, params.p999_alloc_bound_ns
-                ));
-            }
-        }
+        Some(p) if p.p999 > params.p999_alloc_bound_ns => violations.push(format!(
+            "alloc-path p99.9 {} ns exceeds bound {} ns",
+            p.p999, params.p999_alloc_bound_ns
+        )),
+        Some(_) => {}
     }
     if params.stalled_shard {
-        if verdict.stall_warnings == 0 {
+        if r.verdict.stall_warnings == 0 {
             violations.push("parked shard never tripped the stall watchdog".into());
         }
-        match garbage_contrast_gate(
-            harness::is_robust(backend),
-            max_garbage_storm,
+        violations.extend(garbage_contrast_gate(
+            backend,
+            r.max_garbage_storm,
             params.garbage_bound,
             params.require_epoch_contrast,
-        ) {
-            Some(ContrastFailure::RobustOverBound) => violations.push(format!(
-                "robust backend {backend:?} let garbage reach {max_garbage_storm} \
-                 (bound {}) with a shard parked",
-                params.garbage_bound
-            )),
-            Some(ContrastFailure::EpochWithinBound) => violations.push(format!(
-                "epoch backend held garbage to {max_garbage_storm} (bound {}) — \
-                 the stalled-reader contrast went missing",
-                params.garbage_bound
-            )),
-            None => {}
-        }
-    }
-    if recovery.requests == 0 {
-        violations.push("no requests served during recovery".into());
-    }
-    if open_at_end * 100 < params.connections * 90 {
-        violations.push(format!(
-            "service did not recover: {open_at_end}/{} connections at end",
-            params.connections
         ));
     }
-    let recovered_pressure = pressure.load(Ordering::Relaxed);
+    if r.recovery.requests == 0 {
+        violations.push("no requests served during recovery".into());
+    }
+    if r.open_at_end * 100 < params.connections * 90 {
+        violations.push(format!(
+            "service did not recover: {}/{} connections at end",
+            r.open_at_end, params.connections
+        ));
+    }
     if recovered_pressure >= 2 {
         violations.push(format!(
             "pressure still hard ({recovered_pressure}) at the end of recovery"
@@ -1074,39 +827,301 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
     // so the bound is the looser of "factor × baseline" and "gave back at
     // least half the storm overshoot" — either way a run that returns
     // nothing (recovered ≈ peak) fails.
-    let recovery_bound = ((baseline_used_bytes as f64 * RECOVERY_FACTOR) as usize)
-        .max(baseline_used_bytes + (peak_bytes - baseline_used_bytes) / 2);
-    if kind == AllocatorKind::Slub && recovered_used_bytes > recovery_bound {
+    let (baseline, recovered) = (r.baseline_used_bytes, r.recovered_used_bytes);
+    let recovery_bound = ((baseline as f64 * RECOVERY_FACTOR) as usize)
+        .max(baseline + (r.verdict.peak_bytes - baseline) / 2);
+    if kind == AllocatorKind::Slub && recovered > recovery_bound {
         violations.push(format!(
-            "memory did not return to baseline: {recovered_used_bytes} used vs \
-             {baseline_used_bytes} baseline (bound {recovery_bound})"
+            "memory did not return to baseline: {recovered} used vs \
+             {baseline} baseline (bound {recovery_bound})"
         ));
     }
+}
 
-    ServerReport {
-        verdict,
-        shards: nshards,
-        target_connections: params.connections,
-        established_peak,
-        open_at_end,
-        elapsed_secs: start.elapsed().as_secs_f64(),
-        totals,
-        per_shard: gauges.rows(),
-        baseline,
-        storm,
-        recovery,
-        alloc_latency,
-        gp_latency,
-        alloc_hist: merged_hist,
-        pressure_hard_seen,
-        max_garbage_storm,
-        garbage_bound: params.garbage_bound,
-        stalled_shard: params.stalled_shard,
-        injected_accept_refusals: faults.injected(site::NET_ACCEPT),
-        injected_read_stalls: faults.injected(site::NET_READ_STALL),
-        baseline_used_bytes,
-        recovered_used_bytes,
-        replay_flags: params.replay_flags(),
+/// One reactor shard. Its alloc-path histogram is worker-local and always
+/// recorded: the p99.9 gate must not depend on the global trace toggle.
+struct Reactor<'r> {
+    run: &'r ServerRun<'r>,
+    idx: usize,
+    shard: &'r NetShard,
+    gauges: &'r ShardGauges,
+    rng: StdRng,
+    hist: HistogramSnapshot,
+    table: ConnTable,
+    expired: Vec<(u64, u64)>,
+}
+
+impl<'r> Reactor<'r> {
+    fn new(run: &'r ServerRun<'r>, idx: usize) -> Self {
+        Self {
+            run,
+            idx,
+            shard: run.net.shard(idx),
+            gauges: run.gauges.shard(idx),
+            rng: StdRng::seed_from_u64(run.params.seed ^ ((idx as u64) << 17)),
+            hist: HistogramSnapshot::default(),
+            table: ConnTable::default(),
+            expired: Vec::new(),
+        }
+    }
+
+    /// Steps until shutdown, acknowledging each phase after a full
+    /// iteration in it, then closes every connection still open and
+    /// returns the alloc-path histogram. When the run stalls a shard, the
+    /// last one parks for the whole storm in one continuous read-side pin
+    /// instead: its connections go unserviced, and reclamation must cope
+    /// (robust backends) or visibly stall and be blamed (epoch).
+    fn run(mut self) -> HistogramSnapshot {
+        let run = self.run;
+        let parks = run.params.stalled_shard && self.idx == run.acked.len() - 1;
+        let ack = &run.acked[self.idx];
+        let reader = run.bed.rcu().register();
+        loop {
+            let ph = run.phase.load(Ordering::Acquire);
+            if ph == PHASE_SHUTDOWN {
+                break;
+            }
+            // Phases only advance, so the shard parks at most once.
+            if ph == PHASE_STORM && parks {
+                let guard = reader.read_lock();
+                ack.store(PHASE_STORM, Ordering::Release);
+                while run.phase.load(Ordering::Acquire) == PHASE_STORM {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                drop(guard);
+                continue;
+            }
+            self.step(ph);
+            ack.store(ph, Ordering::Release);
+            std::thread::yield_now();
+        }
+        for e in std::mem::take(&mut self.table.entries) {
+            self.close(e);
+        }
+        self.gauges.set_open(0);
+        self.hist
+    }
+
+    fn step(&mut self, ph: u8) {
+        let now_ms = self.run.start.elapsed().as_millis() as u64;
+        let hard_pressure = self.run.pressure.load(Ordering::Relaxed) >= 2;
+        self.dial(ph);
+        self.accept(now_ms, hard_pressure);
+        if hard_pressure {
+            self.evict();
+        } else if ph != PHASE_ESTABLISH {
+            self.serve(now_ms);
+        }
+        self.sweep_deadlines(ph, now_ms);
+        self.gauges.set_open(self.table.len() as u64);
+    }
+
+    /// Dial pump: the traffic engine knocking on this shard's listener.
+    fn dial(&mut self, ph: u8) {
+        let params = self.run.params;
+        if ph != PHASE_STORM {
+            // Steady phases: restore the population, paced inside the
+            // backlog so a healthy server never sheds its own dials.
+            let deficit = self.run.target_per_shard.saturating_sub(self.table.len());
+            let free = params.backlog_cap.saturating_sub(self.shard.backlog_len());
+            for _ in 0..deficit.min(free) {
+                if self.shard.dial(COOKIE_HONEST).is_err() {
+                    ShardGauges::bump(&self.gauges.shed_accepts);
+                }
+            }
+            return;
+        }
+        // DoS burst: over-dial the listen queue (backpressure must shed
+        // the excess) with a slowloris mix.
+        for _ in 0..params.backlog_cap + params.backlog_cap / 4 {
+            let cookie = if self.rng.gen_bool(ATTACKER_FRACTION) {
+                COOKIE_ATTACKER
+            } else {
+                COOKIE_HONEST
+            };
+            if self.shard.dial(cookie).is_err() {
+                ShardGauges::bump(&self.gauges.shed_accepts);
+            }
+        }
+        // Churn storm: close established honest connections (their
+        // teardown defers) and let the pump re-dial them later.
+        for _ in 0..params.churn_per_iter {
+            if self.table.len() == 0 {
+                break;
+            }
+            let i = self.rng.gen_range(0..self.table.len());
+            if !self.table.entries[i].attacker {
+                let e = self.table.take(i);
+                self.close(e);
+            }
+        }
+    }
+
+    /// Accept — or shed the backlog unallocated, when pressure is hard or
+    /// the shard is at its connection cap.
+    fn accept(&mut self, now_ms: u64, hard_pressure: bool) {
+        if hard_pressure || self.table.len() >= self.run.target_per_shard * MAX_CONNS_FACTOR {
+            while self.shard.shed_dial().is_some() {
+                ShardGauges::bump(&self.gauges.shed_accepts);
+            }
+            return;
+        }
+        for _ in 0..self.run.params.accept_budget {
+            match self.shard.accept() {
+                None => break,
+                Some(Err(NetError::Refused)) => ShardGauges::bump(&self.gauges.refused_accepts),
+                Some(Err(_)) => ShardGauges::bump(&self.gauges.alloc_drops),
+                Some(Ok((conn, cookie))) => self.admit(conn, cookie == COOKIE_ATTACKER, now_ms),
+            }
+        }
+    }
+
+    /// Allocates an accepted connection's state and parse buffer and arms
+    /// its deadline — or, once the retry budget is exhausted, drops the
+    /// connection, never panics.
+    fn admit(&mut self, conn: ConnId, attacker: bool, now_ms: u64) {
+        let run = self.run;
+        let state = self.alloc(&run.state_cache);
+        let buf = self.alloc(&run.buf_cache);
+        let (Some(state), Some(buf)) = (state, buf) else {
+            for (cache, obj) in [(&run.state_cache, state), (&run.buf_cache, buf)] {
+                if let Some(p) = obj {
+                    // SAFETY: never published; this reactor alone holds it.
+                    unsafe { cache.free(p) };
+                }
+            }
+            let _ = self.shard.close(conn);
+            ShardGauges::bump(&self.gauges.alloc_drops);
+            return;
+        };
+        // SAFETY: fresh exclusive objects, sized above.
+        unsafe {
+            state.as_ptr().cast::<u64>().write(conn.0);
+            buf.as_ptr().cast::<u64>().write(conn.0);
+        }
+        let timeout = if attacker {
+            run.params.slow_deadline_ms
+        } else {
+            run.params.idle_timeout_ms
+        };
+        let deadline = now_ms + timeout;
+        self.shard.arm_deadline(conn, deadline);
+        self.table.insert(ConnEntry { conn, state, buf, attacker, deadline });
+        ShardGauges::bump(&self.gauges.accepted);
+    }
+
+    /// Load shedding under hard pressure: evict idle connections instead
+    /// of serving requests.
+    fn evict(&mut self) {
+        for _ in 0..REQUEST_BUDGET.min(self.table.len()) {
+            let e = self.table.take(self.table.len() - 1);
+            self.close(e);
+            ShardGauges::bump(&self.gauges.shed_conns);
+        }
+    }
+
+    /// Services the Zipfian request mix.
+    fn serve(&mut self, now_ms: u64) {
+        let run = self.run;
+        for _ in 0..REQUEST_BUDGET {
+            if self.table.len() == 0 {
+                break;
+            }
+            let i = self.rng.gen_range(0..self.table.len());
+            if self.table.entries[i].attacker {
+                // Slowloris: never completes a request; just sits on its
+                // deadline.
+                continue;
+            }
+            let conn = self.table.entries[i].conn;
+            let key = run.zipf.sample(self.rng.gen::<f64>());
+            // Popular keys are small cached objects; the long tail serves
+            // bigger documents.
+            let bytes = 64usize << (key % 5).min(4);
+            let Some(scratch) = self.alloc(&run.scratch_cache) else { continue };
+            // SAFETY: fresh exclusive object.
+            unsafe {
+                std::ptr::write_bytes(scratch.as_ptr(), 0x5A, 64);
+                run.scratch_cache.free(scratch);
+            }
+            match self.shard.net().request_response(conn, bytes) {
+                Ok(()) => {
+                    ShardGauges::bump(&self.gauges.requests);
+                    let deadline = now_ms + run.params.idle_timeout_ms;
+                    self.table.entries[i].deadline = deadline;
+                    self.shard.arm_deadline(conn, deadline);
+                }
+                Err(NetError::WouldBlock) => {
+                    // Peer stalled mid-read: count it and leave the
+                    // deadline armed — persistent stalling is evicted,
+                    // not waited on.
+                    ShardGauges::bump(&self.gauges.read_stalls);
+                }
+                Err(_) => {}
+            }
+        }
+    }
+
+    /// Deadline sweep: evict expired connections (lazily-cancelled
+    /// refreshes are skipped by the deadline comparison).
+    fn sweep_deadlines(&mut self, ph: u8, now_ms: u64) {
+        self.expired.clear();
+        self.shard.poll_deadlines(now_ms, &mut self.expired);
+        for &(conn, deadline) in &self.expired {
+            let Some(&i) = self.table.index.get(&conn) else { continue };
+            if self.table.entries[i].deadline != deadline {
+                continue;
+            }
+            if ph == PHASE_ESTABLISH && !self.table.entries[i].attacker {
+                // No request is serviced before establish completes, so
+                // "idle" is meaningless here; evicting would cap the
+                // population at the accept-rate x timeout equilibrium and
+                // large targets could never establish.
+                let next = now_ms + self.run.params.idle_timeout_ms;
+                self.table.entries[i].deadline = next;
+                self.shard.arm_deadline(self.table.entries[i].conn, next);
+                continue;
+            }
+            let e = self.table.take(i);
+            self.close(e);
+            ShardGauges::bump(&self.gauges.timeouts);
+        }
+    }
+
+    /// Bounded retry with exponential backoff around one allocation. Each
+    /// attempt re-enters the allocator (whose staged OOM ladder runs
+    /// underneath); every attempt's latency — success or failure — lands
+    /// in the alloc-path histogram the p99.9 gate reads.
+    fn alloc(&mut self, cache: &Arc<dyn ObjectAllocator>) -> Option<ObjPtr> {
+        let mut backoff_us = 20u64;
+        for attempt in 0..=ALLOC_RETRY_BUDGET {
+            let t0 = Instant::now();
+            let result = cache.allocate();
+            self.hist.record(t0.elapsed().as_nanos() as u64);
+            if let Ok(p) = result {
+                return Some(p);
+            }
+            if attempt < ALLOC_RETRY_BUDGET {
+                ShardGauges::bump(&self.gauges.alloc_retries);
+                std::thread::sleep(Duration::from_micros(backoff_us));
+                backoff_us = (backoff_us * 2).min(2_000);
+            }
+        }
+        None
+    }
+
+    /// Closes one connection and defers its server-side state, as
+    /// connection teardown does in the kernel.
+    fn close(&self, e: ConnEntry) {
+        let _ = self.shard.close(e.conn);
+        // SAFETY: the entry was removed from the table, so this reactor
+        // owns the objects; pre-existing RCU readers may still inspect
+        // them until the grace period ends, which is exactly what
+        // free_deferred is for.
+        unsafe {
+            self.run.state_cache.free_deferred(e.state);
+            self.run.buf_cache.free_deferred(e.buf);
+        }
     }
 }
 
@@ -1151,7 +1166,46 @@ mod tests {
             assert!(r.totals.timeouts > 0, "slowloris conns must be evicted");
             assert_eq!(r.verdict.deferred_outstanding_end, 0);
             assert_eq!(r.verdict.used_bytes_after_teardown, 0);
+            let back: ServerReport =
+                serde_json::from_str(&serde_json::to_string(&r).unwrap()).unwrap();
+            assert_eq!(back.verdict, r.verdict);
+            assert_eq!(back.totals, r.totals);
         }
+    }
+
+    #[test]
+    fn establish_times_out_at_its_deadline() {
+        // Reactors that never accept: the population can never build.
+        let params = ServerParams { accept_budget: 0, ..tiny() };
+        let run = ServerRun::new(AllocatorKind::Prudence, &params);
+        let mut t = Timeline::default();
+        let started = Instant::now();
+        run.serve(|run| run.establish(&mut t, Duration::from_millis(200)));
+        assert!(started.elapsed() < Duration::from_secs(1), "{:?}", started.elapsed());
+        assert_eq!(t.violations.len(), 1, "{:?}", t.violations);
+        assert!(t.violations[0].starts_with("establish timed out: 0/1500"), "{:?}", t.violations);
+    }
+
+    #[test]
+    fn driver_unwinding_mid_storm_still_joins_the_reactors() {
+        let params = tiny();
+        let run = ServerRun::new(AllocatorKind::Prudence, &params);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run.serve(|run| {
+                let mut t = Timeline::default();
+                run.establish(&mut t, params.establish_timeout);
+                // Returns once every reactor runs the storm and the last
+                // shard holds its pin.
+                run.hold(&mut t, PHASE_STORM, Duration::ZERO, params.establish_timeout);
+                assert!(t.violations.is_empty(), "{:?}", t.violations);
+                panic!("driver unwinds mid-storm");
+            })
+        }));
+        assert!(unwound.is_err());
+        // `serve` returned, so every reactor was joined; each closed its
+        // connections on the way out.
+        assert_eq!(run.phase.load(Ordering::Acquire), PHASE_SHUTDOWN);
+        assert_eq!(run.net.connection_count(), 0);
     }
 
     #[test]
@@ -1222,25 +1276,5 @@ mod tests {
             ..ServerParams::full_scale()
         };
         assert_eq!(params.replay_flags(), " --no-stall --storm-ms 10 --garbage-bound 9");
-    }
-
-    #[test]
-    fn report_round_trips_through_serde() {
-        let r = run_server(
-            AllocatorKind::Slub,
-            &ServerParams {
-                connections: 400,
-                shards: 2,
-                baseline_ms: 30,
-                storm_ms: 60,
-                recovery_ms: 90,
-                ..ServerParams::smoke()
-            },
-        );
-        let json = serde_json::to_string(&r).unwrap();
-        let back: ServerReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.verdict.allocator, r.verdict.allocator);
-        assert_eq!(back.totals, r.totals);
-        assert_eq!(back.verdict.violations, r.verdict.violations);
     }
 }

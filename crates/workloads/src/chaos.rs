@@ -12,7 +12,7 @@
 //!
 //! * every injected fault surfaced as an `Err` or was absorbed by a
 //!   documented recovery path — never a panic (`parking_lot` locks cannot
-//!   poison, and the run counts worker panics directly);
+//!   poison, and the teardown audit counts thread panics);
 //! * no object was handed out twice while live (a double merge of latent
 //!   caches would mint duplicates);
 //! * after quiesce, `deferred_outstanding == 0` and no live objects remain;
@@ -24,6 +24,7 @@
 //! failing seed can be handed to `--bin chaos` and reproduced.
 
 use std::collections::HashSet;
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -34,15 +35,18 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use pbs_alloc_api::engine::EngineConfig;
-use pbs_alloc_api::{fastpath_default_engine, CacheStatsSnapshot, FastPathEngine, ObjPtr};
+use pbs_alloc_api::{
+    fastpath_default_engine, CacheStatsSnapshot, FastPathEngine, ObjPtr, ObjectAllocator,
+};
 use pbs_fault::{site, FaultInjector, Schedule};
 use pbs_rcu::reclaim::ReclaimBackend;
-use pbs_rcu::RcuConfig;
+use pbs_rcu::{Rcu, RcuConfig};
 use pbs_structs::{RcuBst, RcuHashMap};
 
 use crate::apps::{ServerParams, ServerReport};
-use crate::harness::{self, audit_teardown, garbage_contrast_gate, ContrastFailure};
-use crate::{hardened_bed, AllocatorKind, RunVerdict};
+use crate::doctor::DoctorServer;
+use crate::harness::{self, audit_teardown, garbage_contrast_gate, join, Drains, StopOnDrop};
+use crate::{hardened_bed, AllocatorKind, RunVerdict, Testbed};
 
 /// Which stress profile a chaos run applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,17 +106,10 @@ impl std::str::FromStr for ChaosScenario {
     type Err = String;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "mixed" => Ok(ChaosScenario::Mixed),
-            "stalled-reader" => Ok(ChaosScenario::StalledReader),
-            "oom-storm" => Ok(ChaosScenario::OomStorm),
-            "fastpath-flap" => Ok(ChaosScenario::FastpathFlap),
-            "server-storm" => Ok(ChaosScenario::ServerStorm),
-            other => Err(format!(
-                "unknown scenario {other:?} (expected mixed, stalled-reader, oom-storm, \
-                 fastpath-flap or server-storm)"
-            )),
-        }
+        Self::ALL.into_iter().find(|scenario| scenario.label() == s).ok_or_else(|| {
+            let labels: Vec<_> = Self::ALL.iter().map(Self::label).collect();
+            format!("unknown scenario {s:?} (expected one of {})", labels.join(", "))
+        })
     }
 }
 
@@ -360,11 +357,12 @@ impl ChaosReport {
     }
 }
 
-/// Per-worker tally, merged into the report after the join.
+/// What a churn run's threads tallied, merged across joins.
 #[derive(Debug, Default)]
-struct WorkerTally {
+struct Tally {
     ops: u64,
     ooms: u64,
+    panics: u64,
     violations: Vec<String>,
 }
 
@@ -394,9 +392,7 @@ fn server_storm_report(params: &ChaosParams, report: ServerReport) -> ChaosRepor
         ops_completed: report.totals.requests,
         oom_errors: report.totals.alloc_retries + report.totals.alloc_drops,
         churn: ChurnCounters::default(),
-        stalled_garbage_observed: report
-            .stalled_shard
-            .then_some(report.max_garbage_storm),
+        stalled_garbage_observed: report.stalled_shard.then_some(report.max_garbage_storm),
         stalled_garbage_bound: report.garbage_bound,
         replay_flags: params.replay_flags(),
         verdict: report.verdict,
@@ -409,604 +405,578 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
         let report = crate::apps::run_server(kind, &server_storm_params(params));
         return server_storm_report(params, report);
     }
-    let faults = Arc::new(FaultInjector::new(params.seed));
-    faults.schedule(site::SLAB_GROW, Schedule::Probability(params.grow_fault_p));
-    // Epoch advances, HP scans and Hyaline seals all consult this one
-    // site, so the same stall probability starves every backend.
-    faults.schedule(
-        site::RECLAIM_ADVANCE,
-        Schedule::Probability(params.stall_fault_p),
-    );
+    let churn = ChurnBed::new(kind, params);
+    let mut tally = Tally::default();
+    let flips = churn.run(params, &mut tally);
 
-    // Scenario knobs. The stalled-reader run lowers the watchdog threshold
-    // below its pin pulses so warnings are reachable in a short run; the
-    // storm lowers the pressure watermarks into the run's backlog range so
-    // the governor (expedite, caller-assisted reclaim) engages.
-    let mut rcu_config = RcuConfig::eager();
-    let mut staller_hold = Duration::from_millis(2);
-    let mut engine = None;
-    match params.scenario {
-        // ServerStorm never reaches here (it returned above); it carries
-        // no knobs for the micro-churn harness.
-        ChaosScenario::Mixed | ChaosScenario::FastpathFlap | ChaosScenario::ServerStorm => {}
-        ChaosScenario::StalledReader => {
-            rcu_config = rcu_config.with_stall_threshold(Duration::from_millis(2));
-            staller_hold = Duration::from_millis(8);
-        }
-        ChaosScenario::OomStorm => {
-            // Longer pins keep the deferred bursts pinned long enough for
-            // grows to collide with the budget; the ladder's expedited
-            // drain then succeeds as soon as a pin releases.
-            staller_hold = Duration::from_millis(4);
-            engine = Some(EngineConfig::new(params.threads).with_watermarks(64, 256));
-        }
-    }
-
-    // Arc-wrapped so the doctor endpoint's provider closure can snapshot
-    // the bed from its own thread while the run is live.
-    let bed = Arc::new(hardened_bed(
-        kind,
-        params.threads,
-        rcu_config,
-        Some(params.limit_bytes),
-        Some(Arc::clone(&faults)),
-        engine,
-        params.reclaim,
-    ));
-    // Robust backends reclaim while readers stay pinned. The structure
-    // walks run under every backend — lookups and for_each go through the
-    // protected-traversal layer (hazard-published under hp, checkpointed
-    // under hyaline), so the op mix below is identical across backends.
-    let backend = bed.reclaim_backend();
-    let robust = harness::is_robust(backend);
-    let node_cache = bed.create_cache("chaos_node", 64);
-    let obj_cache = bed.create_cache("chaos_obj", 128);
-    // Large-object cache only the storm's burst arm touches: 32-object
-    // bursts of 512 B are 16 KiB each, so a handful of pinned bursts are
-    // guaranteed to drive slab grows into the storm's tight budget.
-    let storm_cache = bed.create_cache("chaos_storm", 512);
-
-    // Live-object registry shared by all workers: allocate must never hand
-    // out an address that another holder still owns (a latent-cache double
-    // merge would do exactly that).
-    let live: Arc<Mutex<HashSet<usize>>> = Arc::new(Mutex::new(HashSet::new()));
-
-    let mut violations: Vec<String> = Vec::new();
-    let mut ops_completed = 0u64;
-    let mut oom_errors = 0u64;
-    let mut panics = 0u64;
-
-    let stop_staller = Arc::new(AtomicBool::new(false));
-    let mut fastpath_flips = 0u64;
-    let doctor_server = if params.doctor {
-        let provider_bed = Arc::clone(&bed);
-        match crate::doctor::DoctorServer::start(move || provider_bed.telemetry()) {
-            Ok(server) => Some(server),
-            Err(e) => {
-                violations.push(format!("doctor endpoint failed to start: {e}"));
-                None
-            }
-        }
-    } else {
-        None
-    };
-    std::thread::scope(|s| {
-        // Fast-path flapper: cycles every cache through
-        // disable(+drain) → enable → portable engine → default engine
-        // while the workers churn, so every switchover direction runs
-        // against live traffic. Ends by restoring the enabled/default
-        // state so the quiesce invariants check a healthy fast path.
-        let flapper = (params.scenario == ChaosScenario::FastpathFlap).then(|| {
-            let caches = [
-                Arc::clone(&node_cache),
-                Arc::clone(&obj_cache),
-                Arc::clone(&storm_cache),
-            ];
-            let stop = Arc::clone(&stop_staller);
-            s.spawn(move || {
-                let mut flips = 0u64;
-                let mut i = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    for cache in &caches {
-                        match i % 4 {
-                            0 => cache.fastpath_set_enabled(false),
-                            1 => cache.fastpath_set_enabled(true),
-                            2 => cache.fastpath_set_engine(FastPathEngine::Locks),
-                            _ => cache.fastpath_set_engine(fastpath_default_engine()),
-                        }
-                        flips += 1;
-                    }
-                    i += 1;
-                    std::thread::sleep(Duration::from_micros(500));
-                }
-                for cache in &caches {
-                    cache.fastpath_set_engine(fastpath_default_engine());
-                    cache.fastpath_set_enabled(true);
-                    flips += 2;
-                }
-                flips
-            })
-        });
-        // Stalled reader: pins read-side critical sections in long pulses,
-        // starving grace-period advance while free_deferred traffic from
-        // the workers keeps arriving. Pulses (not one endless pin) keep the
-        // run's quiesce reachable.
-        let staller = {
-            let rcu = Arc::clone(bed.rcu());
-            let stop = Arc::clone(&stop_staller);
-            // Named so the watchdog's blame report (which captures the
-            // registering thread's name) can identify the culprit.
-            std::thread::Builder::new()
-                .name("chaos-staller".to_owned())
-                .spawn_scoped(s, move || {
-                    let reader = rcu.register();
-                    while !stop.load(Ordering::Relaxed) {
-                        let guard = reader.read_lock();
-                        std::thread::sleep(staller_hold);
-                        drop(guard);
-                        std::thread::yield_now();
-                    }
-                })
-                .expect("spawn chaos-staller")
-        };
-        // Doctor smoke: scrape the live endpoint mid-run. `/metrics` must
-        // validate against the schema; for stalled-reader runs `/doctor`
-        // must name the pinned staller thread while the stall is live.
-        let smoke = doctor_server.as_ref().map(|server| {
-            let addr = server.addr();
-            let scenario = params.scenario;
-            s.spawn(move || {
-                let mut problems: Vec<String> = Vec::new();
-                let mut named = scenario != ChaosScenario::StalledReader;
-                let mut last_err = None;
-                for _ in 0..10 {
-                    std::thread::sleep(Duration::from_millis(10));
-                    match crate::doctor::http_get(addr, "/doctor") {
-                        Ok(body) => {
-                            last_err = None;
-                            if body.contains("chaos-staller") {
-                                named = true;
-                            }
-                        }
-                        Err(e) => last_err = Some(e),
-                    }
-                    if named {
-                        break;
-                    }
-                }
-                if let Some(e) = last_err {
-                    problems.push(format!("doctor smoke: GET /doctor failed: {e}"));
-                } else if !named {
-                    problems.push(
-                        "doctor smoke: /doctor never named chaos-staller during the stall"
-                            .to_owned(),
-                    );
-                }
-                match crate::doctor::http_get(addr, "/metrics") {
-                    Ok(body) => {
-                        if let Err(e) = crate::telemetry_export::validate_prometheus(&body) {
-                            problems
-                                .push(format!("doctor smoke: /metrics failed validation: {e}"));
-                        }
-                    }
-                    Err(e) => problems.push(format!("doctor smoke: GET /metrics failed: {e}")),
-                }
-                problems
-            })
-        });
-
-        let workers: Vec<_> = (0..params.threads)
-            .map(|tid| {
-                let node_cache = Arc::clone(&node_cache);
-                let obj_cache = Arc::clone(&obj_cache);
-                let storm_cache = Arc::clone(&storm_cache);
-                let live = Arc::clone(&live);
-                let rcu = Arc::clone(bed.rcu());
-                let params = params.clone();
-                s.spawn(move || {
-                    let mut tally = WorkerTally::default();
-                    let mut rng = StdRng::seed_from_u64(params.seed ^ (tid as u64) << 32);
-                    let reader = rcu.register();
-                    let tree: RcuBst<u64> = RcuBst::new(Arc::clone(&node_cache));
-                    let map: RcuHashMap<u64, u64> = RcuHashMap::new(node_cache, 32);
-                    let mut held: Vec<ObjPtr> = Vec::new();
-                    // A set duration defines the run length (time-bounded
-                    // scenarios); otherwise the op budget does.
-                    let deadline = params.duration.map(|d| Instant::now() + d);
-                    let mut i = 0u64;
-                    loop {
-                        match deadline {
-                            Some(dl) => {
-                                if Instant::now() >= dl {
-                                    break;
-                                }
-                            }
-                            None => {
-                                if i >= params.ops_per_thread {
-                                    break;
-                                }
-                            }
-                        }
-                        i += 1;
-                        tally.ops += 1;
-                        let roll = rng.gen_range(0..10u32);
-                        // The storm replaces most of the mix with burst
-                        // defers (arm 10): each one drains the CPU cache
-                        // and leaves a guaranteed deferred backlog, so
-                        // refill failures land while the ladder has
-                        // something to rescue.
-                        let roll = if params.scenario == ChaosScenario::OomStorm {
-                            match roll {
-                                0..=4 => 10, // burst defer
-                                5..=6 => 6,  // tree churn
-                                7..=8 => 0,  // allocate and hold
-                                _ => 9,      // read-side traversal
-                            }
-                        } else {
-                            roll
-                        };
-                        match roll {
-                            // Raw allocation, held for later free/defer.
-                            0..=2 => match obj_cache.allocate() {
-                                Ok(obj) => {
-                                    if !live.lock().insert(obj.addr()) {
-                                        tally.violations.push(format!(
-                                            "double handout of {:#x} (latent double merge?)",
-                                            obj.addr()
-                                        ));
-                                    }
-                                    held.push(obj);
-                                }
-                                Err(_) => tally.ooms += 1,
-                            },
-                            // Immediate free.
-                            3 => {
-                                if let Some(obj) = held.pop() {
-                                    live.lock().remove(&obj.addr());
-                                    unsafe { obj_cache.free(obj) };
-                                }
-                            }
-                            // Deferred free — the traffic that must keep
-                            // flowing while readers stall reclamation.
-                            4..=5 => {
-                                if !held.is_empty() {
-                                    let obj = held.swap_remove(rng.gen_range(0..held.len()));
-                                    live.lock().remove(&obj.addr());
-                                    unsafe { obj_cache.free_deferred(obj) };
-                                }
-                            }
-                            // Tree churn: multi-deferral amplification.
-                            6..=7 => {
-                                let k = rng.gen_range(0..params.keys);
-                                tree.remove(k);
-                                if tree.insert(k, i).is_err() {
-                                    tally.ooms += 1;
-                                }
-                            }
-                            // Hashmap churn.
-                            8 => {
-                                let k = rng.gen_range(0..params.keys);
-                                map.remove(&k);
-                                if map.insert(k, i).is_err() {
-                                    tally.ooms += 1;
-                                }
-                            }
-                            // Burst defer (storm only): allocate a burst,
-                            // then defer every object. Drains the CPU
-                            // cache so the next refill really hits the
-                            // node lists, and leaves a deferred backlog
-                            // for the recovery ladder to rescue.
-                            10 => {
-                                let mut burst: Vec<ObjPtr> = Vec::with_capacity(32);
-                                for _ in 0..32 {
-                                    match storm_cache.allocate() {
-                                        Ok(obj) => {
-                                            if !live.lock().insert(obj.addr()) {
-                                                tally.violations.push(format!(
-                                                    "double handout of {:#x} in burst",
-                                                    obj.addr()
-                                                ));
-                                            }
-                                            burst.push(obj);
-                                        }
-                                        Err(_) => {
-                                            tally.ooms += 1;
-                                            break;
-                                        }
-                                    }
-                                }
-                                for obj in burst {
-                                    live.lock().remove(&obj.addr());
-                                    unsafe { storm_cache.free_deferred(obj) };
-                                }
-                            }
-                            // Read-side traversal. No allocation happens
-                            // under the guard: an alloc could wait on a
-                            // grace period this pin is blocking.
-                            _ => {
-                                let guard = reader.read_lock();
-                                let k = rng.gen_range(0..params.keys);
-                                let _ = tree.lookup(&guard, k);
-                                let _ = map.get(&guard, &k);
-                            }
-                        }
-                    }
-                    for obj in held.drain(..) {
-                        live.lock().remove(&obj.addr());
-                        unsafe { obj_cache.free(obj) };
-                    }
-                    tally
-                })
-            })
-            .collect();
-
-        for worker in workers {
-            match worker.join() {
-                Ok(tally) => {
-                    ops_completed += tally.ops;
-                    oom_errors += tally.ooms;
-                    violations.extend(tally.violations);
-                }
-                Err(_) => panics += 1,
-            }
-        }
-        stop_staller.store(true, Ordering::Relaxed);
-        if staller.join().is_err() {
-            panics += 1;
-        }
-        if let Some(flapper) = flapper {
-            match flapper.join() {
-                Ok(flips) => fastpath_flips = flips,
-                Err(_) => panics += 1,
-            }
-        }
-        if let Some(smoke) = smoke {
-            match smoke.join() {
-                Ok(problems) => violations.extend(problems),
-                Err(_) => panics += 1,
-            }
-        }
-    });
-
-    // Stalled-garbage probe (stalled-reader scenario only): allocate a
-    // garbage mountain, pin a reader, defer everything under the pin, then
-    // measure what the backend reclaimed *while the reader stayed pinned*.
-    // Robust backends must hold `deferred_outstanding` at or below the
-    // configured bound; the epoch backend must exceed it — if it doesn't,
-    // the probe was inert and the unbounded-garbage failure mode the
-    // matrix documents never reproduced, which is itself a violation.
+    let mut probe_caches = Vec::new();
     let mut stalled_garbage_observed = None;
     if params.scenario == ChaosScenario::StalledReader {
-        let probe_cache = bed.create_cache("chaos_probe", 64);
-        // Allocate before pinning: failed grows take recovery paths that
-        // may wait on reclamation, which must not happen under our own pin.
-        let target = params.garbage_bound * 4;
-        let mut objs: Vec<ObjPtr> = Vec::with_capacity(target);
-        let mut attempts = 0usize;
-        while objs.len() < target && attempts < target * 8 {
-            attempts += 1;
-            match probe_cache.allocate() {
-                Ok(obj) => objs.push(obj),
-                Err(_) => oom_errors += 1,
-            }
+        let (observed, probe_cache) = churn.garbage_probe(params.garbage_bound, &mut tally);
+        stalled_garbage_observed = observed;
+        probe_caches.push(probe_cache);
+        probe_caches.push(churn.walk_probe(&mut tally));
+    }
+    let still_live = churn.live.lock().len();
+    if still_live != 0 {
+        tally.violations.push(format!("{still_live} addresses still marked live after frees"));
+    }
+
+    let ChurnBed { bed, faults, node, obj, storm, .. } = churn;
+    let owners = [node, obj, storm]
+        .into_iter()
+        .chain(probe_caches)
+        .map(|cache| Box::new(cache) as Box<dyn Drains>)
+        .collect();
+    let (mut verdict, stats) =
+        audit_teardown(&bed, &faults, tally.panics, tally.violations, owners);
+    let churn = churn_gates(&bed, &faults, &mut verdict, &stats, tally.ooms, flips);
+    scenario_gate(params.scenario, &mut verdict, &churn);
+
+    ChaosReport {
+        scenario: params.scenario.label().to_owned(),
+        verdict,
+        ops_completed: tally.ops,
+        oom_errors: tally.ooms,
+        churn,
+        stalled_garbage_observed,
+        stalled_garbage_bound: params.garbage_bound,
+        replay_flags: params.replay_flags(),
+    }
+}
+
+/// The micro-churn scenarios' knobs: the RCU configuration, how long the
+/// staller holds each pin, and the engine tuning.
+fn churn_knobs(params: &ChaosParams) -> (RcuConfig, Duration, Option<EngineConfig>) {
+    let eager = RcuConfig::eager();
+    match params.scenario {
+        // The watchdog threshold sits below the staller's pin pulses so
+        // warnings are reachable in a short run.
+        ChaosScenario::StalledReader => (
+            eager.with_stall_threshold(Duration::from_millis(2)),
+            Duration::from_millis(8),
+            None,
+        ),
+        // Longer pins keep the deferred bursts pinned long enough for
+        // grows to collide with the budget; the ladder's expedited drain
+        // then succeeds as soon as a pin releases. The watermarks sit in
+        // the run's backlog range so the governor (expedite,
+        // caller-assisted reclaim) engages.
+        ChaosScenario::OomStorm => (
+            eager,
+            Duration::from_millis(4),
+            Some(EngineConfig::new(params.threads).with_watermarks(64, 256)),
+        ),
+        _ => (eager, Duration::from_millis(2), None),
+    }
+}
+
+/// The bed every micro-churn scenario drives: the testbed, its fault
+/// plan, three caches, the live-object registry and the staller's pin.
+struct ChurnBed {
+    /// Shared with the doctor endpoint's provider, which snapshots the
+    /// bed from its own thread while the run is live.
+    bed: Arc<Testbed>,
+    faults: Arc<FaultInjector>,
+    /// Tree and hashmap nodes.
+    node: Arc<dyn ObjectAllocator>,
+    /// Raw alloc/free/defer traffic.
+    obj: Arc<dyn ObjectAllocator>,
+    /// Large objects only the storm's burst arm touches: 32-object bursts
+    /// of 512 B are 16 KiB each, so a handful of pinned bursts are
+    /// guaranteed to drive slab grows into the storm's tight budget.
+    storm: Arc<dyn ObjectAllocator>,
+    /// Every address a worker holds: allocate must never hand out one
+    /// that another holder still owns (a latent-cache double merge would
+    /// do exactly that).
+    live: Mutex<HashSet<usize>>,
+    staller_hold: Duration,
+}
+
+impl ChurnBed {
+    fn new(kind: AllocatorKind, params: &ChaosParams) -> Self {
+        let (rcu_config, staller_hold, engine) = churn_knobs(params);
+        let faults = Arc::new(FaultInjector::new(params.seed));
+        faults.schedule(site::SLAB_GROW, Schedule::Probability(params.grow_fault_p));
+        // Epoch advances, HP scans and Hyaline seals all consult this one
+        // site, so the same stall probability starves every backend.
+        faults.schedule(
+            site::RECLAIM_ADVANCE,
+            Schedule::Probability(params.stall_fault_p),
+        );
+        let bed = Arc::new(hardened_bed(
+            kind,
+            params.threads,
+            rcu_config,
+            Some(params.limit_bytes),
+            Some(Arc::clone(&faults)),
+            engine,
+            params.reclaim,
+        ));
+        Self {
+            node: bed.create_cache("chaos_node", 64),
+            obj: bed.create_cache("chaos_obj", 128),
+            storm: bed.create_cache("chaos_storm", 512),
+            bed,
+            faults,
+            live: Mutex::new(HashSet::new()),
+            staller_hold,
         }
-        if objs.len() < params.garbage_bound * 2 {
-            violations.push(format!(
-                "stalled-garbage probe starved: allocated {} of {target} objects",
-                objs.len()
-            ));
-            for obj in objs.drain(..) {
-                unsafe { probe_cache.free(obj) };
+    }
+
+    /// Runs the workers beside the side threads — the staller always, the
+    /// flapper under fastpath-flap, the live doctor endpoint and its smoke
+    /// test when asked for — and returns the flapper's flip count.
+    fn run(&self, params: &ChaosParams, tally: &mut Tally) -> u64 {
+        let caches = [&self.node, &self.obj, &self.storm];
+        let bed = Arc::clone(&self.bed);
+        let doctor = params.doctor.then(|| DoctorServer::start(move || bed.telemetry()));
+        let doctor = doctor.transpose().unwrap_or_else(|e| {
+            tally.violations.push(format!("doctor endpoint failed to start: {e}"));
+            None
+        });
+        let stop = AtomicBool::new(false);
+        let mut flips = 0;
+        std::thread::scope(|s| {
+            let raise_stop = StopOnDrop(|| stop.store(true, Ordering::Relaxed));
+            let flapper = (params.scenario == ChaosScenario::FastpathFlap)
+                .then(|| s.spawn(|| flap(caches, &stop)));
+            // Named so the watchdog's blame report (which captures the
+            // registering thread's name) can identify the culprit.
+            let staller = std::thread::Builder::new()
+                .name("chaos-staller".to_owned())
+                .spawn_scoped(s, || stall(self.bed.rcu(), &stop, self.staller_hold))
+                .expect("spawn chaos-staller");
+            let smoke = doctor.as_ref().map(|doctor| {
+                let addr = doctor.addr();
+                s.spawn(move || doctor_smoke(addr, params.scenario))
+            });
+            let workers: Vec<_> =
+                (0..params.threads).map(|tid| s.spawn(move || self.worker(params, tid))).collect();
+            for worker in workers {
+                if let Some(worker) = join(worker, &mut tally.panics) {
+                    tally.ops += worker.ops;
+                    tally.ooms += worker.ooms;
+                    tally.violations.extend(worker.violations);
+                }
             }
-        } else {
-            let reader = bed.rcu().register();
-            let guard = reader.read_lock();
-            let deferred = objs.len();
-            for obj in objs.drain(..) {
-                unsafe { probe_cache.free_deferred(obj) };
+            drop(raise_stop);
+            join(staller, &mut tally.panics);
+            if let Some(flapper) = flapper {
+                flips = join(flapper, &mut tally.panics).unwrap_or(0);
+                for cache in caches {
+                    if !cache.fastpath_enabled() {
+                        tally.violations.push(format!(
+                            "fastpath-flap: {} ended with the fast path disabled",
+                            cache.name()
+                        ));
+                    }
+                }
             }
-            // Let ejection fuses burn down, then drive the domain. A
-            // single advance is flaky under injected `reclaim.advance`
-            // refusals (each refusal merely procrastinates), so insist.
-            std::thread::sleep(Duration::from_millis(5));
-            for _ in 0..8 {
-                bed.reclaim_domain().advance();
+            if let Some(problems) = smoke.and_then(|smoke| join(smoke, &mut tally.panics)) {
+                tally.violations.extend(problems);
             }
-            let observed = probe_cache.deferred_outstanding();
-            stalled_garbage_observed = Some(observed);
-            match garbage_contrast_gate(robust, observed, params.garbage_bound, true) {
-                Some(ContrastFailure::RobustOverBound) => violations.push(format!(
-                    "{backend}: {observed} of {deferred} deferred objects outstanding \
-                     under a stalled reader, bound is {}",
-                    params.garbage_bound
-                )),
-                Some(ContrastFailure::EpochWithinBound) => violations.push(format!(
-                    "epoch probe inert: only {observed} of {deferred} deferred objects \
-                     were blocked by a stalled reader — the unbounded-garbage failure \
-                     mode this matrix documents did not reproduce"
-                )),
-                None => {}
-            }
-            drop(guard);
-        }
-        probe_cache.quiesce();
-        let left = probe_cache.deferred_outstanding();
-        if left != 0 {
-            violations.push(format!(
-                "probe cache left {left} deferred objects after quiesce"
+        });
+        flips
+    }
+
+    /// Registers a fresh object as held.
+    fn claim(&self, obj: ObjPtr, tally: &mut Tally) {
+        if !self.live.lock().insert(obj.addr()) {
+            tally.violations.push(format!(
+                "double handout of {:#x} (latent double merge?)",
+                obj.addr()
             ));
         }
     }
 
-    // Lookup-gating probe (stalled-reader scenario only): the inverse of
-    // the garbage probe above. There the reader merely pins; here it keeps
-    // *traversing the structures* while the backend reclaims around it, so
-    // hp scans and hyaline ejections land mid-walk. Gates: no lookup may
-    // crash or return a stale hit for a key whose removal the reader has
-    // already observed, sentinel entries must stay exact, and under
-    // hyaline the walk layer must actually have absorbed an ejection
-    // (otherwise the traversal contract was never exercised).
-    if params.scenario == ChaosScenario::StalledReader {
-        let probe_cache = bed.create_cache("chaos_walk_probe", 64);
-        let tree: RcuBst<u64> = RcuBst::new(Arc::clone(&probe_cache));
-        let map: RcuHashMap<u64, u64> = RcuHashMap::new(Arc::clone(&probe_cache), 8);
-        // Seeding races the injected grow faults; a failed insert leaves
-        // the structure unchanged, so retry before calling it starved.
-        let mut seeded = true;
-        for k in 0..16u64 {
-            let mut in_tree = false;
-            let mut in_map = false;
-            for _ in 0..8 {
-                in_tree = in_tree || tree.insert(k, k * 7).is_ok();
-                in_map = in_map || map.insert(k, k * 11).is_ok();
-                if in_tree && in_map {
+    /// One worker's op loop: tree/hashmap churn plus raw alloc/free/defer
+    /// traffic, for the op budget or, when set, the run's duration.
+    fn worker(&self, params: &ChaosParams, tid: usize) -> Tally {
+        let mut tally = Tally::default();
+        let mut rng = StdRng::seed_from_u64(params.seed ^ (tid as u64) << 32);
+        let reader = self.bed.rcu().register();
+        let tree: RcuBst<u64> = RcuBst::new(Arc::clone(&self.node));
+        let map: RcuHashMap<u64, u64> = RcuHashMap::new(Arc::clone(&self.node), 32);
+        let mut held: Vec<ObjPtr> = Vec::new();
+        let deadline = params.duration.map(|d| Instant::now() + d);
+        let mut i = 0u64;
+        while deadline.map_or(i < params.ops_per_thread, |dl| Instant::now() < dl) {
+            i += 1;
+            tally.ops += 1;
+            let roll = rng.gen_range(0..10u32);
+            // The storm replaces most of the mix with burst defers (arm
+            // 10): each one drains the CPU cache and leaves a guaranteed
+            // deferred backlog, so refill failures land while the ladder
+            // has something to rescue.
+            let roll = if params.scenario == ChaosScenario::OomStorm {
+                match roll {
+                    0..=4 => 10, // burst defer
+                    5..=6 => 6,  // tree churn
+                    7..=8 => 0,  // allocate and hold
+                    _ => 9,      // read-side traversal
+                }
+            } else {
+                roll
+            };
+            match roll {
+                // Raw allocation, held for later free/defer.
+                0..=2 => match self.obj.allocate() {
+                    Ok(obj) => {
+                        self.claim(obj, &mut tally);
+                        held.push(obj);
+                    }
+                    Err(_) => tally.ooms += 1,
+                },
+                // Immediate free.
+                3 => {
+                    if let Some(obj) = held.pop() {
+                        self.live.lock().remove(&obj.addr());
+                        // SAFETY: `obj` came from this cache and was held
+                        // by this worker alone.
+                        unsafe { self.obj.free(obj) };
+                    }
+                }
+                // Deferred free — the traffic that must keep flowing while
+                // readers stall reclamation.
+                4..=5 => {
+                    if !held.is_empty() {
+                        let obj = held.swap_remove(rng.gen_range(0..held.len()));
+                        self.live.lock().remove(&obj.addr());
+                        // SAFETY: as for the immediate free.
+                        unsafe { self.obj.free_deferred(obj) };
+                    }
+                }
+                // Tree churn: multi-deferral amplification.
+                6..=7 => {
+                    let k = rng.gen_range(0..params.keys);
+                    tree.remove(k);
+                    if tree.insert(k, i).is_err() {
+                        tally.ooms += 1;
+                    }
+                }
+                // Hashmap churn.
+                8 => {
+                    let k = rng.gen_range(0..params.keys);
+                    map.remove(&k);
+                    if map.insert(k, i).is_err() {
+                        tally.ooms += 1;
+                    }
+                }
+                10 => self.burst_defer(&mut tally),
+                // Read-side traversal. No allocation happens under the
+                // guard: an alloc could wait on a grace period this pin is
+                // blocking.
+                _ => {
+                    let guard = reader.read_lock();
+                    let k = rng.gen_range(0..params.keys);
+                    let _ = tree.lookup(&guard, k);
+                    let _ = map.get(&guard, &k);
+                }
+            }
+        }
+        for obj in held {
+            self.live.lock().remove(&obj.addr());
+            // SAFETY: as for the immediate free.
+            unsafe { self.obj.free(obj) };
+        }
+        tally
+    }
+
+    /// Burst defer (storm only): allocate a burst, then defer every
+    /// object. Drains the CPU cache so the next refill really hits the
+    /// node lists, and leaves a deferred backlog for the recovery ladder
+    /// to rescue.
+    fn burst_defer(&self, tally: &mut Tally) {
+        let mut burst: Vec<ObjPtr> = Vec::with_capacity(32);
+        for _ in 0..32 {
+            match self.storm.allocate() {
+                Ok(obj) => {
+                    self.claim(obj, tally);
+                    burst.push(obj);
+                }
+                Err(_) => {
+                    tally.ooms += 1;
                     break;
                 }
             }
-            seeded &= in_tree && in_map;
         }
-        if !seeded {
-            violations.push("walk probe starved: could not seed sentinel keys".into());
-        } else {
-            const REMOVED_KEY: u64 = 8;
-            // Allocate the garbage mountain up front: a failed grow climbs
-            // recovery ladders that may wait on reclamation, which must
-            // never happen while our own walker keeps the domain pinned
-            // (same rule as the garbage probe above).
-            let mut garbage: Vec<ObjPtr> = Vec::with_capacity(512);
-            while garbage.len() < 512 {
-                match probe_cache.allocate() {
-                    Ok(obj) => garbage.push(obj),
-                    Err(_) => {
-                        oom_errors += 1;
-                        break;
-                    }
-                }
-            }
-            let removed = AtomicBool::new(false);
-            let stop = AtomicBool::new(false);
-            let ejections_before = bed.reclaim_stats().ejections;
-            let mut walk_report = (0u64, Vec::new());
-            std::thread::scope(|s| {
-                let worker = s.spawn(|| {
-                    let reader = bed.rcu().register();
-                    // One pin held across every walk: exactly the stalled
-                    // reader the robust backends reclaim around.
-                    let guard = reader.read_lock();
-                    let mut validate_losses = 0u64;
-                    let mut problems = Vec::new();
-                    while !stop.load(Ordering::Acquire) {
-                        let saw_removal = removed.load(Ordering::Acquire);
-                        for k in 0..16u64 {
-                            let t_hit = tree.lookup(&guard, k);
-                            let m_hit = map.get(&guard, &k);
-                            if k == REMOVED_KEY {
-                                if saw_removal && (t_hit.is_some() || m_hit.is_some()) {
-                                    problems.push(format!(
-                                        "walk probe: key {k} visible after its removal \
-                                         was published (tree {t_hit:?}, map {m_hit:?})"
-                                    ));
-                                }
-                            } else if t_hit != Some(k * 7) || m_hit != Some(k * 11) {
-                                problems.push(format!(
-                                    "walk probe: sentinel {k} corrupted \
-                                     (tree {t_hit:?}, map {m_hit:?})"
-                                ));
-                            }
-                        }
-                        if !guard.validate() {
-                            validate_losses += 1;
-                        }
-                    }
-                    drop(guard);
-                    (validate_losses, problems)
-                });
-                // Let the reader spin up, publish the removal, then bury
-                // the domain in deferred garbage so scans and seals run
-                // against the still-pinned, still-walking reader.
-                std::thread::sleep(Duration::from_millis(1));
-                tree.remove(REMOVED_KEY);
-                map.remove(&REMOVED_KEY);
-                removed.store(true, Ordering::Release);
-                let deadline = Instant::now() + Duration::from_millis(15);
-                while Instant::now() < deadline {
-                    for _ in 0..8 {
-                        if let Some(obj) = garbage.pop() {
-                            unsafe { probe_cache.free_deferred(obj) };
-                        }
-                    }
-                    bed.reclaim_domain().advance();
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                for obj in garbage.drain(..) {
-                    unsafe { probe_cache.free_deferred(obj) };
-                }
-                stop.store(true, Ordering::Release);
-                match worker.join() {
-                    Ok(report) => walk_report = report,
-                    Err(_) => violations.push("walk probe reader panicked".into()),
-                }
-            });
-            let (validate_losses, problems) = walk_report;
-            violations.extend(problems);
-            if backend == ReclaimBackend::Hyaline {
-                let ejected = bed.reclaim_stats().ejections - ejections_before;
-                if ejected == 0 {
-                    violations.push(
-                        "walk probe inert: hyaline never ejected the traversing reader"
-                            .into(),
-                    );
-                } else if validate_losses == 0 {
-                    violations.push(format!(
-                        "walk probe: {ejected} ejections but the traversing guard \
-                         never reported validate() == false"
-                    ));
-                }
-            }
-        }
-        // Free the sentinel nodes, then drain the probe's deferred traffic
-        // (the staller is gone and the walker's pin is released).
-        drop(tree);
-        drop(map);
-        probe_cache.quiesce();
-        let left = probe_cache.deferred_outstanding();
-        if left != 0 {
-            violations.push(format!(
-                "walk probe cache left {left} deferred objects after quiesce"
-            ));
+        for obj in burst {
+            self.live.lock().remove(&obj.addr());
+            // SAFETY: freshly allocated from this cache, deferred once.
+            unsafe { self.storm.free_deferred(obj) };
         }
     }
 
-    if !live.lock().is_empty() {
-        violations.push(format!(
-            "{} addresses still marked live after frees",
-            live.lock().len()
-        ));
+    /// Stalled-garbage probe: allocate a garbage mountain, pin a reader,
+    /// defer everything under the pin, then measure what the backend
+    /// reclaimed *while the reader stayed pinned* and hold it to
+    /// [`garbage_contrast_gate`] with the epoch side required. Returns
+    /// the measurement (`None` if the probe starved) and the probe cache,
+    /// which the caller hands to the audit.
+    fn garbage_probe(
+        &self,
+        bound: usize,
+        tally: &mut Tally,
+    ) -> (Option<usize>, Arc<dyn ObjectAllocator>) {
+        let probe_cache = self.bed.create_cache("chaos_probe", 64);
+        let target = bound * 4;
+        let objs = allocate_before_pinning(&probe_cache, target, tally);
+        if objs.len() < bound * 2 {
+            tally.violations.push(format!(
+                "stalled-garbage probe starved: allocated {} of {target} objects",
+                objs.len()
+            ));
+            for obj in objs {
+                // SAFETY: fresh objects this probe alone holds.
+                unsafe { probe_cache.free(obj) };
+            }
+            return (None, probe_cache);
+        }
+        let reader = self.bed.rcu().register();
+        let guard = reader.read_lock();
+        for obj in objs {
+            // SAFETY: as above; deferred exactly once.
+            unsafe { probe_cache.free_deferred(obj) };
+        }
+        // Let ejection fuses burn down, then drive the domain. A single
+        // advance is flaky under injected `reclaim.advance` refusals (each
+        // refusal merely procrastinates), so insist.
+        std::thread::sleep(Duration::from_millis(5));
+        for _ in 0..8 {
+            self.bed.reclaim_domain().advance();
+        }
+        let observed = probe_cache.deferred_outstanding();
+        let backend = self.bed.reclaim_backend();
+        tally.violations.extend(garbage_contrast_gate(backend, observed, bound, true));
+        drop(guard);
+        (Some(observed), probe_cache)
     }
-    if panics != 0 {
-        violations.push(format!("{panics} worker panics"));
-    }
-    if params.scenario == ChaosScenario::FastpathFlap {
-        for cache in [&node_cache, &obj_cache, &storm_cache] {
-            if !cache.fastpath_enabled() {
-                violations.push(format!(
-                    "fastpath-flap: {} ended with the fast path disabled",
-                    cache.name()
+
+    /// Walk probe, the inverse of the garbage probe: here the pinned reader
+    /// keeps *traversing the structures* while the backend reclaims around
+    /// it, so hp scans and hyaline ejections land mid-walk. No lookup may
+    /// crash or return a stale hit for a key whose removal the reader has
+    /// already observed, sentinel entries must stay exact, and under
+    /// hyaline the walk layer must actually have absorbed an ejection
+    /// (otherwise the traversal contract was never exercised). Returns the
+    /// probe cache, which the caller hands to the audit.
+    fn walk_probe(&self, tally: &mut Tally) -> Arc<dyn ObjectAllocator> {
+        let probe_cache = self.bed.create_cache("chaos_walk_probe", 64);
+        let tree: RcuBst<u64> = RcuBst::new(Arc::clone(&probe_cache));
+        let map: RcuHashMap<u64, u64> = RcuHashMap::new(Arc::clone(&probe_cache), 8);
+        if !seed_sentinels(&tree, &map) {
+            tally.violations.push("walk probe starved: could not seed sentinel keys".into());
+            return probe_cache;
+        }
+        let mut garbage = allocate_before_pinning(&probe_cache, 512, tally);
+        let removed = AtomicBool::new(false);
+        let stop = AtomicBool::new(false);
+        let ejections_before = self.bed.reclaim_stats().ejections;
+        let walked = std::thread::scope(|s| {
+            let raise_stop = StopOnDrop(|| stop.store(true, Ordering::Release));
+            let walker = s.spawn(|| walk(self.bed.rcu(), &tree, &map, &removed, &stop));
+            // Let the reader spin up, publish the removal, then bury the
+            // domain in deferred garbage so scans and seals run against
+            // the still-pinned, still-walking reader.
+            std::thread::sleep(Duration::from_millis(1));
+            tree.remove(REMOVED_KEY);
+            map.remove(&REMOVED_KEY);
+            removed.store(true, Ordering::Release);
+            let deadline = Instant::now() + Duration::from_millis(15);
+            while Instant::now() < deadline {
+                for obj in garbage.drain(garbage.len().saturating_sub(8)..) {
+                    // SAFETY: fresh objects this probe alone holds,
+                    // deferred exactly once.
+                    unsafe { probe_cache.free_deferred(obj) };
+                }
+                self.bed.reclaim_domain().advance();
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            for obj in garbage.drain(..) {
+                // SAFETY: as above.
+                unsafe { probe_cache.free_deferred(obj) };
+            }
+            drop(raise_stop);
+            join(walker, &mut tally.panics)
+        });
+        let Some((validate_losses, problems)) = walked else {
+            return probe_cache;
+        };
+        tally.violations.extend(problems);
+        if self.bed.reclaim_backend() == ReclaimBackend::Hyaline {
+            let ejected = self.bed.reclaim_stats().ejections - ejections_before;
+            if ejected == 0 {
+                tally.violations.push(
+                    "walk probe inert: hyaline never ejected the traversing reader".into(),
+                );
+            } else if validate_losses == 0 {
+                tally.violations.push(format!(
+                    "walk probe: {ejected} ejections but the traversing guard \
+                     never reported validate() == false"
                 ));
             }
         }
+        probe_cache
     }
+}
 
-    // Quiesce with the staller gone: every deferred object must drain,
-    // and dropping the caches must bring every page home.
-    let (mut verdict, stats) = audit_teardown(
-        &bed,
-        &faults,
-        panics,
-        violations,
-        vec![Box::new(node_cache), Box::new(obj_cache), Box::new(storm_cache)],
-    );
-    let violations = &mut verdict.violations;
+/// A probe's garbage mountain: up to `n` objects from `cache` in at most
+/// `8 n` attempts, each failure counted. Allocated before the probe pins:
+/// a failed grow climbs recovery ladders that may wait on reclamation,
+/// which must never happen under the probe's own pin.
+fn allocate_before_pinning(
+    cache: &Arc<dyn ObjectAllocator>,
+    n: usize,
+    tally: &mut Tally,
+) -> Vec<ObjPtr> {
+    (0..n * 8).filter_map(|_| cache.allocate().map_err(|_| tally.ooms += 1).ok()).take(n).collect()
+}
+
+/// The walk probe's removed key; every other key in `0..16` is a sentinel.
+const REMOVED_KEY: u64 = 8;
+
+/// Seeds the walk probe's sentinels. Seeding races the injected grow
+/// faults; a failed insert leaves the structure unchanged, so each key is
+/// retried before the probe is called starved.
+fn seed_sentinels(tree: &RcuBst<u64>, map: &RcuHashMap<u64, u64>) -> bool {
+    (0..16u64).all(|k| {
+        (0..8).any(|_| tree.insert(k, k * 7).is_ok())
+            && (0..8).any(|_| map.insert(k, k * 11).is_ok())
+    })
+}
+
+/// The walk probe's reader: one pin held across every walk — exactly the
+/// stalled reader the robust backends reclaim around — until `stop`.
+/// Returns how often the guard lost validation, and what it saw wrong.
+fn walk(
+    rcu: &Rcu,
+    tree: &RcuBst<u64>,
+    map: &RcuHashMap<u64, u64>,
+    removed: &AtomicBool,
+    stop: &AtomicBool,
+) -> (u64, Vec<String>) {
+    let reader = rcu.register();
+    let guard = reader.read_lock();
+    let mut validate_losses = 0u64;
+    let mut problems = Vec::new();
+    while !stop.load(Ordering::Acquire) {
+        let saw_removal = removed.load(Ordering::Acquire);
+        for k in 0..16u64 {
+            let t_hit = tree.lookup(&guard, k);
+            let m_hit = map.get(&guard, &k);
+            if k == REMOVED_KEY {
+                if saw_removal && (t_hit.is_some() || m_hit.is_some()) {
+                    problems.push(format!(
+                        "walk probe: key {k} visible after its removal \
+                         was published (tree {t_hit:?}, map {m_hit:?})"
+                    ));
+                }
+            } else if t_hit != Some(k * 7) || m_hit != Some(k * 11) {
+                problems.push(format!(
+                    "walk probe: sentinel {k} corrupted (tree {t_hit:?}, map {m_hit:?})"
+                ));
+            }
+        }
+        if !guard.validate() {
+            validate_losses += 1;
+        }
+    }
+    (validate_losses, problems)
+}
+
+/// Fast-path flapper: cycles every cache through disable(+drain) → enable
+/// → portable engine → default engine while the workers churn, so every
+/// switchover direction runs against live traffic. Ends by restoring the
+/// enabled/default state so the audit checks a healthy fast path.
+/// Returns the flips performed.
+fn flap(caches: [&Arc<dyn ObjectAllocator>; 3], stop: &AtomicBool) -> u64 {
+    let mut flips = 0u64;
+    let mut i = 0u64;
+    while !stop.load(Ordering::Relaxed) {
+        for cache in caches {
+            match i % 4 {
+                0 => cache.fastpath_set_enabled(false),
+                1 => cache.fastpath_set_enabled(true),
+                2 => cache.fastpath_set_engine(FastPathEngine::Locks),
+                _ => cache.fastpath_set_engine(fastpath_default_engine()),
+            }
+            flips += 1;
+        }
+        i += 1;
+        std::thread::sleep(Duration::from_micros(500));
+    }
+    for cache in caches {
+        cache.fastpath_set_engine(fastpath_default_engine());
+        cache.fastpath_set_enabled(true);
+        flips += 2;
+    }
+    flips
+}
+
+/// Stalled reader: pins read-side critical sections in `hold`-long
+/// pulses until `stop`, starving grace-period advance while the workers'
+/// `free_deferred` traffic keeps arriving. Pulses (not one endless pin)
+/// keep the run's quiesce reachable.
+fn stall(rcu: &Rcu, stop: &AtomicBool, hold: Duration) {
+    let reader = rcu.register();
+    while !stop.load(Ordering::Relaxed) {
+        let guard = reader.read_lock();
+        std::thread::sleep(hold);
+        drop(guard);
+        std::thread::yield_now();
+    }
+}
+
+/// Doctor smoke: scrape the live endpoint mid-run. `/metrics` must
+/// validate against the schema; for stalled-reader runs `/doctor` must
+/// name the pinned staller thread while the stall is live. Returns the
+/// problems found.
+fn doctor_smoke(addr: SocketAddr, scenario: ChaosScenario) -> Vec<String> {
+    let mut problems: Vec<String> = Vec::new();
+    let mut named = scenario != ChaosScenario::StalledReader;
+    let mut last_err = None;
+    for _ in 0..10 {
+        std::thread::sleep(Duration::from_millis(10));
+        match crate::doctor::http_get(addr, "/doctor") {
+            Ok(body) => {
+                last_err = None;
+                named |= body.contains("chaos-staller");
+            }
+            Err(e) => last_err = Some(e),
+        }
+        if named {
+            break;
+        }
+    }
+    if let Some(e) = last_err {
+        problems.push(format!("doctor smoke: GET /doctor failed: {e}"));
+    } else if !named {
+        problems
+            .push("doctor smoke: /doctor never named chaos-staller during the stall".to_owned());
+    }
+    match crate::doctor::http_get(addr, "/metrics") {
+        Ok(body) => {
+            if let Err(e) = crate::telemetry_export::validate_prometheus(&body) {
+                problems.push(format!("doctor smoke: /metrics failed validation: {e}"));
+            }
+        }
+        Err(e) => problems.push(format!("doctor smoke: GET /metrics failed: {e}")),
+    }
+    problems
+}
+
+/// The post-audit gates every churn scenario shares — stall and OOM
+/// accounting — and the churn counters the scenario gates read. `stats`
+/// is the audit's, in owner order (node and object caches first).
+fn churn_gates(
+    bed: &Testbed,
+    faults: &FaultInjector,
+    verdict: &mut RunVerdict,
+    stats: &[(String, CacheStatsSnapshot)],
+    oom_errors: u64,
+    fastpath_flips: u64,
+) -> ChurnCounters {
     // The background grace-period driver keeps consulting the injector
     // while we read, so the two counters can't be compared for equality.
     // Domains bump their stat strictly *after* the injector records the
@@ -1017,50 +987,48 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     // The epoch domain *mirrors* the RCU stall counter into its
     // `injected_stalls`, so adding the two would double-count; only the
     // robust backends refuse scans/seals on their own behalf.
-    let stall_stats = if robust {
+    let stall_stats = if harness::is_robust(bed.reclaim_backend()) {
         injected_gp_stalls + verdict.reclaim.injected_stalls
     } else {
         injected_gp_stalls
     };
     let stall_injected = faults.injected(site::RECLAIM_ADVANCE);
     if stall_stats > stall_injected {
-        violations.push(format!(
+        verdict.violations.push(format!(
             "stall accounting disagrees: stats {stall_stats} > injector {stall_injected}"
         ));
     }
     // Every injected OOM must be observable: either a worker saw the Err,
     // or an allocator recovery path (partial refill, emergency reclaim of
-    // deferred objects) absorbed it — in which case the allocator performed
-    // extra refill work we can't biject to faults. What is *never* allowed
-    // is a panic, which is counted above.
+    // deferred objects) absorbed it — in which case the allocator
+    // performed extra refill work we can't biject to faults. What is
+    // *never* allowed is a panic, which the audit gates.
     let injected_oom = verdict.injected_oom;
-    if injected_oom > 0 && oom_errors == 0 {
-        // The node and object caches (owner order).
-        let absorbed = stats[0].1.refills + stats[1].1.refills;
-        if absorbed == 0 {
-            violations.push(format!(
-                "{injected_oom} injected OOMs left no trace (no Err, no refill activity)"
-            ));
-        }
+    if injected_oom > 0 && oom_errors == 0 && stats[0].1.refills + stats[1].1.refills == 0 {
+        verdict.violations.push(format!(
+            "{injected_oom} injected OOMs left no trace (no Err, no refill activity)"
+        ));
     }
-
-    // Degradation counters plus the scenarios' extra invariants: a
-    // stalled-reader run that never tripped the watchdog, or a storm that
-    // never rescued an allocation through the ladder, means the machinery
-    // under test did not engage.
     let sum = |field: fn(&CacheStatsSnapshot) -> u64| -> u64 {
         stats.iter().map(|(_, s)| field(s)).sum()
     };
-    let churn = ChurnCounters {
+    ChurnCounters {
         injected_gp_stalls,
         ladder_recoveries: sum(|s| s.oom_recoveries_total()),
         pressure_transitions: sum(|s| s.pressure_transitions),
         fastpath_hits: sum(|s| s.rseq_hits),
         fastpath_fallbacks: sum(|s| s.fastpath_fallbacks),
         fastpath_flips,
-    };
-    match params.scenario {
-        ChaosScenario::Mixed | ChaosScenario::ServerStorm => {}
+    }
+}
+
+/// The scenario's own post-audit gate: a stalled-reader run that never
+/// tripped the watchdog, a storm that never rescued an allocation through
+/// the ladder, or a flap that never raced live traffic means the
+/// machinery under test did not engage.
+fn scenario_gate(scenario: ChaosScenario, verdict: &mut RunVerdict, churn: &ChurnCounters) {
+    let violations = &mut verdict.violations;
+    match scenario {
         ChaosScenario::StalledReader => {
             if verdict.stall_warnings == 0 {
                 violations.push("stalled-reader: watchdog never warned".into());
@@ -1072,55 +1040,32 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
                 .blame
                 .iter()
                 .filter(|b| b.thread_name == "chaos-staller")
-                .max_by_key(|b| b.stalled_for_ns)
+                .map(|b| b.stalled_for_ns)
+                .max()
             {
-                None => violations
-                    .push("stalled-reader: no blame record names chaos-staller".into()),
-                Some(b) if b.stalled_for_ns == 0 => violations.push(
-                    "stalled-reader: chaos-staller blamed with zero pin duration".into(),
-                ),
+                None => {
+                    violations.push("stalled-reader: no blame record names chaos-staller".into())
+                }
+                Some(0) => violations
+                    .push("stalled-reader: chaos-staller blamed with zero pin duration".into()),
                 Some(_) => {}
             }
         }
-        ChaosScenario::OomStorm => {
-            if churn.ladder_recoveries == 0 {
-                violations.push("oom-storm: no allocation recovered via a ladder stage".into());
-            }
+        ChaosScenario::OomStorm if churn.ladder_recoveries == 0 => {
+            violations.push("oom-storm: no allocation recovered via a ladder stage".into());
         }
         ChaosScenario::FastpathFlap => {
-            if fastpath_flips == 0 {
+            if churn.fastpath_flips == 0 {
                 violations.push("fastpath-flap: toggler never flipped".into());
             }
             // Flapping must leave evidence: during disabled/switching
             // windows operations bounce (fallbacks), during enabled
-            // windows they hit. A run where neither moved means the flap
-            // never raced live traffic.
+            // windows they hit.
             if churn.fastpath_hits + churn.fastpath_fallbacks == 0 {
                 violations.push("fastpath-flap: fast path saw no traffic".into());
             }
-            // A quiesced cache has drained its fast slots: nothing parked
-            // may survive into the post-quiesce accounting (the audit
-            // asserts live_objects == 0 for every run).
-            for (name, stats) in &stats {
-                if stats.live_objects != 0 {
-                    violations.push(format!(
-                        "fastpath-flap: {} holds parked objects after quiesce",
-                        name
-                    ));
-                }
-            }
         }
-    }
-
-    ChaosReport {
-        scenario: params.scenario.label().to_owned(),
-        verdict,
-        ops_completed,
-        oom_errors,
-        churn,
-        stalled_garbage_observed,
-        stalled_garbage_bound: params.garbage_bound,
-        replay_flags: params.replay_flags(),
+        _ => {}
     }
 }
 

@@ -6,6 +6,7 @@
 //! scenario after the audit.
 
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -143,12 +144,12 @@ impl Drains for ShardedNet {
     }
 }
 
-/// The end of every hardened run: quiesce every owner, demand zero
-/// deferred objects outstanding and zero live objects, drop the owners,
-/// demand every page back at the allocator and the limit never exceeded.
-/// `violations` carries what the run already found; the audit's findings
-/// are appended. Also returns each cache's post-quiesce statistics, in
-/// owner order, for scenario gates that read them.
+/// The end of every hardened run: demand zero `panics`, quiesce every
+/// owner, demand zero deferred objects outstanding and zero live objects,
+/// drop the owners, demand every page back at the allocator and the limit
+/// never exceeded. `violations` carries what the run already found; the
+/// audit's findings are appended. Also returns each cache's post-quiesce
+/// statistics, in owner order, for scenario gates that read them.
 pub(crate) fn audit_teardown(
     bed: &Testbed,
     faults: &FaultInjector,
@@ -156,6 +157,9 @@ pub(crate) fn audit_teardown(
     mut violations: Vec<String>,
     owners: Vec<Box<dyn Drains + '_>>,
 ) -> (RunVerdict, Vec<(String, CacheStatsSnapshot)>) {
+    if panics != 0 {
+        violations.push(format!("{panics} thread panics"));
+    }
     for owner in &owners {
         owner.drain();
     }
@@ -214,30 +218,45 @@ pub(crate) fn audit_teardown(
     (verdict, cache_stats)
 }
 
-/// Which side of the stalled-reader garbage contrast went missing.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum ContrastFailure {
-    /// A robust backend let garbage grow past the bound.
-    RobustOverBound,
-    /// The epoch backend stayed within it: the unbounded-garbage failure
-    /// mode the robust backends exist to bound did not reproduce, so the
-    /// probe was inert.
-    EpochWithinBound,
-}
-
 /// The stalled-reader gate both harnesses share: with a reader parked,
 /// robust backends must hold `observed` garbage at or below `bound`, and
-/// — where the contrast is required — the epoch backend must exceed it.
+/// — where the contrast is required — the epoch backend must exceed it,
+/// or the unbounded-garbage failure mode the robust backends exist to
+/// bound did not reproduce and the probe was inert. Returns the violation.
 pub(crate) fn garbage_contrast_gate(
-    robust: bool,
+    backend: ReclaimBackend,
     observed: usize,
     bound: usize,
     require_epoch_contrast: bool,
-) -> Option<ContrastFailure> {
-    if robust {
-        (observed > bound).then_some(ContrastFailure::RobustOverBound)
+) -> Option<String> {
+    if is_robust(backend) {
+        (observed > bound).then(|| {
+            format!("{backend}: garbage reached {observed} with a reader parked, bound is {bound}")
+        })
     } else {
-        (require_epoch_contrast && observed <= bound).then_some(ContrastFailure::EpochWithinBound)
+        (require_epoch_contrast && observed <= bound).then(|| {
+            format!(
+                "{backend}: garbage held to {observed} with a reader parked (bound {bound}) \
+                 — the stalled-reader contrast went missing"
+            )
+        })
+    }
+}
+
+/// Joins one of a run's threads: what it returned, or `None`, counted in
+/// `panics`, if it panicked.
+pub(crate) fn join<T>(handle: ScopedJoinHandle<'_, T>, panics: &mut u64) -> Option<T> {
+    handle.join().map_err(|_| *panics += 1).ok()
+}
+
+/// Runs its closure when dropped, on unwind as on return: the one place a
+/// run raises the stop signal its helper threads poll, so a panicking
+/// driver releases them instead of hanging the scope that joins them.
+pub(crate) struct StopOnDrop<F: Fn()>(pub(crate) F);
+
+impl<F: Fn()> Drop for StopOnDrop<F> {
+    fn drop(&mut self) {
+        (self.0)();
     }
 }
 
@@ -310,7 +329,7 @@ mod tests {
             let (verdict, stats) = audit_teardown(
                 &bed,
                 &faults,
-                0,
+                2,
                 Vec::new(),
                 vec![Box::new(leaky), Box::new(Undrained(undrained))],
             );
@@ -320,6 +339,7 @@ mod tests {
             assert_eq!(
                 verdict.violations,
                 [
+                    "2 thread panics".to_owned(),
                     "deferred_outstanding 1 != 0 after quiesce".to_owned(),
                     "leaky: 1 live objects after teardown".to_owned(),
                     format!("{used} bytes leaked after cache teardown"),
@@ -327,7 +347,7 @@ mod tests {
                 "{kind}"
             );
             assert_eq!(verdict.deferred_outstanding_end, 1);
-            assert_eq!((verdict.seed, verdict.panics), (41, 0));
+            assert_eq!((verdict.seed, verdict.panics), (41, 2));
             assert_eq!(verdict.limit_bytes, Some(1 << 24));
             assert_eq!(stats.len(), 2);
             drop(forgotten);
@@ -364,19 +384,22 @@ mod tests {
 
     #[test]
     fn garbage_contrast_gate_truth_table() {
-        use ContrastFailure::{EpochWithinBound, RobustOverBound};
-        for (robust, observed, require, want) in [
-            (true, 300, true, Some(RobustOverBound)),
-            (true, 300, false, Some(RobustOverBound)),
-            (true, 256, true, None),
-            (false, 256, true, Some(EpochWithinBound)),
-            (false, 256, false, None),
-            (false, 300, true, None),
+        use ReclaimBackend::{Epoch, Hp, Hyaline};
+        let over = "hp: garbage reached 300 with a reader parked, bound is 256";
+        let inert = "epoch: garbage held to 256 with a reader parked (bound 256) \
+                     — the stalled-reader contrast went missing";
+        for (backend, observed, require, want) in [
+            (Hp, 300, true, Some(over)),
+            (Hp, 300, false, Some(over)),
+            (Hyaline, 256, true, None),
+            (Epoch, 256, true, Some(inert)),
+            (Epoch, 256, false, None),
+            (Epoch, 300, true, None),
         ] {
             assert_eq!(
-                garbage_contrast_gate(robust, observed, 256, require),
+                garbage_contrast_gate(backend, observed, 256, require).as_deref(),
                 want,
-                "robust={robust} observed={observed} require={require}"
+                "{backend} observed={observed} require={require}"
             );
         }
     }
