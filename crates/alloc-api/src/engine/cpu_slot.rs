@@ -6,10 +6,9 @@ use pbs_rcu::GpState;
 
 use crate::ObjPtr;
 
-/// One latent-cache entry: the deferred object, the grace-period state at
-/// defer time, and the defer-time wall clock (0 when tracing was disabled
-/// at defer time — the telemetry convention for "untimed").
-pub type LatentEntry = (ObjPtr, GpState, u64);
+/// One latent-cache entry: the deferred object and the grace-period state
+/// at defer time. Its defer time lives in the object's site stamp.
+pub type LatentEntry = (ObjPtr, GpState);
 
 /// One CPU slot's caches (paper Figure 4, left side).
 ///
@@ -34,21 +33,20 @@ impl CpuSlot {
     /// object cache, up to `capacity` (Algorithm 1, MERGE_CACHES,
     /// lines 60-65). Stamps are non-decreasing front-to-back, so a failed
     /// front check ends the merge. Returns the number merged; `on_merge`
-    /// receives each merged object and its defer-time clock so the caller
-    /// can record the defer→reusable delay and credit site attribution.
+    /// receives each merged object so the caller can settle its stamp.
     pub(super) fn merge_caches(
         &mut self,
         epoch: u64,
         capacity: usize,
-        mut on_merge: impl FnMut(ObjPtr, u64),
+        mut on_merge: impl FnMut(ObjPtr),
     ) -> usize {
         let mut merged = 0;
         while self.obj_cache.len() < capacity {
             match self.latent.front() {
-                Some(&(_, gp, _)) if gp.is_completed_at(epoch) => {
-                    let (obj, _, queued_ns) = self.latent.pop_front().expect("front exists");
+                Some(&(_, gp)) if gp.is_completed_at(epoch) => {
+                    let (obj, _) = self.latent.pop_front().expect("front exists");
                     self.obj_cache.push(obj);
-                    on_merge(obj, queued_ns);
+                    on_merge(obj);
                     merged += 1;
                 }
                 _ => break,
@@ -84,15 +82,15 @@ mod tests {
     fn merge_respects_grace_period() {
         let mut cpu = CpuSlot::default();
         let early = gp(0);
-        cpu.latent.push_back((obj(0x1000), early, 0));
-        cpu.latent.push_back((obj(0x2000), early, 0));
+        cpu.latent.push_back((obj(0x1000), early));
+        cpu.latent.push_back((obj(0x2000), early));
         let raw = early.raw_epoch();
         assert_eq!(
-            cpu.merge_caches(raw + 1, 10, |_, _| {}),
+            cpu.merge_caches(raw + 1, 10, |_| {}),
             0,
             "grace period incomplete"
         );
-        assert_eq!(cpu.merge_caches(raw + 2, 10, |_, _| {}), 2);
+        assert_eq!(cpu.merge_caches(raw + 2, 10, |_| {}), 2);
         assert_eq!(cpu.obj_cache.len(), 2);
         assert!(cpu.latent.is_empty());
     }
@@ -102,9 +100,9 @@ mod tests {
         let mut cpu = CpuSlot::default();
         let early = gp(0);
         for i in 0..5 {
-            cpu.latent.push_back((obj(0x1000 + i * 8), early, 0));
+            cpu.latent.push_back((obj(0x1000 + i * 8), early));
         }
-        assert_eq!(cpu.merge_caches(early.raw_epoch() + 2, 3, |_, _| {}), 3);
+        assert_eq!(cpu.merge_caches(early.raw_epoch() + 2, 3, |_| {}), 3);
         assert_eq!(cpu.obj_cache.len(), 3);
         assert_eq!(cpu.latent.len(), 2);
     }
@@ -114,21 +112,21 @@ mod tests {
         let mut cpu = CpuSlot::default();
         let early = gp(0);
         let later = gp(early.raw_epoch() + 4);
-        cpu.latent.push_back((obj(0x1000), later, 0)); // newer stamp in front
-        cpu.latent.push_back((obj(0x2000), early, 0));
+        cpu.latent.push_back((obj(0x1000), later)); // newer stamp in front
+        cpu.latent.push_back((obj(0x2000), early));
         // Front not complete at early+2 even though the one behind is;
         // merge is conservative and stops.
-        assert_eq!(cpu.merge_caches(early.raw_epoch() + 2, 10, |_, _| {}), 0);
+        assert_eq!(cpu.merge_caches(early.raw_epoch() + 2, 10, |_| {}), 0);
     }
 
     #[test]
-    fn merge_reports_defer_stamps() {
+    fn merge_reports_merged_objects() {
         let mut cpu = CpuSlot::default();
         let early = gp(0);
-        cpu.latent.push_back((obj(0x1000), early, 7));
-        cpu.latent.push_back((obj(0x2000), early, 0)); // untimed entry
-        let mut stamps = Vec::new();
-        cpu.merge_caches(early.raw_epoch() + 2, 10, |_, ns| stamps.push(ns));
-        assert_eq!(stamps, vec![7, 0]);
+        cpu.latent.push_back((obj(0x1000), early));
+        cpu.latent.push_back((obj(0x2000), early));
+        let mut merged = Vec::new();
+        cpu.merge_caches(early.raw_epoch() + 2, 10, |o| merged.push(o.addr()));
+        assert_eq!(merged, vec![0x1000, 0x2000]);
     }
 }

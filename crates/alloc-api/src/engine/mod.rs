@@ -30,12 +30,12 @@ use crossbeam::utils::CachePadded;
 use parking_lot::{Mutex, MutexGuard};
 
 use pbs_mem::{OutOfMemory, PageAllocator};
-use pbs_percpu::{FastCache, FastPathOverride, FastPop, FastPush};
+use pbs_percpu::{FastCache, FastPop, FastPush};
 use pbs_rcu::reclaim::{
     DomainHandle, EpochDomain, ReclaimBackend, ReclaimClient, ReclamationDomain,
 };
 use pbs_rcu::Rcu;
-use pbs_telemetry::EventKind;
+use pbs_telemetry::{EventKind, LogHistogram};
 
 use crate::slab_layout::resolve_slab_index;
 use crate::{
@@ -130,16 +130,19 @@ pub trait SlabPolicy: Default + Send + Sync + Sized + 'static {
     /// to the page allocator; `None` leaves every slab where it is.
     fn shrink_limit(&self, engine: &SlabEngine<Self>, node: &mut Node) -> Option<usize>;
 
-    /// The tail of `free_deferred`: the engine has counted the object and
-    /// holds the slot lock (`cpu`); the policy parks the object until it
-    /// is safe to reuse. Must drop `cpu` before entering the domain — a
-    /// defer can deliver reclaimed objects back on this thread.
+    /// The tail of `free_deferred`: the engine has stamped and counted the
+    /// object and holds the slot lock (`cpu`); the policy parks the object
+    /// until it is safe to reuse. `t_ns` is the stamp's defer time (0 =
+    /// untimed), for the policy's trace record. Must drop `cpu` before
+    /// entering the domain — a defer can deliver reclaimed objects back on
+    /// this thread.
     fn defer(
         &self,
         engine: &SlabEngine<Self>,
         cpu_idx: usize,
         cpu: MutexGuard<'_, CpuSlot>,
         obj: ObjPtr,
+        t_ns: u64,
     );
 
     /// Domain delivery: `addrs` were handed to
@@ -183,8 +186,6 @@ pub struct SlabEngine<P: SlabPolicy> {
     /// The attached domain's backend, read once at construction so a
     /// policy can branch on it without a virtual call per defer.
     backend: ReclaimBackend,
-    /// `pbs_telemetry::site` index of [`backend`](Self::reclaim_backend).
-    site_backend: u8,
     policy: P,
 }
 
@@ -200,11 +201,21 @@ impl<P: SlabPolicy> std::fmt::Debug for SlabEngine<P> {
 
 /// The wall clock for a trace record, or 0 (the telemetry convention for
 /// "untimed") while tracing is disabled.
-pub fn trace_clock() -> u64 {
+fn trace_clock() -> u64 {
     if pbs_telemetry::enabled() {
         pbs_telemetry::now_nanos()
     } else {
         0
+    }
+}
+
+/// Credits `addr`'s site stamp and records its defer→reusable age into
+/// `delay` (the cache's `defer_delay_ns`): the step every reclaim route
+/// takes before the object can be reused. Unstamped addresses (deferred
+/// while tracing was off) record nothing.
+fn settle_stamp(delay: &LogHistogram, addr: usize) {
+    if let Some(age) = pbs_telemetry::site::note_reclaimed(addr) {
+        delay.record(age);
     }
 }
 
@@ -243,11 +254,6 @@ impl<P: SlabPolicy> SlabEngine<P> {
         let sizing = SizingPolicy::for_object_size(object_size);
         config.soft_watermark = config.soft_watermark.max(1);
         config.hard_watermark = config.hard_watermark.max(config.soft_watermark);
-        let fast_cap = if FastPathOverride::from_env() != Some(FastPathOverride::Off) {
-            sizing.object_cache_size
-        } else {
-            0
-        };
         let backend = domain.backend();
         let engine = Arc::new_cyclic(|weak: &Weak<Self>| {
             let client: Weak<dyn ReclaimClient> = weak.clone();
@@ -260,18 +266,17 @@ impl<P: SlabPolicy> SlabEngine<P> {
                 slots: (0..config.ncpus)
                     .map(|_| CachePadded::new(Mutex::new(CpuSlot::default())))
                     .collect(),
-                fast: FastCache::with_slots(fast_cap, config.ncpus),
+                fast: FastCache::with_slots(sizing.object_cache_size, config.ncpus),
                 node: Mutex::new(Node::default()),
                 stats: CacheStats::new(config.ncpus),
                 deferred_outstanding: AtomicUsize::new(0),
                 backend,
-                site_backend: pbs_telemetry::site::backend_index(backend.label()),
                 reclaim: DomainHandle::attach(domain, client),
                 config,
                 policy: P::default(),
             }
         });
-        engine.record_fastpath_engine(fast_cap);
+        engine.record_fastpath_engine();
         engine
     }
 
@@ -417,26 +422,24 @@ impl<P: SlabPolicy> SlabEngine<P> {
     }
 
     /// Traces the engine the fast path selected at construction (`a` =
-    /// engine code, 0 when built without a fast path; `b` = per-CPU slot
-    /// capacity). Runs before the cache is shared, so the node lane has
-    /// no other writer yet.
-    fn record_fastpath_engine(&self, cap: usize) {
-        let code = if cap == 0 {
-            0
-        } else {
-            self.fastpath_engine_code()
-        };
-        self.stats
-            .record_node_event(EventKind::FastpathEngine, code, cap as u64);
+    /// engine code, `b` = per-CPU slot capacity). Runs before the cache is
+    /// shared, so the node lane has no other writer yet.
+    fn record_fastpath_engine(&self) {
+        self.stats.record_node_event(
+            EventKind::FastpathEngine,
+            self.fastpath_engine_code(),
+            self.sizing.object_cache_size as u64,
+        );
     }
 
     /// Sweeps the node's pending list at the current epoch: merges
-    /// grace-period-complete latent-slab objects back into their slabs
-    /// and settles the backlog count. O(1) while the front stamp is inside
-    /// its grace period, and one empty-deque check for a policy that
-    /// parks nothing in latent slabs. Returns the number reclaimed.
+    /// grace-period-complete latent-slab objects back into their slabs,
+    /// records each one's defer→reusable delay and settles the backlog
+    /// count. O(1) while the front stamp is inside its grace period, and
+    /// one empty-deque check for a policy that parks nothing in latent
+    /// slabs. Returns the number reclaimed.
     pub fn settle_pending(&self, node: &mut Node) -> usize {
-        let reclaimed = node.reclaim_pending(self.rcu.current_epoch());
+        let reclaimed = node.reclaim_pending(self.rcu.current_epoch(), &self.stats.defer_delay_ns);
         self.note_reclaimed(reclaimed);
         reclaimed
     }
@@ -444,37 +447,25 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// MERGE_CACHES (Algorithm lines 60-65) on a held slot: moves latent
     /// objects whose grace period completed into the object cache, settles
     /// them in the backlog count, records each one's defer→reusable delay
-    /// and traces the merge on lane `cpu_idx`. The latent front is checked
-    /// before any clock is read, so a slot with nothing to merge — every
-    /// slot of a policy that keeps the latent cache empty — pays one deque
-    /// check. `now_hint` forwards a clock value the caller already read
-    /// (0 = none). Returns the number merged.
-    pub fn merge_latent(&self, cpu_idx: usize, cpu: &mut CpuSlot, now_hint: u64) -> usize {
-        let Some(&(_, front, _)) = cpu.latent.front() else {
+    /// and traces the merge on lane `cpu_idx`. A slot with nothing to
+    /// merge — every slot of a policy that keeps the latent cache empty —
+    /// pays one deque check. Returns the number merged.
+    pub fn merge_latent(&self, cpu_idx: usize, cpu: &mut CpuSlot) -> usize {
+        let Some(&(_, front)) = cpu.latent.front() else {
             return 0;
         };
         let epoch = self.rcu.current_epoch();
         if !front.is_completed_at(epoch) {
             return 0;
         }
-        let now = if now_hint != 0 {
-            now_hint
-        } else {
-            trace_clock()
-        };
         let stats = &self.stats;
-        let merged = cpu.merge_caches(epoch, self.sizing.object_cache_size, |obj, queued_ns| {
-            pbs_telemetry::site::note_reclaimed(obj.addr());
-            if now != 0 && queued_ns != 0 {
-                stats.defer_delay_ns.record(now.saturating_sub(queued_ns));
-            }
+        let merged = cpu.merge_caches(epoch, self.sizing.object_cache_size, |obj| {
+            settle_stamp(&stats.defer_delay_ns, obj.addr());
         });
         self.note_reclaimed(merged);
         if merged > 0 {
-            // Reuse the clock read from the delay samples above.
-            stats.ring.record_at(
+            stats.ring.record(
                 cpu_idx,
-                now,
                 EventKind::LatentMerge,
                 stats.id(),
                 merged as u64,
@@ -488,17 +479,16 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// trip, pre-moving every slab whose list changes (Algorithm lines
     /// 49-59). The trip settles the pending list first: between refills
     /// nothing else merges grace-period-complete latent-slab objects, and a
-    /// defer-heavy phase would otherwise keep them parked. The entries'
-    /// defer-time clocks are dropped: a latent-slab object rejoins
-    /// circulation through the sweep, which has no single defer to
-    /// attribute. Call with no slot lock held.
+    /// defer-heavy phase would otherwise keep them parked. A parked object
+    /// keeps its site stamp; the sweep that returns it settles the stamp.
+    /// Call with no slot lock held.
     pub fn defer_to_slabs(&self, entries: &[LatentEntry]) {
         if entries.is_empty() {
             return;
         }
         let mut node = self.lock_node();
         self.settle_pending(&mut node);
-        for &(obj, gp, _) in entries {
+        for &(obj, gp) in entries {
             // SAFETY: latent entries hold objects this cache's `allocate`
             // minted, each deferred exactly once; the node lock is held.
             let index = unsafe { resolve_slab_index(obj, self.sizing.slab_bytes) };
@@ -521,7 +511,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     fn drain_latent(&self) -> usize {
         for cpu_idx in 0..self.slots.len() {
             let mut cpu = self.lock_slot(cpu_idx);
-            self.merge_latent(cpu_idx, &mut cpu, 0);
+            self.merge_latent(cpu_idx, &mut cpu);
             let parked: Vec<LatentEntry> = cpu.latent.drain(..).collect();
             drop(cpu);
             self.defer_to_slabs(&parked);
@@ -658,7 +648,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
             }
             // Lines 7-11: merge grace-period-complete latent objects and
             // retry before touching the node lists.
-            if self.merge_latent(cpu_idx, &mut cpu, 0) > 0 {
+            if self.merge_latent(cpu_idx, &mut cpu) > 0 {
                 if let Some(obj) = cpu.obj_cache.pop() {
                     shard.latent_hits.bump();
                     shard.live_delta.bump_add();
@@ -885,18 +875,18 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// As [`ObjectAllocator::free_deferred`].
     #[track_caller]
     pub unsafe fn free_deferred(&self, obj: ObjPtr) {
-        if pbs_telemetry::enabled() {
-            // Stamp before entering the allocator: a domain defer can scan
-            // and reclaim on this same stack, and the domain-layer fallback
-            // stamp (`note_deferred_if_untracked`) must lose to this one so
-            // the report names the freeing call site, not the adapter.
+        // Stamp before entering the allocator: a domain defer can scan and
+        // reclaim on this same stack, and every reclaim route settles the
+        // stamp. The stamp's time is the object's only defer clock.
+        let t_ns = if pbs_telemetry::enabled() {
             pbs_telemetry::site::note_deferred(
                 obj.addr(),
                 pbs_telemetry::site::intern(std::panic::Location::caller()),
                 self.sizing.object_size,
-                self.site_backend,
-            );
-        }
+            )
+        } else {
+            0
+        };
         let outstanding = self.deferred_outstanding.fetch_add(1, Ordering::Relaxed) + 1;
         let transition = self.update_pressure(outstanding);
         // The shard bumps need the slot lock: `live_delta` is a
@@ -916,7 +906,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
                 outstanding as u64,
             );
         }
-        self.policy.defer(self, cpu_idx, cpu, obj);
+        self.policy.defer(self, cpu_idx, cpu, obj, t_ns);
         // Locks dropped: safe to expedite / assist without convoying the
         // slot behind a grace-period drive.
         self.apply_backpressure(transition);
@@ -958,10 +948,14 @@ impl<P: SlabPolicy> SlabEngine<P> {
 impl<P: SlabPolicy> ReclaimClient for SlabEngine<P> {
     /// Domain delivery: the backend proved no captured reader can still
     /// hold these objects. Runs with no domain locks held and never
-    /// re-enters the domain. Site attribution was credited by the domain.
+    /// re-enters the domain. Each stamp is settled before `readmit` makes
+    /// its object allocatable again.
     fn reclaim_addrs(&self, addrs: &[usize]) {
         if addrs.is_empty() {
             return;
+        }
+        for &addr in addrs {
+            settle_stamp(&self.stats.defer_delay_ns, addr);
         }
         self.policy.readmit(self, addrs);
         self.note_reclaimed(addrs.len());

@@ -4,6 +4,7 @@
 use std::collections::VecDeque;
 
 use pbs_rcu::GpState;
+use pbs_telemetry::LogHistogram;
 
 use crate::{ListKind, RawSlab, SlabLists};
 
@@ -32,17 +33,18 @@ impl Slab {
     }
 
     /// Returns deferred objects whose grace period completed at `epoch` to
-    /// the slab free list. Returns how many were reclaimed. Private: only
+    /// the slab free list, settling each one's stamp into `delay` first.
+    /// Returns how many were reclaimed. Private: only
     /// [`Node::reclaim_pending`] may take deferred objects out, or its
     /// list goes stale.
-    fn reclaim_completed(&mut self, epoch: u64) -> usize {
+    fn reclaim_completed(&mut self, epoch: u64, delay: &LogHistogram) -> usize {
         let mut reclaimed = 0;
         while let Some(&(idx, gp)) = self.deferred.front() {
             if !gp.is_completed_at(epoch) {
                 break;
             }
             self.deferred.pop_front();
-            pbs_telemetry::site::note_reclaimed(self.raw.object_ptr(idx).addr());
+            super::settle_stamp(delay, self.raw.object_ptr(idx).addr());
             self.raw.give_back_index(idx);
             reclaimed += 1;
         }
@@ -161,9 +163,10 @@ impl Node {
 
     /// Merges grace-period-complete latent-slab objects back into their
     /// slabs' free lists, draining the pending queue front while stamps
-    /// are complete. Returns the number of objects reclaimed and relists
-    /// every touched slab.
-    pub(super) fn reclaim_pending(&mut self, epoch: u64) -> usize {
+    /// are complete, and records each object's defer→reusable age into
+    /// `delay`. Returns the number of objects reclaimed and relists every
+    /// touched slab.
+    pub(super) fn reclaim_pending(&mut self, epoch: u64, delay: &LogHistogram) -> usize {
         let mut reclaimed = 0;
         while let Some(&index) = self.pending.front() {
             let Some(slab) = self.slabs.get_mut(index).and_then(|s| s.as_mut()) else {
@@ -175,7 +178,7 @@ impl Node {
                     self.pending.pop_front();
                 }
                 Some(&(_, gp)) if gp.is_completed_at(epoch) => {
-                    reclaimed += slab.reclaim_completed(epoch);
+                    reclaimed += slab.reclaim_completed(epoch, delay);
                     self.pending.pop_front();
                     if !self.slab(index).deferred.is_empty() {
                         // Newer stamps remain; queue again behind peers.
@@ -206,6 +209,7 @@ mod tests {
 
     #[test]
     fn classify_transitions() {
+        let delay = LogHistogram::default();
         let policy = SizingPolicy::for_object_size(512);
         let pages = PageAllocator::new();
         let rcu = Rcu::new();
@@ -230,7 +234,7 @@ mod tests {
         assert!(!slab.releasable(), "pages must wait for the grace period");
 
         rcu.synchronize();
-        let n = slab.reclaim_completed(rcu.current_epoch());
+        let n = slab.reclaim_completed(rcu.current_epoch(), &delay);
         assert_eq!(n, policy.objects_per_slab);
         assert!(slab.releasable());
         pages.free_pages(slab.raw.into_block());
@@ -238,6 +242,7 @@ mod tests {
 
     #[test]
     fn reclaim_stops_at_incomplete_stamp() {
+        let delay = LogHistogram::default();
         let policy = SizingPolicy::for_object_size(512);
         let pages = PageAllocator::new();
         let rcu = Rcu::new();
@@ -250,10 +255,10 @@ mod tests {
         let late = rcu.gp_state();
         slab.deferred.push_back((slab.raw.index_of(objs[1]), late));
         // Only the first stamp is complete.
-        assert_eq!(slab.reclaim_completed(early.raw_epoch() + 2), 1);
+        assert_eq!(slab.reclaim_completed(early.raw_epoch() + 2, &delay), 1);
         assert_eq!(slab.deferred.len(), 1);
         rcu.synchronize();
-        assert_eq!(slab.reclaim_completed(rcu.current_epoch()), 1);
+        assert_eq!(slab.reclaim_completed(rcu.current_epoch(), &delay), 1);
         pages.free_pages(slab.raw.into_block());
     }
 
@@ -263,6 +268,7 @@ mod tests {
     /// incomplete stamp never strands a completed slab behind it.
     #[test]
     fn pending_names_each_deferring_slab_once() {
+        let delay = LogHistogram::default();
         let policy = SizingPolicy::for_object_size(64);
         let pages = PageAllocator::new();
         let rcu = Rcu::new();
@@ -284,10 +290,10 @@ mod tests {
 
         // Only `early` is complete: `a` keeps its late object and queues
         // again behind `b`, which leaves the list.
-        assert_eq!(node.reclaim_pending(early.raw_epoch() + 2), 2);
+        assert_eq!(node.reclaim_pending(early.raw_epoch() + 2, &delay), 2);
         assert_eq!(node.pending, [a]);
         // Nothing complete: the list does not move.
-        assert_eq!(node.reclaim_pending(early.raw_epoch() + 2), 0);
+        assert_eq!(node.reclaim_pending(early.raw_epoch() + 2, &delay), 0);
         assert_eq!(node.pending, [a]);
         // A second park into a listed slab does not list it twice; a park
         // into a slab the sweep emptied lists it again, once.
@@ -297,7 +303,7 @@ mod tests {
         assert_eq!(node.pending, [a, b]);
 
         rcu.synchronize();
-        assert_eq!(node.reclaim_pending(rcu.current_epoch()), 3);
+        assert_eq!(node.reclaim_pending(rcu.current_epoch(), &delay), 3);
         assert!(node.pending.is_empty());
         for index in [a, b] {
             let slab = node.remove_slab(index);

@@ -44,6 +44,6 @@ pub use traits::{AllocError, ObjPtr, ObjectAllocator};
 // Re-exported so allocators and harnesses name the fast-path engine
 // types without a separate dependency edge.
 pub use pbs_percpu::{
-    default_engine as fastpath_default_engine, effective_label as fastpath_effective_label,
-    Engine as FastPathEngine, FastPathOverride, FastPathSnapshot,
+    default_engine as fastpath_default_engine, Engine as FastPathEngine, FastPathOverride,
+    FastPathSnapshot,
 };

@@ -251,10 +251,10 @@ pub struct CacheStats {
     /// Time spent waiting for a per-CPU slot lock when the home slot's
     /// `try_lock` missed (nanoseconds). Only slow paths record here.
     pub slot_wait_ns: LogHistogram,
-    /// `free_deferred` → object-reusable delay (nanoseconds): how long a
-    /// deferred object sat in the latent cache before a merge made it
-    /// allocatable again (the Prudence counterpart of the baseline's
-    /// callback delay).
+    /// `free_deferred` → object-reusable delay (nanoseconds) of every
+    /// stamped deferred object, whichever route made it reusable: a
+    /// latent-cache merge, the latent-slab sweep or a domain delivery. The
+    /// age comes from the object's site stamp, the only defer clock.
     pub defer_delay_ns: LogHistogram,
     /// The cold counters and gauges (grows, shrinks, slab and pressure
     /// levels).

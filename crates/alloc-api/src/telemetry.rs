@@ -47,8 +47,7 @@ impl CacheTelemetry {
 pub struct TelemetrySnapshot {
     /// RCU domain counters (grace periods, callbacks, barrier paths).
     pub rcu: RcuStats,
-    /// RCU histograms (`gp_latency_ns`, `callback_delay_ns`) and
-    /// grace-period trace events.
+    /// RCU histogram (`gp_latency_ns`) and grace-period trace events.
     pub rcu_telemetry: ComponentTelemetry,
     /// Per-cache telemetry, one entry per captured cache.
     pub caches: Vec<CacheTelemetry>,
@@ -58,7 +57,7 @@ pub struct TelemetrySnapshot {
     /// Stall-blame records: who wedged reclamation, for how long,
     /// history plus any still-open episode last.
     pub blame: Vec<BlameReport>,
-    /// Per-call-site garbage attribution and age distribution.
+    /// Per-call-site garbage attribution.
     pub sites: SiteReport,
 }
 

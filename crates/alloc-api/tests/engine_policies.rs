@@ -23,8 +23,7 @@ trait Kit {
     const DEFERRED: EventKind;
     /// Trace event marking "deferred object reusable again".
     const REUSABLE: EventKind;
-    /// Whether an epoch-domain defer waits in the engine's latent cache
-    /// (and the engine times its defer→reusable delay, `defer_delay_ns`).
+    /// Whether an epoch-domain defer waits in the engine's latent cache.
     const LATENT: bool;
 }
 
@@ -395,7 +394,7 @@ fn telemetry_traces_deferred_lifecycle<C: Kit>() {
     assert!(t.count_of(EventKind::SlabGrow) >= 1, "{:?}", t.event_counts);
     assert!(t.histogram("slot_wait_ns").is_some());
     let timed = t.histogram("defer_delay_ns").is_some_and(|h| h.count >= 1);
-    assert_eq!(timed, C::LATENT, "defer→reusable delay samples");
+    assert!(timed, "defer→reusable delay samples");
     for o in held {
         unsafe { c.free(o) };
     }

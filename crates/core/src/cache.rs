@@ -3,7 +3,7 @@
 
 use parking_lot::MutexGuard;
 
-use pbs_alloc_api::engine::{trace_clock, CpuSlot, LatentEntry, Node, SlabEngine, SlabPolicy};
+use pbs_alloc_api::engine::{CpuSlot, LatentEntry, Node, SlabEngine, SlabPolicy};
 use pbs_alloc_api::{ListKind, ObjPtr};
 use pbs_mem::OutOfMemory;
 use pbs_rcu::reclaim::ReclaimBackend;
@@ -111,13 +111,12 @@ impl PrudencePolicy {
         mut cpu: MutexGuard<'_, CpuSlot>,
         obj: ObjPtr,
         gp: GpState,
-        queued_ns: u64,
     ) {
         let threshold = eng.policy().object_cache_size;
         if cpu.latent.len() < threshold {
             // Fast path (lines 39-40). Lines 41-43 (schedule an idle-time
             // pre-flush) are not reproduced: see DESIGN.md §4c.
-            cpu.latent.push_back((obj, gp, queued_ns));
+            cpu.latent.push_back((obj, gp));
             return;
         }
         // Slow path (lines 45-51): make room, retry, else latent slab.
@@ -129,13 +128,13 @@ impl PrudencePolicy {
         let mergeable = cpu
             .latent
             .front()
-            .is_some_and(|&(_, gp, _)| gp.is_completed_at(eng.rcu().current_epoch()));
+            .is_some_and(|&(_, gp)| gp.is_completed_at(eng.rcu().current_epoch()));
         if mergeable {
             eng.flush_obj_cache(cpu_idx, &mut cpu);
-            eng.merge_latent(cpu_idx, &mut cpu, queued_ns);
+            eng.merge_latent(cpu_idx, &mut cpu);
         }
         if cpu.latent.len() < threshold {
-            cpu.latent.push_back((obj, gp, queued_ns));
+            cpu.latent.push_back((obj, gp));
         } else {
             // Move the older half of the latent cache to its latent slabs
             // in one node-lock acquisition, then admit the new object.
@@ -146,7 +145,7 @@ impl PrudencePolicy {
             // Draining from the front keeps stamps non-decreasing, the
             // order latent slabs rely on.
             let moved: Vec<LatentEntry> = cpu.latent.drain(..n).collect();
-            cpu.latent.push_back((obj, gp, queued_ns));
+            cpu.latent.push_back((obj, gp));
             eng.counters().ring.record(
                 cpu_idx,
                 EventKind::LatentFlush,
@@ -235,24 +234,31 @@ impl SlabPolicy for PrudencePolicy {
 
     /// The one branch on the backend: latent stamping (lines 35-51) under
     /// epoch, the domain otherwise.
-    fn defer(&self, eng: &Engine, cpu_idx: usize, cpu: MutexGuard<'_, CpuSlot>, obj: ObjPtr) {
+    fn defer(
+        &self,
+        eng: &Engine,
+        cpu_idx: usize,
+        cpu: MutexGuard<'_, CpuSlot>,
+        obj: ObjPtr,
+        t_ns: u64,
+    ) {
         if eng.reclaim_backend() != ReclaimBackend::Epoch {
             drop(cpu);
             return eng.defer_to_domain(obj);
         }
         let gp = eng.rcu().gp_state(); // line 35
-        let queued_ns = trace_clock();
+
         // Slot lock held: lane `cpu_idx` is ours to write. The record
-        // reuses the defer stamp's clock read.
+        // reuses the site stamp's clock read.
         eng.counters().ring.record_at(
             cpu_idx,
-            queued_ns,
+            t_ns,
             EventKind::LatentStamp,
             eng.counters().id(),
             gp.raw_epoch(),
             cpu.latent.len() as u64,
         );
-        self.stamp_latent(eng, cpu_idx, cpu, obj, gp, queued_ns);
+        self.stamp_latent(eng, cpu_idx, cpu, obj, gp);
     }
 
     /// The backend proved no captured reader can still hold these objects,
@@ -273,7 +279,7 @@ impl SlabPolicy for PrudencePolicy {
             return;
         }
         let (cpu_idx, mut cpu) = eng.lock_cpu();
-        eng.merge_latent(cpu_idx, &mut cpu, 0);
+        eng.merge_latent(cpu_idx, &mut cpu);
         drop(cpu);
         eng.settle_pending(&mut eng.lock_node());
     }

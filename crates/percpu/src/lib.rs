@@ -104,37 +104,27 @@ static DEFAULT_ENGINE: AtomicU8 = AtomicU8::new(ENGINE_UNDECIDED);
 /// CI's default leg exports `PBS_FASTPATH=''`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastPathOverride {
-    /// Prefer the rseq engine (still degrades to `locks` where the kernel
-    /// lacks it: the emulation engine is the honest answer, not a panic).
-    Rseq,
     /// Force the portable slot-lock emulation.
     Locks,
-    /// Build caches without fast-path slots, so a run measures the regular
-    /// per-CPU paths alone (the pre-fast-path baseline).
-    Off,
 }
 
 impl FastPathOverride {
     /// Stable label, the value `PBS_FASTPATH` spells it with.
     pub fn label(self) -> &'static str {
         match self {
-            FastPathOverride::Rseq => "rseq",
             FastPathOverride::Locks => "locks",
-            FastPathOverride::Off => "off",
         }
     }
 
-    /// Parses a `PBS_FASTPATH` value. A typo is an error rather than the
-    /// default, so a misspelt CI matrix leg cannot silently test the
-    /// default engine and stay green.
+    /// Parses a `PBS_FASTPATH` value. Anything else is an error rather
+    /// than the default, so a misspelt CI matrix leg cannot silently test
+    /// the default engine and stay green.
     pub fn parse_env(value: Option<&str>) -> Result<Option<Self>, String> {
         match value {
             None | Some("") => Ok(None),
-            Some("rseq") => Ok(Some(FastPathOverride::Rseq)),
             Some("locks") => Ok(Some(FastPathOverride::Locks)),
-            Some("off") => Ok(Some(FastPathOverride::Off)),
             Some(other) => Err(format!(
-                "PBS_FASTPATH={other:?} is not one of rseq|locks|off \
+                "PBS_FASTPATH={other:?} is not locks \
                  (unset or empty selects the default)"
             )),
         }
@@ -187,15 +177,6 @@ fn decide_default() -> Engine {
         Ok(_) => want,
         Err(prev) if prev == ENGINE_RSEQ => Engine::Rseq,
         Err(_) => Engine::Locks,
-    }
-}
-
-/// What new caches actually run, as one label for run metadata and the
-/// doctor: `off` when `PBS_FASTPATH=off`, else the default engine's label.
-pub fn effective_label() -> &'static str {
-    match FastPathOverride::from_env() {
-        Some(FastPathOverride::Off) => FastPathOverride::Off.label(),
-        _ => default_engine().label(),
     }
 }
 
@@ -767,15 +748,13 @@ mod tests {
 
     #[test]
     fn fastpath_override_parses_strictly() {
-        use FastPathOverride::{Locks, Off, Rseq};
+        let locks = FastPathOverride::Locks;
         assert_eq!(FastPathOverride::parse_env(None), Ok(None));
         assert_eq!(FastPathOverride::parse_env(Some("")), Ok(None), "CI default leg");
-        for choice in [Rseq, Locks, Off] {
-            assert_eq!(FastPathOverride::parse_env(Some(choice.label())), Ok(Some(choice)));
-        }
-        for typo in ["lock", "LOCKS", " off", "0", "rseq "] {
+        assert_eq!(FastPathOverride::parse_env(Some(locks.label())), Ok(Some(locks)));
+        for typo in ["lock", "LOCKS", "off", "rseq", "0", "locks "] {
             let err = FastPathOverride::parse_env(Some(typo)).unwrap_err();
-            assert!(err.contains("rseq|locks|off"), "accepted values named: {err}");
+            assert!(err.contains("not locks"), "accepted value named: {err}");
         }
     }
 

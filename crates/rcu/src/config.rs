@@ -69,11 +69,6 @@ pub struct RcuConfig {
     /// ([`RcuStats::stall_warnings`](crate::RcuStats::stall_warnings)),
     /// clearing when the reader unpins.
     pub stall_threshold: Duration,
-    /// Bound on the expedited grace-period drive: `synchronize_expedited`
-    /// spins this many `try_advance` rounds (yielding with backoff after
-    /// the first few) before falling back to passive polling like plain
-    /// `synchronize`.
-    pub expedite_retries: usize,
 }
 
 impl std::fmt::Debug for RcuConfig {
@@ -97,7 +92,6 @@ impl std::fmt::Debug for RcuConfig {
                 &self.fault_injector.as_ref().map(|_| "<injector>"),
             )
             .field("stall_threshold", &self.stall_threshold)
-            .field("expedite_retries", &self.expedite_retries)
             .finish()
     }
 }
@@ -120,7 +114,6 @@ impl Default for RcuConfig {
             // never warn; short enough that a wedged reader is reported
             // within human-noticeable time.
             stall_threshold: Duration::from_millis(100),
-            expedite_retries: 64,
         }
     }
 }

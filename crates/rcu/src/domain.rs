@@ -239,22 +239,16 @@ impl Rcu {
         self.inner.blame.lock().total()
     }
 
-    /// Grace-period trace events and latency histograms for this domain:
-    /// `gp_latency_ns` (blocking `synchronize` wait) and
-    /// `callback_delay_ns` (epoch-domain defer → delivery).
+    /// Grace-period trace events and the latency histogram for this
+    /// domain: `gp_latency_ns` (blocking `synchronize` wait). How long a
+    /// deferred object waits is each cache's `defer_delay_ns`.
     pub fn telemetry(&self) -> ComponentTelemetry {
         ComponentTelemetry::new(
             self.inner.ring.snapshot(),
-            vec![
-                NamedHistogram {
-                    name: "gp_latency_ns".to_owned(),
-                    hist: self.inner.stats.gp_latency.snapshot(),
-                },
-                NamedHistogram {
-                    name: "callback_delay_ns".to_owned(),
-                    hist: self.inner.stats.callback_delay.snapshot(),
-                },
-            ],
+            vec![NamedHistogram {
+                name: "gp_latency_ns".to_owned(),
+                hist: self.inner.stats.gp_latency.snapshot(),
+            }],
         )
     }
 

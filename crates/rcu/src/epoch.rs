@@ -13,6 +13,12 @@ use crate::membarrier;
 /// epoch-based reclamation).
 pub(crate) const GRACE_EPOCHS: u64 = 2;
 
+/// Bound on the expedited grace-period drive: [`Inner::expedite`] spins
+/// this many `try_advance` rounds (yielding with backoff after the first
+/// few) before `synchronize_expedited` falls back to passive polling like
+/// plain `synchronize`.
+const EXPEDITE_RETRIES: usize = 64;
+
 /// Opaque snapshot of the grace-period state at the moment an object was
 /// deferred for freeing.
 ///
@@ -153,7 +159,7 @@ impl Inner {
                 .record_thread(EventKind::GpExpedite, 0, state.raw_epoch(), 0);
         }
         let mut backoff = 1u32;
-        for round in 0..self.config.expedite_retries.max(1) {
+        for round in 0..EXPEDITE_RETRIES {
             if state.is_completed_at(self.try_advance()) {
                 return true;
             }

@@ -28,8 +28,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use super::{
-    stamp_untracked, ClientId, ClientRegistry, ReclaimBackend, ReclaimClient, ReclaimStats,
-    ReclamationDomain,
+    ClientId, ClientRegistry, ReclaimBackend, ReclaimClient, ReclaimStats, ReclamationDomain,
 };
 use crate::epoch::GpState;
 use crate::Rcu;
@@ -37,9 +36,6 @@ use crate::Rcu;
 /// One deferred address, stamped with the epoch it was queued at.
 struct Entry {
     stamp: GpState,
-    /// Telemetry enqueue timestamp (`now_nanos`); 0 when tracing was
-    /// disabled at enqueue, in which case no delay is recorded.
-    queued_ns: u64,
     client: ClientId,
     addr: usize,
 }
@@ -89,17 +85,11 @@ impl Callbacks {
     fn push(&self, client: ClientId, addr: usize) {
         let inner = self.rcu.inner();
         let stamp = inner.gp_state();
-        let queued_ns = if pbs_telemetry::enabled() {
-            pbs_telemetry::now_nanos()
-        } else {
-            0
-        };
         let shard = &self.shards[self.cursor.fetch_add(1, Ordering::Relaxed) % self.shards.len()];
         {
             let mut queue = shard.queue.lock();
             queue.push_back(Entry {
                 stamp,
-                queued_ns,
                 client,
                 addr,
             });
@@ -137,12 +127,6 @@ impl Callbacks {
         }
         if ready.is_empty() {
             return 0;
-        }
-        // One timestamp per batch: the enqueue→delivery delay distribution
-        // (§3.2 extended lifetimes) needs no per-entry clock read.
-        let now_ns = pbs_telemetry::now_nanos();
-        for entry in &ready {
-            inner.stats.record_callback_delay(entry.queued_ns, now_ns);
         }
         let delivered = self
             .clients
@@ -262,7 +246,6 @@ impl ReclamationDomain for EpochDomain {
     }
 
     fn defer(&self, client: ClientId, addr: usize) {
-        stamp_untracked(addr, pbs_telemetry::site::BACKEND_EPOCH);
         self.reclaimers.get_or_init(|| self.spawn_reclaimers());
         self.callbacks.push(client, addr);
     }
@@ -368,7 +351,6 @@ mod tests {
     fn entry(stamp: u64) -> Entry {
         Entry {
             stamp: GpState(stamp),
-            queued_ns: 0,
             client: 0,
             addr: 0,
         }

@@ -47,8 +47,8 @@ use parking_lot::Mutex;
 use pbs_telemetry::EventKind;
 
 use super::{
-    advance_refused, drain_prefix, stamp_untracked, ClientId, ClientRegistry, ReclaimBackend,
-    ReclaimClient, ReclaimConfig, ReclaimStats, ReclamationDomain,
+    advance_refused, drain_prefix, ClientId, ClientRegistry, ReclaimBackend, ReclaimClient,
+    ReclaimConfig, ReclaimStats, ReclamationDomain,
 };
 use crate::registry::HP_SLOTS;
 use crate::stats::ReclaimCounters;
@@ -151,7 +151,6 @@ impl ReclamationDomain for HpDomain {
     }
 
     fn defer(&self, client: ClientId, addr: usize) {
-        stamp_untracked(addr, pbs_telemetry::site::BACKEND_HP);
         let seq = self.retire_seq.fetch_add(1, Ordering::Relaxed) + 1;
         self.stats.deferred_in_domain.fetch_add(1, Ordering::Relaxed);
         let len = {

@@ -57,8 +57,8 @@ use parking_lot::Mutex;
 use pbs_telemetry::EventKind;
 
 use super::{
-    advance_refused, drain_prefix, stamp_untracked, ClientId, ClientRegistry, ReclaimBackend,
-    ReclaimClient, ReclaimConfig, ReclaimStats, ReclamationDomain,
+    advance_refused, drain_prefix, ClientId, ClientRegistry, ReclaimBackend, ReclaimClient,
+    ReclaimConfig, ReclaimStats, ReclamationDomain,
 };
 use crate::registry::Record;
 use crate::stats::ReclaimCounters;
@@ -262,7 +262,6 @@ impl ReclamationDomain for HyalineDomain {
     }
 
     fn defer(&self, client: ClientId, addr: usize) {
-        stamp_untracked(addr, pbs_telemetry::site::BACKEND_HYALINE);
         self.stats.deferred_in_domain.fetch_add(1, Ordering::Relaxed);
         let len = {
             let mut open = self.open.lock();

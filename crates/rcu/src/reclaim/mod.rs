@@ -82,7 +82,9 @@ pub type ClientId = usize;
 /// already behave).
 pub trait ReclaimClient: Send + Sync {
     /// Returns objects (by address, as handed to
-    /// [`ReclamationDomain::defer`]) to the owning cache.
+    /// [`ReclamationDomain::defer`]) to the owning cache, which settles
+    /// their site stamps (`pbs_telemetry::site::note_reclaimed`) before
+    /// any of them can be reused.
     ///
     /// Domains guarantee this is invoked with no domain-internal locks
     /// held, so the client may perform arbitrary cache work — but it must
@@ -107,23 +109,27 @@ impl ClientRegistry {
 
     /// Returns every `(client, addr)` to its client, one
     /// [`ReclaimClient::reclaim_addrs`] call per client; call with no
-    /// domain lock held (the [`ReclaimClient`] contract). Attribution is
-    /// credited here and nowhere downstream: the backend proved the
-    /// objects reusable, so they count as reclaimed even if their client
-    /// is already gone, in which case the addresses are dropped. Returns
-    /// how many addresses were delivered.
+    /// domain lock held (the [`ReclaimClient`] contract). A live client
+    /// credits the addresses' site stamps itself, as it takes them back;
+    /// the addresses of a client that is already gone are dropped, and
+    /// credited here — the backend proved them reusable, so they count as
+    /// reclaimed. Returns how many addresses were delivered.
     pub(crate) fn deliver(&self, items: impl IntoIterator<Item = (ClientId, usize)>) -> usize {
         let mut by_client: HashMap<ClientId, Vec<usize>> = HashMap::new();
         let mut total = 0;
         for (client, addr) in items {
-            pbs_telemetry::site::note_reclaimed(addr);
             by_client.entry(client).or_default().push(addr);
             total += 1;
         }
         for (client, addrs) in by_client {
             let client = self.clients.lock().get(client).cloned();
-            if let Some(client) = client.and_then(|weak| weak.upgrade()) {
-                client.reclaim_addrs(&addrs);
+            match client.and_then(|weak| weak.upgrade()) {
+                Some(client) => client.reclaim_addrs(&addrs),
+                None => {
+                    for addr in addrs {
+                        pbs_telemetry::site::note_reclaimed(addr);
+                    }
+                }
             }
         }
         total
@@ -161,20 +167,6 @@ pub(crate) fn drain_prefix(target: u64, nap: Duration, mut step: impl FnMut() ->
         } else {
             std::thread::sleep(nap);
         }
-    }
-}
-
-/// Attributes a defer made directly on a domain to its caller's site.
-/// Allocator-layer callers already stamped the address with their own
-/// site and win.
-#[track_caller]
-pub(crate) fn stamp_untracked(addr: usize, backend: u8) {
-    if pbs_telemetry::enabled() {
-        pbs_telemetry::site::note_deferred_if_untracked(
-            addr,
-            pbs_telemetry::site::intern(std::panic::Location::caller()),
-            backend,
-        );
     }
 }
 
@@ -323,12 +315,9 @@ pub trait ReclamationDomain: Send + Sync {
     /// Hands one retired object to the domain. The caller must already
     /// have unlinked the object (no *new* reader can reach it); the
     /// domain invokes [`ReclaimClient::reclaim_addrs`] once the backend
-    /// proves no captured reader can still hold it.
-    ///
-    /// `#[track_caller]` so per-site garbage attribution can tag direct
-    /// domain users with their own call site (allocator-layer callers
-    /// stamp first and win; see `pbs_telemetry::site`).
-    #[track_caller]
+    /// proves no captured reader can still hold it. The domain keeps no
+    /// attribution of its own: the allocator stamps before it defers, and
+    /// settles the stamp when the object comes back.
     fn defer(&self, client: ClientId, addr: usize);
 
     /// One bounded reclamation-progress step (epoch-advance attempt,

@@ -75,9 +75,6 @@ pbs_telemetry::counter_table! {
         /// Wall-clock duration of blocking `synchronize` calls — the paper's
         /// grace-period latency distribution.
         pub gp_latency: LogHistogram,
-        /// Callback enqueue → delivery delay: how long the
-        /// baseline's deferred objects stay dead-but-unreusable (§3.2).
-        pub callback_delay: LogHistogram,
     }
 
     derived {
@@ -146,14 +143,6 @@ impl StatsInner {
             .load(Ordering::Relaxed)
             .saturating_sub(processed) as usize
     }
-
-    /// Records one callback's enqueue→delivery delay, given the enqueue
-    /// timestamp (0 = tracing was disabled at enqueue; skip).
-    pub(crate) fn record_callback_delay(&self, queued_ns: u64, now_ns: u64) {
-        if queued_ns != 0 {
-            self.callback_delay.record(now_ns.saturating_sub(queued_ns));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -205,17 +194,6 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.max_callback_backlog, 4000);
         assert_eq!(snap.callbacks_enqueued, 4000);
-    }
-
-    #[test]
-    fn callback_delay_skips_untimed_entries() {
-        let s = StatsInner::default();
-        s.record_callback_delay(0, 100); // queued while tracing was off
-        assert_eq!(s.callback_delay.snapshot().count, 0);
-        s.record_callback_delay(40, 100);
-        let snap = s.callback_delay.snapshot();
-        assert_eq!(snap.count, 1);
-        assert_eq!(snap.sum, 60);
     }
 
     /// Every table row, without naming one (the derived backlog row is

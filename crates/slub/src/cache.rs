@@ -57,10 +57,19 @@ impl SlabPolicy for SlubPolicy {
     /// domain (an RCU callback under the epoch backend, exactly like
     /// kernel code deferring a `kfree` through RCU) and stays invisible to
     /// the allocator until background reclaim delivers it.
-    fn defer(&self, eng: &Engine, cpu_idx: usize, cpu: MutexGuard<'_, CpuSlot>, obj: ObjPtr) {
-        // Slot lock held: lane `cpu_idx` is ours to write.
-        eng.counters().ring.record(
+    fn defer(
+        &self,
+        eng: &Engine,
+        cpu_idx: usize,
+        cpu: MutexGuard<'_, CpuSlot>,
+        obj: ObjPtr,
+        t_ns: u64,
+    ) {
+        // Slot lock held: lane `cpu_idx` is ours to write. The record
+        // reuses the site stamp's clock read.
+        eng.counters().ring.record_at(
             cpu_idx,
+            t_ns,
             EventKind::DeferredFree,
             eng.counters().id(),
             obj.addr() as u64,

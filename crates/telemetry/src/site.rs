@@ -1,14 +1,17 @@
 //! Per-call-site attribution of deferred frees.
 //!
-//! Every `free_deferred`/`domain.defer` entry point captures its caller's
+//! The allocator's `free_deferred` captures its caller's
 //! [`std::panic::Location`] (via `#[track_caller]`), interns it into a
 //! compact [`SiteId`], and stamps the object's address with
-//! `{site, backend, bytes, defer time}`. When the object is finally
-//! reclaimed — by an epoch merge, a hazard scan, a batch release or an RCU
-//! callback — [`note_reclaimed`] removes the stamp, credits the site's
-//! reclaimed counters, and charges the object's age to the per-backend
-//! `garbage_age_ns` histogram. The difference `deferred − reclaimed` is the
-//! site's *outstanding* garbage, the quantity the doctor ranks sites by.
+//! `{site, bytes, defer time}`. The stamp is the only per-object record of
+//! when the object was deferred: [`note_deferred`] returns its time so the
+//! cache's trace record reuses it. When the object becomes reusable again —
+//! by a latent-cache merge, a latent-slab sweep or a domain delivery —
+//! [`note_reclaimed`] removes the stamp, credits the site's reclaimed
+//! counters and returns the object's age, which the owning cache records
+//! into its `defer_delay_ns` histogram. The difference
+//! `deferred − reclaimed` is the site's *outstanding* garbage, the quantity
+//! the doctor ranks sites by.
 //!
 //! Cost discipline mirrors the rest of the crate:
 //!
@@ -35,9 +38,6 @@ use std::sync::{Mutex, OnceLock};
 use crossbeam::utils::CachePadded;
 use serde::{Deserialize, Serialize};
 
-use crate::hist::LogHistogram;
-use crate::NamedHistogram;
-
 /// Maximum distinct call sites tracked; later registrations fold into the
 /// overflow site (id 0) and are counted in
 /// [`SiteReport::dropped_sites`].
@@ -46,36 +46,6 @@ pub const MAX_SITES: usize = 256;
 /// Counter stripes per site; threads are spread across lanes so concurrent
 /// defers from one site don't share a cacheline.
 pub const LANES: usize = 8;
-
-/// Reclamation backends distinguished by the age histograms, in
-/// `PBS_RECLAIM` label order: `epoch`, `hp`, `hyaline`.
-pub const BACKENDS: usize = 3;
-
-/// Backend index for the epoch (call_rcu) domain.
-pub const BACKEND_EPOCH: u8 = 0;
-/// Backend index for the hazard-pointer domain.
-pub const BACKEND_HP: u8 = 1;
-/// Backend index for the Hyaline-style batch domain.
-pub const BACKEND_HYALINE: u8 = 2;
-
-/// `PBS_RECLAIM`-style label of a backend index.
-pub fn backend_label(backend: u8) -> &'static str {
-    match backend {
-        BACKEND_HP => "hp",
-        BACKEND_HYALINE => "hyaline",
-        _ => "epoch",
-    }
-}
-
-/// Backend index for a `PBS_RECLAIM`-style label (unknown labels map to
-/// the epoch index).
-pub fn backend_index(label: &str) -> u8 {
-    match label {
-        "hp" => BACKEND_HP,
-        "hyaline" => BACKEND_HYALINE,
-        _ => BACKEND_EPOCH,
-    }
-}
 
 /// A compact interned id of one `#[track_caller]` call site.
 ///
@@ -126,7 +96,6 @@ struct Globals {
     lanes: Box<[CachePadded<Lane>]>, // MAX_SITES × LANES, site-major
     cache: Box<[CacheEntry]>,
     stamps: Box<[Mutex<HashMap<usize, Stamp>>]>,
-    age: [LogHistogram; BACKENDS],
     outstanding: AtomicU64,
     lost_stamps: AtomicU64,
 }
@@ -134,7 +103,6 @@ struct Globals {
 #[derive(Clone, Copy)]
 struct Stamp {
     site: u32,
-    backend: u8,
     bytes: u32,
     t_ns: u64,
 }
@@ -158,7 +126,6 @@ fn globals() -> &'static Globals {
                 })
                 .collect(),
             stamps: (0..STAMP_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            age: std::array::from_fn(|_| LogHistogram::new()),
             outstanding: AtomicU64::new(0),
             lost_stamps: AtomicU64::new(0),
         }
@@ -232,23 +199,24 @@ fn intern_slow(
 }
 
 /// Records a deferred free: credits the site's deferred counters and
-/// stamps `addr` with the site, backend and defer time so the matching
-/// [`note_reclaimed`] can attribute the reclaim.
+/// stamps `addr` with the site and the defer time so the matching
+/// [`note_reclaimed`] can attribute the reclaim. Returns the defer time
+/// it stamped, for the caller's trace record.
 ///
 /// Call only when [`enabled`](crate::enabled); the caller already holds
 /// the object exclusively so a duplicate stamp for `addr` means the
 /// previous owner leaked (cache torn down without reclaiming) — the old
 /// stamp is dropped and counted in [`SiteReport::lost_stamps`].
-pub fn note_deferred(addr: usize, site: SiteId, bytes: usize, backend: u8) {
+pub fn note_deferred(addr: usize, site: SiteId, bytes: usize) -> u64 {
     let g = globals();
     let lane = &g.lanes[site.0 as usize * LANES + lane_index()];
     lane.deferred.fetch_add(1, Ordering::Relaxed);
     lane.deferred_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+    let t_ns = crate::now_nanos();
     let stamp = Stamp {
         site: site.0,
-        backend: backend.min(BACKENDS as u8 - 1),
         bytes: bytes.min(u32::MAX as usize) as u32,
-        t_ns: crate::now_nanos(),
+        t_ns,
     };
     let prev = g.stamps[addr % STAMP_SHARDS]
         .lock()
@@ -259,50 +227,34 @@ pub fn note_deferred(addr: usize, site: SiteId, bytes: usize, backend: u8) {
     } else {
         g.outstanding.fetch_add(1, Ordering::Relaxed);
     }
+    t_ns
 }
 
-/// Tags an address on behalf of a direct domain user when no allocator
-/// already stamped it (allocator-layer stamps carry the user's call site
-/// and must win). Used by `ReclamationDomain::defer` implementations.
-pub fn note_deferred_if_untracked(addr: usize, site: SiteId, backend: u8) {
-    let g = globals();
-    {
-        let shard = g.stamps[addr % STAMP_SHARDS]
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if shard.contains_key(&addr) {
-            return;
-        }
-    }
-    note_deferred(addr, site, 0, backend);
-}
-
-/// Records that `addr` was reclaimed (became reusable). Safe to call
+/// Records that `addr` was reclaimed (became reusable) and returns its
+/// age in nanoseconds since [`note_deferred`]. Safe to call
 /// unconditionally from every reclaim path: with no stamps outstanding
 /// anywhere this is a single `Relaxed` load, and unstamped addresses
-/// (deferred while tracing was off) are ignored.
+/// (deferred while tracing was off) are ignored and return `None`.
 #[inline]
-pub fn note_reclaimed(addr: usize) {
+pub fn note_reclaimed(addr: usize) -> Option<u64> {
     let g = globals();
     if g.outstanding.load(Ordering::Relaxed) == 0 {
-        return;
+        return None;
     }
-    note_reclaimed_slow(g, addr);
+    note_reclaimed_slow(g, addr)
 }
 
 #[cold]
-fn note_reclaimed_slow(g: &'static Globals, addr: usize) {
+fn note_reclaimed_slow(g: &'static Globals, addr: usize) -> Option<u64> {
     let stamp = g.stamps[addr % STAMP_SHARDS]
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .remove(&addr);
-    let Some(stamp) = stamp else { return };
+        .remove(&addr)?;
     g.outstanding.fetch_sub(1, Ordering::Relaxed);
     let lane = &g.lanes[stamp.site as usize * LANES + lane_index()];
     lane.reclaimed.fetch_add(1, Ordering::Relaxed);
     lane.reclaimed_bytes.fetch_add(stamp.bytes as u64, Ordering::Relaxed);
-    let age = crate::now_nanos().saturating_sub(stamp.t_ns);
-    g.age[stamp.backend as usize].record(age);
+    Some(crate::now_nanos().saturating_sub(stamp.t_ns))
 }
 
 /// Aggregated counters of one call site.
@@ -338,9 +290,6 @@ pub struct SiteReport {
     /// Age in nanoseconds of the oldest outstanding stamped object
     /// (0 when none are outstanding).
     pub oldest_outstanding_ns: u64,
-    /// `garbage_age_ns` histograms, one per backend (named
-    /// `garbage_age_ns` with the backend label suffix).
-    pub age: Vec<NamedHistogram>,
     /// Site registrations dropped because [`MAX_SITES`] was exceeded.
     pub dropped_sites: u64,
     /// Stamps overwritten by address reuse (owner torn down without
@@ -350,7 +299,7 @@ pub struct SiteReport {
 
 impl SiteReport {
     /// Folds another report into this one: sites merge by label (counters
-    /// add), gauges take the maximum, histograms merge bucket-wise. Two
+    /// add), gauges take the maximum. Two
     /// captures of the *same* process should not be merged — that would
     /// double-count; this is for folding reports from separate runs.
     pub fn merge(&mut self, other: &SiteReport) {
@@ -375,12 +324,6 @@ impl SiteReport {
         });
         self.outstanding_total += other.outstanding_total;
         self.oldest_outstanding_ns = self.oldest_outstanding_ns.max(other.oldest_outstanding_ns);
-        for named in &other.age {
-            match self.age.iter_mut().find(|h| h.name == named.name) {
-                Some(mine) => mine.hist.merge(&named.hist),
-                None => self.age.push(named.clone()),
-            }
-        }
         self.dropped_sites += other.dropped_sites;
         self.lost_stamps += other.lost_stamps;
     }
@@ -431,12 +374,6 @@ pub fn report() -> SiteReport {
         sites,
         outstanding_total: g.outstanding.load(Ordering::Relaxed),
         oldest_outstanding_ns: oldest,
-        age: (0..BACKENDS)
-            .map(|b| NamedHistogram {
-                name: format!("garbage_age_ns_{}", backend_label(b as u8)),
-                hist: g.age[b].snapshot(),
-            })
-            .collect(),
         dropped_sites: dropped,
         lost_stamps: g.lost_stamps.load(Ordering::Relaxed),
     }
@@ -487,9 +424,11 @@ mod tests {
         crate::set_enabled(true);
         let site = intern(here());
         let base = 0xdead_0000usize;
+        let mut stamped = Vec::new();
         for i in 0..10 {
-            note_deferred(base + i * 64, site, 64, BACKEND_HP);
+            stamped.push(note_deferred(base + i * 64, site, 64));
         }
+        assert!(stamped.iter().all(|&t| t > 0), "the stamp's time is returned");
         let mid = report();
         let stat = mid.sites.iter().find(|s| s.site == site.index()).unwrap();
         assert_eq!(stat.deferred, 10);
@@ -498,20 +437,14 @@ mod tests {
         assert!(mid.outstanding_total >= 10);
         assert!(mid.oldest_outstanding_ns > 0);
 
-        for i in 0..10 {
-            note_reclaimed(base + i * 64);
-        }
+        let ages: Vec<Option<u64>> = (0..10).map(|i| note_reclaimed(base + i * 64)).collect();
+        assert!(ages.iter().all(Option::is_some), "every stamp returns its age");
+        assert_eq!(note_reclaimed(base), None, "a stamp is credited once");
         let done = report();
         let stat = done.sites.iter().find(|s| s.site == site.index()).unwrap();
         assert_eq!(stat.reclaimed, 10);
         assert_eq!(stat.outstanding, 0);
         assert_eq!(stat.outstanding_bytes, 0);
-        let hp_age = done
-            .age
-            .iter()
-            .find(|h| h.name == "garbage_age_ns_hp")
-            .unwrap();
-        assert!(hp_age.hist.count >= 10);
     }
 
     #[test]
@@ -519,35 +452,8 @@ mod tests {
         let _guard = crate::flag_guard();
         crate::set_enabled(true);
         let before = report();
-        note_reclaimed(0xfeed_beef);
+        assert_eq!(note_reclaimed(0xfeed_beef), None);
         let after = report();
         assert_eq!(before.outstanding_total, after.outstanding_total);
-    }
-
-    #[test]
-    fn domain_stamp_defers_to_allocator_stamp() {
-        let _guard = crate::flag_guard();
-        crate::set_enabled(true);
-        let alloc_site = intern(here());
-        let domain_site = intern(here());
-        let addr = 0xabc0_0000usize;
-        note_deferred(addr, alloc_site, 32, BACKEND_HYALINE);
-        note_deferred_if_untracked(addr, domain_site, BACKEND_HYALINE);
-        note_reclaimed(addr);
-        let rep = report();
-        let alloc_stat = rep.sites.iter().find(|s| s.site == alloc_site.index()).unwrap();
-        assert_eq!(alloc_stat.reclaimed, 1, "allocator site owns the stamp");
-        assert!(
-            !rep.sites.iter().any(|s| s.site == domain_site.index()),
-            "domain-side tag did not double-count"
-        );
-    }
-
-    #[test]
-    fn backend_labels_round_trip() {
-        for b in 0..BACKENDS as u8 {
-            assert_eq!(backend_index(backend_label(b)), b);
-        }
-        assert_eq!(backend_index("nonsense"), BACKEND_EPOCH);
     }
 }

@@ -49,11 +49,12 @@ const CONN_DEADLINE: Duration = Duration::from_secs(2);
 /// best-effort 503 rather than letting the queue grow without bound.
 const ACCEPT_BACKLOG: usize = 8;
 
-/// Age percentiles of one backend's reclaimed garbage.
+/// Age percentiles of one cache's reclaimed garbage, read from its
+/// `defer_delay_ns` histogram.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AgeProfile {
-    /// Backend label (`epoch`, `hp`, `hyaline`).
-    pub backend: String,
+    /// Cache name.
+    pub cache: String,
     /// Reclaimed objects the histogram observed.
     pub samples: u64,
     /// Bucket upper bound of the median age, ns (0 with no samples).
@@ -75,7 +76,8 @@ pub struct DoctorReport {
     pub oldest_outstanding_ns: u64,
     /// Top call sites by outstanding bytes.
     pub top_sites: Vec<pbs_telemetry::site::SiteStat>,
-    /// Garbage-age percentiles per backend (sampled at reclaim time).
+    /// Garbage-age percentiles per cache with samples (recorded when an
+    /// object becomes reusable).
     pub ages: Vec<AgeProfile>,
     /// Stall-blame records, live episodes last.
     pub blame: Vec<pbs_rcu::BlameReport>,
@@ -91,19 +93,17 @@ impl DoctorReport {
     /// Builds the diagnosis from a snapshot.
     pub fn from_snapshot(snap: &TelemetrySnapshot) -> Self {
         let ages = snap
-            .sites
-            .age
+            .caches
             .iter()
-            .map(|h| AgeProfile {
-                backend: h
-                    .name
-                    .strip_prefix("garbage_age_ns_")
-                    .unwrap_or(h.name.as_str())
-                    .to_owned(),
-                samples: h.hist.count,
-                p50_ns: h.hist.quantile_upper_bound(0.5).unwrap_or(0),
-                p99_ns: h.hist.quantile_upper_bound(0.99).unwrap_or(0),
-                max_ns: h.hist.quantile_upper_bound(1.0).unwrap_or(0),
+            .filter_map(|c| {
+                let hist = c.telemetry.histogram("defer_delay_ns")?;
+                (hist.count > 0).then(|| AgeProfile {
+                    cache: c.name.clone(),
+                    samples: hist.count,
+                    p50_ns: hist.quantile_upper_bound(0.5).unwrap_or(0),
+                    p99_ns: hist.quantile_upper_bound(0.99).unwrap_or(0),
+                    max_ns: hist.quantile_upper_bound(1.0).unwrap_or(0),
+                })
             })
             .collect();
         Self {
@@ -159,7 +159,7 @@ pub fn render_doctor(snap: &TelemetrySnapshot) -> String {
     let _ = writeln!(
         out,
         "fastpath: {} (PBS_FASTPATH={})   reclaim default: {} (PBS_RECLAIM={})",
-        pbs_alloc_api::fastpath_effective_label(),
+        pbs_alloc_api::fastpath_default_engine(),
         or_unset(pbs_alloc_api::FastPathOverride::from_env().map(|o| o.label())),
         ReclaimBackend::from_env(),
         or_unset(ReclaimBackend::env_override().map(|b| b.label())),
@@ -177,12 +177,15 @@ pub fn render_doctor(snap: &TelemetrySnapshot) -> String {
         );
     }
     let _ = writeln!(out);
-    let _ = writeln!(out, "-- garbage age at reclaim --");
+    let _ = writeln!(out, "-- garbage age at reclaim, per cache --");
+    if report.ages.is_empty() {
+        let _ = writeln!(out, "(no timed reclaims yet)");
+    }
     for a in &report.ages {
         let _ = writeln!(
             out,
-            "{:<8} samples {:>9}  p50 <= {:>10}  p99 <= {:>10}  max <= {:>10}",
-            a.backend,
+            "{:<16} samples {:>9}  p50 <= {:>10}  p99 <= {:>10}  max <= {:>10}",
+            a.cache,
             a.samples,
             fmt_ns(a.p50_ns),
             fmt_ns(a.p99_ns),

@@ -78,6 +78,11 @@ pub fn run_microbench(
         RcuConfig::linux_like(),
         Some(params.memory_limit),
     );
+    run_on(&bed, object_size, params)
+}
+
+/// [`run_microbench`] on a testbed the caller built.
+fn run_on(bed: &Testbed, object_size: usize, params: &MicrobenchParams) -> MicrobenchPoint {
     let cache = bed.create_cache(&format!("kmalloc-{object_size}"), object_size);
     let (total_pairs, elapsed) = run_workers(params.threads, |_| {
         for _ in 0..params.pairs_per_thread {
@@ -123,6 +128,7 @@ fn alloc_with_reclaim_stall(cache: &dyn ObjectAllocator) -> pbs_alloc_api::ObjPt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_rcu::reclaim::{ReclaimBackend, ReclaimConfig};
 
     fn small() -> MicrobenchParams {
         MicrobenchParams {
@@ -151,13 +157,29 @@ mod tests {
         // we assert the robust allocator-attribute wins the paper
         // reports in Figures 9-10: Prudence needs fewer slab grows and a
         // lower peak slab count because deferred objects stay reusable.
+        // That is the latent mechanism's claim, and it runs only under the
+        // epoch domain: both testbeds are pinned to it, whatever
+        // PBS_RECLAIM says.
         let params = MicrobenchParams {
             threads: 2,
             pairs_per_thread: 20_000,
             memory_limit: 32 << 20,
         };
-        let slub = run_microbench(AllocatorKind::Slub, 1024, &params);
-        let prudence = run_microbench(AllocatorKind::Prudence, 1024, &params);
+        let on_epoch = |kind| {
+            let bed = Testbed::new_tuned(
+                kind,
+                params.threads,
+                RcuConfig::linux_like(),
+                Some(params.memory_limit),
+                None,
+                None,
+                None,
+                Some((ReclaimBackend::Epoch, ReclaimConfig::default())),
+            );
+            run_on(&bed, 1024, &params)
+        };
+        let slub = on_epoch(AllocatorKind::Slub);
+        let prudence = on_epoch(AllocatorKind::Prudence);
         assert!(
             prudence.stats.grows < slub.stats.grows,
             "prudence grows {} !< slub grows {}",

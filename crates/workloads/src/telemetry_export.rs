@@ -19,13 +19,14 @@ use pbs_telemetry::{bucket_upper_bound, ComponentTelemetry, HistogramSnapshot, B
 /// Renders the snapshot in the Prometheus text exposition format.
 ///
 /// Series layout:
-/// * `pbs_rcu_*` — RCU domain counters and the `gp_latency_ns` /
-///   `callback_delay_ns` histograms.
+/// * `pbs_rcu_*` — RCU domain counters and the `gp_latency_ns`
+///   histogram.
 /// * `pbs_reclaim_*{backend="<label>"}` — reclamation-backend counters;
 ///   every series renders under every backend (zero where the mechanism
 ///   is not in play), so the schema is stable across `PBS_RECLAIM` legs.
 /// * `pbs_cache_*{cache="<name>"}` — per-cache counters and the
-///   `slot_wait_ns` / `defer_delay_ns` histograms.
+///   `slot_wait_ns` / `defer_delay_ns` histograms; `defer_delay_ns` is
+///   the cache's garbage age at reclaim, over every reclaim route.
 /// * `pbs_events_total{component,kind}` plus `pbs_events_recorded_total`
 ///   / `pbs_events_dropped_total` / `pbs_events_torn_total` — trace-ring
 ///   accounting.
@@ -53,7 +54,7 @@ pub fn to_prometheus(snap: &TelemetrySnapshot) -> String {
         x.sample("pbs_rcu_blame_stalled_for_ns", "gauge", &labels, b.stalled_for_ns);
     }
 
-    // Per-site attribution plus the garbage-age histograms.
+    // Per-site attribution.
     let sites = &snap.sites;
     x.sample("pbs_sites_outstanding_total", "gauge", "", sites.outstanding_total);
     x.sample("pbs_sites_oldest_outstanding_ns", "gauge", "", sites.oldest_outstanding_ns);
@@ -65,10 +66,6 @@ pub fn to_prometheus(snap: &TelemetrySnapshot) -> String {
         x.sample("pbs_site_reclaimed_total", "counter", &labels, s.reclaimed);
         x.sample("pbs_site_outstanding", "gauge", &labels, s.outstanding);
         x.sample("pbs_site_outstanding_bytes", "gauge", &labels, s.outstanding_bytes);
-    }
-    for h in &sites.age {
-        let backend = h.name.strip_prefix("garbage_age_ns_").unwrap_or(&h.name);
-        x.histogram("pbs_garbage_age_ns", &format!("backend=\"{backend}\""), &h.hist);
     }
 
     for cache in &snap.caches {
@@ -219,13 +216,13 @@ fn push_component_events(
 const HISTOGRAM_SUFFIXES: [&str; 3] = ["_bucket", "_sum", "_count"];
 
 /// Sample names every healthy run must expose: every series the three
-/// counter tables declare, the four latency histograms and the
+/// counter tables declare, the three latency histograms and the
 /// trace-ring accounting.
 fn required_samples() -> Vec<String> {
     fn families<S>(fields: &[Field<S>]) -> impl Iterator<Item = String> + '_ {
         fields.iter().map(|f| f.family().to_owned())
     }
-    let histograms = ["rcu_gp_latency", "rcu_callback_delay", "cache_slot_wait", "cache_defer_delay"]
+    let histograms = ["rcu_gp_latency", "cache_slot_wait", "cache_defer_delay"]
         .into_iter()
         .flat_map(|h| HISTOGRAM_SUFFIXES.map(|suffix| format!("pbs_{h}_ns{suffix}")));
     let ring = ["total", "recorded_total", "dropped_total", "torn_total"]
@@ -242,7 +239,7 @@ fn required_samples() -> Vec<String> {
 /// sample line must be `name[{labels}] <number>`; a metric family has at
 /// most one `# TYPE` line, ahead of its samples; a family's samples are
 /// contiguous; and every series the schema declares (the three counter
-/// tables' rows, the four latency histograms, the ring accounting) must
+/// tables' rows, the three latency histograms, the ring accounting) must
 /// be present as a *sample* — a mention in a comment or a label value
 /// does not count.
 ///
@@ -505,7 +502,7 @@ mod tests {
 
     /// A snapshot in which every table row holds its own prime (two
     /// caches, so a family has more than one owner) and every optional
-    /// family — blame culprits, sites, garbage ages — has a sample.
+    /// family — blame culprits, sites — has a sample.
     fn full_snapshot() -> TelemetrySnapshot {
         use pbs_telemetry::table::check_table;
         let mut snap = exercised_snapshot();
@@ -521,10 +518,6 @@ mod tests {
         snap.caches[1].name = "b".to_owned();
         snap.blame = vec![pbs_rcu::BlameReport::default()];
         snap.sites.sites = vec![pbs_telemetry::site::SiteStat::default()];
-        snap.sites.age = vec![pbs_telemetry::NamedHistogram {
-            name: "garbage_age_ns_hp".to_owned(),
-            hist: HistogramSnapshot::default(),
-        }];
         snap
     }
 
@@ -573,7 +566,7 @@ mod tests {
             pbs_rcu_longest_stall_ns pbs_rcu_active_stalls pbs_rcu_stall_blames_total \
             pbs_rcu_expedited_gps_total pbs_rcu_callbacks_enqueued_total \
             pbs_rcu_callbacks_processed_total pbs_rcu_max_callback_backlog \
-            pbs_rcu_callback_backlog pbs_rcu_gp_latency_ns pbs_rcu_callback_delay_ns \
+            pbs_rcu_callback_backlog pbs_rcu_gp_latency_ns \
             pbs_events_total pbs_events_recorded_total pbs_events_dropped_total \
             pbs_events_torn_total \
             pbs_reclaim_deferred_in_domain pbs_reclaim_hp_scans_total \
@@ -584,7 +577,6 @@ mod tests {
             pbs_sites_outstanding_total pbs_sites_oldest_outstanding_ns \
             pbs_sites_dropped_total pbs_sites_lost_stamps_total pbs_site_deferred_total \
             pbs_site_reclaimed_total pbs_site_outstanding pbs_site_outstanding_bytes \
-            pbs_garbage_age_ns \
             pbs_cache_alloc_requests_total pbs_cache_hits_total pbs_cache_latent_hits_total \
             pbs_cache_frees_total pbs_cache_deferred_frees_total pbs_cache_refills_total \
             pbs_cache_partial_refills_total pbs_cache_flushes_total pbs_cache_preflushes_total \

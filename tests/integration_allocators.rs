@@ -358,7 +358,7 @@ fn refill_reuses_holes_behind_premoved_slabs() {
         let slot = cache.lock_slot(0);
         slot.latent
             .iter()
-            .any(|(obj, _, _)| premoved.contains(&slab_of(obj)))
+            .any(|(obj, _)| premoved.contains(&slab_of(obj)))
     };
     while premoved_in_latent_cache() {
         unsafe { cache.free_deferred(holes.pop().unwrap()) };
