@@ -32,7 +32,7 @@ mod telemetry;
 mod traits;
 
 pub use cpu::{CpuId, CpuRegistry};
-pub use factory::CacheFactory;
+pub use factory::{CacheFactory, CacheInventory};
 pub use size_class::{class_index_for, SIZE_CLASSES};
 pub use sizing::SizingPolicy;
 pub use slab_layout::RawSlab;

@@ -49,7 +49,7 @@ pub struct TelemetrySnapshot {
     pub rcu: RcuStats,
     /// RCU histogram (`gp_latency_ns`) and grace-period trace events.
     pub rcu_telemetry: ComponentTelemetry,
-    /// Per-cache telemetry, one entry per captured cache.
+    /// Per-cache telemetry, one entry per cache name.
     pub caches: Vec<CacheTelemetry>,
     /// Reclamation-backend counters of the domain the caches route
     /// deferred frees through (scan/seal/eject activity).
@@ -74,9 +74,20 @@ impl TelemetrySnapshot {
         }
     }
 
-    /// Captures and appends one cache.
+    /// Captures one cache. A cache whose name is already present folds
+    /// into that entry, as [`merge`](Self::merge) folds caches.
     pub fn push_cache(&mut self, alloc: &dyn ObjectAllocator) {
-        self.caches.push(CacheTelemetry::capture(alloc));
+        self.fold_cache(CacheTelemetry::capture(alloc));
+    }
+
+    fn fold_cache(&mut self, cache: CacheTelemetry) {
+        match self.caches.iter_mut().find(|c| c.name == cache.name) {
+            Some(mine) => {
+                mine.stats.merge(&cache.stats);
+                mine.telemetry.merge(&cache.telemetry);
+            }
+            None => self.caches.push(cache),
+        }
     }
 
     /// Folds another snapshot into this one. RCU and reclamation rows fold
@@ -94,13 +105,7 @@ impl TelemetrySnapshot {
         self.blame.extend(other.blame.iter().cloned());
         self.sites.merge(&other.sites);
         for cache in &other.caches {
-            match self.caches.iter_mut().find(|c| c.name == cache.name) {
-                Some(mine) => {
-                    mine.stats.merge(&cache.stats);
-                    mine.telemetry.merge(&cache.telemetry);
-                }
-                None => self.caches.push(cache.clone()),
-            }
+            self.fold_cache(cache.clone());
         }
     }
 

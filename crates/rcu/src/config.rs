@@ -48,13 +48,11 @@ pub struct RcuConfig {
     /// Number of callback queue shards.
     pub shards: usize,
     /// Optional memory-pressure probe in `[0, 1]`. When it reports more
-    /// than [`pressure_threshold`](Self::pressure_threshold), reclaimers
-    /// escalate to [`pressure_blimit`](Self::pressure_blimit) — the
-    /// paper's §3.5 observation that "RCU attempts to process more
-    /// deferred objects as the memory pressure increases".
+    /// than 0.8, reclaimers escalate to
+    /// [`pressure_blimit`](Self::pressure_blimit) — the paper's §3.5
+    /// observation that "RCU attempts to process more deferred objects as
+    /// the memory pressure increases".
     pub pressure_probe: Option<Arc<dyn Fn() -> f64 + Send + Sync>>,
-    /// Pressure level above which expedited processing kicks in.
-    pub pressure_threshold: f64,
     /// Batch limit used while under memory pressure.
     pub pressure_blimit: usize,
     /// Optional fault injector consulted (site [`pbs_fault::site::RECLAIM_ADVANCE`])
@@ -85,7 +83,6 @@ impl std::fmt::Debug for RcuConfig {
                 "pressure_probe",
                 &self.pressure_probe.as_ref().map(|_| "<fn>"),
             )
-            .field("pressure_threshold", &self.pressure_threshold)
             .field("pressure_blimit", &self.pressure_blimit)
             .field(
                 "fault_injector",
@@ -107,7 +104,6 @@ impl Default for RcuConfig {
             reclaimer_threads: 2,
             shards: 16,
             pressure_probe: None,
-            pressure_threshold: 0.8,
             pressure_blimit: 16384,
             fault_injector: None,
             // Long enough that ordinary read-side critical sections (ns–µs)

@@ -33,6 +33,10 @@ use super::{
 use crate::epoch::GpState;
 use crate::Rcu;
 
+/// Pressure-probe reading above which reclaimers escalate to
+/// [`RcuConfig::pressure_blimit`](crate::RcuConfig::pressure_blimit) (§3.5).
+const PRESSURE_THRESHOLD: f64 = 0.8;
+
 /// One deferred address, stamped with the epoch it was queued at.
 struct Entry {
     stamp: GpState,
@@ -157,7 +161,7 @@ impl Callbacks {
             };
             // §3.5: expedite processing under memory pressure.
             if let Some(probe) = &config.pressure_probe {
-                if probe() > config.pressure_threshold {
+                if probe() > PRESSURE_THRESHOLD {
                     limit = limit.max(config.pressure_blimit);
                 }
             }
@@ -448,7 +452,6 @@ mod tests {
             driver_interval: Duration::from_micros(50),
             reclaimer_threads: 1,
             shards: 4,
-            pressure_threshold: 0.5,
             pressure_blimit: 10_000,
             ..RcuConfig::default()
         };

@@ -34,7 +34,7 @@
 //!   trusting earlier reads.
 //!
 //! Pointer-chasing readers don't implement these contracts by hand:
-//! [`ReadGuard::walk`] (see [`crate::traverse`]) dispatches on a
+//! [`ReadGuard::walk`] dispatches on a
 //! [`TraversalKind`] derived from the backend and performs the per-hop
 //! protection — plain loads under `epoch`, hazard publish + revalidate
 //! under `hp`, per-hop ejection checks with retry-from-root under

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use pbs_alloc_api::{AllocError, CacheFactory, CacheStatsSnapshot, ObjPtr, ObjectAllocator};
+use pbs_alloc_api::{AllocError, CacheFactory, ObjPtr, ObjectAllocator};
 use pbs_rcu::ReadGuard;
 use pbs_structs::RcuHashMap;
 
@@ -82,8 +82,6 @@ pub struct SimFs {
     filp_cache: Arc<dyn ObjectAllocator>,
     selinux_cache: Arc<dyn ObjectAllocator>,
     buf_cache: Arc<dyn ObjectAllocator>,
-    dentry_cache: Arc<dyn ObjectAllocator>,
-    inode_cache: Arc<dyn ObjectAllocator>,
     fd_table: Mutex<FdTable>,
     next_ino: AtomicU64,
 }
@@ -105,16 +103,12 @@ impl fmt::Debug for SimFs {
 impl SimFs {
     /// Creates a filesystem whose slab caches come from `factory`.
     pub fn new(factory: &dyn CacheFactory) -> Self {
-        let dentry_cache = factory.create_cache("dentry", DENTRY_SIZE);
-        let inode_cache = factory.create_cache("ext4_inode", EXT4_INODE_SIZE);
         Self {
-            dentries: RcuHashMap::new(Arc::clone(&dentry_cache), 4096),
-            inodes: RcuHashMap::new(Arc::clone(&inode_cache), 4096),
+            dentries: RcuHashMap::new(factory.create_cache("dentry", DENTRY_SIZE), 4096),
+            inodes: RcuHashMap::new(factory.create_cache("ext4_inode", EXT4_INODE_SIZE), 4096),
             filp_cache: factory.create_cache("filp", FILP_SIZE),
             selinux_cache: factory.create_cache("selinux", SELINUX_SIZE),
             buf_cache: factory.create_cache("fsbuf", FSBUF_SIZE),
-            dentry_cache,
-            inode_cache,
             fd_table: Mutex::new(FdTable::default()),
             next_ino: AtomicU64::new(1),
         }
@@ -260,31 +254,6 @@ impl SimFs {
     pub fn file_count(&self) -> usize {
         self.inodes.len()
     }
-
-    /// Per-cache statistics, keyed by the Linux slab-cache names the paper
-    /// uses.
-    pub fn stats(&self) -> Vec<(&'static str, CacheStatsSnapshot)> {
-        vec![
-            ("ext4_inode", self.inode_cache.stats()),
-            ("dentry", self.dentry_cache.stats()),
-            ("filp", self.filp_cache.stats()),
-            ("selinux", self.selinux_cache.stats()),
-            ("fsbuf", self.buf_cache.stats()),
-        ]
-    }
-
-    /// Waits for all deferred frees across the filesystem's caches.
-    pub fn quiesce(&self) {
-        for cache in [
-            &self.dentry_cache,
-            &self.inode_cache,
-            &self.filp_cache,
-            &self.selinux_cache,
-            &self.buf_cache,
-        ] {
-            cache.quiesce();
-        }
-    }
 }
 
 impl Drop for SimFs {
@@ -296,7 +265,7 @@ impl Drop for SimFs {
             // Collecting under a transient registration would need an RCU
             // thread; at drop time we have exclusive access, so walk via
             // the internal iterator instead.
-            let rcu = self.inode_cache.rcu().clone();
+            let rcu = self.selinux_cache.rcu().clone();
             let t = rcu.register();
             let g = t.read_lock();
             self.inodes.for_each(&g, |_, meta| blobs.push(meta.selinux));
@@ -317,31 +286,36 @@ impl Drop for SimFs {
 mod tests {
     use super::*;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::CacheInventory;
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
     use pbs_slub::SlubFactory;
     use prudence::PrudenceFactory;
 
-    fn prudence_fs() -> (Arc<Rcu>, SimFs) {
+    fn prudence_fs() -> (Arc<Rcu>, CacheInventory, SimFs) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let factory = PrudenceFactory::new(
+        let caches = CacheInventory::new(PrudenceFactory::new(
             EngineConfig::new(2),
             Arc::new(PageAllocator::new()),
             Arc::clone(&rcu),
-        );
-        let fs = SimFs::new(&factory);
-        (rcu, fs)
+        ));
+        let fs = SimFs::new(&caches);
+        (rcu, caches, fs)
     }
 
-    fn slub_fs() -> (Arc<Rcu>, SimFs) {
+    fn slub_fs() -> (Arc<Rcu>, CacheInventory, SimFs) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let config = EngineConfig::new(2);
-        let factory = SlubFactory::new(config, Arc::new(PageAllocator::new()), Arc::clone(&rcu));
-        let fs = SimFs::new(&factory);
-        (rcu, fs)
+        let caches = CacheInventory::new(SlubFactory::new(
+            config,
+            Arc::new(PageAllocator::new()),
+            Arc::clone(&rcu),
+        ));
+        let fs = SimFs::new(&caches);
+        (rcu, caches, fs)
     }
 
-    fn lifecycle(rcu: Arc<Rcu>, fs: SimFs) {
+    fn lifecycle(rcu: Arc<Rcu>, caches: CacheInventory, fs: SimFs) {
         let t = rcu.register();
         let ino = fs.create(1, 10).unwrap();
         assert_eq!(fs.create(1, 10), Err(FsError::Exists));
@@ -356,27 +330,27 @@ mod tests {
         assert_eq!(fs.close(fd), Err(FsError::BadFd));
         fs.unlink(1, 10).unwrap();
         assert_eq!(fs.unlink(1, 10), Err(FsError::NotFound));
-        fs.quiesce();
-        for (name, s) in fs.stats() {
+        caches.quiesce();
+        for (name, s) in caches.stats() {
             assert_eq!(s.live_objects, 0, "cache {name} leaked: {s:?}");
         }
     }
 
     #[test]
     fn lifecycle_on_prudence() {
-        let (rcu, fs) = prudence_fs();
-        lifecycle(rcu, fs);
+        let (rcu, caches, fs) = prudence_fs();
+        lifecycle(rcu, caches, fs);
     }
 
     #[test]
     fn lifecycle_on_slub() {
-        let (rcu, fs) = slub_fs();
-        lifecycle(rcu, fs);
+        let (rcu, caches, fs) = slub_fs();
+        lifecycle(rcu, caches, fs);
     }
 
     #[test]
     fn deferred_traffic_matches_operations() {
-        let (_rcu, fs) = prudence_fs();
+        let (_rcu, caches, fs) = prudence_fs();
         for name in 0..50 {
             let ino = fs.create(7, name).unwrap();
             let fd = fs.open(ino).unwrap();
@@ -386,8 +360,8 @@ mod tests {
         for name in 0..50 {
             fs.unlink(7, name).unwrap();
         }
-        fs.quiesce();
-        let stats: std::collections::HashMap<_, _> = fs.stats().into_iter().collect();
+        caches.quiesce();
+        let stats = caches.stats();
         // close defers filp; unlink defers dentry + inode + selinux.
         assert_eq!(stats["filp"].deferred_frees, 50);
         assert_eq!(stats["dentry"].deferred_frees, 50);
@@ -400,7 +374,7 @@ mod tests {
 
     #[test]
     fn concurrent_postmark_style_churn() {
-        let (rcu, fs) = prudence_fs();
+        let (rcu, caches, fs) = prudence_fs();
         let fs = Arc::new(fs);
         let threads: Vec<_> = (0..4)
             .map(|tid| {
@@ -428,7 +402,7 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(fs.file_count(), 4 * 250);
-        fs.quiesce();
+        caches.quiesce();
     }
 
     #[test]
@@ -436,12 +410,15 @@ mod tests {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let pages = Arc::new(PageAllocator::new());
         {
-            let factory =
-                PrudenceFactory::new(EngineConfig::new(1), Arc::clone(&pages), Arc::clone(&rcu));
-            let fs = SimFs::new(&factory);
+            let caches = CacheInventory::new(PrudenceFactory::new(
+                EngineConfig::new(1),
+                Arc::clone(&pages),
+                Arc::clone(&rcu),
+            ));
+            let fs = SimFs::new(&caches);
             let ino = fs.create(1, 1).unwrap();
             let _fd = fs.open(ino).unwrap();
-            fs.quiesce();
+            caches.quiesce();
         }
         assert_eq!(pages.used_bytes(), 0);
     }

@@ -15,25 +15,28 @@
 //! The filesystem is parameterized by a
 //! [`CacheFactory`](pbs_alloc_api::CacheFactory), so identical
 //! workload code runs over the SLUB baseline or Prudence — that comparison
-//! is Figures 7–13 of the paper.
+//! is Figures 7–13 of the paper. The filesystem keeps its caches private;
+//! mint them through a [`CacheInventory`](pbs_alloc_api::CacheInventory)
+//! to drain them or read their statistics.
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use pbs_alloc_api::engine::EngineConfig;
+//! use pbs_alloc_api::CacheInventory;
 //! use pbs_mem::PageAllocator;
 //! use pbs_rcu::Rcu;
 //! use pbs_simfs::SimFs;
 //! use prudence::PrudenceFactory;
 //!
 //! let rcu = Arc::new(Rcu::new());
-//! let factory = PrudenceFactory::new(
+//! let caches = CacheInventory::new(PrudenceFactory::new(
 //!     EngineConfig::new(2),
 //!     Arc::new(PageAllocator::new()),
 //!     Arc::clone(&rcu),
-//! );
-//! let fs = SimFs::new(&factory);
+//! ));
+//! let fs = SimFs::new(&caches);
 //! let reader = rcu.register();
 //!
 //! let ino = fs.create(1, 0xBEEF)?;
@@ -44,7 +47,8 @@
 //! assert_eq!(fs.lookup(&guard, 1, 0xBEEF), Some(ino));
 //! drop(guard);
 //! fs.unlink(1, 0xBEEF)?;
-//! fs.quiesce();
+//! caches.quiesce();
+//! assert_eq!(caches.stats()["selinux"].deferred_frees, 1);
 //! # Ok::<(), pbs_simfs::FsError>(())
 //! ```
 

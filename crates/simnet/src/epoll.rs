@@ -6,9 +6,7 @@
 //! interest allocates an epi entry; removing it defers the free through
 //! RCU (as `ep_remove` does).
 
-use std::sync::Arc;
-
-use pbs_alloc_api::{AllocError, CacheFactory, CacheStatsSnapshot, ObjectAllocator};
+use pbs_alloc_api::{AllocError, CacheFactory};
 use pbs_rcu::ReadGuard;
 use pbs_structs::RcuHashMap;
 
@@ -22,27 +20,28 @@ const EPI_SIZE: usize = 128;
 /// ```
 /// use std::sync::Arc;
 /// use pbs_alloc_api::engine::EngineConfig;
+/// use pbs_alloc_api::CacheInventory;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
 /// use pbs_simnet::Epoll;
 /// use prudence::PrudenceFactory;
 ///
 /// let rcu = Arc::new(Rcu::new());
-/// let factory = PrudenceFactory::new(
+/// let caches = CacheInventory::new(PrudenceFactory::new(
 ///     EngineConfig::new(2),
 ///     Arc::new(PageAllocator::new()),
 ///     Arc::clone(&rcu),
-/// );
-/// let ep = Epoll::new(&factory);
+/// ));
+/// let ep = Epoll::new(&caches);
 /// ep.add(5, 0b1)?; // EPOLLIN-style interest mask
 /// assert!(ep.del(5));
-/// ep.quiesce();
+/// caches.quiesce();
+/// assert_eq!(caches.stats()["eventpoll_epi"].deferred_frees, 1);
 /// # Ok::<(), pbs_alloc_api::AllocError>(())
 /// ```
 pub struct Epoll {
     /// `fd → interest mask`; nodes live in the `eventpoll_epi` cache.
     interests: RcuHashMap<u64, u32>,
-    epi_cache: Arc<dyn ObjectAllocator>,
 }
 
 impl std::fmt::Debug for Epoll {
@@ -56,10 +55,8 @@ impl std::fmt::Debug for Epoll {
 impl Epoll {
     /// Creates an epoll instance whose epi entries come from `factory`.
     pub fn new(factory: &dyn CacheFactory) -> Self {
-        let epi_cache = factory.create_cache("eventpoll_epi", EPI_SIZE);
         Self {
-            interests: RcuHashMap::new(Arc::clone(&epi_cache), 1024),
-            epi_cache,
+            interests: RcuHashMap::new(factory.create_cache("eventpoll_epi", EPI_SIZE), 1024),
         }
     }
 
@@ -98,45 +95,32 @@ impl Epoll {
     pub fn is_empty(&self) -> bool {
         self.interests.is_empty()
     }
-
-    /// The `eventpoll_epi` cache statistics.
-    pub fn stats(&self) -> CacheStatsSnapshot {
-        self.epi_cache.stats()
-    }
-
-    /// Deferred epi entries not yet reclaimed.
-    pub fn deferred_outstanding(&self) -> usize {
-        self.epi_cache.deferred_outstanding()
-    }
-
-    /// Waits for all deferred epi frees.
-    pub fn quiesce(&self) {
-        self.epi_cache.quiesce();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::CacheInventory;
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
     use prudence::PrudenceFactory;
 
-    fn setup() -> (Arc<Rcu>, Epoll) {
+    fn setup() -> (Arc<Rcu>, CacheInventory, Epoll) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let factory = PrudenceFactory::new(
+        let caches = CacheInventory::new(PrudenceFactory::new(
             EngineConfig::new(2),
             Arc::new(PageAllocator::new()),
             Arc::clone(&rcu),
-        );
-        let ep = Epoll::new(&factory);
-        (rcu, ep)
+        ));
+        let ep = Epoll::new(&caches);
+        (rcu, caches, ep)
     }
 
     #[test]
     fn add_check_del() {
-        let (rcu, ep) = setup();
+        let (rcu, caches, ep) = setup();
         let t = rcu.register();
         ep.add(3, 0xF).unwrap();
         let g = t.read_lock();
@@ -145,14 +129,14 @@ mod tests {
         drop(g);
         assert!(ep.del(3));
         assert!(!ep.del(3));
-        ep.quiesce();
-        assert_eq!(ep.stats().deferred_frees, 1);
-        assert_eq!(ep.stats().live_objects, 0);
+        caches.quiesce();
+        assert_eq!(caches.stats()["eventpoll_epi"].deferred_frees, 1);
+        assert_eq!(caches.stats()["eventpoll_epi"].live_objects, 0);
     }
 
     #[test]
     fn re_add_replaces_mask() {
-        let (rcu, ep) = setup();
+        let (rcu, caches, ep) = setup();
         let t = rcu.register();
         ep.add(9, 1).unwrap();
         ep.add(9, 2).unwrap();
@@ -161,19 +145,19 @@ mod tests {
         drop(g);
         assert_eq!(ep.len(), 1);
         // The replacement deferred the old version.
-        ep.quiesce();
-        assert_eq!(ep.stats().deferred_frees, 1);
+        caches.quiesce();
+        assert_eq!(caches.stats()["eventpoll_epi"].deferred_frees, 1);
     }
 
     #[test]
     fn churn_defers_every_removal() {
-        let (_rcu, ep) = setup();
+        let (_rcu, caches, ep) = setup();
         for fd in 0..100 {
             ep.add(fd, 1).unwrap();
             assert!(ep.del(fd));
         }
-        ep.quiesce();
-        assert_eq!(ep.stats().deferred_frees, 100);
+        caches.quiesce();
+        assert_eq!(caches.stats()["eventpoll_epi"].deferred_frees, 100);
         assert!(ep.is_empty());
     }
 }

@@ -13,31 +13,35 @@
 //!
 //! Like [`pbs-simfs`](../pbs_simfs/index.html), everything is parameterized
 //! by a [`CacheFactory`] so the identical workload runs over SLUB or
-//! Prudence.
+//! Prudence, and every type keeps its caches private: mint them through a
+//! [`CacheInventory`] to drain them or read their statistics.
 //!
 //! [`CacheFactory`]: pbs_alloc_api::CacheFactory
+//! [`CacheInventory`]: pbs_alloc_api::CacheInventory
 //!
 //! # Example
 //!
 //! ```
 //! use std::sync::Arc;
 //! use pbs_alloc_api::engine::EngineConfig;
+//! use pbs_alloc_api::CacheInventory;
 //! use pbs_mem::PageAllocator;
 //! use pbs_rcu::Rcu;
 //! use pbs_simnet::SimNet;
 //! use prudence::PrudenceFactory;
 //!
 //! let rcu = Arc::new(Rcu::new());
-//! let factory = PrudenceFactory::new(
+//! let caches = CacheInventory::new(PrudenceFactory::new(
 //!     EngineConfig::new(2),
 //!     Arc::new(PageAllocator::new()),
 //!     Arc::clone(&rcu),
-//! );
-//! let net = SimNet::new(&factory);
+//! ));
+//! let net = SimNet::new(&caches);
 //! let conn = net.connect()?;
 //! net.request_response(conn, 1024)?;
 //! net.close(conn)?;
-//! net.quiesce();
+//! caches.quiesce();
+//! assert_eq!(caches.stats()["sock"].deferred_frees, 1);
 //! # Ok::<(), pbs_simnet::NetError>(())
 //! ```
 

@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pbs_alloc_api::{AllocError, CacheFactory, CacheStatsSnapshot, ObjPtr, ObjectAllocator};
+use pbs_alloc_api::{AllocError, CacheFactory, ObjPtr, ObjectAllocator};
 use pbs_fault::{site, FaultInjector};
 use pbs_rcu::ReadGuard;
 use pbs_structs::RcuHashMap;
@@ -218,38 +218,6 @@ impl SimNet {
     pub fn connection_count(&self) -> usize {
         self.conns.len()
     }
-
-    /// The cache serving `eventpoll_epi`-style sizes is owned by
-    /// [`Epoll`](crate::Epoll); this returns the stack's own caches, keyed
-    /// by Linux slab names.
-    pub fn stats(&self) -> Vec<(&'static str, CacheStatsSnapshot)> {
-        vec![
-            ("sock", self.sock_cache.stats()),
-            ("filp", self.filp_cache.stats()),
-            ("selinux", self.selinux_cache.stats()),
-            ("skbuff", self.skb_cache.stats()),
-        ]
-    }
-
-    /// Deferred objects not yet reclaimed across the stack's caches.
-    pub fn deferred_outstanding(&self) -> usize {
-        self.sock_cache.deferred_outstanding()
-            + self.filp_cache.deferred_outstanding()
-            + self.selinux_cache.deferred_outstanding()
-            + self.skb_cache.deferred_outstanding()
-    }
-
-    /// Waits for all deferred frees across the stack's caches.
-    pub fn quiesce(&self) {
-        for cache in [
-            &self.sock_cache,
-            &self.filp_cache,
-            &self.selinux_cache,
-            &self.skb_cache,
-        ] {
-            cache.quiesce();
-        }
-    }
 }
 
 impl Drop for SimNet {
@@ -276,20 +244,21 @@ impl Drop for SimNet {
 mod tests {
     use super::*;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::CacheInventory;
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
     use pbs_slub::SlubFactory;
     use prudence::PrudenceFactory;
 
-    fn prudence_net() -> (Arc<Rcu>, SimNet) {
+    fn prudence_net() -> (Arc<Rcu>, CacheInventory, SimNet) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-        let factory = PrudenceFactory::new(
+        let caches = CacheInventory::new(PrudenceFactory::new(
             EngineConfig::new(2),
             Arc::new(PageAllocator::new()),
             Arc::clone(&rcu),
-        );
-        let net = SimNet::new(&factory);
-        (rcu, net)
+        ));
+        let net = SimNet::new(&caches);
+        (rcu, caches, net)
     }
 
     #[test]
@@ -303,8 +272,12 @@ mod tests {
         let pages = pbs_mem::PageAllocator::builder()
             .fault_injector(Arc::clone(&faults))
             .build();
-        let factory = PrudenceFactory::new(EngineConfig::new(2), Arc::new(pages), Arc::clone(&rcu));
-        let net = SimNet::with_config(&factory, 64, Some(Arc::clone(&faults)));
+        let caches = CacheInventory::new(PrudenceFactory::new(
+            EngineConfig::new(2),
+            Arc::new(pages),
+            Arc::clone(&rcu),
+        ));
+        let net = SimNet::with_config(&caches, 64, Some(Arc::clone(&faults)));
         let mut failures = 0usize;
         let mut open = Vec::new();
         for _ in 0..400 {
@@ -318,15 +291,15 @@ mod tests {
         for conn in open {
             net.close(conn).unwrap();
         }
-        net.quiesce();
-        for (name, s) in net.stats() {
+        caches.quiesce();
+        for (name, s) in caches.stats() {
             assert_eq!(s.live_objects, 0, "cache {name} leaked: {s:?}");
         }
     }
 
     #[test]
     fn tcp_crr_cycle() {
-        let (rcu, net) = prudence_net();
+        let (rcu, caches, net) = prudence_net();
         let t = rcu.register();
         let conn = net.connect().unwrap();
         let g = t.read_lock();
@@ -338,22 +311,22 @@ mod tests {
         let g = t.read_lock();
         assert!(!net.is_established(&g, conn));
         drop(g);
-        net.quiesce();
-        for (name, s) in net.stats() {
+        caches.quiesce();
+        for (name, s) in caches.stats() {
             assert_eq!(s.live_objects, 0, "cache {name} leaked: {s:?}");
         }
     }
 
     #[test]
     fn teardown_defers_three_caches() {
-        let (_rcu, net) = prudence_net();
+        let (_rcu, caches, net) = prudence_net();
         for _ in 0..20 {
             let c = net.connect().unwrap();
             net.request_response(c, 256).unwrap();
             net.close(c).unwrap();
         }
-        net.quiesce();
-        let stats: std::collections::HashMap<_, _> = net.stats().into_iter().collect();
+        caches.quiesce();
+        let stats = caches.stats();
         assert_eq!(stats["sock"].deferred_frees, 20);
         assert_eq!(stats["filp"].deferred_frees, 20);
         assert_eq!(stats["selinux"].deferred_frees, 20);
@@ -365,18 +338,22 @@ mod tests {
     fn works_on_slub_too() {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let config = EngineConfig::new(2);
-        let factory = SlubFactory::new(config, Arc::new(PageAllocator::new()), Arc::clone(&rcu));
-        let net = SimNet::new(&factory);
+        let caches = CacheInventory::new(SlubFactory::new(
+            config,
+            Arc::new(PageAllocator::new()),
+            Arc::clone(&rcu),
+        ));
+        let net = SimNet::new(&caches);
         let c = net.connect().unwrap();
         net.request_response(c, 512).unwrap();
         net.close(c).unwrap();
-        net.quiesce();
+        caches.quiesce();
         assert_eq!(net.connection_count(), 0);
     }
 
     #[test]
     fn concurrent_connection_churn() {
-        let (_rcu, net) = prudence_net();
+        let (_rcu, caches, net) = prudence_net();
         let net = Arc::new(net);
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -394,7 +371,7 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(net.connection_count(), 0);
-        net.quiesce();
+        caches.quiesce();
     }
 
     #[test]
@@ -402,12 +379,15 @@ mod tests {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let pages = Arc::new(PageAllocator::new());
         {
-            let factory =
-                PrudenceFactory::new(EngineConfig::new(1), Arc::clone(&pages), Arc::clone(&rcu));
-            let net = SimNet::new(&factory);
+            let caches = CacheInventory::new(PrudenceFactory::new(
+                EngineConfig::new(1),
+                Arc::clone(&pages),
+                Arc::clone(&rcu),
+            ));
+            let net = SimNet::new(&caches);
             let _c1 = net.connect().unwrap();
             let _c2 = net.connect().unwrap();
-            net.quiesce();
+            caches.quiesce();
         }
         assert_eq!(pages.used_bytes(), 0);
     }

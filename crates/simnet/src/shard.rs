@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use pbs_alloc_api::{CacheFactory, CacheStatsSnapshot};
+use pbs_alloc_api::CacheFactory;
 use pbs_fault::FaultInjector;
 use pbs_rcu::ReadGuard;
 
@@ -110,7 +110,7 @@ impl NetShard {
     }
 
     /// Enqueues a connection attempt (a SYN arriving at the listener).
-    /// `cookie` is an opaque caller tag handed back by [`accept`]
+    /// `cookie` is an opaque caller tag handed back by [`accept`](Self::accept)
     /// (typically a traffic-class discriminator).
     ///
     /// # Errors
@@ -191,11 +191,6 @@ impl NetShard {
         self.net.connection_count()
     }
 
-    /// Deferred objects not yet reclaimed across the shard's caches.
-    pub fn deferred_outstanding(&self) -> usize {
-        self.net.deferred_outstanding() + self.epoll.deferred_outstanding()
-    }
-
     /// Whether `conn` is established, under an RCU guard.
     ///
     /// # Panics
@@ -203,12 +198,6 @@ impl NetShard {
     /// Panics if `guard` belongs to a different RCU domain.
     pub fn is_established(&self, guard: &ReadGuard<'_>, conn: ConnId) -> bool {
         self.net.is_established(guard, conn)
-    }
-
-    /// Waits for all deferred frees across the shard's caches.
-    pub fn quiesce(&self) {
-        self.net.quiesce();
-        self.epoll.quiesce();
     }
 }
 
@@ -283,41 +272,13 @@ impl ShardedNet {
     pub fn connection_count(&self) -> usize {
         self.shards.iter().map(|s| s.connection_count()).sum()
     }
-
-    /// Merged per-cache statistics across shards, keyed by slab name
-    /// (sock/filp/selinux/skbuff/eventpoll_epi).
-    pub fn stats(&self) -> Vec<(&'static str, CacheStatsSnapshot)> {
-        let mut merged: Vec<(&'static str, CacheStatsSnapshot)> = Vec::new();
-        for shard in &self.shards {
-            let mut rows = shard.net.stats();
-            rows.push(("eventpoll_epi", shard.epoll.stats()));
-            for (name, stats) in rows {
-                match merged.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, acc)) => acc.merge(&stats),
-                    None => merged.push((name, stats)),
-                }
-            }
-        }
-        merged
-    }
-
-    /// Deferred objects not yet reclaimed across every shard's caches.
-    pub fn deferred_outstanding(&self) -> usize {
-        self.shards.iter().map(|s| s.deferred_outstanding()).sum()
-    }
-
-    /// Waits for all deferred frees on every shard.
-    pub fn quiesce(&self) {
-        for shard in &self.shards {
-            shard.quiesce();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::CacheInventory;
     use pbs_fault::{site, Schedule};
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
@@ -328,12 +289,12 @@ mod tests {
         Arc::new(Rcu::with_config(RcuConfig::eager()))
     }
 
-    fn prudence_factory(rcu: &Arc<Rcu>) -> PrudenceFactory {
-        PrudenceFactory::new(
+    fn prudence_factory(rcu: &Arc<Rcu>) -> CacheInventory {
+        CacheInventory::new(PrudenceFactory::new(
             EngineConfig::new(2),
             Arc::new(PageAllocator::new()),
             Arc::clone(rcu),
-        )
+        ))
     }
 
     #[test]
@@ -352,7 +313,7 @@ mod tests {
         drop(g);
         shard.close(conn).unwrap();
         assert_eq!(net.connection_count(), 0);
-        net.quiesce();
+        factory.quiesce();
     }
 
     #[test]
@@ -371,7 +332,7 @@ mod tests {
         assert_eq!(shard.dial(99), Err(NetError::Backlogged));
         assert_eq!(shard.backlog_len(), 4);
         // Shedding happened at the listen queue: no slab traffic yet.
-        for (name, s) in shard.net().stats() {
+        for (name, s) in factory.stats() {
             assert_eq!(s.alloc_requests, 0, "{name} allocated during dial");
         }
         while shard.accept().is_some() {}
@@ -397,7 +358,7 @@ mod tests {
         shard.close(slow).unwrap();
         assert_eq!(shard.connection_count(), 1);
         shard.close(fast).unwrap();
-        net.quiesce();
+        factory.quiesce();
     }
 
     /// Epoll interest can be registered for a connection that has already
@@ -421,10 +382,10 @@ mod tests {
         assert_eq!(shard.epoll().interest(&g, conn.0), Some(EPOLLIN));
         drop(g);
         assert!(shard.epoll().del(conn.0));
-        shard.quiesce();
+        factory.quiesce();
         // One epi deferred by close()'s del, one by the orphan's del.
-        assert_eq!(shard.epoll().stats().deferred_frees, 2);
-        assert_eq!(shard.epoll().stats().live_objects, 0);
+        assert_eq!(factory.stats()["eventpoll_epi"].deferred_frees, 2);
+        assert_eq!(factory.stats()["eventpoll_epi"].live_objects, 0);
     }
 
     /// Readiness delivered after close: a reader that looked up interest
@@ -453,11 +414,11 @@ mod tests {
         drop(g);
         // Acting on stale readiness surfaces NotConnected, not a panic.
         assert_eq!(shard.close(conn), Err(NetError::NotConnected));
-        shard.quiesce();
-        assert_eq!(shard.epoll().stats().live_objects, 0);
+        factory.quiesce();
+        assert_eq!(factory.stats()["eventpoll_epi"].live_objects, 0);
     }
 
-    fn churn_under_accept_faults(factory: &dyn CacheFactory, rcu: &Arc<Rcu>) {
+    fn churn_under_accept_faults(factory: &CacheInventory, rcu: &Arc<Rcu>) {
         let faults = Arc::new(FaultInjector::new(0xACCE97));
         faults.schedule(site::NET_ACCEPT, Schedule::Probability(0.2));
         let net = Arc::new(ShardedNet::new(
@@ -502,8 +463,8 @@ mod tests {
             "p=0.2 over 1200 accepts should refuse some"
         );
         assert_eq!(net.connection_count(), 0);
-        net.quiesce();
-        for (name, s) in net.stats() {
+        factory.quiesce();
+        for (name, s) in factory.stats() {
             assert_eq!(s.live_objects, 0, "cache {name} leaked: {s:?}");
         }
     }
@@ -519,7 +480,11 @@ mod tests {
     fn connect_close_churn_with_accept_faults_slub() {
         let rcu = rcu();
         let config = EngineConfig::new(2);
-        let factory = SlubFactory::new(config, Arc::new(PageAllocator::new()), Arc::clone(&rcu));
+        let factory = CacheInventory::new(SlubFactory::new(
+            config,
+            Arc::new(PageAllocator::new()),
+            Arc::clone(&rcu),
+        ));
         churn_under_accept_faults(&factory, &rcu);
     }
 
@@ -545,6 +510,6 @@ mod tests {
         // The stalled connection is still open — slowloris pins state.
         assert_eq!(shard.connection_count(), 1);
         shard.close(conn).unwrap();
-        net.quiesce();
+        factory.quiesce();
     }
 }

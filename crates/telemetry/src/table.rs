@@ -1,5 +1,5 @@
 //! Counter tables: a counter block is declared once, as rows of
-//! [`counter_table!`], and what used to restate the schema by hand is
+//! [`counter_table!`](crate::counter_table), and what used to restate the schema by hand is
 //! generated from the rows — the live block of cells, the serde snapshot
 //! struct, `snapshot`/`merge`/`delta`, and the [`Field`] descriptors the
 //! Prometheus exporter, its validator and the schema tests loop over.

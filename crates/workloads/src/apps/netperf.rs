@@ -39,13 +39,8 @@ pub fn run_netperf(kind: AllocatorKind, params: &AppParams) -> AppResult {
         }
         params.transactions_per_thread
     });
-    net.quiesce();
-    let caches = net
-        .stats()
-        .into_iter()
-        .map(|(n, s)| (n.to_owned(), s))
-        .collect();
-    AppResult::new("netperf", kind.label(), params.threads, ops, elapsed, caches)
+    bed.quiesce();
+    AppResult::new("netperf", kind.label(), params.threads, ops, elapsed, bed.cache_stats())
 }
 
 #[cfg(test)]

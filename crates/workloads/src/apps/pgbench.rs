@@ -74,15 +74,8 @@ pub fn run_pgbench(kind: AllocatorKind, params: &AppParams) -> AppResult {
         unsafe { selinux.free_deferred(session_blob) };
         local
     });
-    for c in [&k64, &k1024, &selinux] {
-        c.quiesce();
-    }
-    let caches = vec![
-        ("kmalloc-64".to_owned(), k64.stats()),
-        ("kmalloc-1024".to_owned(), k1024.stats()),
-        ("selinux".to_owned(), selinux.stats()),
-    ];
-    AppResult::new("pgbench", kind.label(), params.threads, ops, elapsed, caches)
+    bed.quiesce();
+    AppResult::new("pgbench", kind.label(), params.threads, ops, elapsed, bed.cache_stats())
 }
 
 #[cfg(test)]

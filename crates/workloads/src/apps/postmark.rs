@@ -85,13 +85,8 @@ pub fn run_postmark(kind: AllocatorKind, params: &AppParams) -> AppResult {
         }
         local
     });
-    fs.quiesce();
-    let caches = fs
-        .stats()
-        .into_iter()
-        .map(|(n, s)| (n.to_owned(), s))
-        .collect();
-    AppResult::new("postmark", kind.label(), params.threads, ops, elapsed, caches)
+    bed.quiesce();
+    AppResult::new("postmark", kind.label(), params.threads, ops, elapsed, bed.cache_stats())
 }
 
 fn pick<'a, T>(rng: &mut StdRng, items: &'a [T]) -> Option<&'a T> {

@@ -67,7 +67,7 @@ use pbs_rcu::RcuConfig;
 use pbs_simnet::{ConnId, NetError, NetShard, ShardConfig, ShardedNet};
 use pbs_telemetry::{HistogramSnapshot, Percentiles, ShardGauges, ShardRow, ShardSet};
 
-use crate::harness::{audit_teardown, garbage_contrast_gate, join, Drains, StopOnDrop};
+use crate::harness::{audit_teardown, garbage_contrast_gate, join, StopOnDrop};
 use crate::{hardened_bed, AllocatorKind, RunVerdict, Testbed};
 
 /// Parse-state object per connection (request line, header cursor).
@@ -517,12 +517,7 @@ pub fn run_server(kind: AllocatorKind, params: &ServerParams) -> ServerReport {
     // Everything is closed: drain the deferred backlog completely, then
     // drop the net layer and caches — every page must be back at the
     // allocator.
-    let owners: Vec<Box<dyn Drains>> = vec![
-        Box::new(run.net),
-        Box::new(run.state_cache),
-        Box::new(run.buf_cache),
-        Box::new(run.scratch_cache),
-    ];
+    let owners = (run.net, run.state_cache, run.buf_cache, run.scratch_cache);
     let (verdict, _) = audit_teardown(bed, faults, panics, t.violations, owners);
     let [establish_end, baseline_end, storm_end, recovery_end] = t.rows;
     let mut report = ServerReport {
@@ -681,11 +676,7 @@ impl<'p> ServerRun<'p> {
         t.pressure_hard_seen |= level >= 2;
         t.established_peak = t.established_peak.max(self.net.connection_count());
         if self.phase.load(Ordering::Relaxed) == PHASE_STORM {
-            let outstanding = self.state_cache.deferred_outstanding()
-                + self.buf_cache.deferred_outstanding()
-                + self.scratch_cache.deferred_outstanding()
-                + self.net.deferred_outstanding();
-            t.max_garbage_storm = t.max_garbage_storm.max(outstanding);
+            t.max_garbage_storm = t.max_garbage_storm.max(self.bed.deferred_outstanding());
         }
     }
 
@@ -760,10 +751,7 @@ impl<'p> ServerRun<'p> {
     /// while these drains wait: the reactors stop once the driver returns
     /// and [`serve`](Self::serve) raises `PHASE_SHUTDOWN`.
     fn shutdown(&self, t: &mut Timeline) {
-        self.state_cache.quiesce();
-        self.buf_cache.quiesce();
-        self.scratch_cache.quiesce();
-        self.net.quiesce();
+        self.bed.quiesce();
         t.recovered_used_bytes = self.bed.pages().used_bytes();
     }
 }

@@ -23,7 +23,7 @@
 //! Runs are replayable: all fault decisions derive from the seed, so a
 //! failing seed can be handed to `--bin chaos` and reproduced.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -45,7 +45,7 @@ use pbs_structs::{RcuBst, RcuHashMap};
 
 use crate::apps::{ServerParams, ServerReport};
 use crate::doctor::DoctorServer;
-use crate::harness::{self, audit_teardown, garbage_contrast_gate, join, Drains, StopOnDrop};
+use crate::harness::{self, audit_teardown, garbage_contrast_gate, join, StopOnDrop};
 use crate::{hardened_bed, AllocatorKind, RunVerdict, Testbed};
 
 /// Which stress profile a chaos run applies.
@@ -423,11 +423,7 @@ pub fn run_chaos(kind: AllocatorKind, params: &ChaosParams) -> ChaosReport {
     }
 
     let ChurnBed { bed, faults, node, obj, storm, .. } = churn;
-    let owners = [node, obj, storm]
-        .into_iter()
-        .chain(probe_caches)
-        .map(|cache| Box::new(cache) as Box<dyn Drains>)
-        .collect();
+    let owners = (node, obj, storm, probe_caches);
     let (mut verdict, stats) =
         audit_teardown(&bed, &faults, tally.panics, tally.violations, owners);
     let churn = churn_gates(&bed, &faults, &mut verdict, &stats, tally.ooms, flips);
@@ -968,12 +964,12 @@ fn doctor_smoke(addr: SocketAddr, scenario: ChaosScenario) -> Vec<String> {
 
 /// The post-audit gates every churn scenario shares — stall and OOM
 /// accounting — and the churn counters the scenario gates read. `stats`
-/// is the audit's, in owner order (node and object caches first).
+/// is the audit's, keyed by cache name.
 fn churn_gates(
     bed: &Testbed,
     faults: &FaultInjector,
     verdict: &mut RunVerdict,
-    stats: &[(String, CacheStatsSnapshot)],
+    stats: &BTreeMap<String, CacheStatsSnapshot>,
     oom_errors: u64,
     fastpath_flips: u64,
 ) -> ChurnCounters {
@@ -1004,13 +1000,14 @@ fn churn_gates(
     // performed extra refill work we can't biject to faults. What is
     // *never* allowed is a panic, which the audit gates.
     let injected_oom = verdict.injected_oom;
-    if injected_oom > 0 && oom_errors == 0 && stats[0].1.refills + stats[1].1.refills == 0 {
+    let refills = stats["chaos_node"].refills + stats["chaos_obj"].refills;
+    if injected_oom > 0 && oom_errors == 0 && refills == 0 {
         verdict.violations.push(format!(
             "{injected_oom} injected OOMs left no trace (no Err, no refill activity)"
         ));
     }
     let sum = |field: fn(&CacheStatsSnapshot) -> u64| -> u64 {
-        stats.iter().map(|(_, s)| field(s)).sum()
+        stats.values().map(field).sum()
     };
     ChurnCounters {
         injected_gp_stalls,

@@ -5,6 +5,7 @@
 //! only a scenario can judge is pushed onto `verdict.violations` by that
 //! scenario after the audit.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
@@ -12,11 +13,10 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use pbs_alloc_api::engine::EngineConfig;
-use pbs_alloc_api::{CacheStatsSnapshot, ObjectAllocator};
+use pbs_alloc_api::CacheStatsSnapshot;
 use pbs_fault::{site, FaultInjector};
 use pbs_rcu::reclaim::{ReclaimBackend, ReclaimConfig, ReclaimStats};
 use pbs_rcu::RcuConfig;
-use pbs_simnet::ShardedNet;
 
 use crate::{AllocatorKind, Testbed};
 
@@ -109,67 +109,31 @@ impl RunVerdict {
     }
 }
 
-/// Anything a run built over the bed's factory and must hand to
-/// [`audit_teardown`]: a cache, or a subsystem owning several.
-pub(crate) trait Drains {
-    /// Blocks until every deferred free issued so far is reusable.
-    fn drain(&self);
-    /// Deferred objects not yet reclaimed.
-    fn outstanding(&self) -> usize;
-    /// Name and statistics of every cache owned.
-    fn cache_stats(&self) -> Vec<(String, CacheStatsSnapshot)>;
-}
-
-impl Drains for Arc<dyn ObjectAllocator> {
-    fn drain(&self) {
-        self.quiesce();
-    }
-    fn outstanding(&self) -> usize {
-        self.deferred_outstanding()
-    }
-    fn cache_stats(&self) -> Vec<(String, CacheStatsSnapshot)> {
-        vec![(self.name().to_owned(), self.stats())]
-    }
-}
-
-impl Drains for ShardedNet {
-    fn drain(&self) {
-        self.quiesce();
-    }
-    fn outstanding(&self) -> usize {
-        self.deferred_outstanding()
-    }
-    fn cache_stats(&self) -> Vec<(String, CacheStatsSnapshot)> {
-        self.stats().into_iter().map(|(name, s)| (name.to_owned(), s)).collect()
-    }
-}
-
 /// The end of every hardened run: demand zero `panics`, quiesce every
-/// owner, demand zero deferred objects outstanding and zero live objects,
-/// drop the owners, demand every page back at the allocator and the limit
-/// never exceeded. `violations` carries what the run already found; the
-/// audit's findings are appended. Also returns each cache's post-quiesce
-/// statistics, in owner order, for scenario gates that read them.
-pub(crate) fn audit_teardown(
+/// cache in the bed's inventory, demand zero deferred objects outstanding
+/// and zero live objects, drop `owners` (every cache and subsystem the run
+/// built), demand every page back at the allocator and the limit never
+/// exceeded. `violations` carries what the run already found; the audit's
+/// findings are appended. Also returns the inventory's post-quiesce
+/// statistics, keyed by cache name, for scenario gates that read them.
+pub(crate) fn audit_teardown<Owners>(
     bed: &Testbed,
     faults: &FaultInjector,
     panics: u64,
     mut violations: Vec<String>,
-    owners: Vec<Box<dyn Drains + '_>>,
-) -> (RunVerdict, Vec<(String, CacheStatsSnapshot)>) {
+    owners: Owners,
+) -> (RunVerdict, BTreeMap<String, CacheStatsSnapshot>) {
     if panics != 0 {
         violations.push(format!("{panics} thread panics"));
     }
-    for owner in &owners {
-        owner.drain();
-    }
-    let deferred_outstanding_end: usize = owners.iter().map(|o| o.outstanding()).sum();
+    bed.quiesce();
+    let deferred_outstanding_end = bed.deferred_outstanding();
     if deferred_outstanding_end != 0 {
         violations.push(format!(
             "deferred_outstanding {deferred_outstanding_end} != 0 after quiesce"
         ));
     }
-    let cache_stats: Vec<_> = owners.iter().flat_map(|o| o.cache_stats()).collect();
+    let cache_stats = bed.cache_stats();
     violations.extend(
         cache_stats
             .iter()
@@ -282,24 +246,41 @@ pub(crate) fn run_workers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbs_alloc_api::{AllocError, ObjPtr, ObjectAllocator};
+    use pbs_rcu::Rcu;
 
-    /// A cache the run forgot to quiesce.
-    struct Undrained(Arc<dyn ObjectAllocator>);
+    /// A cache whose quiesce drains nothing: one deferred object stays
+    /// outstanding whatever the audit does.
+    struct Undrained(Arc<Rcu>);
 
-    impl Drains for Undrained {
-        fn drain(&self) {}
-        fn outstanding(&self) -> usize {
-            self.0.outstanding()
+    impl ObjectAllocator for Undrained {
+        fn allocate(&self) -> Result<ObjPtr, AllocError> {
+            Err(AllocError::OutOfMemory)
         }
-        fn cache_stats(&self) -> Vec<(String, CacheStatsSnapshot)> {
-            self.0.cache_stats()
+        unsafe fn free(&self, _: ObjPtr) {}
+        unsafe fn free_deferred(&self, _: ObjPtr) {}
+        fn object_size(&self) -> usize {
+            64
+        }
+        fn name(&self) -> &str {
+            "undrained"
+        }
+        fn rcu(&self) -> &Arc<Rcu> {
+            &self.0
+        }
+        fn stats(&self) -> CacheStatsSnapshot {
+            CacheStatsSnapshot::default()
+        }
+        fn quiesce(&self) {}
+        fn deferred_outstanding(&self) -> usize {
+            1
         }
     }
 
     fn bed_with_faults(kind: AllocatorKind) -> (Testbed, Arc<FaultInjector>) {
         let faults = Arc::new(FaultInjector::new(41));
-        // Epoch: the one backend under which a pinned reader provably
-        // keeps a deferred object outstanding.
+        // Epoch named, not read from `PBS_RECLAIM`, so the verdict's
+        // backend label is known.
         let bed = hardened_bed(
             kind,
             2,
@@ -320,20 +301,9 @@ mod tests {
             let _never_freed = leaky.allocate().unwrap();
             // A handle the run forgot to drop keeps the slab's pages out.
             let forgotten = Arc::clone(&leaky);
-            let undrained = bed.create_cache("undrained", 64);
-            let reader = bed.rcu().register();
-            let guard = reader.read_lock();
-            let obj = undrained.allocate().unwrap();
-            // SAFETY: fresh exclusive object, deferred exactly once.
-            unsafe { undrained.free_deferred(obj) };
-            let (verdict, stats) = audit_teardown(
-                &bed,
-                &faults,
-                2,
-                Vec::new(),
-                vec![Box::new(leaky), Box::new(Undrained(undrained))],
-            );
-            drop(guard);
+            let undrained = bed.factory().record(Arc::new(Undrained(Arc::clone(bed.rcu()))));
+            let (verdict, stats) =
+                audit_teardown(&bed, &faults, 2, Vec::new(), (leaky, undrained));
             let used = verdict.used_bytes_after_teardown;
             assert_ne!(used, 0, "{kind}");
             assert_eq!(
@@ -371,8 +341,7 @@ mod tests {
                 }
             }
             let early = vec!["found during the run".to_owned()];
-            let (verdict, _) =
-                audit_teardown(&bed, &faults, 0, early.clone(), vec![Box::new(cache)]);
+            let (verdict, _) = audit_teardown(&bed, &faults, 0, early.clone(), cache);
             assert_eq!(verdict.violations, early, "{kind}: the audit only appends");
             assert_eq!(verdict.deferred_outstanding_end, 0);
             assert_eq!(verdict.used_bytes_after_teardown, 0);

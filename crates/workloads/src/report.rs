@@ -33,7 +33,7 @@ impl AppResult {
         threads: usize,
         ops: u64,
         elapsed: Duration,
-        caches: Vec<(String, CacheStatsSnapshot)>,
+        caches: impl IntoIterator<Item = (String, CacheStatsSnapshot)>,
     ) -> Self {
         let seconds = elapsed.as_secs_f64();
         Self {

@@ -1,11 +1,12 @@
 //! The shared experiment environment.
 
-use std::sync::{Arc, Weak};
-
-use parking_lot::Mutex;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use pbs_alloc_api::engine::EngineConfig;
-use pbs_alloc_api::{CacheFactory, ObjectAllocator, TelemetrySnapshot};
+use pbs_alloc_api::{
+    CacheFactory, CacheInventory, CacheStatsSnapshot, ObjectAllocator, TelemetrySnapshot,
+};
 use pbs_mem::PageAllocator;
 use pbs_rcu::reclaim::{
     domain_for, ReclaimBackend, ReclaimConfig, ReclaimStats, ReclamationDomain,
@@ -56,7 +57,9 @@ impl std::fmt::Display for AllocatorKind {
 }
 
 /// One experiment environment: a page allocator (optionally limited), an
-/// RCU domain, and a cache factory for the chosen allocator design.
+/// RCU domain, and a cache factory for the chosen allocator design that
+/// records every cache it mints — the run's one cache inventory, whoever
+/// minted through it.
 ///
 /// # Example
 ///
@@ -76,11 +79,7 @@ pub struct Testbed {
     /// The reclamation domain every cache of this testbed shares —
     /// `PBS_RECLAIM` (or an explicit override) decides the backend.
     domain: Arc<dyn ReclamationDomain>,
-    factory: Box<dyn CacheFactory>,
-    /// Weak handles to every cache created through this testbed, so
-    /// [`Testbed::telemetry`] can sweep them without keeping them alive
-    /// past their experiment.
-    created: Mutex<Vec<Weak<dyn ObjectAllocator>>>,
+    factory: CacheInventory,
 }
 
 impl std::fmt::Debug for Testbed {
@@ -151,8 +150,8 @@ impl Testbed {
         let (backend, reclaim_config) =
             reclaim.unwrap_or_else(|| (ReclaimBackend::from_env(), ReclaimConfig::default()));
         let domain = domain_for(Arc::clone(&rcu), backend, reclaim_config);
-        let factory: Box<dyn CacheFactory> = match kind {
-            AllocatorKind::Slub => Box::new(SlubFactory::with_domain(
+        let factory = match kind {
+            AllocatorKind::Slub => CacheInventory::new(SlubFactory::with_domain(
                 EngineConfig {
                     ncpus,
                     ..slub.unwrap_or_default()
@@ -160,7 +159,7 @@ impl Testbed {
                 Arc::clone(&pages),
                 Arc::clone(&domain),
             )),
-            AllocatorKind::Prudence => Box::new(PrudenceFactory::with_domain(
+            AllocatorKind::Prudence => CacheInventory::new(PrudenceFactory::with_domain(
                 EngineConfig {
                     ncpus,
                     ..prudence.unwrap_or_default()
@@ -175,7 +174,6 @@ impl Testbed {
             rcu,
             domain,
             factory,
-            created: Mutex::new(Vec::new()),
         }
     }
 
@@ -210,28 +208,42 @@ impl Testbed {
         self.domain.reclaim_stats()
     }
 
-    /// The cache factory for subsystem construction.
-    pub fn factory(&self) -> &dyn CacheFactory {
-        self.factory.as_ref()
+    /// The cache factory for subsystem construction; every cache it
+    /// mints joins this testbed's inventory.
+    pub fn factory(&self) -> &CacheInventory {
+        &self.factory
     }
 
     /// Convenience: creates one named cache.
     pub fn create_cache(&self, name: &str, object_size: usize) -> Arc<dyn ObjectAllocator> {
-        let cache = self.factory.create_cache(name, object_size);
-        self.created.lock().push(Arc::downgrade(&cache));
-        cache
+        self.factory.create_cache(name, object_size)
+    }
+
+    /// Drains what every live cache of this testbed deferred before the
+    /// call.
+    pub fn quiesce(&self) {
+        self.factory.quiesce();
+    }
+
+    /// Deferred objects not yet reusable, over every live cache.
+    pub fn deferred_outstanding(&self) -> usize {
+        self.factory.deferred_outstanding()
+    }
+
+    /// Every live cache's statistics, keyed by name (same-named caches
+    /// merge).
+    pub fn cache_stats(&self) -> BTreeMap<String, CacheStatsSnapshot> {
+        self.factory.stats()
     }
 
     /// Captures a full telemetry snapshot of the run so far: the RCU
     /// domain's counters, histograms and grace-period events, plus the
-    /// stats, histograms and events of every still-live cache created
-    /// through this testbed.
+    /// stats, histograms and events of every still-live cache minted
+    /// through this testbed, directly or by a subsystem.
     pub fn telemetry(&self) -> TelemetrySnapshot {
         let mut snap = TelemetrySnapshot::new(self.rcu.stats(), self.rcu.telemetry());
-        for weak in self.created.lock().iter() {
-            if let Some(cache) = weak.upgrade() {
-                snap.push_cache(cache.as_ref());
-            }
+        for cache in self.factory.caches() {
+            snap.push_cache(cache.as_ref());
         }
         snap.reclaim = self.domain.reclaim_stats();
         snap.blame = self.rcu.blame_reports();
@@ -254,6 +266,29 @@ mod tests {
             cache.quiesce();
             assert_eq!(cache.stats().deferred_frees, 1);
             assert_eq!(bed.kind(), kind);
+        }
+    }
+
+    #[test]
+    fn inventory_lists_the_caches_a_subsystem_mints() {
+        for kind in AllocatorKind::BOTH {
+            let bed = Testbed::new(kind, 2, RcuConfig::eager(), None);
+            let fs = pbs_simfs::SimFs::new(bed.factory());
+            let ino = fs.create(1, 1).unwrap();
+            let fd = fs.open(ino).unwrap();
+            fs.append(fd, 100).unwrap();
+            fs.close(fd).unwrap();
+            fs.unlink(1, 1).unwrap();
+            bed.quiesce();
+            assert_eq!(bed.deferred_outstanding(), 0, "{kind}");
+            let snap = bed.telemetry();
+            let stats = bed.cache_stats();
+            for name in ["ext4_inode", "dentry", "filp", "selinux", "fsbuf"] {
+                assert!(snap.cache(name).is_some(), "{kind}: telemetry lacks {name}");
+                let deferred = u64::from(name != "fsbuf");
+                assert_eq!(stats[name].deferred_frees, deferred, "{kind}: {name}");
+            }
+            assert!(stats["fsbuf"].frees > 0, "{kind}");
         }
     }
 

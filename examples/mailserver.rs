@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use prudence_repro::alloc_api::engine::EngineConfig;
-use prudence_repro::alloc_api::CacheFactory;
+use prudence_repro::alloc_api::CacheInventory;
 use prudence_repro::mem::PageAllocator;
 use prudence_repro::prudence::PrudenceFactory;
 use prudence_repro::rcu::Rcu;
@@ -23,8 +23,8 @@ use prudence_repro::slub::SlubFactory;
 const MAILBOXES: u64 = 8;
 const DELIVERIES: u64 = 20_000;
 
-fn run(label: &str, rcu: &Arc<Rcu>, factory: &dyn CacheFactory) {
-    let fs = SimFs::new(factory);
+fn run(label: &str, rcu: &Arc<Rcu>, caches: &CacheInventory) {
+    let fs = SimFs::new(caches);
     let reader = rcu.register();
     let start = std::time::Instant::now();
     let mut seq = 0u64;
@@ -51,13 +51,13 @@ fn run(label: &str, rcu: &Arc<Rcu>, factory: &dyn CacheFactory) {
         }
     }
     let elapsed = start.elapsed().as_secs_f64();
-    fs.quiesce();
+    caches.quiesce();
     println!(
         "{label}: {:.0} deliveries/s, {} messages resident",
         DELIVERIES as f64 / elapsed,
         fs.file_count()
     );
-    for (cache, s) in fs.stats() {
+    for (cache, s) in caches.stats() {
         println!(
             "  {cache:<12} hit%={:>5.1} deferred={:>6} churns(obj/slab)={}/{} peak_slabs={}",
             s.hit_percent(),
@@ -75,13 +75,13 @@ fn main() {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::new());
         let factory = SlubFactory::new(EngineConfig::new(2), pages, Arc::clone(&rcu));
-        run("slub", &rcu, &factory);
+        run("slub", &rcu, &CacheInventory::new(factory));
     }
     println!();
     {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::new());
         let factory = PrudenceFactory::new(EngineConfig::new(2), pages, Arc::clone(&rcu));
-        run("prudence", &rcu, &factory);
+        run("prudence", &rcu, &CacheInventory::new(factory));
     }
 }

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use prudence_repro::alloc_api::engine::EngineConfig;
-use prudence_repro::alloc_api::{AllocError, CacheFactory, ObjPtr, ObjectAllocator};
+use prudence_repro::alloc_api::{AllocError, CacheFactory, CacheInventory, ObjPtr, ObjectAllocator};
 use prudence_repro::mem::PageAllocator;
 use prudence_repro::prudence::{PrudenceCache, PrudenceFactory};
 use prudence_repro::rcu::{Rcu, RcuConfig};
@@ -164,7 +164,11 @@ fn alloc_error_when_truly_out_of_memory() {
 fn filesystem_and_hashmap_share_an_rcu_domain() {
     let pages = Arc::new(PageAllocator::new());
     let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
-    let factory = PrudenceFactory::new(EngineConfig::new(2), Arc::clone(&pages), Arc::clone(&rcu));
+    let factory = CacheInventory::new(PrudenceFactory::new(
+        EngineConfig::new(2),
+        Arc::clone(&pages),
+        Arc::clone(&rcu),
+    ));
     let fs = SimFs::new(&factory);
     let index: RcuHashMap<u64, u64> =
         RcuHashMap::new(factory.create_cache("index", 64), 64);
@@ -184,7 +188,7 @@ fn filesystem_and_hashmap_share_an_rcu_domain() {
         fs.unlink(1, i).unwrap();
         index.remove(&i);
     }
-    fs.quiesce();
+    factory.quiesce();
     index.len(); // map still alive here
     drop(index);
     drop(fs);

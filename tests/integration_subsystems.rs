@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use prudence_repro::alloc_api::engine::EngineConfig;
-use prudence_repro::alloc_api::CacheFactory;
+use prudence_repro::alloc_api::CacheInventory;
 use prudence_repro::mem::PageAllocator;
 use prudence_repro::prudence::PrudenceFactory;
 use prudence_repro::rcu::{Rcu, RcuConfig};
@@ -12,18 +12,18 @@ use prudence_repro::simfs::{FsError, SimFs};
 use prudence_repro::simnet::{Epoll, SimNet};
 use prudence_repro::slub::SlubFactory;
 
-fn each_factory(test: impl Fn(&str, Arc<Rcu>, Arc<PageAllocator>, &dyn CacheFactory)) {
+fn each_factory(test: impl Fn(&str, Arc<Rcu>, Arc<PageAllocator>, &CacheInventory)) {
     {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let f = SlubFactory::new(EngineConfig::new(4), Arc::clone(&pages), Arc::clone(&rcu));
-        test("slub", rcu, pages, &f);
+        test("slub", rcu, pages, &CacheInventory::new(f));
     }
     {
         let pages = Arc::new(PageAllocator::new());
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
         let f = PrudenceFactory::new(EngineConfig::new(4), Arc::clone(&pages), Arc::clone(&rcu));
-        test("prudence", rcu, pages, &f);
+        test("prudence", rcu, pages, &CacheInventory::new(f));
     }
 }
 
@@ -60,13 +60,12 @@ fn web_server_shape_traffic_on_both_allocators() {
             }
         });
         fs.unlink(0, 42).unwrap(); // retire the served document too
-        net.quiesce();
-        epoll.quiesce();
-        fs.quiesce();
+        factory.quiesce();
         assert_eq!(net.connection_count(), 0, "{label}");
         assert!(epoll.is_empty(), "{label}");
-        assert_eq!(epoll.stats().deferred_frees, 1600, "{label}");
-        for (name, s) in net.stats().into_iter().chain(fs.stats()) {
+        let stats = factory.stats();
+        assert_eq!(stats["eventpoll_epi"].deferred_frees, 1600, "{label}");
+        for (name, s) in stats {
             assert_eq!(s.live_objects, 0, "{label}/{name} leaked: {s:?}");
         }
     });
@@ -91,7 +90,7 @@ fn concurrent_create_same_name_yields_one_winner() {
         });
         assert_eq!(winners, 1, "{label}: exactly one create must win");
         assert_eq!(fs.file_count(), 1);
-        fs.quiesce();
+        factory.quiesce();
     });
 }
 
@@ -125,8 +124,8 @@ fn fs_rename_like_churn_keeps_lookup_consistent() {
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
         });
         assert_eq!(fs.file_count(), 1, "{label}");
-        fs.quiesce();
-        let stats: std::collections::HashMap<_, _> = fs.stats().into_iter().collect();
+        factory.quiesce();
+        let stats = factory.stats();
         assert_eq!(stats["ext4_inode"].deferred_frees, 2_000, "{label}");
     });
 }
@@ -136,8 +135,11 @@ fn memory_returns_to_zero_after_mixed_subsystem_use() {
     let pages = Arc::new(PageAllocator::new());
     let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));
     {
-        let factory =
-            PrudenceFactory::new(EngineConfig::new(2), Arc::clone(&pages), Arc::clone(&rcu));
+        let factory = CacheInventory::new(PrudenceFactory::new(
+            EngineConfig::new(2),
+            Arc::clone(&pages),
+            Arc::clone(&rcu),
+        ));
         let net = SimNet::new(&factory);
         let fs = SimFs::new(&factory);
         for i in 0..200 {
@@ -151,8 +153,7 @@ fn memory_returns_to_zero_after_mixed_subsystem_use() {
                 fs.unlink(0, i).unwrap();
             }
         }
-        net.quiesce();
-        fs.quiesce();
+        factory.quiesce();
     }
     assert_eq!(pages.used_bytes(), 0, "all subsystem memory returned");
 }

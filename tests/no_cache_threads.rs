@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use prudence_repro::alloc_api::CacheFactory;
 use prudence_repro::rcu::reclaim::{ReclaimBackend, ReclaimConfig};
 use prudence_repro::rcu::RcuConfig;
 use prudence_repro::workloads::{AllocatorKind, Testbed};
