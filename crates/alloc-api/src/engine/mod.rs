@@ -613,8 +613,8 @@ impl<P: SlabPolicy> SlabEngine<P> {
 
     /// MALLOC (Algorithm lines 1-12 and 29-33), fronted by the zero-atomic
     /// per-CPU fast path: an uncontended hit takes no lock and performs no
-    /// atomic RMW (its stats fold into the snapshot from thread-local
-    /// counters).
+    /// atomic RMW, and its commit store is also its count (the slot's
+    /// push count less what stays parked or was drained is its pops).
     #[inline]
     pub fn allocate(&self) -> Result<ObjPtr, AllocError> {
         if let FastPop::Hit(addr) = self.fast.pop() {

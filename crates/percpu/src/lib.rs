@@ -34,22 +34,28 @@
 //! the engine hint can never commit against the wrong protocol; it just
 //! bails to the caller's slow path.
 //!
-//! Statistics (`alloc_hits`, `free_hits`, `restarts`, `fallbacks`) are
-//! accumulated in per-thread single-writer counters — plain load+store
-//! bumps, since counting must not reintroduce the atomics the fast path
-//! just removed — registered with a shared sink that
-//! [`FastCache::snapshot`] reads through, so no count ever waits on a
-//! thread-exit flush.
+//! The hit path counts itself. A slot's commit word holds the depth of
+//! its object stack in the low 16 bits and the number of pushes it ever
+//! committed in the high 48, so a push commits `word + 0x1_0001` and a
+//! pop `word - 1`: the one plain store that publishes the operation also
+//! records it. [`FastCache::snapshot`] derives `free_hits` (pushes) and
+//! `alloc_hits` (pushes less what is parked and what drains took) from
+//! the slot words. Restarts and fallbacks happen only on the miss path,
+//! which goes to the caller's locked slow path anyway, so they are
+//! per-slot `fetch_add`s. No count lives in thread-local storage, so
+//! none waits on a thread's exit.
 //!
 //! [`rseq(2)`]: https://man7.org/linux/man-pages/man2/rseq.2.html
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod rseq;
 mod tls;
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 /// Slot mode: no fast-path commits allowed (drains, engine switches).
 const MODE_OFF: u32 = 0;
@@ -211,17 +217,30 @@ fn possible_cpus() -> usize {
         .unwrap_or(1)
 }
 
+/// The commit word's depth field: the low 16 bits count the objects in
+/// `items`, which bounds a slot's capacity at `0xFFFF`.
+const DEPTH_MASK: u64 = 0xFFFF;
+/// The commit word's push count: the high 48 bits count every push the
+/// slot committed (about a month of pushes at 10^8/s on one slot before
+/// it wraps, which the snapshot's modular arithmetic tolerates).
+const PUSHES_SHIFT: u32 = 16;
+/// What one push adds to the commit word: one object, one push.
+const PUSH: u64 = (1 << PUSHES_SHIFT) | 1;
+
 /// Per-CPU slot header, layout shared with the rseq assembly:
-/// `current` at +0, `cap` at +8, `mode` at +16, `items` at +24.
+/// `commit` at +0, `cap` at +8, `mode` at +16, `items` at +24.
 /// Cache-line aligned and padded so neighbouring CPUs' slots (and their
 /// lock words) never false-share.
 #[repr(C, align(128))]
 struct SlotHdr {
-    /// Number of objects in `items`; the single commit store of both
-    /// critical sections. Only written inside an rseq critical section
-    /// or under the slot mutex with the matching mode.
-    current: AtomicU64,
-    /// Capacity of `items` (read-only after construction).
+    /// The commit word: depth of `items` in the low 16 bits
+    /// ([`DEPTH_MASK`]), pushes committed in the high 48. The single
+    /// commit store of both critical sections. Only written inside an
+    /// rseq critical section or under the slot mutex with the matching
+    /// mode.
+    commit: AtomicU64,
+    /// Capacity of `items`, `1..=DEPTH_MASK` (read-only after
+    /// construction).
     cap: u64,
     /// `MODE_*`: which protocol may currently touch this slot. The rseq
     /// critical section re-checks it inside the commit window, so
@@ -233,32 +252,30 @@ struct SlotHdr {
     items: *mut usize,
 }
 
+/// One per-CPU slot: the header the commit points write, its lock, and
+/// the miss-path counters of the threads that ran on it. Hit counts
+/// live in the header's commit word.
 struct Slot {
     hdr: SlotHdr,
-    /// Taken by the lock engine's hit path, and by drains/mode switches
-    /// under either engine.
-    lock: Mutex<()>,
-    /// Lock-engine counters, bumped with plain load+store while the slot
-    /// lock is held (the repo's `Counter::bump` discipline): the hit
-    /// path must not pay the thread-local stats machinery the rseq
-    /// engine needs. Snapshots read them racily, which at worst lags by
-    /// the op in flight.
-    alloc_hits: AtomicU64,
-    free_hits: AtomicU64,
+    /// Taken by the lock engine's hit path, and by drains, mode switches
+    /// and snapshots under either engine. Guards the number of objects
+    /// drains have taken from the slot, which the snapshot subtracts
+    /// from the pushes to leave the pops.
+    lock: Mutex<u64>,
+    /// Restarted rseq critical sections of operations that ended here.
+    restarts: AtomicU64,
+    /// Operations that ended here and went to the caller's slow path.
     fallbacks: AtomicU64,
 }
 
-impl Slot {
-    /// One plain load+store increment; caller holds the slot lock.
-    #[inline]
-    fn bump(counter: &AtomicU64) {
-        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-    }
-}
-
-// SAFETY: `items` is an owned heap buffer; all access is serialized by
-// the slot protocol (rseq per-CPU exclusivity or the slot mutex).
+// SAFETY: `items` is an owned heap buffer no other value aliases, freed
+// only in `Drop`; every other field is `Send`.
 unsafe impl Send for Slot {}
+// SAFETY: `items` is read and written only by the slot protocol, which
+// serialises access: an rseq commit runs only on the slot's own CPU with
+// the slot in `MODE_RSEQ`, and every other access holds the slot
+// lock with the slot in `MODE_LOCKS` or parked in `MODE_OFF` behind an
+// rseq fence. Every other field is an atomic, a `Mutex` or read-only.
 unsafe impl Sync for Slot {}
 
 impl Slot {
@@ -266,16 +283,33 @@ impl Slot {
         let items = Box::leak(vec![0usize; cap].into_boxed_slice()).as_mut_ptr();
         Slot {
             hdr: SlotHdr {
-                current: AtomicU64::new(0),
+                commit: AtomicU64::new(0),
                 cap: cap as u64,
                 mode: AtomicU32::new(MODE_OFF),
                 _pad: 0,
                 items,
             },
-            lock: Mutex::new(()),
-            alloc_hits: AtomicU64::new(0),
-            free_hits: AtomicU64::new(0),
+            lock: Mutex::new(0),
+            restarts: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
+        }
+    }
+
+    /// Counts an operation that ended on this slot but goes to the
+    /// caller's slow path, which takes a lock anyway: the RMWs cost the
+    /// hit path nothing.
+    #[cold]
+    fn miss(&self, restarts: u64) {
+        self.restarted(restarts);
+        self.fallbacks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts rseq restarts; only a preempted or migrated operation has
+    /// any.
+    #[inline]
+    fn restarted(&self, restarts: u64) {
+        if restarts != 0 {
+            self.restarts.fetch_add(restarts, Ordering::Relaxed);
         }
     }
 }
@@ -316,9 +350,8 @@ pub enum FastPush {
     Bypass,
 }
 
-/// Shared-sink totals for one [`FastCache`] (flushed thread-locals
-/// included for the calling thread; other threads' in-flight counts
-/// arrive when they exit or snapshot).
+/// Totals for one [`FastCache`] over every thread that ever used it,
+/// exact as of the moment [`FastCache::snapshot`] read each slot.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FastPathSnapshot {
     /// Pops served without a lock or atomic RMW.
@@ -336,23 +369,18 @@ pub struct FastPathSnapshot {
 /// better protocol anyway.
 const RESTART_BUDGET: u64 = 64;
 
-static NEXT_CACHE_ID: AtomicU64 = AtomicU64::new(1);
-
 /// A per-CPU stack of object addresses with commit-point push/pop.
 ///
 /// Values are plain `usize`s (object addresses); 0, 1 and 2 are reserved
 /// as protocol return codes and must never be pushed — no valid heap
-/// address collides with them.
+/// address collides with them. Objects still parked when the cache drops
+/// belong to the owning allocator, which must drain first.
 pub struct FastCache {
-    id: u64,
     /// Routing hint only: the slot `mode` words are authoritative. A
     /// stale read here costs one bounced attempt, never a wrong commit.
     engine: AtomicU8,
     enabled: AtomicBool,
-    /// Capacity-zero caches are permanently off and skip all counting.
-    off: bool,
     slots: Box<[Slot]>,
-    sink: Arc<tls::Sinks>,
 }
 
 impl std::fmt::Debug for FastCache {
@@ -367,8 +395,12 @@ impl std::fmt::Debug for FastCache {
 
 impl FastCache {
     /// A cache with one `cap`-element slot per possible CPU, enabled on
-    /// the process default engine. `cap == 0` builds a permanently-off
-    /// cache (every operation bypasses, nothing is counted).
+    /// the process default engine.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cap` is in `1..=0xFFFF`, the range the commit
+    /// word's depth field holds.
     pub fn new(cap: usize) -> Self {
         Self::with_slots(cap, 0)
     }
@@ -381,28 +413,26 @@ impl FastCache {
     /// slots passes `n` here so the emulation engine spreads load the
     /// same way its regular per-CPU caches do, instead of funnelling
     /// every thread through the few slots a small machine would get.
+    ///
+    /// # Panics
+    ///
+    /// As for [`new`](Self::new).
     pub fn with_slots(cap: usize, min_slots: usize) -> Self {
-        let n = if cap == 0 {
-            1
-        } else {
-            nslots().max(min_slots.min(4096))
-        };
+        assert!(
+            (1..=DEPTH_MASK as usize).contains(&cap),
+            "fast cache capacity {cap} is outside 1..=0xFFFF"
+        );
+        let n = nslots().max(min_slots.min(4096));
+        let engine = default_engine();
         let slots: Box<[Slot]> = (0..n).map(|_| Slot::new(cap)).collect();
-        let cache = FastCache {
-            id: NEXT_CACHE_ID.fetch_add(1, Ordering::Relaxed),
-            engine: AtomicU8::new(default_engine().mode() as u8),
-            enabled: AtomicBool::new(cap > 0),
-            off: cap == 0,
-            slots,
-            sink: Arc::new(tls::Sinks::default()),
-        };
-        if cap > 0 {
-            let mode = cache.engine().mode();
-            for slot in cache.slots.iter() {
-                slot.hdr.mode.store(mode, Ordering::Release);
-            }
+        for slot in slots.iter() {
+            slot.hdr.mode.store(engine.mode(), Ordering::Release);
         }
-        cache
+        FastCache {
+            engine: AtomicU8::new(engine.mode() as u8),
+            enabled: AtomicBool::new(true),
+            slots,
+        }
     }
 
     /// The engine this cache currently routes to.
@@ -416,7 +446,7 @@ impl FastCache {
 
     /// Whether the fast path is currently accepting operations.
     pub fn is_enabled(&self) -> bool {
-        !self.off && self.enabled.load(Ordering::Relaxed)
+        self.enabled.load(Ordering::Relaxed)
     }
 
     /// Pops an object address from the current CPU's slot.
@@ -426,10 +456,8 @@ impl FastCache {
     // names the cache type, where a plain `#[inline]` hint is not enough.
     #[inline(always)]
     pub fn pop(&self) -> FastPop {
-        if self.off || !self.enabled.load(Ordering::Relaxed) {
-            if !self.off {
-                self.count(0, 0, 0, 1);
-            }
+        if !self.enabled.load(Ordering::Relaxed) {
+            self.disabled_miss();
             return FastPop::Bypass;
         }
         match self.engine() {
@@ -445,16 +473,27 @@ impl FastCache {
     #[inline(always)]
     pub fn push(&self, obj: usize) -> FastPush {
         debug_assert!(obj > 2, "low values are reserved protocol codes");
-        if self.off || !self.enabled.load(Ordering::Relaxed) {
-            if !self.off {
-                self.count(0, 0, 0, 1);
-            }
+        if !self.enabled.load(Ordering::Relaxed) {
+            self.disabled_miss();
             return FastPush::Bypass;
         }
         match self.engine() {
             Engine::Rseq => self.push_rseq(obj),
             Engine::Locks => self.push_locks(obj),
         }
+    }
+
+    /// Counts an operation the disabled fast path bounced.
+    #[cold]
+    fn disabled_miss(&self) {
+        self.thread_slot().miss(0);
+    }
+
+    /// The lock engine's slot for the calling thread; also where the
+    /// misses of a thread with no usable CPU slot are counted.
+    #[inline]
+    fn thread_slot(&self) -> &Slot {
+        &self.slots[tls::lock_slot_index(self.slots.len())]
     }
 
     #[cfg(all(pbs_rseq, not(miri)))]
@@ -466,29 +505,29 @@ impl FastCache {
             let Some(slot) = self.slots.get(cpu) else {
                 // Unregistered thread (cpu_id = -1) or a cpu beyond the
                 // possible range we sized for: never fast-path it.
-                self.count(0, 0, restarts, 1);
+                self.thread_slot().miss(restarts);
                 return FastPop::Bypass;
             };
             // SAFETY: slot layout matches the asm contract; `cpu` is the
             // id the critical section re-validates before committing.
             match unsafe { rseq::pop(area, cpu as u32, &slot.hdr) } {
                 0 => {
-                    self.count(0, 0, restarts, 1);
+                    slot.miss(restarts);
                     return FastPop::Empty;
                 }
                 1 => {
                     restarts += 1;
                     if restarts >= RESTART_BUDGET {
-                        self.count(0, 0, restarts, 1);
+                        slot.miss(restarts);
                         return FastPop::Bypass;
                     }
                 }
                 2 => {
-                    self.count(0, 0, restarts, 1);
+                    slot.miss(restarts);
                     return FastPop::Bypass;
                 }
                 obj => {
-                    self.count(1, 0, restarts, 0);
+                    slot.restarted(restarts);
                     return FastPop::Hit(obj);
                 }
             }
@@ -502,28 +541,28 @@ impl FastCache {
         loop {
             let cpu = rseq::current_cpu(area) as usize;
             let Some(slot) = self.slots.get(cpu) else {
-                self.count(0, 0, restarts, 1);
+                self.thread_slot().miss(restarts);
                 return FastPush::Bypass;
             };
             // SAFETY: as in `pop_rseq`.
             match unsafe { rseq::push(area, cpu as u32, &slot.hdr, obj) } {
                 0 => {
-                    self.count(0, 1, restarts, 0);
+                    slot.restarted(restarts);
                     return FastPush::Pushed;
                 }
                 1 => {
                     restarts += 1;
                     if restarts >= RESTART_BUDGET {
-                        self.count(0, 0, restarts, 1);
+                        slot.miss(restarts);
                         return FastPush::Bypass;
                     }
                 }
                 2 => {
-                    self.count(0, 0, restarts, 1);
+                    slot.miss(restarts);
                     return FastPush::Bypass;
                 }
                 3 => {
-                    self.count(0, 0, restarts, 1);
+                    slot.miss(restarts);
                     return FastPush::Full;
                 }
                 other => unreachable!("rseq push returned {other}"),
@@ -544,55 +583,58 @@ impl FastCache {
     }
 
     fn pop_locks(&self) -> FastPop {
-        let slot = &self.slots[tls::lock_slot_index(self.slots.len())];
+        let slot = self.thread_slot();
         let Some(_guard) = slot.lock.try_lock() else {
-            // Not under the lock: the shared sink takes this rare bounce.
-            self.count(0, 0, 0, 1);
+            slot.miss(0);
             return FastPop::Bypass;
         };
         if slot.hdr.mode.load(Ordering::Relaxed) != MODE_LOCKS {
-            Slot::bump(&slot.fallbacks);
+            slot.miss(0);
             return FastPop::Bypass;
         }
-        let cur = slot.hdr.current.load(Ordering::Relaxed);
-        if cur == 0 {
-            Slot::bump(&slot.fallbacks);
+        let word = slot.hdr.commit.load(Ordering::Relaxed);
+        let depth = word & DEPTH_MASK;
+        if depth == 0 {
+            slot.miss(0);
             return FastPop::Empty;
         }
         // SAFETY: mode is LOCKS and the mutex is held — exclusive slot
         // access; index is within `cap` by the push-side bound check.
-        let obj = unsafe { *slot.hdr.items.add(cur as usize - 1) };
-        slot.hdr.current.store(cur - 1, Ordering::Relaxed);
-        Slot::bump(&slot.alloc_hits);
+        let obj = unsafe { *slot.hdr.items.add(depth as usize - 1) };
+        slot.hdr.commit.store(word - 1, Ordering::Relaxed);
         FastPop::Hit(obj)
     }
 
     fn push_locks(&self, obj: usize) -> FastPush {
-        let slot = &self.slots[tls::lock_slot_index(self.slots.len())];
+        let slot = self.thread_slot();
         let Some(_guard) = slot.lock.try_lock() else {
-            self.count(0, 0, 0, 1);
+            slot.miss(0);
             return FastPush::Bypass;
         };
         if slot.hdr.mode.load(Ordering::Relaxed) != MODE_LOCKS {
-            Slot::bump(&slot.fallbacks);
+            slot.miss(0);
             return FastPush::Bypass;
         }
-        let cur = slot.hdr.current.load(Ordering::Relaxed);
-        if cur >= slot.hdr.cap {
-            Slot::bump(&slot.fallbacks);
+        let word = slot.hdr.commit.load(Ordering::Relaxed);
+        let depth = word & DEPTH_MASK;
+        if depth >= slot.hdr.cap {
+            slot.miss(0);
             return FastPush::Full;
         }
         // SAFETY: as in `pop_locks`.
-        unsafe { *slot.hdr.items.add(cur as usize) = obj };
-        slot.hdr.current.store(cur + 1, Ordering::Relaxed);
-        Slot::bump(&slot.free_hits);
+        unsafe { *slot.hdr.items.add(depth as usize) = obj };
+        slot.hdr.commit.store(word + PUSH, Ordering::Relaxed);
         FastPush::Pushed
     }
 
+    /// Takes every slot lock, in slot order.
+    fn lock_slots(&self) -> Vec<MutexGuard<'_, u64>> {
+        self.slots.iter().map(|s| s.lock.lock()).collect()
+    }
+
     /// Parks every slot in `MODE_OFF` (all slot locks held by the
-    /// caller via `guards`), fencing out any in-flight rseq critical
-    /// section, and returns the previous per-slot modes.
-    fn park_slots(&self) -> bool {
+    /// caller), fencing out any in-flight rseq critical section.
+    fn park_slots(&self) {
         let mut was_rseq = false;
         for slot in self.slots.iter() {
             was_rseq |= slot.hdr.mode.swap(MODE_OFF, Ordering::SeqCst) == MODE_RSEQ;
@@ -604,18 +646,34 @@ impl FastCache {
             rseq::fence();
         }
         std::sync::atomic::fence(Ordering::SeqCst);
-        was_rseq
     }
 
-    /// Takes the objects currently parked in a slot. Caller must hold
-    /// the slot lock with the slot in `MODE_OFF` after [`park_slots`].
-    fn take_slot(&self, slot: &Slot, out: &mut Vec<usize>) {
-        let n = slot.hdr.current.load(Ordering::Relaxed) as usize;
-        for i in 0..n {
-            // SAFETY: slot parked and lock held — no concurrent writer.
-            out.push(unsafe { *slot.hdr.items.add(i) });
+    /// Reopens every slot on the current engine (all slot locks held by
+    /// the caller).
+    fn unpark_slots(&self) {
+        let mode = self.engine().mode();
+        for slot in self.slots.iter() {
+            slot.hdr.mode.store(mode, Ordering::SeqCst);
         }
-        slot.hdr.current.store(0, Ordering::Relaxed);
+    }
+
+    /// Takes the objects parked in every slot, adding each slot's take
+    /// to its drained count. Caller holds `guards` from
+    /// [`lock_slots`](Self::lock_slots) with the slots parked by
+    /// [`park_slots`](Self::park_slots).
+    fn take_slots(&self, guards: &mut [MutexGuard<'_, u64>]) -> Vec<usize> {
+        let mut out = Vec::new();
+        for (slot, drained) in self.slots.iter().zip(guards.iter_mut()) {
+            let word = slot.hdr.commit.load(Ordering::Relaxed);
+            let depth = word & DEPTH_MASK;
+            for i in 0..depth as usize {
+                // SAFETY: slot parked and lock held — no concurrent writer.
+                out.push(unsafe { *slot.hdr.items.add(i) });
+            }
+            slot.hdr.commit.store(word - depth, Ordering::Relaxed);
+            **drained += depth;
+        }
+        out
     }
 
     /// Removes and returns every parked object, leaving the cache
@@ -623,22 +681,12 @@ impl FastCache {
     /// operations bounce to the slow path while the drain holds the
     /// slots parked.
     pub fn drain(&self) -> Vec<usize> {
-        if self.off {
-            return Vec::new();
-        }
-        let guards: Vec<_> = self.slots.iter().map(|s| s.lock.lock()).collect();
+        let mut guards = self.lock_slots();
         self.park_slots();
-        let mut out = Vec::new();
-        for slot in self.slots.iter() {
-            self.take_slot(slot, &mut out);
-        }
+        let out = self.take_slots(&mut guards);
         if self.enabled.load(Ordering::Relaxed) {
-            let mode = self.engine().mode();
-            for slot in self.slots.iter() {
-                slot.hdr.mode.store(mode, Ordering::SeqCst);
-            }
+            self.unpark_slots();
         }
-        drop(guards);
         out
     }
 
@@ -647,25 +695,15 @@ impl FastCache {
     /// path, keeping the switchover leak-free); enabling returns an
     /// empty vec.
     pub fn set_enabled(&self, on: bool) -> Vec<usize> {
-        if self.off {
-            return Vec::new();
-        }
-        let guards: Vec<_> = self.slots.iter().map(|s| s.lock.lock()).collect();
+        let mut guards = self.lock_slots();
         self.enabled.store(on, Ordering::Relaxed);
         self.park_slots();
-        let mut out = Vec::new();
         if on {
-            let mode = self.engine().mode();
-            for slot in self.slots.iter() {
-                slot.hdr.mode.store(mode, Ordering::SeqCst);
-            }
+            self.unpark_slots();
+            Vec::new()
         } else {
-            for slot in self.slots.iter() {
-                self.take_slot(slot, &mut out);
-            }
+            self.take_slots(&mut guards)
         }
-        drop(guards);
-        out
     }
 
     /// Switches the engine live, preserving parked objects. Requests
@@ -677,24 +715,12 @@ impl FastCache {
         } else {
             engine
         };
-        if self.off {
-            return engine;
-        }
-        let guards: Vec<_> = self.slots.iter().map(|s| s.lock.lock()).collect();
-        self.engine.store(
-            match engine {
-                Engine::Rseq => ENGINE_RSEQ,
-                Engine::Locks => ENGINE_LOCKS,
-            },
-            Ordering::Relaxed,
-        );
+        let _guards = self.lock_slots();
+        self.engine.store(engine.mode() as u8, Ordering::Relaxed);
         self.park_slots();
         if self.enabled.load(Ordering::Relaxed) {
-            for slot in self.slots.iter() {
-                slot.hdr.mode.store(engine.mode(), Ordering::SeqCst);
-            }
+            self.unpark_slots();
         }
-        drop(guards);
         engine
     }
 
@@ -702,36 +728,32 @@ impl FastCache {
     pub fn cached(&self) -> usize {
         self.slots
             .iter()
-            .map(|s| s.hdr.current.load(Ordering::Relaxed) as usize)
+            .map(|s| (s.hdr.commit.load(Ordering::Relaxed) & DEPTH_MASK) as usize)
             .sum()
     }
 
-    /// Totals across all threads: the sink reads through every live
-    /// thread's registered counters plus the retired base, so counts
-    /// are exact for any reader ordered after the writes (a joined
-    /// scope, a quiesced testbed). Lock-engine counts live in the slots
-    /// and are always current.
+    /// Totals across every thread that ever used the cache, read slot
+    /// by slot under each slot lock: a slot's pushes are its
+    /// `free_hits`, and what was pushed and is neither parked nor
+    /// drained was popped, which is its `alloc_hits`. Counts are exact
+    /// for any reader ordered after the operations (a joined thread, a
+    /// quiesced testbed), with no thread-exit step in between.
     pub fn snapshot(&self) -> FastPathSnapshot {
-        let mut snap = self.sink.read();
+        let mut snap = FastPathSnapshot::default();
         for slot in self.slots.iter() {
-            snap.alloc_hits += slot.alloc_hits.load(Ordering::Relaxed);
-            snap.free_hits += slot.free_hits.load(Ordering::Relaxed);
+            let drained = *slot.lock.lock();
+            let word = slot.hdr.commit.load(Ordering::Relaxed);
+            let pushes = word >> PUSHES_SHIFT;
+            // Modulo the push count's 48 bits, so a wrapped count stays
+            // a count of pops.
+            let pops = pushes.wrapping_sub(word & DEPTH_MASK).wrapping_sub(drained)
+                & (u64::MAX >> PUSHES_SHIFT);
+            snap.free_hits += pushes;
+            snap.alloc_hits += pops;
+            snap.restarts += slot.restarts.load(Ordering::Relaxed);
             snap.fallbacks += slot.fallbacks.load(Ordering::Relaxed);
         }
         snap
-    }
-
-    #[inline]
-    fn count(&self, alloc_hits: u64, free_hits: u64, restarts: u64, fallbacks: u64) {
-        tls::bump(self.id, &self.sink, alloc_hits, free_hits, restarts, fallbacks);
-    }
-}
-
-impl Drop for FastCache {
-    fn drop(&mut self) {
-        // Objects still parked here belong to the owning allocator; it
-        // must drain before dropping. Nothing to do for stats: sinks are
-        // Arc-shared and thread-locals flush on their own schedule.
     }
 }
 
@@ -739,6 +761,7 @@ impl Drop for FastCache {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::Arc;
 
     // Object addresses for tests: anything > 2 works; use page-ish
     // values so mistakes are obvious.
@@ -766,14 +789,139 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_cache_is_permanently_off() {
-        let c = FastCache::new(0);
-        assert!(!c.is_enabled());
-        assert_eq!(c.pop(), FastPop::Bypass);
-        assert_eq!(c.push(addr(1)), FastPush::Bypass);
-        assert!(c.drain().is_empty());
+    #[should_panic(expected = "outside 1..=0xFFFF")]
+    fn zero_capacity_is_refused() {
+        FastCache::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside 1..=0xFFFF")]
+    fn capacity_past_the_depth_field_is_refused() {
+        FastCache::new(0x1_0000);
+    }
+
+    /// What one thread did to a cache, tallied from the operations'
+    /// own results, for comparison against the cache's snapshot.
+    #[derive(Default)]
+    struct Tally {
+        pushed: u64,
+        popped: u64,
+        missed: u64,
+        drained: u64,
+        next: usize,
+    }
+
+    impl Tally {
+        fn push(&mut self, c: &FastCache, n: usize) {
+            for _ in 0..n {
+                self.next += 1;
+                // Never more than four parked per test, well under the
+                // capacity of any one slot: every push lands.
+                assert_eq!(c.push(addr(self.next)), FastPush::Pushed);
+                self.pushed += 1;
+            }
+        }
+
+        /// A pop after a migration may find the new CPU's slot empty;
+        /// the object it missed stays parked and the next drain takes it.
+        fn pop(&mut self, c: &FastCache, n: usize) {
+            for _ in 0..n {
+                match c.pop() {
+                    FastPop::Hit(_) => self.popped += 1,
+                    _ => self.missed += 1,
+                }
+            }
+        }
+
+        fn take(&mut self, taken: Vec<usize>) {
+            assert_eq!(
+                taken.len() as u64,
+                self.pushed - self.popped - self.drained,
+                "a drain took what was not parked"
+            );
+            self.drained += taken.len() as u64;
+        }
+
+        fn check(&self, c: &FastCache, at: &str) {
+            let s = c.snapshot();
+            assert_eq!(
+                (s.alloc_hits, s.free_hits),
+                (self.popped, self.pushed),
+                "{}: {at}: {s:?}",
+                c.engine()
+            );
+        }
+    }
+
+    /// The hit counts derive from the slot words and the drained
+    /// counts; they must stay exact across every operation that moves
+    /// objects out of a slot behind the hit path's back, on both
+    /// engines.
+    #[test]
+    fn hit_counts_are_exact_across_drains_engine_switches_and_toggles() {
+        for start in [Engine::Locks, Engine::Rseq] {
+            let c = FastCache::new(8);
+            c.set_engine(start);
+            let mut t = Tally::default();
+            for _ in 0..5 {
+                t.push(&c, 1);
+                t.pop(&c, 1);
+            }
+            t.check(&c, "pairs");
+            t.push(&c, 3);
+            t.take(c.drain());
+            t.check(&c, "drain");
+            t.push(&c, 2);
+            c.set_engine(Engine::Locks);
+            t.check(&c, "switch to locks");
+            t.take(c.drain());
+            t.push(&c, 1);
+            t.pop(&c, 1);
+            c.set_engine(Engine::Rseq);
+            t.push(&c, 1);
+            t.pop(&c, 1);
+            t.check(&c, "switch back");
+            t.push(&c, 4);
+            t.take(c.set_enabled(false));
+            assert_eq!(c.pop(), FastPop::Bypass);
+            assert_eq!(c.push(addr(0x1000)), FastPush::Bypass);
+            t.check(&c, "disable");
+            assert!(c.set_enabled(true).is_empty());
+            t.push(&c, 1);
+            t.pop(&c, 1);
+            t.check(&c, "enable");
+            t.take(c.drain());
+            t.check(&c, "final drain");
+            assert!(t.popped > 0, "no pop ever hit");
+        }
+    }
+
+    /// No count waits on a thread's exit: a plain spawned thread's hits
+    /// are in the snapshot as soon as it is joined, and every pop it
+    /// missed is a fallback.
+    #[test]
+    fn a_joined_thread_reads_exact_counts() {
+        let c = Arc::new(FastCache::new(8));
+        let worker = Arc::clone(&c);
+        let t = std::thread::spawn(move || {
+            let mut t = Tally::default();
+            for _ in 0..100 {
+                t.push(&worker, 1);
+                t.pop(&worker, 1);
+            }
+            t.pop(&worker, 1);
+            t
+        })
+        .join()
+        .unwrap();
         let s = c.snapshot();
-        assert_eq!(s.fallbacks, 0, "off caches must not count");
+        assert_eq!(
+            (s.alloc_hits, s.free_hits, s.fallbacks),
+            (t.popped, t.pushed, t.missed),
+            "{s:?}"
+        );
+        assert!(t.missed >= 1 && t.popped > 0, "the last pop finds its slot empty");
+        assert_eq!(c.drain().len() as u64, t.pushed - t.popped);
     }
 
     #[test]

@@ -16,13 +16,16 @@
 //! * re-check the slot's mode word (a remote drain parks the slot in
 //!   `MODE_OFF` *before* issuing the fence, so a section that started
 //!   earlier either aborts on the fence or already committed),
-//! * read `current`, read/write the item at `items[current-1]` /
-//!   `items[current]` (a dead slot either way), and
-//! * commit with one plain store to `current`.
+//! * read the commit word and mask its depth (low 16 bits) out of it,
+//!   read/write the item at `items[depth-1]` / `items[depth]` (a dead
+//!   slot either way), and
+//! * commit with one plain store of the commit word: `word - 1` for a
+//!   pop, `word + 0x1_0001` for a push, whose high 48 bits count the
+//!   slot's pushes so the commit is also the hit's statistic.
 //!
 //! Aborts restart from scratch; nothing observable happened. The only
 //! stores before the commit are to the dead item slot, which a
-//! concurrent remote drain never reads (it reads `0..current` only) and
+//! concurrent remote drain never reads (it reads `0..depth` only) and
 //! a same-CPU successor section overwrites before its own commit.
 //!
 //! ## Fence
@@ -166,8 +169,10 @@ mod imp {
     }
 
     // SlotHdr layout contract shared with the assembly below:
-    //   +0  current (u64)   — the commit word
-    //   +8  cap     (u64)
+    //   +0  commit  (u64)   — the commit word: depth in bits 0..16, pushes
+    //                         committed in bits 16..64
+    //   +8  cap     (u64)   — at most 0xFFFF, so a push never carries
+    //                         out of the depth field
     //   +16 mode    (u32)   — must equal 1 (MODE_RSEQ) to commit
     //   +24 items   (*mut usize)
     //
@@ -191,13 +196,14 @@ mod imp {
         mov eax, dword ptr [rdx + 16]    // slot mode
         cmp eax, 1
         jne 5f                           // parked or lock-owned
-        mov rax, qword ptr [rdx]         // current
-        test rax, rax
+        mov rax, qword ptr [rdx]         // commit word
+        movzx r8d, ax                    // depth
+        test r8d, r8d
         jz 6f                            // empty
-        sub rax, 1
         mov r9, qword ptr [rdx + 24]     // items
-        mov r10, qword ptr [r9 + rax*8]  // the object (pre-commit read)
-        mov qword ptr [rdx], rax         // COMMIT: current -= 1
+        mov r10, qword ptr [r9 + r8*8 - 8] // items[depth-1] (pre-commit read)
+        sub rax, 1
+        mov qword ptr [rdx], rax         // COMMIT: depth -= 1
     2:                                   // post-commit
         mov qword ptr [rdi + 8], 0
         mov rax, r10
@@ -240,13 +246,14 @@ mod imp {
         mov eax, dword ptr [rdx + 16]
         cmp eax, 1
         jne 5f
-        mov rax, qword ptr [rdx]         // current
-        cmp rax, qword ptr [rdx + 8]     // cap
+        mov rax, qword ptr [rdx]         // commit word
+        movzx r8d, ax                    // depth
+        cmp r8, qword ptr [rdx + 8]      // cap
         jae 6f                           // full
         mov r9, qword ptr [rdx + 24]
-        mov qword ptr [r9 + rax*8], rcx  // items[current] = obj (dead slot)
-        add rax, 1
-        mov qword ptr [rdx], rax         // COMMIT: current += 1
+        mov qword ptr [r9 + r8*8], rcx   // items[depth] = obj (dead slot)
+        add rax, 0x10001
+        mov qword ptr [rdx], rax         // COMMIT: depth += 1, pushes += 1
     2:                                   // post-commit
         mov qword ptr [rdi + 8], 0
         xor eax, eax

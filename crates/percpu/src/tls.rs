@@ -1,214 +1,7 @@
-//! Thread-local statistics for the fast paths.
-//!
-//! The whole point of the rseq engine is a hit path with no atomic
-//! read-modify-writes, so its counters cannot be `fetch_add`s. Each
-//! thread owns a set of single-writer counters per cache — plain
-//! load+store bumps, two MOVs on x86-64, exactly the sharded-stats
-//! discipline the allocators use — registered with the cache's shared
-//! [`Sinks`] on first use. A snapshot reads *through* to every live
-//! thread's counters and adds the retired totals, so totals are exact
-//! for any reader that happens-after the writes (a joined scope, a
-//! quiesced testbed) and monotonically catch up otherwise.
-//!
-//! Reading through matters: `std::thread::scope` signals completion
-//! when the closure returns, but TLS destructors run later in thread
-//! teardown — an exit-time-flush scheme loses whole threads' counts
-//! when the scope exits (and the snapshot runs) before the destructor
-//! fires. The registry makes the destructor a pure retirement step:
-//! counts are visible the moment they are stored, and retirement only
-//! moves them from the live list into the retired base under the
-//! registry lock.
+//! The lock engine's per-thread slot assignment.
 
 use std::cell::Cell;
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-
-use crate::FastPathSnapshot;
-
-/// One thread's live counters for one cache. Single-writer: only the
-/// owning thread stores (plain load+store, never an RMW); any thread
-/// may read.
-#[derive(Debug, Default)]
-struct RemoteCounts {
-    alloc_hits: AtomicU64,
-    free_hits: AtomicU64,
-    restarts: AtomicU64,
-    fallbacks: AtomicU64,
-}
-
-impl RemoteCounts {
-    /// Owner-only bump: load+store keeps the hot path free of atomic
-    /// read-modify-writes.
-    #[inline]
-    fn bump(counter: &AtomicU64, n: u64) {
-        if n != 0 {
-            counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
-        }
-    }
-
-    fn add_into(&self, snap: &mut FastPathSnapshot) {
-        snap.alloc_hits += self.alloc_hits.load(Ordering::Relaxed);
-        snap.free_hits += self.free_hits.load(Ordering::Relaxed);
-        snap.restarts += self.restarts.load(Ordering::Relaxed);
-        snap.fallbacks += self.fallbacks.load(Ordering::Relaxed);
-    }
-}
-
-/// Shared per-cache totals: counters retired from exited threads plus
-/// a registry of every live thread's counter block.
-#[derive(Debug, Default)]
-pub(crate) struct Sinks {
-    retired_alloc_hits: AtomicU64,
-    retired_free_hits: AtomicU64,
-    retired_restarts: AtomicU64,
-    retired_fallbacks: AtomicU64,
-    /// Live threads' counter blocks. Locked only on thread first-use,
-    /// thread exit, and snapshots — never on the hit path.
-    live: Mutex<Vec<Arc<RemoteCounts>>>,
-}
-
-impl Sinks {
-    pub(crate) fn read(&self) -> FastPathSnapshot {
-        // Hold the registry lock across the whole sum so a concurrent
-        // retirement can't be counted twice (once live, once retired)
-        // or dropped (retire folds into the base under this same lock).
-        let live = self.live.lock().unwrap();
-        let mut snap = FastPathSnapshot {
-            alloc_hits: self.retired_alloc_hits.load(Ordering::Relaxed),
-            free_hits: self.retired_free_hits.load(Ordering::Relaxed),
-            restarts: self.retired_restarts.load(Ordering::Relaxed),
-            fallbacks: self.retired_fallbacks.load(Ordering::Relaxed),
-        };
-        for counts in live.iter() {
-            counts.add_into(&mut snap);
-        }
-        snap
-    }
-
-    /// Registers a new live counter block for the calling thread.
-    fn register(&self) -> Arc<RemoteCounts> {
-        let counts = Arc::new(RemoteCounts::default());
-        self.live.lock().unwrap().push(Arc::clone(&counts));
-        counts
-    }
-
-    /// Folds a thread's counters into the retired base and drops them
-    /// from the live list (thread exit).
-    fn retire(&self, counts: &Arc<RemoteCounts>) {
-        let mut live = self.live.lock().unwrap();
-        self.retired_alloc_hits
-            .fetch_add(counts.alloc_hits.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.retired_free_hits
-            .fetch_add(counts.free_hits.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.retired_restarts
-            .fetch_add(counts.restarts.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.retired_fallbacks
-            .fetch_add(counts.fallbacks.load(Ordering::Relaxed), Ordering::Relaxed);
-        live.retain(|c| !Arc::ptr_eq(c, counts));
-    }
-
-    /// Direct add for threads whose TLS is already torn down (rare:
-    /// frees running from other TLS destructors). Contended-safe.
-    fn add(&self, alloc_hits: u64, free_hits: u64, restarts: u64, fallbacks: u64) {
-        if alloc_hits != 0 {
-            self.retired_alloc_hits.fetch_add(alloc_hits, Ordering::Relaxed);
-        }
-        if free_hits != 0 {
-            self.retired_free_hits.fetch_add(free_hits, Ordering::Relaxed);
-        }
-        if restarts != 0 {
-            self.retired_restarts.fetch_add(restarts, Ordering::Relaxed);
-        }
-        if fallbacks != 0 {
-            self.retired_fallbacks.fetch_add(fallbacks, Ordering::Relaxed);
-        }
-    }
-}
-
-/// One thread's handle on one cache's counters. The `Arc`s keep both
-/// the sink and the counter block alive even if the cache drops before
-/// the thread exits (the late retirement then lands in an orphaned
-/// sink, harmlessly).
-struct LocalCounts {
-    id: u64,
-    sink: Arc<Sinks>,
-    counts: Arc<RemoteCounts>,
-}
-
-struct ThreadStats {
-    /// One-entry lookup cache: (cache id, index into `entries`).
-    last: Cell<(u64, usize)>,
-    entries: RefCell<Vec<LocalCounts>>,
-}
-
-impl Drop for ThreadStats {
-    fn drop(&mut self) {
-        for entry in self.entries.get_mut() {
-            entry.sink.retire(&entry.counts);
-        }
-    }
-}
-
-thread_local! {
-    static TSTATS: ThreadStats = const {
-        ThreadStats {
-            last: Cell::new((0, usize::MAX)),
-            entries: RefCell::new(Vec::new()),
-        }
-    };
-}
-
-#[inline]
-fn lookup(t: &ThreadStats, id: u64, sink: &Arc<Sinks>) -> usize {
-    let (last_id, idx) = t.last.get();
-    if last_id == id {
-        return idx;
-    }
-    slow_lookup(t, id, sink)
-}
-
-#[cold]
-fn slow_lookup(t: &ThreadStats, id: u64, sink: &Arc<Sinks>) -> usize {
-    let mut entries = t.entries.borrow_mut();
-    let idx = entries.iter().position(|e| e.id == id).unwrap_or_else(|| {
-        entries.push(LocalCounts {
-            id,
-            sink: Arc::clone(sink),
-            counts: sink.register(),
-        });
-        entries.len() - 1
-    });
-    drop(entries);
-    t.last.set((id, idx));
-    idx
-}
-
-/// Adds to this thread's counts for cache `id`. Falls back to direct
-/// sink updates if the thread's TLS is already torn down (frees running
-/// from other TLS destructors).
-#[inline]
-pub(crate) fn bump(
-    id: u64,
-    sink: &Arc<Sinks>,
-    alloc_hits: u64,
-    free_hits: u64,
-    restarts: u64,
-    fallbacks: u64,
-) {
-    let done = TSTATS.try_with(|t| {
-        let idx = lookup(t, id, sink);
-        let entries = t.entries.borrow();
-        let e = &entries[idx].counts;
-        RemoteCounts::bump(&e.alloc_hits, alloc_hits);
-        RemoteCounts::bump(&e.free_hits, free_hits);
-        RemoteCounts::bump(&e.restarts, restarts);
-        RemoteCounts::bump(&e.fallbacks, fallbacks);
-    });
-    if done.is_err() {
-        sink.add(alloc_hits, free_hits, restarts, fallbacks);
-    }
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The lock engine's slot assignment: threads round-robin over slots at
 /// first use, mirroring the `CpuRegistry` policy the allocators use for

@@ -9,10 +9,10 @@ use pbs_percpu::{Engine, FastCache, FastPop, FastPush};
 /// Counts must be exact the moment a scope joins its workers — even
 /// though `std::thread::scope` returns before the workers' TLS
 /// destructors run. This is the web-server-integration flake in
-/// miniature: four threads round-robining over more caches than the
-/// one-entry TLS memo holds, with the snapshot racing thread teardown.
-/// An exit-time-flush stats scheme loses whole threads here; the
-/// read-through sink registry must not.
+/// miniature: four threads round-robining over six caches, with the
+/// snapshot racing thread teardown. An exit-time-flush stats scheme
+/// loses whole threads here; per-slot counts, which no thread owns,
+/// must not.
 #[test]
 fn counts_exact_at_scope_join_across_many_caches() {
     for round in 0..40 {
