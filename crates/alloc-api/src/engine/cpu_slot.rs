@@ -18,10 +18,8 @@ pub type LatentEntry = (ObjPtr, GpState);
 ///   period completes, then merged into `obj_cache`.
 ///
 /// A policy without latent caches (SLUB) leaves `latent` empty. Merging
-/// out of it is the engine's ([`SlabEngine::merge_latent`]): that is
-/// where a latent object leaves the deferred backlog.
-///
-/// [`SlabEngine::merge_latent`]: super::SlabEngine::merge_latent
+/// out of it is the engine's latent merge: that is where a latent object
+/// leaves the deferred backlog.
 #[derive(Debug, Default)]
 pub struct CpuSlot {
     pub obj_cache: Vec<ObjPtr>,

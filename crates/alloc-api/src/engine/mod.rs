@@ -13,11 +13,11 @@
 //! decides only where the two designs differ: which slab to refill from,
 //! when to return slabs to the page allocator, where a deferred object
 //! waits, how a delivered one re-enters, and how a freeing thread assists
-//! under hard pressure. `pbs-slub` and `prudence` each supply one policy;
-//! every other line — and therefore every constant the comparison depends
-//! on — is shared. A cache *is* its engine (`SlubCache` and
-//! `PrudenceCache` are aliases of `SlabEngine<P>`), configured by
-//! [`EngineConfig`] alone.
+//! under hard pressure. [`slub`](crate::slub) and
+//! [`prudence`](crate::prudence) each supply one; every other line — and
+//! therefore every constant the comparison depends on — is shared. A cache
+//! *is* its engine (`SlubCache` and `PrudenceCache` are aliases of
+//! `SlabEngine<P>`), configured by [`EngineConfig`] alone.
 
 mod cpu_slot;
 mod frontend;
@@ -105,14 +105,46 @@ impl Default for EngineConfig {
 /// What an allocator design decides on top of the shared engine. The
 /// engine builds its policy with [`Default`]: a policy carries no settings.
 ///
-/// Every method receives the engine it runs in and may use its public
-/// helpers ([`lock_cpu`](SlabEngine::lock_cpu),
-/// [`merge_latent`](SlabEngine::merge_latent),
-/// [`defer_to_slabs`](SlabEngine::defer_to_slabs),
-/// [`give_back`](SlabEngine::give_back), [`grow`](SlabEngine::grow), …).
-/// Lock order is slot lock → node lock; a hook that is handed a slot or
-/// node guard must not acquire another of the same kind.
-pub trait SlabPolicy: Default + Send + Sync + Sized + 'static {
+/// The trait is sealed: its only implementations are
+/// [`SlubPolicy`](crate::slub::SlubPolicy) and
+/// [`PrudencePolicy`](crate::prudence::PrudencePolicy), beside the engine
+/// whose crate-private helpers they call. Every method receives the engine
+/// it runs in. Lock order is slot lock → node lock; a hook that is handed a
+/// slot or node guard must not acquire another of the same kind.
+///
+/// A policy cannot be written outside the crate:
+///
+/// ```compile_fail,E0277
+/// use parking_lot::MutexGuard;
+/// use pbs_alloc_api::engine::{CpuSlot, Node, SlabEngine, SlabPolicy};
+/// use pbs_alloc_api::ObjPtr;
+/// use pbs_mem::OutOfMemory as Oom;
+///
+/// #[derive(Default)]
+/// struct P;
+/// type E = SlabEngine<P>;
+///
+/// impl SlabPolicy for P {
+///     const LABEL: &'static str = "mine";
+///     fn select_slab(&self, _: &E, _: &mut Node, _: bool) -> Result<Option<usize>, Oom> {
+///         Ok(None)
+///     }
+///     fn shrink_limit(&self, _: &E, _: &mut Node) -> Option<usize> { None }
+///     fn defer(&self, _: &E, _: usize, _: MutexGuard<'_, CpuSlot>, _: ObjPtr, _: u64) {}
+///     fn readmit(&self, _: &E, _: &[usize]) {}
+///     fn assist(&self, _: &E) {}
+/// }
+/// ```
+///
+/// and the engine's helpers are not public API:
+///
+/// ```compile_fail,E0624
+/// fn merge(cache: &pbs_alloc_api::prudence::PrudenceCache) {
+///     let (cpu_idx, mut cpu) = cache.lock_cpu();
+///     cache.merge_latent(cpu_idx, &mut cpu);
+/// }
+/// ```
+pub trait SlabPolicy: sealed::Sealed + Default + Send + Sync + Sized + 'static {
     /// Short label for reports ("slub" or "prudence").
     const LABEL: &'static str;
 
@@ -126,8 +158,8 @@ pub trait SlabPolicy: Default + Send + Sync + Sized + 'static {
         have: bool,
     ) -> Result<Option<usize>, OutOfMemory>;
 
-    /// Free-slab count above which [`SlabEngine::shrink`] returns slabs
-    /// to the page allocator; `None` leaves every slab where it is.
+    /// Free-slab count above which the engine's shrink returns slabs to
+    /// the page allocator; `None` leaves every slab where it is.
     fn shrink_limit(&self, engine: &SlabEngine<Self>, node: &mut Node) -> Option<usize>;
 
     /// The tail of `free_deferred`: the engine has stamped and counted the
@@ -145,14 +177,18 @@ pub trait SlabPolicy: Default + Send + Sync + Sized + 'static {
         t_ns: u64,
     );
 
-    /// Domain delivery: `addrs` were handed to
-    /// [`SlabEngine::defer_to_domain`] and are now safe to reuse. The
-    /// engine settles the outstanding count afterwards.
+    /// Domain delivery: `addrs` were handed to the attached reclamation
+    /// domain and are now safe to reuse. The engine settles the outstanding
+    /// count afterwards.
     fn readmit(&self, engine: &SlabEngine<Self>, addrs: &[usize]);
 
     /// Hard-pressure assist, run by every freeing thread with no locks
     /// held. Must stay short and never block on a grace period.
     fn assist(&self, engine: &SlabEngine<Self>);
+}
+
+pub(crate) mod sealed {
+    pub trait Sealed {}
 }
 
 /// Spin budget on a busy home slot before trying neighbours: slot
@@ -306,12 +342,12 @@ impl<P: SlabPolicy> SlabEngine<P> {
     }
 
     /// The cache's counters, histograms and event ring.
-    pub fn counters(&self) -> &CacheStats {
+    pub(crate) fn counters(&self) -> &CacheStats {
         &self.stats
     }
 
     /// Locks the node lists, counting contention for the statistics.
-    pub fn lock_node(&self) -> MutexGuard<'_, Node> {
+    pub(crate) fn lock_node(&self) -> MutexGuard<'_, Node> {
         if let Some(guard) = self.node.try_lock() {
             return guard;
         }
@@ -335,7 +371,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// steal any other free slot, and only then block on the home slot.
     /// Returns the index actually locked so callers attribute stats to
     /// the right shard.
-    pub fn lock_cpu(&self) -> (usize, MutexGuard<'_, CpuSlot>) {
+    pub(crate) fn lock_cpu(&self) -> (usize, MutexGuard<'_, CpuSlot>) {
         let home = self.cpus.current_cpu().0;
         if let Some(guard) = self.slots[home].try_lock() {
             return (home, guard);
@@ -407,7 +443,10 @@ impl<P: SlabPolicy> SlabEngine<P> {
             }
         }
         if self.stats.cold.pressure_level.load(Ordering::Relaxed) >= 2 {
-            self.stats.cold.assisted_merges.fetch_add(1, Ordering::Relaxed);
+            self.stats
+                .cold
+                .assisted_merges
+                .fetch_add(1, Ordering::Relaxed);
             self.policy.assist(self);
         }
     }
@@ -438,7 +477,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// count. O(1) while the front stamp is inside its grace period, and
     /// one empty-deque check for a policy that parks nothing in latent
     /// slabs. Returns the number reclaimed.
-    pub fn settle_pending(&self, node: &mut Node) -> usize {
+    pub(crate) fn settle_pending(&self, node: &mut Node) -> usize {
         let reclaimed = node.reclaim_pending(self.rcu.current_epoch(), &self.stats.defer_delay_ns);
         self.note_reclaimed(reclaimed);
         reclaimed
@@ -450,7 +489,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// and traces the merge on lane `cpu_idx`. A slot with nothing to
     /// merge — every slot of a policy that keeps the latent cache empty —
     /// pays one deque check. Returns the number merged.
-    pub fn merge_latent(&self, cpu_idx: usize, cpu: &mut CpuSlot) -> usize {
+    pub(crate) fn merge_latent(&self, cpu_idx: usize, cpu: &mut CpuSlot) -> usize {
         let Some(&(_, front)) = cpu.latent.front() else {
             return 0;
         };
@@ -482,7 +521,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// defer-heavy phase would otherwise keep them parked. A parked object
     /// keeps its site stamp; the sweep that returns it settles the stamp.
     /// Call with no slot lock held.
-    pub fn defer_to_slabs(&self, entries: &[LatentEntry]) {
+    pub(crate) fn defer_to_slabs(&self, entries: &[LatentEntry]) {
         if entries.is_empty() {
             return;
         }
@@ -777,7 +816,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     }
 
     /// GROW (line 29): allocates one slab from the page allocator.
-    pub fn grow(&self, node: &mut Node) -> Result<usize, OutOfMemory> {
+    pub(crate) fn grow(&self, node: &mut Node) -> Result<usize, OutOfMemory> {
         let block = self.pages.allocate_aligned_at(
             self.sizing.slab_bytes,
             self.sizing.slab_bytes,
@@ -800,7 +839,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// Slabs pre-moved to the free list that still hold deferred objects
     /// are *not* releasable; merging those back is the pending-list
     /// sweep's job alone ([`settle_pending`](Self::settle_pending)).
-    pub fn shrink(&self, node: &mut Node) {
+    pub(crate) fn shrink(&self, node: &mut Node) {
         let Some(limit) = self.policy.shrink_limit(self, node) else {
             return;
         };
@@ -822,7 +861,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// Flushes an overflowing object cache down to half a cache, less one
     /// object per latent entry (proportional flush, §4.2), so the merge
     /// after the grace period fits.
-    pub fn flush_obj_cache(&self, cpu_idx: usize, cpu: &mut CpuSlot) {
+    pub(crate) fn flush_obj_cache(&self, cpu_idx: usize, cpu: &mut CpuSlot) {
         if cpu.obj_cache.is_empty() {
             return;
         }
@@ -835,7 +874,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
 
     /// Puts a reusable object into a held slot's object cache, flushing
     /// on overflow (the slot-locked tail of `free`).
-    pub fn recycle(&self, cpu_idx: usize, cpu: &mut CpuSlot, obj: ObjPtr) {
+    pub(crate) fn recycle(&self, cpu_idx: usize, cpu: &mut CpuSlot, obj: ObjPtr) {
         cpu.obj_cache.push(obj);
         if cpu.obj_cache.len() > self.sizing.object_cache_size {
             self.flush_obj_cache(cpu_idx, cpu);
@@ -915,7 +954,7 @@ impl<P: SlabPolicy> SlabEngine<P> {
     /// Hands a deferred object to the attached domain; it comes back
     /// through [`SlabPolicy::readmit`] once no captured reader can hold
     /// it. Call with no cache locks held.
-    pub fn defer_to_domain(&self, obj: ObjPtr) {
+    pub(crate) fn defer_to_domain(&self, obj: ObjPtr) {
         self.reclaim.domain.defer(self.reclaim.client, obj.addr());
     }
 

@@ -15,8 +15,8 @@ use crate::{ListKind, RawSlab, SlabLists};
 /// [`RawSlab`] until their grace period completes and the engine's
 /// pending-list sweep returns them to the free list. With
 /// `deferred` empty — always, under a policy that never parks deferred
-/// objects in slabs (SLUB) — [`classify`](Slab::classify) is the plain
-/// free/partial/full rule.
+/// objects in slabs (SLUB) — its list is the plain free/partial/full
+/// rule.
 #[derive(Debug)]
 pub struct Slab {
     pub raw: RawSlab,
@@ -25,7 +25,7 @@ pub struct Slab {
 }
 
 impl Slab {
-    pub fn new(raw: RawSlab) -> Self {
+    pub(crate) fn new(raw: RawSlab) -> Self {
         Self {
             raw,
             deferred: VecDeque::new(),
@@ -53,7 +53,7 @@ impl Slab {
 
     /// Whether every allocated object in the slab is deferred — the slab
     /// will be entirely free after the grace period (Algorithm line 56).
-    pub fn all_allocated_deferred(&self) -> bool {
+    pub(crate) fn all_allocated_deferred(&self) -> bool {
         self.raw.allocated_count() > 0 && self.raw.allocated_count() == self.deferred.len()
     }
 
@@ -63,7 +63,7 @@ impl Slab {
     ///   list (objects are about to come back),
     /// * a slab whose allocated objects are all deferred is pre-moved to
     ///   the free list (the whole slab is about to be free).
-    pub fn classify(&self) -> ListKind {
+    pub(crate) fn classify(&self) -> ListKind {
         if self.raw.is_free() || self.all_allocated_deferred() {
             ListKind::Free
         } else if self.raw.is_full() && self.deferred.is_empty() {
@@ -75,7 +75,7 @@ impl Slab {
 
     /// Whether the slab's pages can be returned to the page allocator
     /// right now.
-    pub fn releasable(&self) -> bool {
+    pub(crate) fn releasable(&self) -> bool {
         self.raw.is_free() && self.deferred.is_empty()
     }
 }
@@ -109,17 +109,17 @@ pub struct Node {
 }
 
 impl Node {
-    pub fn slab_mut(&mut self, index: usize) -> &mut Slab {
+    pub(crate) fn slab_mut(&mut self, index: usize) -> &mut Slab {
         self.slabs[index].as_mut().expect("live slab index")
     }
 
-    pub fn slab(&self, index: usize) -> &Slab {
+    pub(crate) fn slab(&self, index: usize) -> &Slab {
         self.slabs[index].as_ref().expect("live slab index")
     }
 
     /// Re-lists a slab according to [`Slab::classify`]; returns
     /// `true` if it moved.
-    pub fn relist(&mut self, index: usize) -> bool {
+    pub(crate) fn relist(&mut self, index: usize) -> bool {
         let kind = self.slab(index).classify();
         if self.lists.kind_of(index) == Some(kind) {
             false
@@ -130,7 +130,7 @@ impl Node {
     }
 
     /// Inserts a new slab and returns its index.
-    pub fn insert_slab(&mut self, slab: Slab) -> usize {
+    pub(crate) fn insert_slab(&mut self, slab: Slab) -> usize {
         let index = self.free_slots.pop().unwrap_or(self.slabs.len());
         if index == self.slabs.len() {
             self.slabs.push(Some(slab));
@@ -143,7 +143,7 @@ impl Node {
     }
 
     /// Removes a slab from the table and lists, returning it.
-    pub fn remove_slab(&mut self, index: usize) -> Slab {
+    pub(crate) fn remove_slab(&mut self, index: usize) -> Slab {
         self.lists.remove(index);
         let slab = self.slabs[index].take().expect("live slab index");
         self.free_slots.push(index);

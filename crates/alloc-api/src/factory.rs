@@ -14,8 +14,9 @@ use crate::traits::ObjectAllocator;
 /// SLUB baseline or Prudence — the comparison the paper's Figures 7–13
 /// make.
 ///
-/// Implementations: `pbs_slub::SlubFactory`, `prudence::PrudenceFactory`
-/// and [`CacheInventory`], which records what another factory mints.
+/// Implementations: [`SlubFactory`](crate::slub::SlubFactory),
+/// [`PrudenceFactory`](crate::prudence::PrudenceFactory) and
+/// [`CacheInventory`], which records what another factory mints.
 pub trait CacheFactory: Send + Sync {
     /// Creates a cache named `name` serving `object_size`-byte objects.
     fn create_cache(&self, name: &str, object_size: usize) -> Arc<dyn ObjectAllocator>;
@@ -41,10 +42,10 @@ pub trait CacheFactory: Send + Sync {
 /// ```
 /// use std::sync::Arc;
 /// use pbs_alloc_api::engine::EngineConfig;
+/// use pbs_alloc_api::prudence::PrudenceFactory;
 /// use pbs_alloc_api::{CacheFactory, CacheInventory};
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
-/// use prudence::PrudenceFactory;
 ///
 /// let caches = CacheInventory::new(PrudenceFactory::new(
 ///     EngineConfig::new(2),
@@ -86,7 +87,11 @@ impl CacheInventory {
 
     /// Every recorded cache still alive, in the order it was minted.
     pub fn caches(&self) -> Vec<Arc<dyn ObjectAllocator>> {
-        self.minted.lock().iter().filter_map(Weak::upgrade).collect()
+        self.minted
+            .lock()
+            .iter()
+            .filter_map(Weak::upgrade)
+            .collect()
     }
 
     /// Drains what every live cache deferred before the call.

@@ -1,7 +1,7 @@
-//! # pbs-alloc-api — shared allocator interface for the Prudence reproduction
+//! # pbs-alloc-api — the two allocators of the Prudence reproduction
 //!
-//! Both allocators in this workspace — the SLUB-style baseline
-//! (`pbs-slub`) and Prudence (`prudence`) — implement the same
+//! Both allocators — the SLUB-style baseline ([`slub`]) and Prudence
+//! ([`prudence`]) — are policies over one [`engine`] and implement the same
 //! [`ObjectAllocator`] trait, so data structures, simulated subsystems and
 //! benchmark drivers are written once and parameterized by allocator.
 //!
@@ -16,13 +16,18 @@
 //! * kmalloc-style size classes ([`SIZE_CLASSES`], [`class_index_for`]),
 //! * [`CpuRegistry`] — stable per-thread "CPU slot" assignment standing in
 //!   for kernel per-CPU data,
-//! * [`engine`] — the generic [`SlabEngine`](engine::SlabEngine) both
-//!   allocators are policies over, with the shared kmalloc heap and cache
-//!   factory.
+//! * [`engine`] — the generic [`SlabEngine`](engine::SlabEngine), with the
+//!   shared kmalloc heap and cache factory.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 mod cpu;
 pub mod engine;
 mod factory;
+mod policy {
+    pub mod prudence;
+    pub mod slub;
+}
 mod size_class;
 mod sizing;
 pub mod slab_layout;
@@ -33,6 +38,7 @@ mod traits;
 
 pub use cpu::{CpuId, CpuRegistry};
 pub use factory::{CacheFactory, CacheInventory};
+pub use policy::{prudence, slub};
 pub use size_class::{class_index_for, SIZE_CLASSES};
 pub use sizing::SizingPolicy;
 pub use slab_layout::RawSlab;

@@ -47,6 +47,9 @@ mod tests {
 
     #[test]
     fn oversized_is_none() {
-        assert_eq!(class_index_for(SIZE_CLASSES[SIZE_CLASSES.len() - 1] + 1), None);
+        assert_eq!(
+            class_index_for(SIZE_CLASSES[SIZE_CLASSES.len() - 1] + 1),
+            None
+        );
     }
 }

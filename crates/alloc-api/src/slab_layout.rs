@@ -205,6 +205,9 @@ mod tests {
         assert_eq!(took, 5);
         assert_eq!(slab.allocated_count(), 5);
         for &o in &objs {
+            // SAFETY: `o` was just taken from `slab`, a live slab of
+            // `policy.slab_bytes` bytes that only this test touches, so no
+            // node lock is needed.
             assert_eq!(unsafe { resolve_slab_index(o, policy.slab_bytes) }, 7);
             assert_eq!(slab.object_ptr(slab.index_of(o)), o);
         }

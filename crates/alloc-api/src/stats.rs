@@ -54,8 +54,10 @@ impl Counter {
     /// Owner-only add, as [`Counter::bump`].
     #[inline]
     pub fn bump_by(&self, n: u64) {
-        self.0
-            .store(self.0.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed);
+        self.0.store(
+            self.0.load(Ordering::Relaxed).wrapping_add(n),
+            Ordering::Relaxed,
+        );
     }
 
     /// Adds from any thread (atomic RMW) for events recorded outside the
@@ -96,15 +98,19 @@ impl SignedCounter {
     /// Owner-only `+1`; same single-writer contract as [`Counter::bump`].
     #[inline]
     pub fn bump_add(&self) {
-        self.0
-            .store(self.0.load(Ordering::Relaxed).wrapping_add(1), Ordering::Relaxed);
+        self.0.store(
+            self.0.load(Ordering::Relaxed).wrapping_add(1),
+            Ordering::Relaxed,
+        );
     }
 
     /// Owner-only `-1`.
     #[inline]
     pub fn bump_sub(&self) {
-        self.0
-            .store(self.0.load(Ordering::Relaxed).wrapping_sub(1), Ordering::Relaxed);
+        self.0.store(
+            self.0.load(Ordering::Relaxed).wrapping_sub(1),
+            Ordering::Relaxed,
+        );
     }
 
     /// Current value.
@@ -318,7 +324,9 @@ impl CacheStats {
             .compare_exchange(old, new, Ordering::Relaxed, Ordering::Relaxed)
             .is_ok()
         {
-            self.cold.pressure_transitions.fetch_add(1, Ordering::Relaxed);
+            self.cold
+                .pressure_transitions
+                .fetch_add(1, Ordering::Relaxed);
             Some((old, new))
         } else {
             None
@@ -414,7 +422,11 @@ impl CacheStats {
     /// Takes a consistent-enough snapshot for reporting, summing all
     /// shards.
     pub fn snapshot(&self, object_size: usize, slab_bytes: usize) -> CacheStatsSnapshot {
-        self.snapshot_with_fastpath(object_size, slab_bytes, &pbs_percpu::FastPathSnapshot::default())
+        self.snapshot_with_fastpath(
+            object_size,
+            slab_bytes,
+            &pbs_percpu::FastPathSnapshot::default(),
+        )
     }
 
     /// [`snapshot`](Self::snapshot) plus the allocator's per-CPU

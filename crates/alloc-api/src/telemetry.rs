@@ -112,7 +112,11 @@ impl TelemetrySnapshot {
     /// Total trace events surfaced across the RCU domain and all caches.
     pub fn total_events(&self) -> usize {
         self.rcu_telemetry.events.len()
-            + self.caches.iter().map(|c| c.telemetry.events.len()).sum::<usize>()
+            + self
+                .caches
+                .iter()
+                .map(|c| c.telemetry.events.len())
+                .sum::<usize>()
     }
 
     /// Looks up a cache's telemetry by name.
@@ -165,7 +169,10 @@ mod tests {
         assert_eq!(a.rcu.longest_stall_ns, 900, "longest stall is a maximum");
         assert_eq!(a.rcu.injected_gp_stalls, 5);
         assert_eq!(a.reclaim.injected_stalls, 5);
-        assert_eq!(a.reclaim.backend, "hp", "an unlabelled side adopts the other's backend");
+        assert_eq!(
+            a.reclaim.backend, "hp",
+            "an unlabelled side adopts the other's backend"
+        );
     }
 
     #[test]
@@ -201,15 +208,17 @@ mod tests {
     fn total_events_sums_components() {
         let mut snap = sample();
         assert_eq!(snap.total_events(), 0);
-        snap.rcu_telemetry.events.push(pbs_telemetry::EventSnapshot {
-            seq: 0,
-            t_ns: 1,
-            kind: 0,
-            lane: 0,
-            src: 0,
-            a: 0,
-            b: 0,
-        });
+        snap.rcu_telemetry
+            .events
+            .push(pbs_telemetry::EventSnapshot {
+                seq: 0,
+                t_ns: 1,
+                kind: 0,
+                lane: 0,
+                src: 0,
+                a: 0,
+                b: 0,
+            });
         assert_eq!(snap.total_events(), 1);
     }
 }

@@ -51,6 +51,8 @@ pub struct ObjPtr(NonNull<u8>);
 // SAFETY: an ObjPtr represents exclusive ownership of an allocator object;
 // the allocator types that mint them synchronize internally.
 unsafe impl Send for ObjPtr {}
+// SAFETY: an ObjPtr is a plain address with no interior state; every access
+// through it goes through an `unsafe` allocator or pointer operation.
 unsafe impl Sync for ObjPtr {}
 
 impl ObjPtr {
@@ -88,11 +90,11 @@ impl ObjPtr {
 /// A slab cache of fixed-size objects with support for *deferred* frees
 /// synchronized by RCU.
 ///
-/// Implemented by the SLUB-style baseline (`pbs-slub`, where
+/// Implemented by the SLUB-style baseline ([`slub`](crate::slub), where
 /// [`free_deferred`](Self::free_deferred) registers an RCU callback exactly
-/// as Linux kernel code does) and by Prudence (`prudence`, where deferred
-/// objects enter latent caches/slabs inside the allocator — the paper's
-/// contribution).
+/// as Linux kernel code does) and by Prudence
+/// ([`prudence`](crate::prudence), where deferred objects enter latent
+/// caches/slabs inside the allocator — the paper's contribution).
 ///
 /// # Safety contract
 ///
@@ -223,7 +225,9 @@ mod tests {
 
     #[test]
     fn alloc_error_displays() {
-        assert!(AllocError::OutOfMemory.to_string().contains("out of memory"));
+        assert!(AllocError::OutOfMemory
+            .to_string()
+            .contains("out of memory"));
         let oom = pbs_mem::OutOfMemory { requested_bytes: 1 };
         assert_eq!(AllocError::from(oom), AllocError::OutOfMemory);
     }

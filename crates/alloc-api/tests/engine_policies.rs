@@ -1,18 +1,21 @@
 //! Behaviour every [`SlabEngine`](pbs_alloc_api::engine::SlabEngine)
 //! policy must share, written once and instantiated for both policies
 //! (and, through [`KmallocHeap`], for both heaps). Policy-specific
-//! behaviour is tested beside its policy in `prudence` / `pbs-slub`.
+//! behaviour is tested beside its policy, in `pbs_alloc_api::prudence`
+//! and `pbs_alloc_api::slub`.
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::sync::Arc;
 
 use pbs_alloc_api::engine::{EngineConfig, KmallocHeap, SlabEngine, SlabPolicy};
+use pbs_alloc_api::prudence::{PrudenceCache, PrudencePolicy};
+use pbs_alloc_api::slub::{SlubCache, SlubPolicy};
 use pbs_alloc_api::{AllocError, ObjPtr, ObjectAllocator, SizingPolicy, SIZE_CLASSES};
 use pbs_mem::PageAllocator;
 use pbs_rcu::reclaim::{domain_for, EpochDomain, ReclaimBackend, ReclaimConfig, ReclamationDomain};
 use pbs_rcu::{Rcu, RcuConfig};
-use pbs_slub::{SlubCache, SlubPolicy};
 use pbs_telemetry::EventKind;
-use prudence::{PrudenceCache, PrudencePolicy};
 
 /// What the shared test bodies need to know about a cache type beyond its
 /// policy.
@@ -83,6 +86,7 @@ fn allocate_free_roundtrip<C: Kit>() {
     let a = c.allocate().unwrap();
     let b = c.allocate().unwrap();
     assert_ne!(a, b);
+    // SAFETY: both objects were allocated above and are freed once.
     unsafe {
         c.free(a);
         c.free(b);
@@ -100,6 +104,7 @@ fn deferred_objects_invisible_until_grace_period<C: Kit>() {
 
     let a = c.allocate().unwrap();
     let guard = reader.read_lock();
+    // SAFETY: `a` was allocated above and is deferred once; only its address is compared below.
     unsafe { c.free_deferred(a) };
     assert_eq!(c.deferred_outstanding(), 1);
     std::thread::sleep(std::time::Duration::from_millis(20));
@@ -117,6 +122,7 @@ fn deferred_objects_invisible_until_grace_period<C: Kit>() {
         "deferred object should be reusable after GP"
     );
     for o in objs.into_iter().chain(more) {
+        // SAFETY: every object was allocated above and is freed once.
         unsafe { c.free(o) };
     }
 }
@@ -130,24 +136,29 @@ fn concurrent_alloc_free_defer_stress<C: Kit>() {
                 let mut held = Vec::new();
                 for i in 0..5_000 {
                     let o = c.allocate().unwrap();
+                    // SAFETY: `o` is a live 64-byte object this thread owns.
                     unsafe { o.as_ptr().write(0xAB) };
                     held.push(o);
                     if i % 3 == 0 {
                         if let Some(o) = held.pop() {
+                            // SAFETY: `held` owns each object once; freed once.
                             unsafe { c.free(o) };
                         }
                     }
                     if held.len() > 100 {
                         for (k, o) in held.drain(..).enumerate() {
                             if k % 2 == 0 {
+                                // SAFETY: `held` owned `o` alone; deferred once.
                                 unsafe { c.free_deferred(o) };
                             } else {
+                                // SAFETY: `held` owned `o` alone; freed once.
                                 unsafe { c.free(o) };
                             }
                         }
                     }
                 }
                 for o in held {
+                    // SAFETY: `o` is still owned by `held` and is deferred once.
                     unsafe { c.free_deferred(o) };
                 }
             })
@@ -182,6 +193,7 @@ fn quiesce_returns_while_another_thread_defers<C: Kit>() {
         s.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
                 let o = c.allocate().unwrap();
+                // SAFETY: `o` was allocated just above and is deferred once.
                 unsafe { c.free_deferred(o) };
             }
         });
@@ -204,6 +216,7 @@ fn pressure_gauge_tracks_backlog<C: Kit>() {
     // Pin a reader so nothing can drain while the backlog builds.
     let guard = reader.read_lock();
     for &o in &objs {
+        // SAFETY: each object of `objs` was allocated above and deferred once, never touched again.
         unsafe { c.free_deferred(o) };
     }
     let s = c.stats();
@@ -244,6 +257,7 @@ fn oom_ladder_recovers_deferred_backlog<C: Kit>() {
             })
             .collect();
         for o in objs {
+            // SAFETY: each object was allocated above and deferred once, never touched again.
             unsafe { c.free_deferred(o) };
         }
     }
@@ -275,6 +289,7 @@ fn refill_and_flush_sizes_follow_the_latent_cache<C: Kit>() {
         c.fastpath_set_enabled(false);
         let mut held = alloc_n(&*c, 4 * size);
         for o in held.drain(2 * size..) {
+            // SAFETY: the objects past the first two caches' worth, each freed once.
             unsafe { c.free(o) };
         }
         let stock: Vec<ObjPtr> = c.lock_slot(0).obj_cache.drain(..).collect();
@@ -284,6 +299,7 @@ fn refill_and_flush_sizes_follow_the_latent_cache<C: Kit>() {
         let reader = rcu.register();
         let guard = reader.read_lock();
         for o in held.drain(..pinned) {
+            // SAFETY: the first `pinned` held objects, each deferred once.
             unsafe { c.free_deferred(o) };
         }
         let latent = c.lock_slot(0).latent.len();
@@ -300,6 +316,7 @@ fn refill_and_flush_sizes_follow_the_latent_cache<C: Kit>() {
         assert_eq!(partial, u64::from(want < size));
         // Free until the cache holds one object more than a whole cache.
         for o in held.drain(..size + 2 - want) {
+            // SAFETY: each object was still held and is freed once.
             unsafe { c.free(o) };
         }
         assert_eq!(c.stats().flushes - after.flushes, 1);
@@ -308,6 +325,7 @@ fn refill_and_flush_sizes_follow_the_latent_cache<C: Kit>() {
         assert_eq!(kept, keep, "flush, {latent} latent");
         drop(guard);
         for o in held {
+            // SAFETY: each object was still held and is freed once.
             unsafe { c.free(o) };
         }
         c.quiesce();
@@ -339,6 +357,7 @@ fn ladder_rung_one_collects_every_slot<C: Kit>() {
     }
     assert_eq!(c.stats().oom_waits, 0);
     // One deferred object arms the ladder; its grace period cannot end.
+    // SAFETY: the popped object is owned by `held` and deferred once.
     unsafe { c.free_deferred(held.pop().unwrap()) };
     // A second thread (slot 1) frees three objects into its own cache.
     let freed = held.split_off(held.len() - 3);
@@ -346,6 +365,7 @@ fn ladder_rung_one_collects_every_slot<C: Kit>() {
     std::thread::scope(|s| {
         s.spawn(move || {
             for o in freed {
+                // SAFETY: `freed` was split off `held`: each object is freed once, here only.
                 unsafe { cache.free(o) };
             }
         });
@@ -355,6 +375,7 @@ fn ladder_rung_one_collects_every_slot<C: Kit>() {
     let s = c.stats();
     assert_eq!((s.oom_waits, s.oom_recoveries_stage1), (1, 1), "{s:?}");
     for o in held {
+        // SAFETY: each object was still held and is freed once.
         unsafe { c.free(o) };
     }
     c.quiesce();
@@ -376,6 +397,7 @@ fn immediate_free_oom_propagates<C: Kit>() {
     };
     assert_eq!(err, AllocError::OutOfMemory);
     for o in objs {
+        // SAFETY: each object was allocated above and is freed once.
         unsafe { c.free(o) };
     }
 }
@@ -383,6 +405,7 @@ fn immediate_free_oom_propagates<C: Kit>() {
 fn telemetry_traces_deferred_lifecycle<C: Kit>() {
     let (c, _p, rcu) = cache::<C>(64, EngineConfig::new(2));
     let a = c.allocate().unwrap();
+    // SAFETY: `a` was allocated above and is deferred once.
     unsafe { c.free_deferred(a) };
     rcu.synchronize();
     // Drain the object cache so a policy that merges lazily has to.
@@ -396,6 +419,7 @@ fn telemetry_traces_deferred_lifecycle<C: Kit>() {
     let timed = t.histogram("defer_delay_ns").is_some_and(|h| h.count >= 1);
     assert!(timed, "defer→reusable delay samples");
     for o in held {
+        // SAFETY: each object was allocated above and is freed once.
         unsafe { c.free(o) };
     }
 }
@@ -409,6 +433,7 @@ fn robust_backends_bound_garbage_under_a_stalled_reader<C: Kit>() {
         let reader = rcu.register();
         let guard = reader.read_lock();
         for o in alloc_n(&*c, 512) {
+            // SAFETY: each object was allocated above and deferred once, never touched again.
             unsafe { c.free_deferred(o) };
         }
         // Give the hyaline ejector its window (aggressive: 2ms), then
@@ -435,8 +460,10 @@ fn drop_returns_all_pages<C: Kit>() {
     let (c, pages, _r) = cache::<C>(128, EngineConfig::new(2));
     for (i, o) in alloc_n(&*c, 200).into_iter().enumerate() {
         if i % 2 == 0 {
+            // SAFETY: `o` was allocated above and is freed once.
             unsafe { c.free(o) };
         } else {
+            // SAFETY: `o` was allocated above and is deferred once.
             unsafe { c.free_deferred(o) };
         }
     }
@@ -455,6 +482,7 @@ fn drop_with_defers_in_flight<C: Kit>() {
         // A pinned reader keeps the defers in flight across the drop.
         let guard = reader.read_lock();
         for o in alloc_n(&*c, 200) {
+            // SAFETY: each object was allocated above and deferred once, never touched again.
             unsafe { c.free_deferred(o) };
         }
         assert!(c.deferred_outstanding() > 0, "{backend}: nothing in flight");
@@ -483,6 +511,7 @@ fn heap_routes_to_correct_class<C: Kit>() {
     let class = h.cache_for(100).unwrap();
     assert_eq!(class.object_size(), 128);
     assert_eq!(class.stats().alloc_requests, 1);
+    // SAFETY: `o` came from `kmalloc(100)` on this heap and is freed once.
     unsafe { h.kfree(o, 100) };
     assert_eq!(class.stats().frees, 1);
     assert_eq!(
@@ -497,6 +526,7 @@ fn heap_routes_to_correct_class<C: Kit>() {
 fn heap_deferred_free_roundtrip<C: Kit>() {
     let h = heap::<C>();
     let o = h.kmalloc(512).unwrap();
+    // SAFETY: `o` came from `kmalloc(512)` on this heap and is deferred once.
     unsafe { h.kfree_deferred(o, 512) };
     h.quiesce();
     let s = h.cache_for(512).unwrap().stats();
@@ -514,8 +544,10 @@ fn heap_quiesce_drains_every_class<C: Kit>() {
         let objs: Vec<ObjPtr> = (0..40).map(|_| h.kmalloc(size).unwrap()).collect();
         for (i, o) in objs.into_iter().enumerate() {
             if i % 2 == 0 {
+                // SAFETY: `o` came from `kmalloc(size)` on this heap and is freed once.
                 unsafe { h.kfree(o, size) }; // parks on the fast path
             } else {
+                // SAFETY: `o` came from `kmalloc(size)` on this heap and is deferred once.
                 unsafe { h.kfree_deferred(o, size) };
             }
         }

@@ -1,6 +1,6 @@
 //! Per-CPU critical sections with two interchangeable engines.
 //!
-//! The hot paths of both allocators (`prudence`, `pbs-slub`) want an
+//! The hot paths of both allocators (`pbs-alloc-api`'s slab engine) want an
 //! uncontended alloc/free pair to perform **zero atomic
 //! read-modify-writes and zero lock acquisitions** — the property the
 //! paper attributes to Prudence's per-CPU object caches running under
@@ -773,8 +773,15 @@ mod tests {
     fn fastpath_override_parses_strictly() {
         let locks = FastPathOverride::Locks;
         assert_eq!(FastPathOverride::parse_env(None), Ok(None));
-        assert_eq!(FastPathOverride::parse_env(Some("")), Ok(None), "CI default leg");
-        assert_eq!(FastPathOverride::parse_env(Some(locks.label())), Ok(Some(locks)));
+        assert_eq!(
+            FastPathOverride::parse_env(Some("")),
+            Ok(None),
+            "CI default leg"
+        );
+        assert_eq!(
+            FastPathOverride::parse_env(Some(locks.label())),
+            Ok(Some(locks))
+        );
         for typo in ["lock", "LOCKS", "off", "rseq", "0", "locks "] {
             let err = FastPathOverride::parse_env(Some(typo)).unwrap_err();
             assert!(err.contains("not locks"), "accepted value named: {err}");
@@ -920,7 +927,10 @@ mod tests {
             (t.popped, t.pushed, t.missed),
             "{s:?}"
         );
-        assert!(t.missed >= 1 && t.popped > 0, "the last pop finds its slot empty");
+        assert!(
+            t.missed >= 1 && t.popped > 0,
+            "the last pop finds its slot empty"
+        );
         assert_eq!(c.drain().len() as u64, t.pushed - t.popped);
     }
 

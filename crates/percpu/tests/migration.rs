@@ -103,8 +103,8 @@ fn migration_storm_conserves_objects() {
                     let mut next = 0usize;
                     let mut popped = Vec::new();
                     let mut hop = t; // stagger starting CPUs
-                    // Every iteration pushes, pops, or spends bounded
-                    // restart budget, so the loop terminates on its own.
+                                     // Every iteration pushes, pops, or spends bounded
+                                     // restart budget, so the loop terminates on its own.
                     while next < per_thread {
                         // Force a migration attempt mid-stream every few
                         // hundred operations.

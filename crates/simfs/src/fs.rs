@@ -286,11 +286,11 @@ impl Drop for SimFs {
 mod tests {
     use super::*;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::prudence::PrudenceFactory;
+    use pbs_alloc_api::slub::SlubFactory;
     use pbs_alloc_api::CacheInventory;
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
-    use pbs_slub::SlubFactory;
-    use prudence::PrudenceFactory;
 
     fn prudence_fs() -> (Arc<Rcu>, CacheInventory, SimFs) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));

@@ -24,11 +24,11 @@
 //! ```
 //! use std::sync::Arc;
 //! use pbs_alloc_api::engine::EngineConfig;
+//! use pbs_alloc_api::prudence::PrudenceFactory;
 //! use pbs_alloc_api::CacheInventory;
 //! use pbs_mem::PageAllocator;
 //! use pbs_rcu::Rcu;
 //! use pbs_simfs::SimFs;
-//! use prudence::PrudenceFactory;
 //!
 //! let rcu = Arc::new(Rcu::new());
 //! let caches = CacheInventory::new(PrudenceFactory::new(

@@ -20,11 +20,11 @@ const EPI_SIZE: usize = 128;
 /// ```
 /// use std::sync::Arc;
 /// use pbs_alloc_api::engine::EngineConfig;
+/// use pbs_alloc_api::prudence::PrudenceFactory;
 /// use pbs_alloc_api::CacheInventory;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
 /// use pbs_simnet::Epoll;
-/// use prudence::PrudenceFactory;
 ///
 /// let rcu = Arc::new(Rcu::new());
 /// let caches = CacheInventory::new(PrudenceFactory::new(
@@ -102,10 +102,10 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::prudence::PrudenceFactory;
     use pbs_alloc_api::CacheInventory;
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
-    use prudence::PrudenceFactory;
 
     fn setup() -> (Arc<Rcu>, CacheInventory, Epoll) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));

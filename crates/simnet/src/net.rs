@@ -244,11 +244,11 @@ impl Drop for SimNet {
 mod tests {
     use super::*;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::prudence::PrudenceFactory;
+    use pbs_alloc_api::slub::SlubFactory;
     use pbs_alloc_api::CacheInventory;
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
-    use pbs_slub::SlubFactory;
-    use prudence::PrudenceFactory;
 
     fn prudence_net() -> (Arc<Rcu>, CacheInventory, SimNet) {
         let rcu = Arc::new(Rcu::with_config(RcuConfig::eager()));

@@ -278,12 +278,12 @@ impl ShardedNet {
 mod tests {
     use super::*;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::prudence::PrudenceFactory;
+    use pbs_alloc_api::slub::SlubFactory;
     use pbs_alloc_api::CacheInventory;
     use pbs_fault::{site, Schedule};
     use pbs_mem::PageAllocator;
     use pbs_rcu::{Rcu, RcuConfig};
-    use pbs_slub::SlubFactory;
-    use prudence::PrudenceFactory;
 
     fn rcu() -> Arc<Rcu> {
         Arc::new(Rcu::with_config(RcuConfig::eager()))

@@ -42,10 +42,10 @@ struct Node<T> {
 /// ```
 /// use std::sync::Arc;
 /// use pbs_alloc_api::engine::EngineConfig;
+/// use pbs_alloc_api::prudence::PrudenceCache;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
 /// use pbs_structs::RcuBst;
-/// use prudence::PrudenceCache;
 ///
 /// let pages = Arc::new(PageAllocator::new());
 /// let rcu = Arc::new(Rcu::new());
@@ -455,10 +455,10 @@ impl<T> Drop for RcuBst<T> {
 mod tests {
     use super::*;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::prudence::PrudenceCache;
     use pbs_mem::PageAllocator;
     use pbs_rcu::reclaim::ReclaimBackend;
     use pbs_rcu::{Rcu, RcuConfig};
-    use prudence::PrudenceCache;
 
     fn setup() -> (Arc<Rcu>, Arc<dyn ObjectAllocator>) {
         let pages = Arc::new(PageAllocator::new());

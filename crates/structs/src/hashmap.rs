@@ -34,10 +34,10 @@ struct Node<K, V> {
 /// ```
 /// use std::sync::Arc;
 /// use pbs_alloc_api::engine::EngineConfig;
+/// use pbs_alloc_api::prudence::PrudenceCache;
 /// use pbs_mem::PageAllocator;
 /// use pbs_rcu::Rcu;
 /// use pbs_structs::RcuHashMap;
-/// use prudence::PrudenceCache;
 ///
 /// let pages = Arc::new(PageAllocator::new());
 /// let rcu = Arc::new(Rcu::new());
@@ -313,11 +313,11 @@ impl<K, V> Drop for RcuHashMap<K, V> {
 mod tests {
     use super::*;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::prudence::PrudenceCache;
+    use pbs_alloc_api::slub::SlubCache;
     use pbs_mem::PageAllocator;
     use pbs_rcu::reclaim::ReclaimBackend;
     use pbs_rcu::{Rcu, RcuConfig};
-    use pbs_slub::SlubCache;
-    use prudence::PrudenceCache;
 
     fn setup_prudence() -> (Arc<Rcu>, Arc<dyn ObjectAllocator>) {
         let pages = Arc::new(PageAllocator::new());

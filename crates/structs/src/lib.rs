@@ -27,10 +27,10 @@
 //! ```
 //! use std::sync::Arc;
 //! use pbs_alloc_api::engine::EngineConfig;
+//! use pbs_alloc_api::prudence::PrudenceCache;
 //! use pbs_mem::PageAllocator;
 //! use pbs_rcu::Rcu;
 //! use pbs_structs::RcuList;
-//! use prudence::PrudenceCache;
 //!
 //! let pages = Arc::new(PageAllocator::new());
 //! let rcu = Arc::new(Rcu::new());

@@ -31,7 +31,7 @@ struct Node<T> {
 ///   `free_deferred(old_object)`, paper Listing 2.
 ///
 /// Nodes are allocated from the [`ObjectAllocator`] given at construction,
-/// so running the same list over `pbs-slub` vs `prudence` compares the two
+/// so running the same list over SLUB vs Prudence compares the two
 /// reclamation designs with identical list code.
 ///
 /// See the [crate-level documentation](crate) for an example.
@@ -258,11 +258,11 @@ impl<T> Drop for RcuList<T> {
 mod tests {
     use super::*;
     use pbs_alloc_api::engine::EngineConfig;
+    use pbs_alloc_api::prudence::PrudenceCache;
     use pbs_alloc_api::ObjPtr;
     use pbs_mem::PageAllocator;
     use pbs_rcu::reclaim::ReclaimBackend;
     use pbs_rcu::{Rcu, RcuConfig};
-    use prudence::PrudenceCache;
 
     fn setup() -> (Arc<Rcu>, Arc<dyn ObjectAllocator>) {
         let pages = Arc::new(PageAllocator::new());

@@ -18,8 +18,8 @@
 //!   fast path is a single `Relaxed` load plus branch (and a constant
 //!   `false` when the `trace` feature is compiled out).
 //!
-//! The crate is a dependency *leaf*: every layer (`pbs-rcu`,
-//! `pbs-alloc-api`, `prudence`, `pbs-slub`) emits into it, and the
+//! The crate is a dependency *leaf*: every layer (`pbs-rcu`, the
+//! slab engine and both policies in `pbs-alloc-api`) emits into it, and the
 //! aggregation/exposition types build on top of it in `pbs-alloc-api` and
 //! `pbs-workloads`.
 

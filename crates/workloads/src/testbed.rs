@@ -4,6 +4,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pbs_alloc_api::engine::EngineConfig;
+use pbs_alloc_api::prudence::PrudenceFactory;
+use pbs_alloc_api::slub::SlubFactory;
 use pbs_alloc_api::{
     CacheFactory, CacheInventory, CacheStatsSnapshot, ObjectAllocator, TelemetrySnapshot,
 };
@@ -12,8 +14,6 @@ use pbs_rcu::reclaim::{
     domain_for, ReclaimBackend, ReclaimConfig, ReclaimStats, ReclamationDomain,
 };
 use pbs_rcu::{Rcu, RcuConfig};
-use pbs_slub::SlubFactory;
-use prudence::PrudenceFactory;
 
 /// Which allocator design a run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

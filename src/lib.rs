@@ -14,12 +14,11 @@
 //! * [`workloads`] — benchmark drivers regenerating the paper's figures
 
 pub use pbs_alloc_api as alloc_api;
+pub use pbs_alloc_api::{prudence, slub};
 pub use pbs_fault as fault;
 pub use pbs_mem as mem;
 pub use pbs_rcu as rcu;
 pub use pbs_simfs as simfs;
 pub use pbs_simnet as simnet;
-pub use pbs_slub as slub;
 pub use pbs_structs as structs;
 pub use pbs_workloads as workloads;
-pub use prudence;
